@@ -16,7 +16,7 @@ Run:  python examples/criteria_zoo.py
 import tempfile
 from pathlib import Path
 
-from repro.analysis import format_table
+from repro.analysis.tables import format_table
 from repro.criteria.registry import classify
 from repro.io import load, save
 from repro.workloads.generator import WorkloadConfig, generate

@@ -17,7 +17,8 @@ The full parameter sweep lives in ``benchmarks/test_bench_p1_protocols``.
 Run:  python examples/protocol_comparison.py
 """
 
-from repro.analysis import evaluate_protocol, format_table
+from repro.analysis.protocols import evaluate_protocol
+from repro.analysis.tables import format_table
 from repro.simulator import ProgramConfig
 from repro.workloads.topologies import (
     fork_topology,

@@ -12,7 +12,7 @@ Run:  python examples/tp_monitor.py
 """
 
 from repro import check_composite_correctness
-from repro.analysis import format_table
+from repro.analysis.tables import format_table
 from repro.simulator import SimulationConfig, simulate
 from repro.simulator.scenarios import tp_monitor_mix, tp_monitor_topology
 from repro.viz import render_lanes

@@ -1,130 +1,14 @@
 """Ensemble experiments and reporting over the core checker.
 
 The modules here are the measurement layer the benchmark harness is
-built on: criteria-hierarchy acceptance rates (H1), empirical theorem
-validation (T1–T4), protocol evaluation via simulation (P1) and checker
-cost scaling (P2), plus dependency-free stats and table formatting.
+built on: criteria-hierarchy acceptance rates (H1, ``hierarchy``),
+empirical theorem validation (T1–T4, ``theorems``), protocol evaluation
+via simulation (P1, ``protocols``) and checker cost scaling (P2,
+``scaling``), the batch runner and its resilience layer (``batch``,
+``supervise``, ``checkpoint``, ``fleet``), plus dependency-free stats
+(``stats``) and table formatting (``tables``).
+
+The package re-exports nothing: import each name from its submodule, so
+that a leaf such as ``repro.analysis.tables`` does not pull in the
+simulator behind the experiments.
 """
-
-from repro.analysis.agreement import (
-    AgreementMatrix,
-    agreement_matrix,
-    format_agreement,
-)
-from repro.analysis.hierarchy import (
-    CONTAINMENTS,
-    HIERARCHY,
-    HierarchyRow,
-    judge,
-    run_hierarchy_experiment,
-    total_violations,
-)
-from repro.analysis.batch import (
-    BatchReport,
-    ChaosGridReport,
-    chaos_grid,
-    chaos_grid_report,
-    merge_metrics,
-    run_batch,
-    run_batch_report,
-)
-from repro.analysis.checkpoint import (
-    CheckpointSession,
-    checkpointing,
-    read_checkpoint,
-)
-from repro.analysis.supervise import (
-    BatchSupervisor,
-    QuarantinedTask,
-    QuarantineReport,
-)
-from repro.analysis.protocols import (
-    ChaosPoint,
-    ChaosRun,
-    ProtocolPoint,
-    chaos_run,
-    evaluate_protocol,
-    evaluate_protocol_under_faults,
-    merge_chaos_runs,
-    protocol_sweep,
-)
-from repro.analysis.scaling import (
-    ScalingPoint,
-    SpeedupPoint,
-    SweepSpeedup,
-    checker_scaling,
-    depth_scaling,
-    incremental_speedup,
-    sweep_speedup,
-)
-from repro.analysis.stats import (
-    mean,
-    proportion_summary,
-    std_error,
-    variance,
-    wilson_interval,
-)
-from repro.analysis.tables import banner, format_table
-from repro.analysis.theorems import (
-    AgreementRow,
-    Theorem1Row,
-    agreement_experiment,
-    theorem1_experiment,
-    theorem2_rows,
-    theorem3_rows,
-    theorem4_rows,
-)
-
-__all__ = [
-    "AgreementMatrix",
-    "agreement_matrix",
-    "format_agreement",
-    "CONTAINMENTS",
-    "HIERARCHY",
-    "HierarchyRow",
-    "judge",
-    "run_hierarchy_experiment",
-    "total_violations",
-    "BatchReport",
-    "BatchSupervisor",
-    "ChaosGridReport",
-    "ChaosPoint",
-    "ChaosRun",
-    "CheckpointSession",
-    "ProtocolPoint",
-    "QuarantineReport",
-    "QuarantinedTask",
-    "chaos_grid",
-    "chaos_grid_report",
-    "chaos_run",
-    "checkpointing",
-    "read_checkpoint",
-    "run_batch_report",
-    "evaluate_protocol",
-    "evaluate_protocol_under_faults",
-    "merge_chaos_runs",
-    "merge_metrics",
-    "protocol_sweep",
-    "run_batch",
-    "ScalingPoint",
-    "SpeedupPoint",
-    "SweepSpeedup",
-    "checker_scaling",
-    "depth_scaling",
-    "incremental_speedup",
-    "sweep_speedup",
-    "mean",
-    "proportion_summary",
-    "std_error",
-    "variance",
-    "wilson_interval",
-    "banner",
-    "format_table",
-    "AgreementRow",
-    "Theorem1Row",
-    "agreement_experiment",
-    "theorem1_experiment",
-    "theorem2_rows",
-    "theorem3_rows",
-    "theorem4_rows",
-]

@@ -42,7 +42,10 @@ output (``--heartbeat-interval``, ``--lease-timeout``,
 ``--max-shard-retries`` tune it).  See docs/RESILIENCE.md.
 
 The CLI is a thin veneer over the library; every command maps onto the
-public API used by the examples and benchmarks.
+public API used by the examples and benchmarks.  Each command imports
+its own stack inside its ``cmd_*`` function, so a cold ``check`` loads
+only argparse, the checker and :mod:`repro.io`
+(``tests/test_cli_imports.py`` holds that budget).
 """
 
 from __future__ import annotations
@@ -51,24 +54,19 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.tables import banner, format_table
 from repro.core.correctness import check_composite_correctness
-from repro.criteria.registry import classify
 from repro.io import load, save
-from repro.simulator import ProgramConfig, SimulationConfig, simulate
-from repro.viz.ascii_art import render_forest, render_levels
-from repro.viz.dot import forest_dot, invocation_graph_dot
-from repro.workloads.generator import WorkloadConfig, generate
-from repro.workloads.topologies import (
-    fork_topology,
-    join_topology,
-    random_dag_topology,
-    stack_topology,
-    tree_topology,
-)
 
 
 def _topology(args: argparse.Namespace):
+    from repro.workloads.topologies import (
+        fork_topology,
+        join_topology,
+        random_dag_topology,
+        stack_topology,
+        tree_topology,
+    )
+
     kind = args.topology
     if kind == "stack":
         return stack_topology(args.depth)
@@ -207,6 +205,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
     print(report.narrative())
     if args.profile:
+        from repro.analysis.tables import banner, format_table
+
         print()
         print(banner("reduction profile"))
         rows = [
@@ -284,6 +284,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import banner, format_table
+    from repro.criteria.registry import classify
+    from repro.viz.ascii_art import render_forest, render_levels
+
     recorded = load(args.file)
     system = recorded.system
     print(banner("structure"))
@@ -305,6 +309,9 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from repro.viz.ascii_art import render_forest, render_levels
+    from repro.viz.dot import forest_dot, invocation_graph_dot
+
     recorded = load(args.file)
     if args.format == "dot-invocation":
         print(invocation_graph_dot(recorded.system))
@@ -318,6 +325,8 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from repro.workloads.generator import WorkloadConfig, generate
+
     spec = _topology(args)
     recorded = generate(
         spec,
@@ -338,6 +347,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import format_table
+    from repro.simulator import ProgramConfig, SimulationConfig, simulate
+
     spec = _topology(args)
     result = simulate(
         SimulationConfig(
@@ -379,6 +391,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.analysis.batch import chaos_grid_report
     from repro.analysis.supervise import BatchSupervisor
+    from repro.analysis.tables import format_table
 
     spec = _topology(args)
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
@@ -452,6 +465,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_figures(args: argparse.Namespace) -> int:
     from repro import reduce_to_roots
+    from repro.analysis.tables import banner
     from repro.figures import (
         figure1_system,
         figure2_system,
@@ -473,6 +487,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import banner, format_table
+
     name = args.name
     if name == "t1":
         from repro.analysis.theorems import theorem1_experiment
@@ -578,11 +594,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         return 0 if all(s.verdicts_match for s in speedups) else 2
     if name == "a1":
         from repro.analysis.batch import ablation_task, run_batch
-        from repro.workloads.generator import WorkloadConfig as WC
+        from repro.workloads.generator import WorkloadConfig
+        from repro.workloads.topologies import stack_topology
 
         spec = stack_topology(2)
         configs = [
-            WC(seed=s, conflict_probability=0.2) for s in range(args.trials)
+            WorkloadConfig(seed=s, conflict_probability=0.2)
+            for s in range(args.trials)
         ]
         verdicts = run_batch(
             [
@@ -688,6 +706,7 @@ def cmd_eventlog(args: argparse.Namespace) -> int:
 def cmd_watch(args: argparse.Namespace) -> int:
     import time as _time
 
+    from repro.analysis.tables import banner
     from repro.obs import current
     from repro.stream import (
         EventLogTail,
@@ -791,6 +810,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos_stream(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import banner
     from repro.stream.chaos import SCENARIOS, run_chaos_suite
 
     scenarios = args.scenario if args.scenario else list(SCENARIOS)

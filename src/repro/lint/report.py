@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -220,6 +219,8 @@ def lint_paths(
     """
     files, missing = _gather_paths(paths)
     if workers > 1 and len(files) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         tasks = [(file, options) for file in files]
         with ProcessPoolExecutor(
             max_workers=min(workers, len(files))
