@@ -28,8 +28,8 @@ from repro.analysis.batch import run_batch
 from repro.core.correctness import is_composite_correct
 from repro.criteria.llsr import is_llsr
 from repro.criteria.opsr import is_opsr
-from repro.criteria.registry import RecordedExecution
 from repro.criteria.stack import is_scc
+from repro.io.recorded import RecordedExecution
 from repro.workloads.generator import WorkloadConfig, generate
 from repro.workloads.topologies import stack_topology
 

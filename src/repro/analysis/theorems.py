@@ -20,7 +20,7 @@ from repro.core.serial import verify_theorem1_if_direction
 from repro.criteria.fork import is_fcc
 from repro.criteria.join import is_jcc
 from repro.criteria.stack import is_scc
-from repro.criteria.registry import RecordedExecution
+from repro.io.recorded import RecordedExecution
 from repro.workloads.generator import WorkloadConfig, generate
 from repro.workloads.topologies import (
     TopologySpec,

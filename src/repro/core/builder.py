@@ -30,8 +30,9 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.core.orders import Relation
 from repro.core.schedule import Schedule
 from repro.core.system import CompositeSystem
 from repro.core.transaction import Transaction
@@ -247,51 +248,80 @@ class SystemBuilder:
         """Def. 4.7: caller output orders become callee input orders.
 
         Validation checks the *transitively closed* output relations, so
-        propagation must work on closures too (a pair derived through a
-        chain of conflicts still binds the callee).  Outputs are also
-        transitively relevant across levels — a propagated input order
-        can force new strong outputs via axiom 3, which may propagate
-        further down — so we iterate to a fixed point.
+        propagation works on closures too (a pair derived through a
+        chain of conflicts still binds the callee).  The weak side
+        closes strong ∪ weak, as :class:`Schedule` does, so a chain
+        mixing strong and weak steps binds the callee's weak input.  A
+        propagated strong input can force new strong outputs via axiom
+        3, which may propagate further down, so this iterates to a fixed
+        point — re-closing only the schedules whose staged outputs
+        changed in the previous pass.
         """
-        from repro.core.orders import Relation
+        txn_schedule = self._txn_schedule
+        # Set shadows of the staged lists, built on first use: the
+        # membership test per closed pair was a list scan.
+        shadows: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {}
 
-        changed = True
-        passes = 0
-        while changed:
-            passes += 1
-            if passes > 2 * len(self._drafts) + 4:  # pragma: no cover
-                raise ModelError("order propagation did not converge")
-            changed = False
-            for name in self._drafts:
+        def stage(name: str, kind: str, pair: Tuple[str, str]) -> bool:
+            seen = shadows.get((name, kind))
+            if seen is None:
+                seen = shadows[(name, kind)] = set(resolved[name][kind])
+            if pair in seen:
+                return False
+            seen.add(pair)
+            resolved[name][kind].append(pair)
+            return True
+
+        def expand_strong_inputs(name: str) -> bool:
+            # Axiom 3 over the closed strong input order.
+            pairs = resolved[name]["strong_input"]
+            if not pairs:
+                return False
+            transactions = self._drafts[name].transactions
+            added = False
+            for t1, t2 in Relation(pairs).transitive_closure().pairs():
+                for a in transactions[t1].operations:
+                    for b in transactions[t2].operations:
+                        added |= stage(name, "strong_output", (a, b))
+            return added
+
+        changed_outputs: List[str] = list(self._drafts)
+        changed_strong_inputs: Set[str] = set(changed_outputs)
+        while changed_outputs:
+            for name in changed_outputs:
                 orders = resolved[name]
-                for kind_out, kind_in in (
-                    ("weak_output", "weak_input"),
-                    ("strong_output", "strong_input"),
+                strong = Relation(orders["strong_output"])
+                weak = strong.copy()
+                weak.add_all(orders["weak_output"])
+                # One mask per callee over weak's carrier; strong's
+                # carrier is a prefix of it, so the masks and unpack
+                # below serve both closures.
+                masks: Dict[str, int] = {}
+                for i, e in enumerate(weak.elements):
+                    callee = txn_schedule.get(e)
+                    if callee is not None and callee != name:
+                        masks[callee] = masks.get(callee, 0) | (1 << i)
+                if not masks:
+                    continue
+                for closed, kind_in in (
+                    (weak.transitive_closure(), "weak_input"),
+                    (strong.transitive_closure(), "strong_input"),
                 ):
-                    closed = Relation(orders[kind_out]).transitive_closure()
-                    for a, b in closed.pairs():
-                        sa = self._txn_schedule.get(a)
-                        sb = self._txn_schedule.get(b)
-                        if sa is None or sa != sb or sa == name:
-                            continue
-                        target = resolved[sa][kind_in]
-                        if (a, b) not in target:
-                            target.append((a, b))
-                            changed = True
-            # Re-expand axiom 3 after new strong inputs arrived.
-            for name, draft in self._drafts.items():
-                orders = resolved[name]
-                closed_in = Relation(
-                    orders["strong_input"]
-                ).transitive_closure()
-                for t1, t2 in closed_in.pairs():
-                    ops1 = draft.transactions[t1].operations
-                    ops2 = draft.transactions[t2].operations
-                    for a in ops1:
-                        for b in ops2:
-                            if (a, b) not in orders["strong_output"]:
-                                orders["strong_output"].append((a, b))
-                                changed = True
+                    for callee, mask in masks.items():
+                        for a in weak.unpack(mask):
+                            row = closed.row_bits(a) & mask
+                            for b in weak.unpack(row):
+                                if (
+                                    stage(callee, kind_in, (a, b))
+                                    and kind_in == "strong_input"
+                                ):
+                                    changed_strong_inputs.add(callee)
+            changed_outputs = [
+                name
+                for name in self._drafts
+                if name in changed_strong_inputs and expand_strong_inputs(name)
+            ]
+            changed_strong_inputs = set()
 
     # ------------------------------------------------------------------
     # declarative construction

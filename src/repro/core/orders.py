@@ -142,17 +142,23 @@ class Relation:
         self._index: Dict[Element, int] = {}
         #: bit position -> element
         self._nodes: List[Element] = []
+        # Intern the carrier in bulk (no per-element add_element call):
+        # every schedule and transaction builds its relations over all
+        # of its operations, so this sits on the document-load path.
+        index = self._index
+        nodes = self._nodes
+        for element in elements:
+            if element not in index:
+                index[element] = len(nodes)
+                nodes.append(element)
         #: successor bitmaps, one int per element
-        self._rows: List[int] = []
+        self._rows: List[int] = [0] * len(nodes)
         #: predecessor bitmaps (the transpose); ``None`` when stale —
         #: bulk row operations invalidate it and :meth:`_transpose`
         #: rebuilds it on demand
-        self._cols: Optional[List[int]] = []
+        self._cols: Optional[List[int]] = [0] * len(nodes)
         self._size = 0
-        for element in elements:
-            self.add_element(element)
-        for a, b in pairs:
-            self.add(a, b)
+        self.add_all(pairs)
 
     # ------------------------------------------------------------------
     # internal plumbing
@@ -216,9 +222,28 @@ class Relation:
             self._size += 1
 
     def add_all(self, pairs: Iterable[Pair]) -> None:
-        """Add every pair in ``pairs``."""
+        """Add every pair in ``pairs`` (:meth:`add` inlined: schedules
+        load their declared orders through here)."""
+        index = self._index
+        rows = self._rows
+        cols = self._cols
+        size = self._size
         for a, b in pairs:
-            self.add(a, b)
+            ia = index.get(a)
+            if ia is None:
+                self.add_element(a)
+                ia = index[a]
+            ib = index.get(b)
+            if ib is None:
+                self.add_element(b)
+                ib = index[b]
+            bit = 1 << ib
+            if not rows[ia] & bit:
+                rows[ia] |= bit
+                if cols is not None:
+                    cols[ib] |= 1 << ia
+                size += 1
+        self._size = size
 
     def discard(self, a: Element, b: Element) -> None:
         """Remove the pair ``(a, b)`` if present (carrier set unchanged)."""
@@ -613,6 +638,11 @@ class Relation:
         n = len(self._nodes)
         CLOSURE_COUNTERS["calls"] += 1
         CLOSURE_COUNTERS["rows"] += n
+        if not self._size:
+            # Nothing to propagate (the common intra-transaction order):
+            # skip Tarjan, but count the call as before so closure
+            # telemetry does not depend on this shortcut.
+            return Relation._from_state(list(self._nodes), [0] * n, None, 0)
         rows = self._rows
 
         # Tarjan SCC (iterative) to handle cycles; components are
@@ -902,6 +932,8 @@ class Relation:
         :func:`_sort_key` order — is pinned so witness cycles are
         deterministic and identical to the historical dict engine.
         """
+        if not self._size:
+            return None
         n = len(self._nodes)
         nodes = self._nodes
         rows = self._rows

@@ -157,12 +157,17 @@ class Schedule:
         self._weak_output = weak_out.transitive_closure()
         self._strong_output = strong_out.transitive_closure()
 
-        cycle = self._weak_input.find_cycle()
-        if cycle is not None:
-            raise CycleError(f"weak input order of {name!r} is cyclic", cycle)
-        cycle = self._weak_output.find_cycle()
-        if cycle is not None:
-            raise CycleError(f"weak output order of {name!r} is cyclic", cycle)
+        # Both relations are closed, so a self-loop probe (O(V)) decides
+        # acyclicity; find_cycle runs only to produce the witness.
+        for relation, label in (
+            (self._weak_input, "input"),
+            (self._weak_output, "output"),
+        ):
+            if relation.first_self_loop() is not None:
+                raise CycleError(
+                    f"weak {label} order of {name!r} is cyclic",
+                    relation.find_cycle(),
+                )
 
         if validate:
             self.validate_axioms()

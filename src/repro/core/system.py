@@ -149,21 +149,43 @@ class CompositeSystem:
         """Yield every Def. 4.7 violation as a structured (unraised)
         :class:`OrderPropagationError`: a caller's output orders between
         two operations that are transactions of the *same* callee must
-        appear as the callee's input orders."""
+        appear as the callee's input orders.
+
+        Row-wise: per caller, one bitmask per callee selects the caller
+        operations that are that callee's transactions, and each such
+        ``a`` visits only the bits of its output rows inside its
+        callee's mask, so the membership probes are bounded by the
+        ordered same-callee pairs, not by ``ops²``.  Both output orders
+        are built over ``schedule.operations`` (bit ``j`` is
+        ``operations[j]``), so violations come out by ``(a, b)`` in
+        operation order, weak before strong for the same pair.
+        """
+        schedule_of_txn = self._schedule_of_txn
         for sname, schedule in self._schedules.items():
             ops = schedule.operations
-            for a in ops:
-                sa = self._schedule_of_txn.get(a)
-                if sa is None:
+            masks: Dict[str, int] = {}
+            invoking: List[Tuple[int, str, str]] = []
+            for i, a in enumerate(ops):
+                sa = schedule_of_txn.get(a)
+                if sa is not None:
+                    masks[sa] = masks.get(sa, 0) | (1 << i)
+                    invoking.append((i, a, sa))
+            if not invoking:
+                continue
+            weak = schedule.weak_output
+            strong = schedule.strong_output
+            for i, a, sa in invoking:
+                weak_row = weak.row_bits(a)
+                strong_row = strong.row_bits(a)
+                hits = (weak_row | strong_row) & masks[sa] & ~(1 << i)
+                if not hits:
                     continue
-                for b in ops:
-                    if a == b or self._schedule_of_txn.get(b) != sa:
-                        continue
-                    callee = self._schedules[sa]
-                    if (a, b) in schedule.weak_output and (
-                        a,
-                        b,
-                    ) not in callee.weak_input:
+                callee = self._schedules[sa]
+                while hits:
+                    low = hits & -hits
+                    hits ^= low
+                    b = ops[low.bit_length() - 1]
+                    if weak_row & low and (a, b) not in callee.weak_input:
                         yield OrderPropagationError(
                             f"Def. 4.7 violated: {a} < {b} in the output of "
                             f"{sname!r} but {a} -> {b} missing from the "
@@ -173,10 +195,7 @@ class CompositeSystem:
                             pair=(a, b),
                             kind="weak",
                         )
-                    if (a, b) in schedule.strong_output and (
-                        a,
-                        b,
-                    ) not in callee.strong_input:
+                    if strong_row & low and (a, b) not in callee.strong_input:
                         yield OrderPropagationError(
                             f"Def. 4.7 violated: {a} << {b} in the output of "
                             f"{sname!r} but {a} ->> {b} missing from the "

@@ -80,10 +80,12 @@ class Transaction:
 
         weak = weak.transitive_closure()
         strong = strong.transitive_closure()
-        cycle = weak.find_cycle()
-        if cycle is not None:
+        # A closed relation is cyclic iff some row holds its own bit:
+        # the O(V) probe decides, find_cycle only builds the witness.
+        if weak.first_self_loop() is not None:
             raise CycleError(
-                f"intra-transaction order of {name!r} is cyclic", cycle
+                f"intra-transaction order of {name!r} is cyclic",
+                weak.find_cycle(),
             )
         self._weak = weak
         self._strong = strong

@@ -2,7 +2,8 @@
 
 The analysis package and the benchmark harness need to run "every
 criterion that applies" over a recorded execution and tabulate verdicts.
-:class:`RecordedExecution` bundles a composite system with the temporal
+:class:`RecordedExecution` (defined in :mod:`repro.io.recorded`,
+re-exported here) bundles a composite system with the temporal
 execution sequences the order-sensitive criteria (OPSR, seriality) need;
 :func:`classify` returns a name → verdict mapping, skipping criteria
 whose structural preconditions (stack/fork/join) fail.
@@ -10,7 +11,6 @@ whose structural preconditions (stack/fork/join) fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence
 
 from repro.core.correctness import is_composite_correct
@@ -20,36 +20,7 @@ from repro.criteria.join import is_jcc, is_join
 from repro.criteria.llsr import is_llsr
 from repro.criteria.opsr import is_opsr
 from repro.criteria.stack import is_scc, is_stack
-
-
-@dataclass
-class RecordedExecution:
-    """A composite execution plus its temporal layout.
-
-    ``executions`` maps schedule names to the temporal operation
-    sequences actually observed; criteria that only need committed
-    orders ignore it.
-    """
-
-    system: CompositeSystem
-    executions: Dict[str, Sequence[str]] = field(default_factory=dict)
-
-    def is_serial_layout(self) -> bool:
-        """True when no schedule interleaved operations of different
-        transactions (the strongest, trivially correct layout)."""
-        for name, execution in self.executions.items():
-            schedule = self.system.schedule(name)
-            seen_done = set()
-            current: Optional[str] = None
-            for op in execution:
-                txn = schedule.transaction_of(op)
-                if txn != current:
-                    if txn in seen_done:
-                        return False
-                    if current is not None:
-                        seen_done.add(current)
-                    current = txn
-        return True
+from repro.io.recorded import RecordedExecution  # re-exported
 
 
 #: Criterion names in permissiveness order (narrowest first) as used by

@@ -14,6 +14,7 @@ from repro.io.eventlog import (
     parse_event_line,
     save_event_log,
 )
+from repro.io.recorded import RecordedExecution
 from repro.io.text_format import dumps, load, loads, save, system_to_spec
 from repro.io.trace import (
     ReductionTrace,
@@ -32,6 +33,7 @@ __all__ = [
     "loads",
     "save",
     "system_to_spec",
+    "RecordedExecution",
     "EVENTLOG_VERSION",
     "Event",
     "dumps_event",

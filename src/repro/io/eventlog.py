@@ -27,7 +27,7 @@ mode*; the rest are typed events:
     end of stream.
 
 :func:`events_from_recorded` converts a finished
-:class:`~repro.criteria.registry.RecordedExecution` into the
+:class:`~repro.io.recorded.RecordedExecution` into the
 equivalent event log; :class:`repro.stream.assembler.StreamAssembler`
 folds the log back.  The two are exact inverses: converting and
 reassembling reproduces the original system byte-for-byte (same
@@ -46,8 +46,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.criteria.registry import RecordedExecution
 from repro.exceptions import ModelError, ParseError
+from repro.io.recorded import RecordedExecution
 
 EVENTLOG_VERSION = 1
 

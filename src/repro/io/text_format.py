@@ -15,9 +15,9 @@ from typing import Dict, Optional, Union
 
 from repro.core.builder import SystemBuilder
 from repro.core.system import CompositeSystem
-from repro.criteria.registry import RecordedExecution
 from repro.exceptions import ParseError
 from repro.io.jsondoc import parse_json_document
+from repro.io.recorded import RecordedExecution
 
 FORMAT_VERSION = 1
 

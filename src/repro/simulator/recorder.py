@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.builder import SystemBuilder
-from repro.criteria.registry import RecordedExecution
 from repro.exceptions import ModelError, ScheduleAxiomError
+from repro.io.recorded import RecordedExecution
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.io.eventlog import Event

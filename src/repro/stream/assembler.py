@@ -60,9 +60,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.builder import SystemBuilder
-from repro.criteria.registry import RecordedExecution
 from repro.exceptions import ModelError, ScheduleAxiomError, StreamError
 from repro.io.eventlog import Event, event_from_dict, event_to_dict
+from repro.io.recorded import RecordedExecution
 
 __all__ = ["CommitDelta", "StreamAssembler"]
 

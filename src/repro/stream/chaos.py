@@ -51,9 +51,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.reduction import ReductionResult, reduce_to_roots
-from repro.criteria.registry import RecordedExecution
 from repro.exceptions import StreamError
 from repro.io.eventlog import Event, dumps_event, events_from_recorded
+from repro.io.recorded import RecordedExecution
 from repro.obs.sink import canonical_dumps, sort_events, to_record
 from repro.obs.telemetry import Telemetry, TelemetryEvent, current, using
 from repro.stream.checker import IncrementalChecker, StreamResult

@@ -63,9 +63,9 @@ from repro.core.reduction import (
     ReductionResult,
     reduce_to_roots,
 )
-from repro.criteria.registry import RecordedExecution
 from repro.exceptions import StreamError
 from repro.io.eventlog import Event
+from repro.io.recorded import RecordedExecution
 from repro.obs.telemetry import Span, Telemetry
 from repro.stream.assembler import StreamAssembler
 

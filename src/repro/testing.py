@@ -10,7 +10,7 @@ always-well-formed composite executions::
     def test_my_invariant(recorded):
         assert my_checker(recorded.system) in (True, False)
 
-Strategies produce :class:`repro.criteria.registry.RecordedExecution`
+Strategies produce :class:`repro.io.recorded.RecordedExecution`
 objects via the deterministic workload generator, so shrinking reduces
 to shrinking a handful of integers — minimal failing examples stay
 readable.
@@ -27,7 +27,7 @@ except ImportError as err:  # pragma: no cover - test-time dependency
         "repro.testing requires hypothesis (pip install hypothesis)"
     ) from err
 
-from repro.criteria.registry import RecordedExecution
+from repro.io.recorded import RecordedExecution
 from repro.workloads.generator import WorkloadConfig, generate
 from repro.workloads.topologies import (
     TopologySpec,

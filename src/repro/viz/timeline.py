@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.criteria.registry import RecordedExecution
+from repro.io.recorded import RecordedExecution
 
 
 def render_lanes(

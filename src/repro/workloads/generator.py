@@ -2,7 +2,7 @@
 
 Populates a :class:`repro.workloads.topologies.TopologySpec` with a
 random execution forest and per-schedule recorded executions, yielding a
-:class:`repro.criteria.registry.RecordedExecution` that is always a
+:class:`repro.io.recorded.RecordedExecution` that is always a
 *well-formed* composite execution (every Def.-3 axiom holds) but not
 necessarily a *correct* one — exactly the population the theorem and
 hierarchy benchmarks need.
@@ -40,8 +40,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.builder import SystemBuilder
 from repro.core.orders import Relation
 from repro.core.system import CompositeSystem
-from repro.criteria.registry import RecordedExecution
 from repro.exceptions import WorkloadError
+from repro.io.recorded import RecordedExecution
 from repro.workloads.topologies import TopologySpec
 
 

@@ -114,6 +114,34 @@ class TestOrderPropagation:
         assert ("x", "y") in sys.schedule("C").strong_output
 
 
+    def test_mixed_strong_weak_chain_binds_callee_weak_input(self):
+        # a << x < b in the caller: the weak output order (the closure of
+        # strong ∪ weak) holds a < b, so Def. 4.7 binds S1's weak input.
+        b = SystemBuilder()
+        b.transaction("T", "Top", ["a", "x", "b"])
+        b.strong_output("Top", "a", "x")
+        b.weak_output("Top", "x", "b")
+        b.transaction("a", "S1", ["p"]).transaction("b", "S1", ["q"])
+        b.executed("S1", ["p", "q"])
+        sys = b.build()
+        assert ("a", "b") in sys.schedule("Top").weak_output
+        assert ("a", "b") in sys.schedule("S1").weak_input
+        assert ("a", "b") not in sys.schedule("S1").strong_input
+
+    def test_propagation_reaches_a_fixed_point_through_axiom_3(self):
+        # Top's strong order u << v becomes DB's strong input, axiom 3
+        # turns it into m1 << m2 at DB, which binds Leaf's strong input.
+        b = SystemBuilder()
+        b.transaction("T", "Top", ["u", "v"], strong_order=[("u", "v")])
+        b.transaction("u", "DB", ["m1"]).transaction("v", "DB", ["m2"])
+        b.transaction("m1", "Leaf", ["p"]).transaction("m2", "Leaf", ["q"])
+        b.executed("Leaf", ["p", "q"])
+        sys = b.build()
+        assert ("m1", "m2") in sys.schedule("DB").strong_output
+        assert ("m1", "m2") in sys.schedule("Leaf").strong_input
+        assert ("p", "q") in sys.schedule("Leaf").strong_output
+
+
 class TestFromSpec:
     SPEC = {
         "schedules": {

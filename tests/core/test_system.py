@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.builder import SystemBuilder
+from repro.core.orders import Relation
 from repro.core.schedule import Schedule
 from repro.core.system import CompositeSystem
 from repro.core.transaction import Transaction
@@ -249,3 +250,63 @@ class TestOrderPropagationValidation:
         )
         sys = CompositeSystem([top, db], validate=False)
         assert sys.order == 2
+
+
+class TestOrderPropagationWork:
+    """Def.-4.7 validation probes only the ordered same-callee pairs.
+
+    The caller has many operations, all transactions of one callee, but
+    only one output pair per caller transaction.  A scan over every
+    ``ops × ops`` pair would probe ~8k² times; the row-wise check probes
+    at most twice per ordered same-callee output pair.
+    """
+
+    K = 100  # caller transactions, two invoking operations each
+
+    def build(self, propagate):
+        b = SystemBuilder()
+        for i in range(self.K):
+            first, second = f"o{i}a", f"o{i}b"
+            b.transaction(f"T{i}", "Top", [first, second], weak_order=[(first, second)])
+            b.transaction(first, "DB", [f"x{i}"])
+            b.transaction(second, "DB", [f"y{i}"])
+        return b.build(validate=propagate, propagate_orders=propagate)
+
+    def count_probes(self, monkeypatch, system):
+        callee_inputs = {
+            id(system.schedule("DB").weak_input),
+            id(system.schedule("DB").strong_input),
+        }
+        counts = {"all": 0, "callee_input": 0}
+        contains = Relation.__contains__
+
+        def counting(relation, pair):
+            counts["all"] += 1
+            counts["callee_input"] += id(relation) in callee_inputs
+            return contains(relation, pair)
+
+        monkeypatch.setattr(Relation, "__contains__", counting)
+        violations = list(system.iter_order_propagation_violations())
+        monkeypatch.undo()
+        return counts, violations
+
+    def same_callee_output_pairs(self, system):
+        top = system.schedule("Top")
+        pairs = set(top.weak_output.pairs()) | set(top.strong_output.pairs())
+        return {
+            (a, b)
+            for a, b in pairs
+            if system.is_transaction(a)
+            and system.is_transaction(b)
+            and system.schedule_of_transaction(a) == system.schedule_of_transaction(b)
+        }
+
+    @pytest.mark.parametrize("propagate", [True, False])
+    def test_probes_bounded_by_same_callee_pairs(self, monkeypatch, propagate):
+        system = self.build(propagate)
+        ordered = self.same_callee_output_pairs(system)
+        assert len(ordered) == self.K
+        counts, violations = self.count_probes(monkeypatch, system)
+        assert len(violations) == (0 if propagate else self.K)
+        assert counts["callee_input"] <= len(ordered)
+        assert counts["all"] <= 2 * len(ordered)

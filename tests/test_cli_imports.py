@@ -39,6 +39,7 @@ CHECK_DENYLIST = (
     "repro.lint",
     "repro.stream",
     "repro.viz",
+    "repro.criteria",
     "multiprocessing",
 )
 
