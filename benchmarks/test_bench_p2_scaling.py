@@ -7,13 +7,11 @@ polynomially — we assert a loose super-linear-but-sub-quartic envelope
 rather than exact exponents, since constants differ across machines.
 The benchmark itself times the largest history-size point.
 
-PR 2 additions: the incremental engine (per-level closure reuse) is
-measured against the from-scratch engine on deep topologies — the
-closure-row counts are deterministic and must drop, and the narratives
-must stay byte-identical — and, when ``REPRO_BENCH_WORKERS`` asks for
-more than one process, a multi-seed chaos sweep is timed serial vs
-parallel.  Wall-clock speedups are *recorded* (in ``BENCH_P2.json``)
-but not hard-asserted: CI machines are noisy, the row counts are not.
+Also measured: the streaming closure path (``add_closed`` per arriving
+batch vs re-closing per batch) and, when ``REPRO_BENCH_WORKERS`` asks
+for more than one process, a multi-seed chaos sweep timed serial vs
+parallel.  The sweep's wall-clock speedup is *recorded* (in
+``BENCH_P2.json``) but not hard-asserted: CI machines are noisy.
 """
 
 import os
@@ -22,7 +20,6 @@ from repro.analysis.scaling import (
     checker_scaling,
     closure_path_speedup,
     depth_scaling,
-    incremental_speedup,
     sweep_speedup,
 )
 from repro.analysis.tables import banner, format_table
@@ -50,7 +47,6 @@ def test_bench_p2_scaling(benchmark, emit):
         root_counts=(2, 4, 8, 16, 32), depth=2, repeats=2
     )
     depth_points = depth_scaling(depths=(2, 3, 4, 5), roots=6, repeats=2)
-    speedups = incremental_speedup(repeats=3)
     closure_paths = closure_path_speedup(repeats=3)
 
     # --- assertions: monotone growth, polynomial envelope ----------------
@@ -63,14 +59,6 @@ def test_bench_p2_scaling(benchmark, emit):
     size_ratio = ops[-1] / ops[0]
     assert growth <= size_ratio**4, "checker cost blew past the envelope"
     assert secs[-1] >= secs[0]
-
-    # --- assertions: incremental engine ---------------------------------
-    # Closure-row counts are deterministic (unlike wall time): per-level
-    # reuse must strictly reduce them on every deep topology, and the two
-    # engines must tell exactly the same story.
-    for point in speedups:
-        assert point.verdicts_match, point.label
-        assert point.incremental_rows < point.scratch_rows, point.label
 
     # --- assertions: streaming closure path ------------------------------
     # The one wall-clock claim we do hard-assert: maintaining the closure
@@ -115,21 +103,6 @@ def test_bench_p2_scaling(benchmark, emit):
             ],
         )
 
-    speedup_table = format_table(
-        ["topology", "nodes", "scratch ms", "incr. ms", "speedup", "rows"],
-        [
-            [
-                p.label,
-                p.operations,
-                f"{p.scratch_seconds * 1000:.2f}",
-                f"{p.incremental_seconds * 1000:.2f}",
-                f"{p.speedup:.2f}x",
-                f"{p.incremental_rows}/{p.scratch_rows}",
-            ]
-            for p in speedups
-        ],
-    )
-
     closure_path_table = format_table(
         ["depth", "ops", "pairs", "batches", "scratch ms", "incr. ms", "speedup"],
         [
@@ -154,15 +127,12 @@ def test_bench_p2_scaling(benchmark, emit):
         "system order sweep (6 roots):",
         table(depth_points),
         "",
-        "incremental closure vs from-scratch (serial layouts):",
-        speedup_table,
-        "",
         "streaming closure path (add_closed vs re-close per batch):",
         closure_path_table,
         "",
         "the decision procedure is polynomial; the dominating "
         "costs are per-level transitive closures, and the "
-        "incremental engine re-closes only each level's delta.",
+        "engine re-closes only each level's delta.",
     ]
     if sweep is not None:
         lines.extend(
@@ -192,19 +162,6 @@ def test_bench_p2_scaling(benchmark, emit):
                 "accepted": p.accepted,
             }
             for p in depth_points
-        ],
-        "incremental_speedup": [
-            {
-                "label": p.label,
-                "operations": p.operations,
-                "scratch_seconds": p.scratch_seconds,
-                "incremental_seconds": p.incremental_seconds,
-                "speedup": p.speedup,
-                "scratch_rows": p.scratch_rows,
-                "incremental_rows": p.incremental_rows,
-                "verdicts_match": p.verdicts_match,
-            }
-            for p in speedups
         ],
         "closure_path": [
             {

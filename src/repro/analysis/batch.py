@@ -58,7 +58,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
@@ -92,6 +92,7 @@ from repro.analysis.supervise import (
     QuarantinedTask,
     QuarantineReport,
     time_limit,
+    worker_pool,
 )
 from repro.exceptions import BatchTaskError, TaskTimeoutError
 from repro.obs import Telemetry, TelemetryEvent, current, using
@@ -256,7 +257,7 @@ def _parallel_outcomes(
     hang = supervisor.effective_hang_timeout() if supervisor else None
     outcomes: Dict[int, _TaskOutcome] = {}
     guarded = partial(_run_guarded, worker, capture, supervisor)
-    pool = ProcessPoolExecutor(max_workers=min(max_workers, len(todo)))
+    pool = worker_pool(min(max_workers, len(todo)))
     pending: Dict[Any, Tuple[int, T]] = {
         pool.submit(guarded, (index, task)): (index, task)
         for index, task in todo
@@ -273,9 +274,7 @@ def _parallel_outcomes(
                 process.terminate()
             except Exception:
                 pass
-        pool = ProcessPoolExecutor(
-            max_workers=min(max_workers, max(1, len(requeue)))
-        )
+        pool = worker_pool(min(max_workers, max(1, len(requeue))))
         pending = {
             pool.submit(guarded, (index, task)): (index, task)
             for index, task in requeue
@@ -437,9 +436,7 @@ def run_batch_report(
             if chunksize <= 0:
                 chunksize = max(1, math.ceil(len(todo) / (workers * 4)))
             span.note(chunksize=chunksize)
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(todo))
-            ) as pool:
+            with worker_pool(min(workers, len(todo))) as pool:
                 for outcome in pool.map(
                     partial(_run_guarded, worker, capture, None),
                     todo,

@@ -60,6 +60,7 @@ resume`` with the usual byte-identity guarantee.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from contextlib import contextmanager
@@ -84,6 +85,7 @@ from repro.analysis.supervise import (
     REASON_CRASH,
     REASON_HUNG,
     BatchSupervisor,
+    exit_with_parent,
 )
 from repro.exceptions import CompositeTxError
 from repro.obs import Telemetry
@@ -216,10 +218,12 @@ def _fleet_worker_main(
     capture: bool,
     supervisor: Optional[BatchSupervisor],
     heartbeat_interval: float,
+    parent_pid: int,
 ) -> None:
     """Worker loop: receive shard assignments, run their tasks under
     the usual per-task supervision, stream results back, heartbeat
-    from a daemon thread while computing.
+    from a daemon thread while computing, and exit soon after the
+    coordinator process ``parent_pid`` dies.
 
     The heartbeat thread only proves the *interpreter* is alive and
     scheduling threads; a worker stuck in a non-GIL-releasing C call
@@ -230,6 +234,7 @@ def _fleet_worker_main(
 
     from repro.analysis.batch import _run_guarded
 
+    exit_with_parent(parent_pid)
     send_lock = threading.Lock()
     active_shard: List[Optional[int]] = [None]
     stop = threading.Event()
@@ -432,6 +437,7 @@ class FleetCoordinator:
                 self._capture,
                 self._supervisor,
                 self._config.heartbeat_interval,
+                os.getpid(),
             ),
             name=f"fleet-{name}",
             daemon=True,

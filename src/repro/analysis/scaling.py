@@ -11,16 +11,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.core.reduction import reduce_to_roots
 from repro.workloads.generator import WorkloadConfig, generate
-from repro.workloads.topologies import (
-    TopologySpec,
-    random_dag_topology,
-    stack_topology,
-    tree_topology,
-)
+from repro.workloads.topologies import stack_topology
 
 
 @dataclass
@@ -115,90 +110,8 @@ def depth_scaling(
 
 
 # ----------------------------------------------------------------------
-# incremental-vs-scratch and serial-vs-parallel speedups (PR 2)
+# closure-maintenance and serial-vs-parallel speedups
 # ----------------------------------------------------------------------
-@dataclass
-class SpeedupPoint:
-    """One topology's incremental-vs-from-scratch measurement."""
-
-    label: str
-    operations: int
-    scratch_seconds: float
-    incremental_seconds: float
-    scratch_rows: int
-    incremental_rows: int
-    verdicts_match: bool  # narratives byte-identical across both engines
-
-    @property
-    def speedup(self) -> float:
-        if self.incremental_seconds <= 0:
-            return float("inf")
-        return self.scratch_seconds / self.incremental_seconds
-
-
-def _speedup_specs() -> List[Tuple[TopologySpec, int, float]]:
-    """Deep topologies where per-level reuse has something to reuse.
-
-    Serial layouts are Comp-C by construction, so every level actually
-    runs (a rejected level-0 front would measure nothing)."""
-    return [
-        (stack_topology(5), 12, 0.02),
-        (random_dag_topology(5, 3, seed=2), 6, 0.03),
-        (random_dag_topology(6, 3, seed=2), 6, 0.03),
-        (tree_topology(5, 2), 8, 0.03),
-    ]
-
-
-def incremental_speedup(
-    *,
-    repeats: int = 3,
-    seed: int = 1,
-    specs: Optional[List[Tuple[TopologySpec, int, float]]] = None,
-) -> List[SpeedupPoint]:
-    """Time the reduction with ``incremental=False`` vs ``True`` on
-    deep serial-layout workloads, recording closure-row counts and
-    verifying the two engines agree output-byte for output-byte."""
-    points: List[SpeedupPoint] = []
-    for spec, roots, rate in specs or _speedup_specs():
-        recorded = generate(
-            spec,
-            WorkloadConfig(
-                seed=seed,
-                roots=roots,
-                conflict_probability=rate,
-                layout="serial",
-            ),
-        )
-        timing = {}
-        rows = {}
-        narratives = {}
-        for incremental in (False, True):
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                result = reduce_to_roots(
-                    recorded.system, incremental=incremental
-                )
-                best = min(best, time.perf_counter() - start)
-            timing[incremental] = best
-            rows[incremental] = int(
-                result.profile_totals()["closure_rows"]
-            )
-            narratives[incremental] = result.narrative()
-        points.append(
-            SpeedupPoint(
-                label=spec.name,
-                operations=_count_nodes(recorded.system),
-                scratch_seconds=timing[False],
-                incremental_seconds=timing[True],
-                scratch_rows=rows[False],
-                incremental_rows=rows[True],
-                verdicts_match=narratives[False] == narratives[True],
-            )
-        )
-    return points
-
-
 @dataclass
 class ClosurePathPoint:
     """Per-depth cost of maintaining the observed order's closure under

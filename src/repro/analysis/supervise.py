@@ -12,7 +12,9 @@ holds the *resilience* vocabulary those executions run under:
   failure report a keep-going grid emits instead of aborting: task id,
   parameters, reason, and the worker traceback;
 * :func:`time_limit` — the in-worker wall-clock guard (SIGALRM based,
-  a no-op where signals are unavailable).
+  a no-op where signals are unavailable);
+* :func:`exit_with_parent` / :func:`worker_pool` — every worker process
+  (pool or fleet) exits soon after the process that started it dies.
 
 Determinism contract
 --------------------
@@ -27,6 +29,7 @@ seeded policies.
 
 from __future__ import annotations
 
+import os
 import random
 import signal
 import threading
@@ -34,6 +37,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -47,11 +51,17 @@ from typing import (
 from repro.exceptions import TaskTimeoutError
 from repro.simulator.retry import RetryPolicy, make_retry_policy
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
+
 #: quarantine reasons (stable vocabulary for reports and tests)
 REASON_EXCEPTION = "exception"
 REASON_TIMEOUT = "timeout"
 REASON_HUNG = "hung"
 REASON_CRASH = "crash"
+
+#: seconds between two checks of an orphan watch (:func:`exit_with_parent`)
+ORPHAN_POLL_INTERVAL = 0.25
 
 #: multiplier used to derive per-task RNG seeds; a large prime keeps
 #: (seed, index) pairs from colliding for any realistic grid size
@@ -107,6 +117,58 @@ def time_limit(seconds: Optional[float]) -> Iterator[None]:
             signal.setitimer(
                 signal.ITIMER_REAL, max(remaining, 1e-6), outer_interval
             )
+
+
+def _alive(pid: int) -> bool:
+    """True unless ``pid`` is known to be gone (POSIX only: elsewhere
+    signal 0 is not a probe, so every pid counts as alive)."""
+    if os.name != "posix":
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # exists, owned by someone else
+    return True
+
+
+def exit_with_parent(parent_pid: int) -> None:
+    """Make the calling worker process exit soon after ``parent_pid``
+    (the process that started it) dies.
+
+    A SIGKILLed parent runs no cleanup, and forked workers hold copies
+    of each other's pipe ends, so a worker blocked on its task pipe
+    never reads end-of-file: it would stay blocked, reparented to init,
+    forever.  A daemon thread checks every ``ORPHAN_POLL_INTERVAL``
+    seconds that the worker still has the parent it started with and that
+    ``parent_pid`` still exists, and ends the process with ``os._exit``
+    otherwise.  The first check fires as soon as the worker is
+    reparented, and also covers start methods where a fork server, not
+    ``parent_pid``, is the worker's parent (the server exits with it).
+    The second catches a parent that died before this call ran, once
+    that parent has been reaped.
+    """
+    watched = os.getppid()
+
+    def _watch() -> None:
+        while os.getppid() == watched and _alive(parent_pid):
+            time.sleep(ORPHAN_POLL_INTERVAL)
+        os._exit(1)
+
+    threading.Thread(target=_watch, name="orphan-watch", daemon=True).start()
+
+
+def worker_pool(max_workers: int) -> "ProcessPoolExecutor":
+    """A process pool whose workers exit soon after this process dies
+    (see :func:`exit_with_parent`)."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=max_workers,
+        initializer=exit_with_parent,
+        initargs=(os.getpid(),),
+    )
 
 
 @dataclass

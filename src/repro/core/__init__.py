@@ -38,11 +38,7 @@ from repro.core.correctness import (
     is_composite_correct,
 )
 from repro.core.front import Front, ReductionFailure
-from repro.core.observed import (
-    ObservedOrderOptions,
-    pull_up,
-    seed_observed_pairs,
-)
+from repro.core.observed import ObservedOrderOptions, seed_observed_pairs
 from repro.core.orders import Relation, total_order_from_sequence
 from repro.core.reduction import (
     ReductionEngine,
@@ -83,7 +79,6 @@ __all__ = [
     "Front",
     "ReductionFailure",
     "ObservedOrderOptions",
-    "pull_up",
     "seed_observed_pairs",
     "Relation",
     "total_order_from_sequence",

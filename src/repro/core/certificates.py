@@ -73,8 +73,6 @@ def replay_refutation(
     system: CompositeSystem,
     level: int,
     options: Optional[ObservedOrderOptions] = None,
-    *,
-    incremental: bool = True,
 ) -> ReductionResult:
     """Replay the recorded execution through the reduction up to
     ``level`` (the static refuter's candidate level).
@@ -89,7 +87,6 @@ def replay_refutation(
     engine = ReductionEngine(
         system,
         options if options is not None else ObservedOrderOptions(),
-        incremental=incremental,
     )
     return engine.run(stop_level=min(level, system.order))
 

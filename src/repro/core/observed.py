@@ -159,46 +159,6 @@ def schedule_seed_pairs(
     return tuple(out)
 
 
-def pull_up(
-    system: CompositeSystem,
-    observed: Relation,
-    representative: Callable[[str], str],
-    options: ObservedOrderOptions = ObservedOrderOptions(),
-) -> Relation:
-    """One reduction step of the observed order (Def. 10.2/10.3).
-
-    ``representative`` maps each current node either to itself (not
-    grouped this step) or to its parent transaction (grouped).  Pairs
-    internal to one group vanish.  Pairs with at least one grouped
-    endpoint are rewritten to the representatives, gated per Def. 10:
-
-    * endpoints that are operations of a **common schedule** propagate
-      only when that schedule declares them conflicting (Def. 10.2) —
-      otherwise the schedule vouches for commutativity and the order is
-      *forgotten* (the §3.7 walk-through);
-    * endpoints on **different schedules** propagate unconditionally
-      (Def. 10.3) — nobody can vouch, so the dependency is kept
-      pessimistically.
-
-    Untouched pairs are carried over verbatim.  Note the gate inspects
-    the *old* endpoints: a pair between commuting operations of one
-    schedule can only have entered the observed order through
-    transitivity (seeding and propagation are both conflict-gated), and
-    while it stays in the front it still witnesses a chain of forced
-    orders — only its propagation past the vouching schedule is blocked.
-    """
-    grouped = frozenset(
-        n for n in observed.elements if representative(n) != n
-    )
-    result = carried_restriction(observed, representative, grouped)
-    result.add_all(
-        pull_up_delta(
-            system, observed, representative, options, grouped=grouped
-        )
-    )
-    return result
-
-
 def carried_restriction(
     observed: Relation,
     representative: Callable[[str], str],
@@ -208,7 +168,7 @@ def carried_restriction(
     the ungrouped nodes, with the parents of the ``grouped`` nodes put
     on the carrier at their Def.-16 positions (first grouped child).
     For a transitively closed ``observed`` the result is closed — it is
-    the delta-closure base of the incremental engine."""
+    the delta-closure base of the reduction engine."""
     return observed.restricted_to(
         (n for n in observed.elements if n not in grouped),
         carrier=(representative(n) for n in observed.elements),
@@ -223,14 +183,34 @@ def pull_up_delta(
     *,
     grouped: "frozenset[str] | None" = None,
 ) -> List[Tuple[str, str]]:
-    """Only the *rewritten* pairs of one pull-up step.
+    """The *rewritten* pairs of one pull-up step (Def. 10.2/10.3).
 
-    The carried pairs (both endpoints ungrouped) of :func:`pull_up` are
-    exactly :func:`carried_restriction` — closed whenever ``observed``
-    is.  The incremental engine keeps that restriction as the closed
-    base and feeds the pairs returned here (plus the level's seeds) to
-    :meth:`repro.core.orders.Relation.add_closed`, instead of re-closing
-    the whole front from scratch.
+    ``representative`` maps each current node either to itself (not
+    grouped this step) or to its parent transaction (grouped).  Pairs
+    internal to one group vanish.  Pairs with at least one grouped
+    endpoint are rewritten to the representatives, gated per Def. 10:
+
+    * endpoints that are operations of a **common schedule** propagate
+      only when that schedule declares them conflicting (Def. 10.2) —
+      otherwise the schedule vouches for commutativity and the order is
+      *forgotten* (the §3.7 walk-through);
+    * endpoints on **different schedules** propagate unconditionally
+      (Def. 10.3) — nobody can vouch, so the dependency is kept
+      pessimistically.
+
+    The gate inspects the *old* endpoints: a pair between commuting
+    operations of one schedule can only have entered the observed order
+    through transitivity (seeding and propagation are both
+    conflict-gated), and while it stays in the front it still witnesses
+    a chain of forced orders — only its propagation past the vouching
+    schedule is blocked.
+
+    The untouched pairs (both endpoints ungrouped) are exactly
+    :func:`carried_restriction` — closed whenever ``observed`` is.  The
+    reduction engine keeps that restriction as the closed base and
+    feeds the pairs returned here (plus the level's seeds) to
+    :meth:`repro.core.orders.Relation.add_closed`, instead of
+    re-closing the whole front.
 
     Only rows touching a grouped node are visited: a pair needs
     rewriting iff one endpoint is grouped, so ungrouped rows are masked

@@ -36,10 +36,8 @@ from repro.core.observed import (
     ObservedOrderOptions,
     carried_restriction,
     group_by_schedule,
-    pull_up,
     pull_up_delta,
     schedule_seed_pairs,
-    seed_observed_pairs,
 )
 from repro.core.orders import Relation, closure_counters
 from repro.core.system import CompositeSystem
@@ -56,9 +54,9 @@ class LevelProfile:
 
     ``closure_calls`` / ``closure_rows`` are deltas of the module-level
     counters in :mod:`repro.core.orders`: how many closure invocations
-    the step made and how many bitset rows they actually (re)computed —
-    the from-scratch path recomputes every row at every level, the
-    incremental path only the rows whose reachability changed.
+    the step made and how many bitset rows they actually (re)computed:
+    rows whose reachability the level's delta changed, or every row
+    when a delta past the size cutoff re-closes the relation whole.
     """
 
     level: int
@@ -188,15 +186,12 @@ class ReductionResult:
 class ReductionEngine:
     """Runs Def. 16 on one composite system.
 
-    ``incremental`` (the default) reuses each front's already-closed
-    relations: the next observed order is the closed restriction to the
-    carried nodes plus a :meth:`~repro.core.orders.Relation.delta_closure`
-    over the rewritten pull-up pairs and the level's seeds, and the input
-    orders are closed restrictions (restriction preserves closedness)
-    plus the level's schedule input pairs as a delta.  Per-schedule seed
-    pairs are memoized across levels.  ``incremental=False`` keeps the
-    original from-scratch closure per level — bit-identical verdicts,
-    used as the baseline by the P2 benchmark and the equivalence tests.
+    Each step reuses the front's already-closed relations: the next
+    observed order is the closed restriction to the carried nodes plus
+    a delta closure over the rewritten pull-up pairs and the level's
+    seeds, and the input orders are closed restrictions (restriction
+    preserves closedness) plus the level's schedule input pairs as a
+    delta.  Per-schedule seed pairs are memoized across levels.
     """
 
     def __init__(
@@ -204,12 +199,10 @@ class ReductionEngine:
         system: CompositeSystem,
         options: ObservedOrderOptions = ObservedOrderOptions(),
         *,
-        incremental: bool = True,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.system = system
         self.options = options
-        self.incremental = incremental
         #: explicit sink; ``None`` resolves to the ambient
         #: :func:`repro.obs.telemetry.current` at each ``run()``
         self.telemetry = telemetry
@@ -226,10 +219,7 @@ class ReductionEngine:
     # ------------------------------------------------------------------
     @staticmethod
     def _close_with_delta(
-        base: Relation,
-        delta: List[Tuple[str, str]],
-        *,
-        kind: str = "observed",
+        base: Relation, delta: List[Tuple[str, str]]
     ) -> Relation:
         """Close ``base ∪ delta`` given an already-closed ``base``.
 
@@ -241,11 +231,6 @@ class ReductionEngine:
         on the P2 workloads (deep stacks, dags and trees, serial
         layouts).  Both branches compute the same relation, so verdicts
         and printed fronts do not depend on the dispatch.
-
-        ``kind`` labels the call site (``observed`` / ``input-weak`` /
-        ``input-strong``); the engine ignores it, but the P2 closure-path
-        measurement hooks this method and uses the label to isolate the
-        observed-order maintenance (Def. 10.4) from input bookkeeping.
         """
         if len(delta) <= max(16, len(base)):
             base.add_closed(delta)
@@ -288,12 +273,7 @@ class ReductionEngine:
         """Def. 15: the (unique) front over all leaves."""
         leaves = tuple(self.system.leaves)
         observed = Relation(elements=leaves)
-        if self.incremental:
-            observed.add_all(self._seeds(leaves))
-        else:
-            observed.add_all(
-                seed_observed_pairs(self.system, leaves, self.options)
-            )
+        observed.add_all(self._seeds(leaves))
         return Front(
             level=0,
             nodes=leaves,
@@ -342,33 +322,23 @@ class ReductionEngine:
         )
         new_nodes = new_nodes + empties
         rep = grouping.rep
-        if self.incremental:
-            # The carried part of the pull-up (pairs between two ungrouped
-            # nodes) is exactly front.observed restricted to those nodes —
-            # and a restriction of a closed relation is closed, so it
-            # serves as the delta-closure base.  Everything else (the
-            # rewritten, Def.-10-gated pairs, plus this level's seeds) is
-            # the delta.
-            grouped = frozenset(
-                n for n in front.observed.elements if rep(n) != n
-            )
-            observed = carried_restriction(front.observed, rep, grouped)
-            for node in new_nodes:
-                observed.add_element(node)
-            delta = pull_up_delta(
-                system, front.observed, rep, self.options, grouped=grouped
-            )
-            carried = set(front.observed.elements) - grouped
-            delta.extend(self._seeds(new_nodes, covered=carried))
-            observed = self._close_with_delta(observed, delta, kind="observed")
-        else:
-            observed = pull_up(system, front.observed, rep, self.options)
-            for node in new_nodes:
-                observed.add_element(node)
-            observed.add_all(
-                seed_observed_pairs(system, new_nodes, self.options)
-            )
-            observed = observed.transitive_closure()
+        # The carried part of the pull-up (pairs between two ungrouped
+        # nodes) is exactly front.observed restricted to those nodes —
+        # and a restriction of a closed relation is closed, so it serves
+        # as the delta-closure base.  Everything else (the rewritten,
+        # Def.-10-gated pairs, plus this level's seeds) is the delta.
+        grouped = frozenset(
+            n for n in front.observed.elements if rep(n) != n
+        )
+        observed = carried_restriction(front.observed, rep, grouped)
+        for node in new_nodes:
+            observed.add_element(node)
+        delta = pull_up_delta(
+            system, front.observed, rep, self.options, grouped=grouped
+        )
+        carried = set(front.observed.elements) - grouped
+        delta.extend(self._seeds(new_nodes, covered=carried))
+        observed = self._close_with_delta(observed, delta)
 
         input_weak = front.input_weak.restricted_to(new_nodes)
         input_strong = front.input_strong.restricted_to(new_nodes)
@@ -381,21 +351,11 @@ class ReductionEngine:
             schedule = system.schedule(sname)
             weak_delta.extend(schedule.weak_input.pairs())
             strong_delta.extend(schedule.strong_input.pairs())
-        if self.incremental:
-            # front.input_* are closed (engine invariant), and restriction
-            # preserves closedness — only the new schedules' input pairs
-            # need propagating.
-            input_weak = self._close_with_delta(
-                input_weak, weak_delta, kind="input-weak"
-            )
-            input_strong = self._close_with_delta(
-                input_strong, strong_delta, kind="input-strong"
-            )
-        else:
-            input_weak.add_all(weak_delta)
-            input_strong.add_all(strong_delta)
-            input_weak = input_weak.transitive_closure()
-            input_strong = input_strong.transitive_closure()
+        # front.input_* are closed (engine invariant), and restriction
+        # preserves closedness — only the new schedules' input pairs need
+        # propagating.
+        input_weak = self._close_with_delta(input_weak, weak_delta)
+        input_strong = self._close_with_delta(input_strong, strong_delta)
 
         candidate = Front(
             level=level,
@@ -615,11 +575,10 @@ def reduce_to_roots(
     system: CompositeSystem,
     options: ObservedOrderOptions = ObservedOrderOptions(),
     *,
-    incremental: bool = True,
     static_precheck: bool = False,
     telemetry: Optional[Telemetry] = None,
 ) -> ReductionResult:
     """Run the full reduction (Theorem 1 decision procedure)."""
-    return ReductionEngine(
-        system, options, incremental=incremental, telemetry=telemetry
-    ).run(static_precheck=static_precheck)
+    return ReductionEngine(system, options, telemetry=telemetry).run(
+        static_precheck=static_precheck
+    )

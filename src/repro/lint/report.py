@@ -219,12 +219,10 @@ def lint_paths(
     """
     files, missing = _gather_paths(paths)
     if workers > 1 and len(files) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from repro.analysis.supervise import worker_pool
 
         tasks = [(file, options) for file in files]
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(files))
-        ) as pool:
+        with worker_pool(min(workers, len(files))) as pool:
             reports = list(pool.map(_lint_file_task, tasks))
         return LintResult(reports=reports), missing
     reports = [lint_file(file, options=options) for file in files]

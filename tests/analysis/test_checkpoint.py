@@ -22,6 +22,7 @@ from repro.analysis.checkpoint import (
 )
 from repro.analysis.protocols import ChaosRun
 from repro.exceptions import CheckpointError
+from tests.analysis.orphans import assert_no_process_names
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -238,6 +239,9 @@ class TestKillAndResume:
             victim.kill()
         finally:
             victim.wait(timeout=60)
+
+        # its pool/fleet workers notice the dead parent and exit
+        assert_no_process_names(str(tmp_path))
 
         # the checkpoint on disk is complete JSON despite the SIGKILL
         document = json.loads(ck.read_text())

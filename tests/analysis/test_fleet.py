@@ -34,6 +34,7 @@ from repro.analysis.supervise import (
 )
 from repro.exceptions import BatchTaskError
 from repro.obs import Telemetry, canonical_dumps, to_record, using
+from tests.analysis.orphans import assert_no_process_names
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -490,6 +491,9 @@ class TestFleetCLI:
             victim.kill()
         finally:
             victim.wait(timeout=60)
+
+        # its pool/fleet workers notice the dead parent and exit
+        assert_no_process_names(str(tmp_path))
 
         resumed = _run_cli(["resume", str(ck)], cwd=str(tmp_path))
         assert resumed.returncode == 0, resumed.stderr

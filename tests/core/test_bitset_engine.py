@@ -12,22 +12,22 @@ telemetry.  Three layers of evidence:
   compares narratives, verdicts, closure counters and canonical
   telemetry byte-for-byte against outputs captured from the pre-rewrite
   engine;
-* Comp-C verdicts of the incremental and from-scratch reductions are
-  property-checked to agree on random workloads.
+* the reduction engine's verdicts and fronts on random stack workloads
+  are checked against the independent front oracle of
+  :mod:`tests.core.front_oracle` (``test_front_oracle`` covers the
+  other topologies, the golden workloads and the paper's figures).
 
 Plus the two satellite regressions (unhashability, ``restricted_to``
-carrier validation) and the perf-shape guard (incremental closure rows
-strictly below from-scratch rows on the P2 speedup grid).
+carrier validation).
 """
 
 import json
 from collections.abc import Hashable
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.scaling import closure_path_speedup, incremental_speedup
+from repro.analysis.scaling import closure_path_speedup
 from repro.core.orders import (
     Relation,
     closure_counters,
@@ -36,16 +36,10 @@ from repro.core.orders import (
 from repro.core.reduction import reduce_to_roots
 from repro.obs import Telemetry, canonical_dumps, to_record
 from repro.workloads.generator import WorkloadConfig, generate
-from repro.workloads.topologies import (
-    fork_topology,
-    join_topology,
-    random_dag_topology,
-    stack_topology,
-    tree_topology,
-)
+from repro.workloads.topologies import stack_topology
 from tests.core import dict_engine
-
-FIXTURE = Path(__file__).parent / "fixtures" / "golden_engine.json"
+from tests.core.front_oracle import disagreements
+from tests.core.golden import FIXTURE, GOLDEN_SPECS
 
 ELEMENTS = ["a", "b", "c", "d", "e", "f", "g"]
 
@@ -139,9 +133,10 @@ def test_differential_operation_sequences(ops):
     layout=st.sampled_from(["serial", "random", "perturbed"]),
 )
 def test_compc_verdicts_match_across_engines(depth, roots, seed, rate, layout):
-    """Both reduction engines must tell the byte-identical Comp-C story
-    on arbitrary workloads — the incremental closure path may not change
-    a single verdict, front or witness."""
+    """The reduction engine and the independent front oracle must agree
+    on every Comp-C verdict and every front on arbitrary stack
+    workloads, and a second reduction must tell the byte-identical
+    story."""
     recorded = generate(
         stack_topology(depth),
         WorkloadConfig(
@@ -151,21 +146,11 @@ def test_compc_verdicts_match_across_engines(depth, roots, seed, rate, layout):
             layout=layout,
         ),
     )
-    scratch = reduce_to_roots(recorded.system, incremental=False)
-    incremental = reduce_to_roots(recorded.system, incremental=True)
-    assert scratch.succeeded == incremental.succeeded
-    assert scratch.narrative() == incremental.narrative()
-
-
-GOLDEN_SPECS = [
-    ("stack3-serial", lambda: stack_topology(3), dict(seed=0, roots=4, conflict_probability=0.05, layout="serial")),
-    ("stack4-random", lambda: stack_topology(4), dict(seed=3, roots=5, conflict_probability=0.08, layout="random")),
-    ("stack5-serial", lambda: stack_topology(5), dict(seed=1, roots=6, conflict_probability=0.02, layout="serial")),
-    ("dag5-serial", lambda: random_dag_topology(5, 3, seed=2), dict(seed=1, roots=6, conflict_probability=0.03, layout="serial")),
-    ("tree5-perturbed", lambda: tree_topology(5, 2), dict(seed=7, roots=4, conflict_probability=0.04, layout="perturbed")),
-    ("fork-random", lambda: fork_topology(3), dict(seed=11, roots=6, conflict_probability=0.2, layout="random")),
-    ("join-perturbed", lambda: join_topology(3), dict(seed=5, roots=6, conflict_probability=0.3, layout="perturbed")),
-]
+    result = reduce_to_roots(recorded.system)
+    assert disagreements(recorded.system, result) == []
+    again = reduce_to_roots(recorded.system)
+    assert again.succeeded == result.succeeded
+    assert again.narrative() == result.narrative()
 
 
 @pytest.mark.parametrize("name,topo,cfg", GOLDEN_SPECS, ids=[s[0] for s in GOLDEN_SPECS])
@@ -173,24 +158,18 @@ def test_golden_engine_fixture(name, topo, cfg):
     """Replay the recorded workloads; every observable — narrative,
     verdict, closure counters, canonical telemetry — must be
     byte-identical to the pre-rewrite engine's captured output."""
-    golden = json.loads(FIXTURE.read_text())[name]
+    expected = json.loads(FIXTURE.read_text())[name]["incremental"]
     recorded = generate(topo(), WorkloadConfig(**cfg))
-    for mode, incremental in (("scratch", False), ("incremental", True)):
-        expected = golden[mode]
-        reset_closure_counters()
-        telemetry = Telemetry()
-        result = reduce_to_roots(
-            recorded.system, incremental=incremental, telemetry=telemetry
-        )
-        counters = closure_counters()
-        canon = canonical_dumps(
-            [to_record(e) for e in telemetry.collect()]
-        )
-        assert result.succeeded == expected["succeeded"], mode
-        assert result.narrative() == expected["narrative"], mode
-        assert counters["calls"] == expected["closure_calls"], mode
-        assert counters["rows"] == expected["closure_rows"], mode
-        assert canon == expected["telemetry"], mode
+    reset_closure_counters()
+    telemetry = Telemetry()
+    result = reduce_to_roots(recorded.system, telemetry=telemetry)
+    counters = closure_counters()
+    canon = canonical_dumps([to_record(e) for e in telemetry.collect()])
+    assert result.succeeded == expected["succeeded"]
+    assert result.narrative() == expected["narrative"]
+    assert counters["calls"] == expected["closure_calls"]
+    assert counters["rows"] == expected["closure_rows"]
+    assert canon == expected["telemetry"]
 
 
 def test_relation_is_not_hashable():
@@ -209,15 +188,6 @@ def test_restricted_to_validates_carrier():
     restricted = relation.restricted_to(["a", "b"], carrier=["a", "b", "z"])
     assert list(restricted.pairs()) == [("a", "b")]
     assert "z" in restricted.elements
-
-
-def test_incremental_rows_strictly_below_scratch_on_p2_grid():
-    """Perf-shape guard: the deterministic closure-row counts must show
-    the incremental engine touching strictly less state at every P2
-    speedup point."""
-    for point in incremental_speedup(repeats=1):
-        assert point.verdicts_match, point.label
-        assert point.incremental_rows < point.scratch_rows, point.label
 
 
 def test_streaming_closure_paths_agree():

@@ -3,12 +3,28 @@
 from repro.core.builder import SystemBuilder
 from repro.core.observed import (
     ObservedOrderOptions,
+    carried_restriction,
     observed_between_trees,
-    pull_up,
+    pull_up_delta,
     seed_observed_pairs,
 )
 from repro.core.orders import Relation
 from repro.core.reduction import reduce_to_roots
+
+
+def pull_up(system, observed, representative, options=ObservedOrderOptions()):
+    """One pull-up step as the engine composes it: the carried
+    restriction plus the rewritten, Def.-10-gated pairs."""
+    grouped = frozenset(
+        n for n in observed.elements if representative(n) != n
+    )
+    lifted = carried_restriction(observed, representative, grouped)
+    lifted.add_all(
+        pull_up_delta(
+            system, observed, representative, options, grouped=grouped
+        )
+    )
+    return lifted
 
 
 def two_level(top_conflicts=(), db_exec=("x", "y"), top_exec=("u", "v")):

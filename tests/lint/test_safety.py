@@ -3,8 +3,8 @@ unit tests for the witnesses, the decline path, and the topology pass.
 
 The property at the bottom is the acceptance criterion of the pass:
 ``--static-precheck`` must agree with the full reduction verdict on
-every generated system (both the incremental and the from-scratch
-engine), and a certified system's reduction must actually succeed.
+every generated system, and a certified system's reduction must
+actually succeed.
 """
 
 from pathlib import Path
@@ -195,8 +195,8 @@ _SPECS = [
 @pytest.mark.parametrize("spec", _SPECS, ids=lambda s: s.name)
 def test_precheck_agrees_with_reduction_on_generated_systems(spec):
     """100 seeds per topology (500 systems over the suite): the
-    precheck verdict equals the full verdict under both engines — in
-    *both* skip directions — every certificate is backed by a
+    precheck verdict equals the full reduction's verdict — in *both*
+    skip directions — every certificate is backed by a
     successful reduction, every refutation by a rejected one, and the
     certified population is non-empty (the property is not vacuous)."""
     certified = 0
@@ -211,19 +211,19 @@ def test_precheck_agrees_with_reduction_on_generated_systems(spec):
         system = generate(spec, config).system
         report = prove_static_safety(system)
         prechecked = reduce_to_roots(system, static_precheck=True)
-        scratch = reduce_to_roots(system, incremental=False)
-        assert prechecked.succeeded == scratch.succeeded, (spec.name, seed)
+        full = reduce_to_roots(system)
+        assert prechecked.succeeded == full.succeeded, (spec.name, seed)
         if report.certified:
             certified += 1
             assert prechecked.succeeded
             assert prechecked.skipped_by_precheck
-            assert reduce_to_roots(system).succeeded  # incremental, no skip
+            assert full.succeeded
         elif report.refuted:
             refuted += 1
             assert not prechecked.succeeded
             assert prechecked.skipped_by_refutation
             assert not prechecked.skipped_by_precheck
-            assert scratch.failure is not None
+            assert full.failure is not None
         else:
             assert not prechecked.skipped_by_precheck
             assert not prechecked.skipped_by_refutation
