@@ -16,7 +16,11 @@ report      run every experiment, write one Markdown report
 profile     render a telemetry JSONL file into per-phase time tables
 eventlog    convert a saved execution into a streaming JSONL event log
 watch       tail an event log through the incremental Comp-C checker
+chaos-stream  fault-inject the watch loop, assert its verdict matches check
 resume      continue a killed run from its --checkpoint-out file
+
+:data:`COMMANDS` is the one table of commands (name, help line,
+argument builder, ``cmd_*``), in ``--help`` order.
 
 ``check``, ``simulate``, ``chaos`` and ``experiment`` accept
 ``--telemetry-out PATH``: the run executes under an ambient
@@ -45,14 +49,26 @@ The CLI is a thin veneer over the library; every command maps onto the
 public API used by the examples and benchmarks.  Each command imports
 its own stack inside its ``cmd_*`` function, so a cold ``check`` loads
 only argparse, the checker and :mod:`repro.io`
-(``tests/test_cli_imports.py`` holds that budget).
+(``tests/test_cli_imports.py`` holds that budget).  Likewise
+:func:`main` builds the subparser of the command it runs and no other
+(``build_parser(name)``): adding an argument costs argparse a help
+formatter, and the other commands' arguments would cost ``check`` more
+than a shallow document's decision.  A call that names no registered
+command (none, ``-h``, a typo) builds them all, so help and error text
+are the full parser's byte for byte (``tests/test_cli_parser.py``).
+
+Unreadable, malformed or ill-formed input (:class:`OSError`,
+:class:`repro.exceptions.ParseError`, :class:`repro.exceptions.ModelError`)
+ends in one ``repro <command>: error: <message>`` line on stderr and
+exit status 1, never a traceback; a parse error's message carries its
+``CTX4xx`` code and fix hint.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.core.correctness import check_composite_correctness
 from repro.io import load, save
@@ -859,15 +875,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="composite-tx: composite transaction correctness "
-        "(PODS 1999 reproduction)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="decide Comp-C for a saved execution")
+# parser
+# ----------------------------------------------------------------------
+def _check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument(
         "--strict",
@@ -891,13 +901,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_static_precheck_option(p)
     _add_telemetry_option(p)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser(
-        "lint",
-        help="static analysis of system/trace/topology documents "
-        "(stable CTX*** diagnostic codes)",
-    )
+
+def _lint_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "paths",
         nargs="+",
@@ -927,22 +933,22 @@ def build_parser() -> argparse.ArgumentParser:
         "with repro.lint.replay_witness_file",
     )
     _add_workers_option(p)
-    p.set_defaults(func=cmd_lint)
 
-    p = sub.add_parser("info", help="structure + criteria classification")
+
+def _info_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
-    p.set_defaults(func=cmd_info)
 
-    p = sub.add_parser("render", help="render a saved execution")
+
+def _render_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument(
         "--format",
         choices=("ascii", "dot-invocation", "dot-forest"),
         default="ascii",
     )
-    p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("generate", help="random execution -> JSON")
+
+def _generate_arguments(p: argparse.ArgumentParser) -> None:
     _add_topology_options(p)
     p.add_argument("--roots", type=int, default=4)
     p.add_argument("--conflicts", type=float, default=0.2)
@@ -950,9 +956,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--layout", choices=("serial", "random", "perturbed"), default="random"
     )
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("simulate", help="run the discrete-event simulator")
+
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     _add_topology_options(p)
     p.add_argument(
         "--protocol", choices=("cc", "s2pl", "sgt", "to"), default="cc"
@@ -964,13 +970,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     _add_static_precheck_option(p)
     _add_telemetry_option(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser(
-        "chaos",
-        help="simulate under injected faults (crashes, drops, "
-        "degradation) and re-check Comp-C per protocol",
-    )
+
+def _chaos_arguments(p: argparse.ArgumentParser) -> None:
     _add_topology_options(p)
     p.add_argument(
         "--protocols",
@@ -1030,13 +1032,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fleet_options(p)
     _add_telemetry_option(p)
     _add_checkpoint_options(p)
-    p.set_defaults(func=cmd_chaos)
 
-    p = sub.add_parser("figures", help="walk the paper's figures")
+
+def _figures_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("number", nargs="?", type=int, choices=(1, 2, 3, 4))
-    p.set_defaults(func=cmd_figures)
 
-    p = sub.add_parser("experiment", help="run a paper-artifact experiment")
+
+def _experiment_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "name", choices=("t1", "t2", "t3", "t4", "h1", "p2", "a1")
     )
@@ -1045,12 +1047,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fleet_options(p)
     _add_telemetry_option(p)
     _add_checkpoint_options(p)
-    p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser(
-        "compare",
-        help="Def.-18 equivalence of two saved executions' fronts",
-    )
+
+def _compare_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--level-a", type=int, default=None)
@@ -1062,13 +1061,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="rename nodes of the first front before comparing",
     )
     _add_workers_option(p)
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser(
-        "profile",
-        help="render a --telemetry-out JSONL file into per-phase time "
-        "tables and a slowest-spans list",
-    )
+
+def _profile_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument(
         "--top", type=int, default=10, help="slowest spans to list"
@@ -1079,23 +1074,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate the stream against the event schema and exit "
         "(status 1 on any violation)",
     )
-    p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser(
-        "eventlog",
-        help="convert a saved execution (JSON) into a streaming JSONL "
-        "event log for `composite-tx watch`",
-    )
+
+def _eventlog_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="saved execution (see `generate`)")
     p.add_argument("output", help="event log path (JSONL)")
-    p.set_defaults(func=cmd_eventlog)
 
-    p = sub.add_parser(
-        "watch",
-        help="stream an event log through the incremental Comp-C "
-        "checker: live verdict transitions, batch-certified final "
-        "verdict",
-    )
+
+def _watch_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="JSONL event log (may still be growing)")
     p.add_argument(
         "--follow",
@@ -1148,15 +1134,9 @@ def build_parser() -> argparse.ArgumentParser:
         "log's prefix no longer matches the snapshot's fingerprint",
     )
     _add_telemetry_option(p)
-    p.set_defaults(func=cmd_watch)
 
-    p = sub.add_parser(
-        "chaos-stream",
-        help="torture the supervised watch loop with log faults "
-        "(kill, torn writes, corruption, duplicates, reordering, "
-        "rotation) and hard-assert the certified verdict stays "
-        "byte-identical to `check`",
-    )
+
+def _chaos_stream_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--scenario",
         action="append",
@@ -1175,20 +1155,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="lines per simulated append batch (default 40)",
     )
     _add_telemetry_option(p)
-    p.set_defaults(func=cmd_chaos_stream)
 
-    p = sub.add_parser(
-        "resume",
-        help="continue a killed chaos/experiment run from its "
-        "--checkpoint-out file (re-dispatches the recorded command "
-        "with --resume-from)",
-    )
+
+def _resume_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("checkpoint")
-    p.set_defaults(func=cmd_resume)
 
-    p = sub.add_parser(
-        "report", help="run every experiment, write a Markdown report"
-    )
+
+def _report_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", default="REPORT.md")
     p.add_argument("--trials", type=int, default=30)
     p.add_argument(
@@ -1196,14 +1169,95 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include the (slow) protocol simulation excerpt",
     )
-    p.set_defaults(func=cmd_report)
 
+
+class Command(NamedTuple):
+    """One subcommand: its name and ``--help`` line, the function that
+    adds its arguments to its subparser, and the ``cmd_*`` it runs."""
+
+    name: str
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+#: every subcommand, in the order ``repro --help`` lists them
+COMMANDS: Tuple[Command, ...] = (
+    Command("check", "decide Comp-C for a saved execution",
+            _check_arguments, cmd_check),
+    Command("lint", "static analysis of system/trace/topology documents "
+            "(stable CTX*** diagnostic codes)", _lint_arguments, cmd_lint),
+    Command("info", "structure + criteria classification",
+            _info_arguments, cmd_info),
+    Command("render", "render a saved execution", _render_arguments,
+            cmd_render),
+    Command("generate", "random execution -> JSON", _generate_arguments,
+            cmd_generate),
+    Command("simulate", "run the discrete-event simulator",
+            _simulate_arguments, cmd_simulate),
+    Command("chaos", "simulate under injected faults (crashes, drops, "
+            "degradation) and re-check Comp-C per protocol",
+            _chaos_arguments, cmd_chaos),
+    Command("figures", "walk the paper's figures", _figures_arguments,
+            cmd_figures),
+    Command("experiment", "run a paper-artifact experiment",
+            _experiment_arguments, cmd_experiment),
+    Command("compare", "Def.-18 equivalence of two saved executions' "
+            "fronts", _compare_arguments, cmd_compare),
+    Command("profile", "render a --telemetry-out JSONL file into "
+            "per-phase time tables and a slowest-spans list",
+            _profile_arguments, cmd_profile),
+    Command("eventlog", "convert a saved execution (JSON) into a "
+            "streaming JSONL event log for `composite-tx watch`",
+            _eventlog_arguments, cmd_eventlog),
+    Command("watch", "stream an event log through the incremental "
+            "Comp-C checker: live verdict transitions, batch-certified "
+            "final verdict", _watch_arguments, cmd_watch),
+    Command("chaos-stream", "torture the supervised watch loop with log "
+            "faults (kill, torn writes, corruption, duplicates, "
+            "reordering, rotation) and hard-assert the certified verdict "
+            "stays byte-identical to `check`",
+            _chaos_stream_arguments, cmd_chaos_stream),
+    Command("resume", "continue a killed chaos/experiment run from its "
+            "--checkpoint-out file (re-dispatches the recorded command "
+            "with --resume-from)", _resume_arguments, cmd_resume),
+    Command("report", "run every experiment, write a Markdown report",
+            _report_arguments, cmd_report),
+)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser.  When ``command`` names an entry of
+    :data:`COMMANDS` only that entry's subparser is built; otherwise
+    every entry's is, as help and error text listing the commands
+    need."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="composite-tx: composite transaction correctness "
+        "(PODS 1999 reproduction)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    entries = [entry for entry in COMMANDS if entry.name == command]
+    if entries:
+        # the top-level usage line (printed for unknown options) still
+        # lists every command; pinned only here, because in the full
+        # build a metavar would also rename the argument in its errors
+        sub.metavar = "{" + ",".join(e.name for e in COMMANDS) + "}"
+    else:
+        entries = list(COMMANDS)
+    for entry in entries:
+        p = sub.add_parser(entry.name, help=entry.help)
+        entry.add_arguments(p)
+        p.set_defaults(func=entry.run)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     raw_argv = list(sys.argv[1:]) if argv is None else list(argv)
+    # the named command's subparser alone; anything else (no command,
+    # -h, an unknown name) gets every command, so help and error text
+    # list them all
+    parser = build_parser(raw_argv[0] if raw_argv else None)
     args = parser.parse_args(raw_argv)
 
     def invoke() -> int:
@@ -1232,23 +1286,40 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"telemetry written to {telemetry_out}", file=sys.stderr)
         return code
 
-    checkpoint_out = getattr(args, "checkpoint_out", None)
-    resume_from = getattr(args, "resume_from", None)
-    if not checkpoint_out and not resume_from:
-        return dispatch()
-    from repro.analysis.checkpoint import CheckpointSession, checkpointing
+    def run() -> int:
+        checkpoint_out = getattr(args, "checkpoint_out", None)
+        resume_from = getattr(args, "resume_from", None)
+        if not checkpoint_out and not resume_from:
+            return dispatch()
+        from repro.analysis.checkpoint import (
+            CheckpointSession,
+            checkpointing,
+        )
 
-    if resume_from:
-        # keep checkpointing into the same file (or --checkpoint-out's
-        # override) so a resumed run can itself be killed and resumed;
-        # the recorded argv stays the original command's
-        session = CheckpointSession.resume(resume_from)
-        if checkpoint_out:
-            session.path = checkpoint_out
-    else:
-        session = CheckpointSession(checkpoint_out, argv=raw_argv)
-    with checkpointing(session):
-        return dispatch()
+        if resume_from:
+            # keep checkpointing into the same file (or
+            # --checkpoint-out's override) so a resumed run can itself
+            # be killed and resumed; the recorded argv stays the
+            # original command's
+            session = CheckpointSession.resume(resume_from)
+            if checkpoint_out:
+                session.path = checkpoint_out
+        else:
+            session = CheckpointSession(checkpoint_out, argv=raw_argv)
+        with checkpointing(session):
+            return dispatch()
+
+    from repro.exceptions import ModelError, ParseError
+
+    try:
+        return run()
+    except (ParseError, ModelError, OSError) as error:
+        # unreadable, malformed or ill-formed input: one line in
+        # argparse's error style instead of a traceback (the exit
+        # status was 1 either way).  Caught outside `checkpointing`,
+        # which marks a checkpoint complete only on a clean exit.
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

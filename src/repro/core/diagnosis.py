@@ -79,7 +79,12 @@ def explain_edge(
     system: CompositeSystem, before: str, after: str
 ) -> List[str]:
     """Evidence lines for one dependency edge ``before -> after``."""
-    graph = _seed_graph(system)
+    return _explain_edge(system, _seed_graph(system), before, after)
+
+
+def _explain_edge(
+    system: CompositeSystem, graph: Relation, before: str, after: str
+) -> List[str]:
     chain = _find_chain(
         graph, _subtree(system, before), _subtree(system, after)
     )
@@ -107,9 +112,11 @@ def explain_failure(result: ReductionResult) -> str:
     system = result.system
     lines = [failure.describe(), ""]
     cycle = failure.cycle
+    # one seed graph serves every edge of the cycle
+    graph = _seed_graph(system)
     for before, after in zip(cycle, cycle[1:]):
         lines.append(f"{before} -> {after}")
-        lines.extend(explain_edge(system, before, after))
+        lines.extend(_explain_edge(system, graph, before, after))
     lines.append("")
     lines.append(
         "every arrow must be embedded in any equivalent serial order; "

@@ -1,6 +1,7 @@
 """Tests for rejection root-cause diagnosis."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.correctness import check_composite_correctness
 from repro.core.diagnosis import explain_edge, explain_failure
@@ -76,3 +77,46 @@ class TestExplainEdge:
         system = b.build()
         lines = explain_edge(system, "T1", "T2")
         assert any("input orders" in line for line in lines)
+
+
+def edge_by_edge(result):
+    """``explain_failure``'s text rebuilt from its header and one
+    ``explain_edge`` call (one fresh seed graph) per cycle edge."""
+    cycle = result.failure.cycle
+    lines = [result.failure.describe(), ""]
+    for before, after in zip(cycle, cycle[1:]):
+        lines.append(f"{before} -> {after}")
+        lines.extend(explain_edge(result.system, before, after))
+    lines.append("")
+    lines.append(
+        "every arrow must be embedded in any equivalent serial order; "
+        "together they form a cycle, so no serial order exists."
+    )
+    return "\n".join(lines)
+
+
+class TestSharedSeedGraph:
+    """``explain_failure`` builds the seed graph once for the whole
+    cycle; its text must equal the per-edge public API's."""
+
+    def test_figure3(self):
+        result = reduce_to_roots(figure3_system())
+        assert explain_failure(result) == edge_by_edge(result)
+
+    @given(
+        depth=st.integers(1, 3),
+        seed=st.integers(0, 100_000),
+        roots=st.integers(2, 5),
+        conflicts=st.sampled_from([0.15, 0.3, 0.5]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rejected_stacks(self, depth, seed, roots, conflicts):
+        rec = generate(
+            stack_topology(depth),
+            WorkloadConfig(
+                seed=seed, roots=roots, conflict_probability=conflicts
+            ),
+        )
+        result = reduce_to_roots(rec.system)
+        assume(not result.succeeded)
+        assert explain_failure(result) == edge_by_edge(result)

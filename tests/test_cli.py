@@ -170,3 +170,40 @@ def test_module_entry_point():
     )
     assert completed.returncode == 0
     assert "REJECTED" in completed.stdout
+
+
+class TestInputErrors:
+    """Unreadable or malformed input ends in one ``repro <command>:
+    error:`` line on stderr and exit status 1, not a traceback."""
+
+    @staticmethod
+    def run_check(path):
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "check", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    def test_truncated_document(self, tmp_path):
+        path = tmp_path / "truncated.json"
+        path.write_text('{"schedules": {"S": ')
+        completed = self.run_check(path)
+        assert completed.returncode == 1
+        assert completed.stdout == ""
+        assert completed.stderr.startswith("repro check: error: CTX402")
+        assert "Traceback" not in completed.stderr
+        assert len(completed.stderr.splitlines()) == 1
+
+    def test_missing_file(self, tmp_path):
+        completed = self.run_check(tmp_path / "absent.json")
+        assert completed.returncode == 1
+        assert completed.stderr.startswith("repro check: error: ")
+        assert "No such file or directory" in completed.stderr
+        assert "Traceback" not in completed.stderr
+
+    def test_in_process_status(self, tmp_path, capsys):
+        path = tmp_path / "truncated.json"
+        path.write_text("")
+        assert main(["info", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("repro info: error: CTX402")
