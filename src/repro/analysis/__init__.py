@@ -5,7 +5,7 @@ built on: criteria-hierarchy acceptance rates (H1, ``hierarchy``),
 empirical theorem validation (T1–T4, ``theorems``), protocol evaluation
 via simulation (P1, ``protocols``) and checker cost scaling (P2,
 ``scaling``), the batch runner and its resilience layer (``batch``,
-``supervise``, ``checkpoint``, ``fleet``), plus dependency-free stats
+``supervise``, ``checkpoint``), plus dependency-free stats
 (``stats``) and table formatting (``tables``).
 
 The package re-exports nothing: import each name from its submodule, so

@@ -37,7 +37,11 @@ Resilience
 inside the worker, per-task retry with seeded jittered backoff,
 parent-side hung-worker detection with pool replacement, and — unless
 ``fail_fast`` — quarantine of tasks that exhaust their attempts, so one
-poisoned grid cell no longer destroys every completed result.
+poisoned grid cell no longer destroys every completed result.  On
+every parallel path a worker that is SIGKILLed or hangs leaves the
+output unchanged: the tasks it took down re-run, and only a task that
+keeps losing workers on its own is reported (see
+:func:`_parallel_outcomes`).
 
 Failure reporting: a raising worker surfaces as
 :class:`repro.exceptions.BatchTaskError` carrying the failing task and
@@ -63,7 +67,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -74,9 +77,6 @@ from typing import (
     Tuple,
     TypeVar,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.analysis.fleet import FleetConfig, FleetReport
 
 from repro.analysis.checkpoint import (
     CheckpointSection,
@@ -217,15 +217,12 @@ class BatchReport:
     ``results`` is submission-ordered with ``None`` holes at
     quarantined indices; ``completed`` maps index -> result for the
     successes; ``quarantine`` describes every task the supervisor gave
-    up on; ``fleet`` is the coordination report when the batch ran
-    under a :mod:`repro.analysis.fleet` coordinator (``None`` for the
-    serial and process-pool paths).
+    up on.
     """
 
     results: List[Any]
     quarantine: QuarantineReport = field(default_factory=QuarantineReport)
     completed: Dict[int, Any] = field(default_factory=dict)
-    fleet: Optional["FleetReport"] = None
 
     @property
     def missing(self) -> Tuple[int, ...]:
@@ -233,6 +230,25 @@ class BatchReport:
             i for i, result in enumerate(self.results)
             if i not in self.completed
         )
+
+
+#: worker losses (a death or a hang) charged to one task before it is
+#: quarantined as a crash or a hang
+MAX_WORKER_LOSSES = 3
+
+
+def _abandon(pool: Any) -> None:
+    """Shut ``pool`` down without waiting, killing its workers: a hung
+    process would otherwise linger (and block interpreter exit) until
+    its task finished on its own."""
+    # shutdown() forgets the processes, so collect them first
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False)
+    for process in processes:
+        try:
+            process.terminate()
+        except OSError:
+            pass  # already gone
 
 
 def _parallel_outcomes(
@@ -243,103 +259,99 @@ def _parallel_outcomes(
     max_workers: int,
     section: Optional[CheckpointSection],
 ) -> Dict[int, _TaskOutcome]:
-    """Submit-based parallel execution with hung-worker replacement.
+    """Submit-based parallel execution that survives lost workers.
 
-    Tasks are submitted individually; when no future completes within
-    the supervisor's hang deadline, the still-running tasks are
-    declared hung (their workers are beyond the reach of the in-worker
-    alarm), the wedged pool is abandoned, and a replacement pool takes
-    over the queued work.  A worker process that *dies* (OOM kill,
-    segfault) breaks the whole pool; the batch recovers the same way —
-    the task observed failing is recorded, everything else resubmits
-    to a fresh pool.
+    A worker process that *dies* (SIGKILL, OOM kill, segfault) breaks
+    the whole pool and poisons every in-flight future, so which task
+    killed it is unknown: the earliest broken task is charged one loss
+    and everything else is requeued uncharged.  When no future
+    completes within the supervisor's hang deadline, every running
+    (uncancellable) task is charged one loss as hung.  Either way the
+    pool is abandoned and a fresh one takes over.  A charged task runs
+    alone in a one-worker pool, so only a task that loses a worker by
+    itself is charged again; after :data:`MAX_WORKER_LOSSES` it is
+    recorded as a ``crash`` or ``hung`` failure.  Tasks are
+    deterministic, so a re-run returns what the lost run would have.
     """
     hang = supervisor.effective_hang_timeout() if supervisor else None
-    outcomes: Dict[int, _TaskOutcome] = {}
     guarded = partial(_run_guarded, worker, capture, supervisor)
-    pool = worker_pool(min(max_workers, len(todo)))
-    pending: Dict[Any, Tuple[int, T]] = {
-        pool.submit(guarded, (index, task)): (index, task)
-        for index, task in todo
-    }
-
-    def _replace_pool(requeue: List[Tuple[int, T]]) -> None:
-        nonlocal pool, pending
-        pool.shutdown(wait=False)
-        # best-effort kill of the abandoned workers: a hung process
-        # would otherwise linger (and block interpreter exit) until its
-        # task finished on its own
-        for process in dict(getattr(pool, "_processes", None) or {}).values():
+    outcomes: Dict[int, _TaskOutcome] = {}
+    losses: Dict[int, int] = {}
+    waiting = list(todo)
+    while waiting:
+        charged = [pair for pair in waiting if pair[0] in losses]
+        if charged:
+            batch = charged[:1]
+            waiting.remove(batch[0])
+        else:
+            batch, waiting = waiting, []
+        pool = worker_pool(min(max_workers, len(batch)))
+        pending: Dict[Any, Tuple[int, T]] = {}
+        lost: List[Tuple[int, T]] = []
+        reason = error = ""
+        try:
             try:
-                process.terminate()
-            except Exception:
-                pass
-        pool = worker_pool(min(max_workers, max(1, len(requeue))))
-        pending = {
-            pool.submit(guarded, (index, task)): (index, task)
-            for index, task in requeue
-        }
-
-    try:
-        while pending:
-            done, not_done = wait(
-                set(pending), timeout=hang, return_when=FIRST_COMPLETED
-            )
-            if done:
+                for pair in batch:
+                    pending[pool.submit(guarded, pair)] = pair
+            except BrokenProcessPool:
+                pass  # a worker died already: the submitted futures say so
+            while pending and not reason:
+                done, _ = wait(
+                    set(pending), timeout=hang, return_when=FIRST_COMPLETED
+                )
+                if not done:
+                    # stalled: the running tasks are beyond the reach of
+                    # the in-worker alarm; queued ones simply move on
+                    reason = REASON_HUNG
+                    error = (
+                        f"worker hung: no result within {hang:g}s "
+                        "(task abandoned, worker replaced)"
+                    )
+                    lost = [
+                        pair
+                        for future, pair in pending.items()
+                        if not future.cancel()
+                    ]
+                    continue
                 broken: List[Tuple[int, T]] = []
-                broken_error: Optional[BaseException] = None
                 for future in done:
                     index, task = pending.pop(future)
                     try:
                         outcome = future.result()
                     except BrokenProcessPool as err:
                         broken.append((index, task))
-                        broken_error = err
+                        error = f"worker process died: {err!r}"
                         continue
+                    except Exception as err:
+                        # the task ran, but its outcome could not come
+                        # back (an unpicklable result, for one)
+                        outcome = _TaskOutcome(
+                            index, None, [], repr(err), traceback.format_exc()
+                        )
                     outcomes[index] = outcome
                     if section is not None and outcome.error is None:
                         section.record(index, outcome.result, outcome.events)
                 if broken:
-                    # A dead worker process (OOM kill, segfault) poisons
-                    # EVERY in-flight future with BrokenProcessPool; we
-                    # cannot tell which task actually killed it, so the
-                    # earliest broken task takes the blame (quarantined
-                    # as a crash) and everything else moves to a
-                    # replacement pool.  A genuinely poisonous task
-                    # re-breaks the next pool and is blamed eventually.
-                    broken.sort()
-                    index, task = broken[0]
-                    outcomes[index] = _TaskOutcome(
-                        index,
-                        None,
-                        [],
-                        f"worker process died: {broken_error!r}",
-                        reason=REASON_CRASH,
-                    )
-                    _replace_pool(
-                        broken[1:] + [pending.pop(f) for f in list(pending)]
-                    )
-                continue
-            # stalled: nothing completed within the hang deadline.
-            # Queued (cancellable) futures move to a fresh pool; the
-            # ones actually running are hung beyond recovery.
-            requeue: List[Tuple[int, T]] = []
-            for future in list(not_done):
-                index, task = pending.pop(future)
-                if future.cancel():
-                    requeue.append((index, task))
-                else:
-                    outcomes[index] = _TaskOutcome(
-                        index,
-                        None,
-                        [],
-                        f"worker hung: no result within {hang:g}s "
-                        "(task abandoned, worker replaced)",
-                        reason=REASON_HUNG,
-                    )
-            _replace_pool(requeue)
-    finally:
-        pool.shutdown(wait=False)
+                    reason = REASON_CRASH
+                    lost = [min(broken, key=lambda pair: pair[0])]
+        finally:
+            if reason:
+                _abandon(pool)
+            else:
+                pool.shutdown(wait=False)
+        for index, _ in lost:
+            losses[index] = losses.get(index, 0) + 1
+            if losses[index] == MAX_WORKER_LOSSES:
+                outcomes[index] = _TaskOutcome(
+                    index,
+                    None,
+                    [],
+                    error,
+                    reason=reason,
+                    attempts=MAX_WORKER_LOSSES,
+                )
+        waiting += [pair for pair in batch if pair[0] not in outcomes]
+        waiting.sort(key=lambda pair: pair[0])
     return outcomes
 
 
@@ -351,7 +363,6 @@ def run_batch_report(
     chunksize: int = 0,
     telemetry: Optional[Telemetry] = None,
     supervisor: Optional[BatchSupervisor] = None,
-    fleet: Optional["FleetConfig"] = None,
 ) -> BatchReport:
     """Run ``worker`` over ``tasks`` under supervision; never raises
     for task failures unless fail-fast semantics apply.
@@ -361,15 +372,10 @@ def run_batch_report(
     parallel path uses chunked ``map`` (the historical fast path) and
     the first failing task aborts the batch.  With one, tasks are
     individually supervised (timeout, retry, hang detection) and
-    failures are quarantined unless ``supervisor.fail_fast``.
-
-    A ``fleet`` configuration (explicit, or ambient via
-    :func:`repro.analysis.fleet.fleet_scope`) replaces the process
-    pool with the lease-based coordinator of
-    :mod:`repro.analysis.fleet`: long-lived heartbeating workers,
-    crash/hang attribution, shard quarantine after repeated worker
-    loss, duplicate-result dedup — same submission-order fold, same
-    byte-identity contract.
+    failures are quarantined unless ``supervisor.fail_fast``.  Either
+    way a worker that dies or hangs does not change the output: its
+    tasks re-run under the worker-loss rule of
+    :func:`_parallel_outcomes`.
 
     When an ambient :func:`repro.analysis.checkpoint.checkpointing`
     session is active, this call claims its next checkpoint section:
@@ -385,17 +391,12 @@ def run_batch_report(
     tele = telemetry if telemetry is not None else current()
     capture = tele.enabled
     task_list = list(tasks)
-    if fleet is None:
-        from repro.analysis.fleet import ambient_fleet
-
-        fleet = ambient_fleet()
     session = ambient_session()
     section: Optional[CheckpointSection] = None
-    fingerprint = ""
-    if session is not None or fleet is not None:
-        fingerprint = batch_fingerprint(worker, task_list)
     if session is not None:
-        section = session.section(fingerprint, len(task_list))
+        section = session.section(
+            batch_fingerprint(worker, task_list), len(task_list)
+        )
     restored: Dict[int, Tuple[Any, List[TelemetryEvent]]] = (
         dict(section.completed) if section is not None else {}
     )
@@ -410,22 +411,7 @@ def run_batch_report(
             (i, task) for i, task in enumerate(task_list) if i not in skip
         ]
         outcomes: Dict[int, _TaskOutcome] = {}
-        fleet_report: Optional["FleetReport"] = None
-        if fleet is not None and len(todo) > 1:
-            from repro.analysis.fleet import run_fleet
-
-            span.note(fleet=fleet.workers)
-            outcomes, fleet_report = run_fleet(
-                worker,
-                todo,
-                fleet,
-                capture=capture,
-                supervisor=supervisor,
-                section=section,
-                fingerprint=fingerprint,
-                telemetry=tele,
-            )
-        elif workers <= 1 or len(todo) <= 1:
+        if workers <= 1 or len(todo) <= 1:
             for i, task in todo:
                 outcome = _run_guarded(worker, capture, supervisor, (i, task))
                 outcomes[i] = outcome
@@ -436,20 +422,34 @@ def run_batch_report(
             if chunksize <= 0:
                 chunksize = max(1, math.ceil(len(todo) / (workers * 4)))
             span.note(chunksize=chunksize)
-            with worker_pool(min(workers, len(todo))) as pool:
-                for outcome in pool.map(
-                    partial(_run_guarded, worker, capture, None),
-                    todo,
-                    chunksize=chunksize,
-                ):
-                    outcomes[outcome.index] = outcome
+            try:
+                with worker_pool(min(workers, len(todo))) as pool:
+                    for outcome in pool.map(
+                        partial(_run_guarded, worker, capture, None),
+                        todo,
+                        chunksize=chunksize,
+                    ):
+                        outcomes[outcome.index] = outcome
+            except BrokenProcessPool:
+                # a worker died: what it left unfinished goes through
+                # the worker-loss rule instead
+                outcomes.update(
+                    _parallel_outcomes(
+                        worker,
+                        capture,
+                        None,
+                        [pair for pair in todo if pair[0] not in outcomes],
+                        workers,
+                        None,
+                    )
+                )
         else:
             outcomes = _parallel_outcomes(
                 worker, capture, supervisor, todo, workers, section
             )
 
         # fold everything back in submission order
-        report = BatchReport(results=[], fleet=fleet_report)
+        report = BatchReport(results=[])
         for entry in restored_quarantine:
             report.quarantine.add(entry)
         first_failure: Optional[Tuple[_TaskOutcome, T]] = None
@@ -618,13 +618,11 @@ class ChaosGridReport:
     ``points`` aggregates whatever cells completed (a quarantined
     (protocol, seed) cell is simply absent from its protocol's
     average — the per-point ``runs`` says how many survived);
-    ``quarantine`` names every cell that did not; ``fleet`` carries
-    the coordination report when the grid ran under ``--fleet``.
+    ``quarantine`` names every cell that did not.
     """
 
     points: List[Any]
     quarantine: QuarantineReport = field(default_factory=QuarantineReport)
-    fleet: Optional["FleetReport"] = None
 
 
 def chaos_grid_report(
@@ -669,9 +667,7 @@ def chaos_grid_report(
                 runs,
             )
         )
-    return ChaosGridReport(
-        points=points, quarantine=batch.quarantine, fleet=batch.fleet
-    )
+    return ChaosGridReport(points=points, quarantine=batch.quarantine)
 
 
 def chaos_grid(

@@ -13,8 +13,8 @@ holds the *resilience* vocabulary those executions run under:
   parameters, reason, and the worker traceback;
 * :func:`time_limit` — the in-worker wall-clock guard (SIGALRM based,
   a no-op where signals are unavailable);
-* :func:`exit_with_parent` / :func:`worker_pool` — every worker process
-  (pool or fleet) exits soon after the process that started it dies.
+* :func:`exit_with_parent` / :func:`worker_pool` — every pool worker
+  process exits soon after the process that started it dies.
 
 Determinism contract
 --------------------
@@ -178,10 +178,11 @@ class QuarantinedTask:
 
     ``task_repr`` is the ``repr`` of the task tuple (the parameters
     needed to reproduce the cell), ``reason`` one of
-    ``exception``/``timeout``/``hung``, ``attempts`` how many times the
-    supervisor tried, and ``error``/``traceback`` what the final
-    attempt died with (``traceback`` is empty for hung workers — a
-    SIGKILL-proof hang never reports back).
+    ``exception``/``timeout``/``hung``/``crash``, ``attempts`` how many
+    times the supervisor tried (for ``hung`` and ``crash``, how many
+    workers the task lost), and ``error``/``traceback`` what the final
+    attempt died with (``traceback`` is empty for lost workers — a dead
+    or SIGKILL-proof hung worker never reports back).
     """
 
     index: int
@@ -236,11 +237,12 @@ class QuarantineReport:
     def merge(
         cls, reports: "Iterable[QuarantineReport]"
     ) -> "QuarantineReport":
-        """Deterministic cross-shard merge: entries from every report,
+        """Deterministic merge: entries from every report,
         ordered by task index, deduplicated by index (first report
-        wins — lease races can deliver the same quarantined shard
-        twice).  Fleet and serial keep-going runs therefore render
-        identical quarantine sections regardless of completion order.
+        wins — a resume can replay an entry its checkpoint already
+        recorded).  Serial, parallel and resumed keep-going runs
+        therefore render identical quarantine sections regardless of
+        completion order.
         """
         merged = cls()
         seen: Dict[int, QuarantinedTask] = {}

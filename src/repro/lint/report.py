@@ -90,7 +90,7 @@ class LintResult:
     def verdict_counts(self) -> Dict[str, int]:
         """``verdict -> documents`` over every report that ran the
         static safety analysis, in sorted verdict order (the summary
-        the chaos grid and the fleet coordinator fold per shard)."""
+        the chaos grid folds per cell)."""
         out: Dict[str, int] = {}
         for report in self.reports:
             if report.safety is None:

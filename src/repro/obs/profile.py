@@ -43,8 +43,6 @@ class RunProfile:
         default_factory=list
     )
     reduce_levels: List[Dict[str, Any]] = field(default_factory=list)
-    fleet_summary: Dict[str, Any] = field(default_factory=dict)
-    fleet_workers: List[Dict[str, Any]] = field(default_factory=list)
     recoveries: List[Dict[str, Any]] = field(default_factory=list)
     quarantines: List[Dict[str, Any]] = field(default_factory=list)
     invalid_snapshots: List[Dict[str, Any]] = field(default_factory=list)
@@ -81,11 +79,7 @@ def build_profile(
             key = (record["name"], tuple(sorted(fields.items())))
             counters[key] = counters.get(key, 0.0) + value
         elif kind == "meta":
-            if record.get("name") == "fleet.summary":
-                profile.fleet_summary = dict(record.get("fields", {}))
-            elif record.get("name") == "fleet.worker":
-                profile.fleet_workers.append(dict(record.get("fields", {})))
-            elif record.get("name") == "stream.recover":
+            if record.get("name") == "stream.recover":
                 profile.recoveries.append(dict(record.get("fields", {})))
             elif record.get("name") == "stream.quarantine":
                 profile.quarantines.append(dict(record.get("fields", {})))
@@ -165,39 +159,6 @@ def render_profile(
                 ],
             )
         )
-    if profile.fleet_summary or profile.fleet_workers:
-        out.append(banner("fleet"))
-        summary = profile.fleet_summary
-        if summary:
-            out.append(
-                f"{summary.get('workers', '?')} worker slot(s) over "
-                f"{summary.get('shards', '?')} shard(s): "
-                f"{summary.get('completed', 0)} completed, "
-                f"{summary.get('reassigned', 0)} reassignment(s), "
-                f"{summary.get('quarantined', 0)} quarantined; "
-                f"{summary.get('leases_expired', 0)} lease(s) expired, "
-                f"{summary.get('workers_replaced', 0)} worker(s) replaced, "
-                f"{summary.get('duplicates_discarded', 0)} duplicate "
-                "result(s) discarded"
-            )
-        if profile.fleet_workers:
-            out.append(
-                format_table(
-                    ["worker", "pid", "started s", "ended s", "shards",
-                     "fate"],
-                    [
-                        [
-                            w.get("worker", "?"),
-                            w.get("pid", "-"),
-                            f"{float(w.get('started_s') or 0.0):.2f}",
-                            f"{float(w.get('ended_s') or 0.0):.2f}",
-                            w.get("shards", 0),
-                            w.get("fate", "?"),
-                        ]
-                        for w in profile.fleet_workers
-                    ],
-                )
-            )
     if (
         profile.recoveries
         or profile.quarantines

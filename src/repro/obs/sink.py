@@ -59,25 +59,19 @@ from repro.obs.telemetry import (
 WALL_KEYS = ("dur_s",)
 
 #: span fields describing the execution *environment* rather than the
-#: computation (worker count, pool chunking, fleet size, which CLI verb
-#: drove the run); also dropped by :func:`canonical_dumps` —
+#: computation (worker count, pool chunking, which CLI verb drove the
+#: run); also dropped by :func:`canonical_dumps` —
 #: ``--workers 1`` and ``--workers 4`` do the same work, and ``watch``
 #: over a finished stream does the same work as ``check`` on the same
 #: execution, so the canonical stream should say so.
-ENV_FIELDS = ("workers", "chunksize", "fleet", "command")
+ENV_FIELDS = ("workers", "chunksize", "command")
 
-#: whole streams describing the execution environment: the fleet
-#: coordinator's stream records *how* the grid was driven (lease
-#: expiries, worker replacements, shard reassignments — all functions
-#: of real-world scheduling and injected harness faults, not of the
-#: workload).  :func:`canonical_dumps` drops these streams entirely so
-#: a ``--fleet 4`` run with a SIGKILLed worker still compares
-#: byte-identical to ``--workers 1``.  The streaming checker's
-#: ``"watch"`` stream is environmental the same way: per-event ingest
-#: spans describe *when* events arrived, not what the execution is, so
-#: dropping it leaves ``watch`` canonical telemetry byte-identical to
-#: a batch ``check``.
-ENV_STREAMS = ("fleet", "watch")
+#: whole streams describing the execution environment, which
+#: :func:`canonical_dumps` drops entirely: the streaming checker's
+#: ``"watch"`` stream holds per-event ingest spans that describe *when*
+#: events arrived, not what the execution is, so dropping it leaves
+#: ``watch`` canonical telemetry byte-identical to a batch ``check``.
+ENV_STREAMS = ("watch",)
 
 #: exactly the keys every record must carry
 RECORD_KEYS = ("v", "stream", "seq", "kind", "name", "depth", "dur_s", "fields")
@@ -313,8 +307,8 @@ def canonical_dumps(records: Sequence[Dict[str, Any]]) -> str:
     Two seeded runs of the same workload produce byte-identical
     canonical dumps regardless of worker count — the determinism
     contract the CLI tests pin.  Records of :data:`ENV_STREAMS`
-    streams (the fleet coordinator's) are dropped wholesale: they
-    describe harness scheduling, not the computation.
+    streams (the streaming checker's) are dropped wholesale: they
+    describe event arrival, not the computation.
     """
     cleaned = []
     for record in records:

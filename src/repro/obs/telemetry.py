@@ -201,8 +201,8 @@ class Telemetry:
 
     def meta(self, name: str, **fields: Any) -> None:
         """Emit one ``meta`` record — structured bookkeeping that is
-        neither a timed span nor an accumulating counter (the fleet
-        coordinator's per-worker liveness timeline, for example).
+        neither a timed span nor an accumulating counter (the stream
+        supervisor's recovery log, for example).
         Subject to the same buffer bound as span events."""
         if not self.enabled:
             return

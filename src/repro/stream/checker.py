@@ -42,8 +42,7 @@ hard-asserts that the live status agrees — which makes a finished
 stream's verdict and canonical telemetry byte-identical to the batch
 path, the equivalence the streaming tests pin.  The per-event work is
 recorded on the checker's own ``"watch"`` stream, which
-:func:`~repro.obs.sink.canonical_dumps` drops, exactly like the fleet
-coordinator's ``"fleet"`` stream.
+:func:`~repro.obs.sink.canonical_dumps` drops.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Find processes a killed CLI run left behind.
 
-A SIGKILLed ``python -m repro`` runs no cleanup, so its pool and fleet
-workers must notice the dead parent on their own.  Forked workers keep
+A SIGKILLed ``python -m repro`` runs no cleanup, so its pool workers
+must notice the dead parent on their own.  Forked workers keep
 the parent's command line, so a run started with paths under a test's
 ``tmp_path`` is found by searching command lines for that directory.
 """

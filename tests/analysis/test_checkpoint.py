@@ -240,7 +240,7 @@ class TestKillAndResume:
         finally:
             victim.wait(timeout=60)
 
-        # its pool/fleet workers notice the dead parent and exit
+        # its pool workers notice the dead parent and exit
         assert_no_process_names(str(tmp_path))
 
         # the checkpoint on disk is complete JSON despite the SIGKILL

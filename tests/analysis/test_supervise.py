@@ -1,13 +1,23 @@
 """Tests for the supervised batch runner: timeouts, retries, hung
-workers, quarantine, and the keep-going failure report."""
+workers, lost workers, quarantine, and the keep-going failure report."""
 
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
-from repro.analysis.batch import BatchReport, run_batch, run_batch_report
+import repro
+from repro.analysis.batch import (
+    MAX_WORKER_LOSSES,
+    BatchReport,
+    run_batch,
+    run_batch_report,
+)
 from repro.analysis.supervise import (
+    REASON_CRASH,
     REASON_EXCEPTION,
     REASON_HUNG,
     REASON_TIMEOUT,
@@ -17,7 +27,10 @@ from repro.analysis.supervise import (
     time_limit,
 )
 from repro.exceptions import BatchTaskError, TaskTimeoutError
+from repro.obs import Telemetry, canonical_dumps, read_records, to_record, using
 from repro.simulator.retry import ExponentialBackoff
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def square(task):
@@ -50,6 +63,49 @@ def flaky(task):
 
 def no_sleep(_delay):
     return None
+
+
+def own_pid(_task):
+    return os.getpid()
+
+
+def always_exit(task):
+    """Task 3 kills its worker process every time it runs."""
+    if task == 3:
+        os._exit(1)
+    return task
+
+
+def _first_time(marker):
+    """True exactly once per marker file (the file makes it one-shot)."""
+    if os.path.exists(marker):
+        return False
+    with open(marker, "w"):
+        pass
+    return True
+
+
+def exit_once(task):
+    """``"die"`` kills its worker process the first time it runs."""
+    marker, value = task
+    if value == "die" and _first_time(marker):
+        os._exit(1)
+    return value
+
+
+def hang_once(task):
+    """``"hang"`` stalls its worker the first time it runs."""
+    marker, value = task
+    if value == "hang" and _first_time(marker):
+        time.sleep(60.0)
+    return value
+
+
+def unpicklable(task):
+    """Task 2 returns a value that cannot leave its worker process."""
+    if task == 2:
+        return lambda: task
+    return task
 
 
 class TestTimeLimit:
@@ -346,3 +402,183 @@ class TestBatchReportShape:
         assert isinstance(report, BatchReport)
         assert report.missing == ()
         assert not report.quarantine
+
+    def test_single_task_grid_runs_in_process(self):
+        report = run_batch_report([0], own_pid, workers=4)
+        assert report.results == [os.getpid()]
+
+
+def _canonical_run(tasks, worker, workers):
+    """The report and canonical telemetry of one keep-going batch."""
+    telemetry = Telemetry()
+    with using(telemetry):
+        report = run_batch_report(
+            tasks,
+            worker,
+            workers=workers,
+            supervisor=BatchSupervisor(fail_fast=False),
+        )
+    events = [to_record(event) for event in telemetry.collect()]
+    return report, canonical_dumps(events)
+
+
+def _children(pid):
+    """Pids of the live child processes of ``pid`` (Linux ``/proc``)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # the field after the parenthesised command name is the state,
+        # then the parent pid
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+CHAOS_ARGS = [
+    "chaos",
+    "--runs",
+    "6",
+    "--transactions",
+    "8",
+    "--clients",
+    "4",
+    "--seed",
+    "0",
+]
+
+
+class TestWorkerLoss:
+    """A worker that dies or hangs does not change the output; a task
+    that keeps losing workers on its own is quarantined."""
+
+    def test_worker_killed_once_leaves_no_quarantine(self, tmp_path):
+        marker = str(tmp_path / "died")
+        tasks = [(marker, value) for value in ("a", "die", "b", "c")]
+        report, canonical = _canonical_run(tasks, exit_once, workers=2)
+        assert os.path.exists(marker), "the kill never fired"
+        assert not report.quarantine
+        serial, serial_canonical = _canonical_run(tasks, exit_once, workers=1)
+        assert report.results == serial.results == ["a", "die", "b", "c"]
+        assert canonical == serial_canonical
+
+    def test_always_killer_quarantines_only_itself(self):
+        report = run_batch_report(
+            list(range(8)),
+            always_exit,
+            workers=2,
+            supervisor=BatchSupervisor(fail_fast=False),
+        )
+        assert report.results == [0, 1, 2, None, 4, 5, 6, 7]
+        assert report.quarantine.indices() == [3]
+        entry = report.quarantine.entries[0]
+        assert entry.reason == REASON_CRASH
+        assert entry.attempts == MAX_WORKER_LOSSES == 3
+        assert "worker process died" in entry.error
+
+    def test_fail_fast_names_the_always_killer(self):
+        with pytest.raises(BatchTaskError) as excinfo:
+            run_batch_report(
+                list(range(6)),
+                always_exit,
+                workers=2,
+                supervisor=BatchSupervisor(fail_fast=True),
+            )
+        assert excinfo.value.index == 3
+        assert excinfo.value.completed == {0: 0, 1: 1, 2: 2, 4: 4, 5: 5}
+
+    def test_hung_once_task_is_rerun_and_completes(self, tmp_path):
+        marker = str(tmp_path / "hung")
+        tasks = [(marker, value) for value in ("a", "hang", "b", "c")]
+        report = run_batch_report(
+            tasks,
+            hang_once,
+            workers=2,
+            supervisor=BatchSupervisor(hang_timeout=1.0, fail_fast=False),
+        )
+        assert os.path.exists(marker), "the hang never fired"
+        assert report.results == ["a", "hang", "b", "c"]
+        assert not report.quarantine
+
+    def test_unpicklable_result_is_quarantined_not_raised(self):
+        report = run_batch_report(
+            [1, 2, 3],
+            unpicklable,
+            workers=2,
+            supervisor=BatchSupervisor(fail_fast=False),
+        )
+        assert report.results == [1, None, 3]
+        entry = report.quarantine.entries[0]
+        assert entry.index == 1
+        assert entry.reason == REASON_EXCEPTION
+        with pytest.raises(BatchTaskError) as excinfo:
+            run_batch_report(
+                [1, 2, 3],
+                unpicklable,
+                workers=2,
+                supervisor=BatchSupervisor(fail_fast=True),
+            )
+        assert excinfo.value.index == 1
+
+    def test_unsupervised_run_batch_survives_a_killed_worker(self, tmp_path):
+        """The chunked-``map`` fast path hands what a dead worker left
+        unfinished to the worker-loss rule instead of raising."""
+        marker = str(tmp_path / "died")
+        tasks = [(marker, value) for value in ("a", "die", "b", "c", "d")]
+        assert run_batch(tasks, exit_once, workers=2) == [
+            "a", "die", "b", "c", "d"
+        ]
+        assert os.path.exists(marker), "the kill never fired"
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="finds pool workers via /proc"
+    )
+    def test_sigkilled_worker_output_is_byte_identical(self, tmp_path):
+        """SIGKILL one ``chaos --workers 4`` pool worker mid-sweep: the
+        run exits 0 and its stdout and canonical telemetry equal the
+        serial run's."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC
+        serial = subprocess.run(
+            [sys.executable, "-m", "repro", *CHAOS_ARGS]
+            + ["--telemetry-out", str(tmp_path / "ref.jsonl")],
+            cwd=str(tmp_path),
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=240,
+        )
+        assert serial.returncode == 0, serial.stderr
+        run = subprocess.Popen(
+            [sys.executable, "-m", "repro", *CHAOS_ARGS]
+            + ["--workers", "4", "--telemetry-out", str(tmp_path / "out.jsonl")],
+            cwd=str(tmp_path),
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        killed = False
+        deadline = time.monotonic() + 60
+        while not killed and run.poll() is None and time.monotonic() < deadline:
+            for child in _children(run.pid):
+                try:
+                    os.kill(child, signal.SIGKILL)
+                except ProcessLookupError:
+                    continue
+                killed = True
+                break
+            time.sleep(0.01)
+        stdout, stderr = run.communicate(timeout=240)
+        assert run.returncode == 0, stderr
+        if not killed:
+            pytest.skip("the sweep finished before a worker could be killed")
+        assert stdout == serial.stdout
+        ours = canonical_dumps(read_records(str(tmp_path / "out.jsonl")))
+        theirs = canonical_dumps(read_records(str(tmp_path / "ref.jsonl")))
+        assert ours == theirs

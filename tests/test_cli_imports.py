@@ -34,7 +34,6 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 CHECK_DENYLIST = (
     "repro.simulator",
     "repro.analysis.batch",
-    "repro.analysis.fleet",
     "repro.workloads",
     "repro.lint",
     "repro.stream",
