@@ -20,12 +20,10 @@ actually ran, a resumed run's merged metrics and canonical telemetry
 are byte-identical to an uninterrupted run's.
 
 Results are stored with a small typed codec (scalars, lists, tuples,
-sets, string-keyed mappings, packed-bitset relations, and dataclasses
-by qualified name) — the shapes batch workers return, and, since the
-stream recovery layer (:mod:`repro.stream.snapshot`) reuses the same
-codec, the shapes inside a live checker's state.  Floats survive the
-JSON round trip exactly (``repr`` shortest-round-trip), which the
-byte-identity contract relies on.
+sets, string-keyed mappings, and dataclasses by qualified name) — the
+shapes batch workers return.  Floats survive the JSON round trip
+exactly (``repr`` shortest-round-trip), which the byte-identity
+contract relies on.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from typing import (
 )
 
 from repro.analysis.supervise import QuarantinedTask
-from repro.core.orders import Relation
 from repro.exceptions import CheckpointError
 from repro.obs import TelemetryEvent, atomic_write_text, to_record
 
@@ -80,25 +77,14 @@ def encode_value(value: Any) -> Any:
             ],
         }
     if isinstance(value, (set, frozenset)):
-        # Canonical member order: sets have no order of their own, and
-        # the snapshot layer hashes encoded documents — sorting by the
-        # JSON image makes equal sets encode byte-identically.
+        # Canonical member order: sets have no order of their own, so
+        # sorting by the JSON image makes equal sets encode
+        # byte-identically (and checkpoint documents reproducible).
         items = sorted(
             (encode_value(v) for v in value),
             key=lambda item: json.dumps(item, sort_keys=True),
         )
         return {_KIND: "set", "items": items}
-    if isinstance(value, Relation):
-        # The packed-bitset native state, verbatim: nodes in interned
-        # order plus one hex successor bitmap per node, so a decoded
-        # relation is *internally* identical (same interning, same
-        # rows) — the property the stream snapshot's byte-for-byte
-        # resume contract needs, not just pair-set equality.
-        return {
-            _KIND: "relation",
-            "nodes": list(value.elements),
-            "rows": [format(value.row_bits(e), "x") for e in value.elements],
-        }
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         cls = type(value)
         return {
@@ -112,7 +98,7 @@ def encode_value(value: Any) -> Any:
     raise CheckpointError(
         f"cannot checkpoint a value of type {type(value).__name__}: "
         "batch results must be JSON scalars, lists, tuples, sets, "
-        "str-keyed dicts, relations, or dataclasses thereof"
+        "str-keyed dicts, or dataclasses thereof"
     )
 
 
@@ -129,15 +115,6 @@ def decode_value(value: Any) -> Any:
         return tuple(decode_value(v) for v in value["items"])
     if kind == "set":
         return {decode_value(v) for v in value["items"]}
-    if kind == "relation":
-        nodes = [str(n) for n in value["nodes"]]
-        rows = [int(str(r), 16) for r in value["rows"]]
-        if len(rows) != len(nodes):
-            raise CheckpointError(
-                "relation state is torn: "
-                f"{len(nodes)} nodes but {len(rows)} rows"
-            )
-        return Relation._from_state(nodes, rows, None)
     if kind == "dict":
         return {
             decode_value(k): decode_value(v) for k, v in value["items"]

@@ -636,66 +636,30 @@ def cmd_eventlog(args: argparse.Namespace) -> int:
 
 
 def cmd_watch(args: argparse.Namespace) -> int:
+    import os
     import time as _time
 
     from repro.analysis.tables import banner
     from repro.obs import current
-    from repro.stream import (
-        EventLogTail,
-        IncrementalChecker,
-        SnapshotWriter,
-        read_snapshot,
-        restore_checker,
-        restore_tail,
-        verify_snapshot,
-    )
+    from repro.stream import EventLogTail, IncrementalChecker
+    from repro.stream.tail import log_truncated
 
-    if args.resume_from_snapshot:
-        if args.from_offset:
-            raise SystemExit(
-                "--resume-from-snapshot and --from-offset are mutually "
-                "exclusive: the snapshot carries its own offset"
-            )
-        document = read_snapshot(args.resume_from_snapshot)
-        verify_snapshot(
-            document, args.file, snapshot_path=args.resume_from_snapshot
+    if args.from_offset:
+        # resuming past bytes the log no longer holds would silently
+        # suppress every transition below the offset
+        size = (
+            os.path.getsize(args.file) if os.path.exists(args.file) else 0
         )
-        checker = restore_checker(document)
-        tail = restore_tail(document, args.file)
-        restored = checker.verdict()
-        checker.telemetry.meta(
-            "stream.recover",
-            mode="snapshot",
-            offset=tail.offset,
-            line=tail.line,
-            events=restored.events,
-        )
-        last_status: Optional[str] = restored.status
-        print(
-            f"resumed from {args.resume_from_snapshot}: "
-            f"{restored.events} event(s) restored "
-            f"({restored.commits} commits, {restored.status}); "
-            f"replaying the log from offset {tail.offset}",
-            file=sys.stderr,
-        )
-    else:
-        checker = IncrementalChecker()
-        tail = EventLogTail(args.file)
-        last_status = None
-    writer: Optional[SnapshotWriter] = None
-    if args.snapshot_out:
-        writer = SnapshotWriter(
-            args.snapshot_out,
-            every=args.snapshot_every,
-            telemetry=checker.telemetry,
-        )
-    replayed = 0
+        if size < args.from_offset:
+            raise log_truncated(args.file, args.from_offset, size)
+    checker = IncrementalChecker()
+    tail = EventLogTail(args.file)
+    last_status: Optional[str] = None
     try:
         while True:
             batch = tail.poll()
             for tailed in batch:
                 verdict = checker.ingest(tailed.event)
-                replayed += 1
                 if tailed.offset <= args.from_offset:
                     # catch-up below the resume offset: state is
                     # rebuilt, transitions are not re-announced
@@ -703,11 +667,12 @@ def cmd_watch(args: argparse.Namespace) -> int:
                     continue
                 if verdict.status != last_status:
                     last_status = verdict.status
-                    print(f"[offset {tailed.offset}] {verdict.describe()}")
+                    print(
+                        f"[offset {tailed.offset}] {verdict.describe()}",
+                        flush=True,
+                    )
                 if checker.ended:
                     break
-            if writer is not None and batch:
-                writer.maybe(checker, tail)
             if checker.ended:
                 break
             if not batch:
@@ -717,10 +682,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         print("interrupted; certifying the prefix seen so far",
               file=sys.stderr)
-        if writer is not None:
-            writer.write(checker, tail)
-    if args.resume_from_snapshot:
-        checker.telemetry.count("stream.recover.replayed", replayed)
     result = checker.finalize()
     current().absorb(checker.telemetry.collect())
     if result.reduction is None:
@@ -734,8 +695,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
         f"stream: {verdict.events} event(s), {verdict.commits} "
         f"commit(s); resume offset {tail.offset}"
     )
-    if writer is not None and writer.written:
-        print(f"snapshots: {writer.written} written to {writer.path}")
     if args.strict and verdict.rejected:
         return 2
     return 0
@@ -1034,8 +993,10 @@ def _watch_arguments(p: argparse.ArgumentParser) -> None:
         default=0,
         metavar="BYTES",
         help="suppress re-announcing transitions at or below this byte "
-        "offset (printed as `resume offset` by a previous watch); the "
-        "checker still replays the whole log to rebuild its state",
+        "offset (the last `[offset N]` or the `resume offset` a "
+        "previous watch printed); the checker still re-reads the whole "
+        "log to rebuild its state, and a log shorter than the offset "
+        "is refused (CTX502)",
     )
     p.add_argument(
         "--interval",
@@ -1048,29 +1009,6 @@ def _watch_arguments(p: argparse.ArgumentParser) -> None:
         "--strict",
         action="store_true",
         help="exit 2 when the stream is rejected",
-    )
-    p.add_argument(
-        "--snapshot-out",
-        metavar="PATH",
-        help="atomically write a resumable checker snapshot here while "
-        "watching (see --snapshot-every); a killed watch resumes with "
-        "--resume-from-snapshot, replaying only the unseen suffix",
-    )
-    p.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=1,
-        metavar="EVENTS",
-        help="snapshot cadence: write after every poll batch that "
-        "ingested at least this many events since the last snapshot "
-        "(default 1)",
-    )
-    p.add_argument(
-        "--resume-from-snapshot",
-        metavar="PATH",
-        help="restore checker state from a snapshot and replay only "
-        "the log suffix past its offset; refused (CTX501) when the "
-        "log's prefix no longer matches the snapshot's fingerprint",
     )
     _add_telemetry_option(p)
 
@@ -1236,15 +1174,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         with checkpointing(session):
             return dispatch()
 
-    from repro.exceptions import ModelError, ParseError
+    from repro.exceptions import ModelError, ParseError, StreamError
 
     try:
         return run()
-    except (ParseError, ModelError, OSError) as error:
-        # unreadable, malformed or ill-formed input: one line in
-        # argparse's error style instead of a traceback (the exit
-        # status was 1 either way).  Caught outside `checkpointing`,
-        # which marks a checkpoint complete only on a clean exit.
+    except (ParseError, ModelError, StreamError, OSError) as error:
+        # unreadable, malformed or ill-formed input, or an event log
+        # out of protocol: one line in argparse's error style instead
+        # of a traceback (the exit status was 1 either way).  Coded
+        # errors (CTX4xx, CTX502) carry their rendered diagnostic as
+        # the message.  Caught outside `checkpointing`, which marks a
+        # checkpoint complete only on a clean exit.
         print(f"repro {args.command}: error: {error}", file=sys.stderr)
         return 1
 

@@ -120,8 +120,10 @@ class EventLogTruncatedError(StreamError):
     consumed state past the new end is unverifiable.  Carries the
     ``CTX502`` :class:`repro.lint.diagnostics.Diagnostic` plus the
     structural facts (:attr:`path`, :attr:`offset` consumed,
-    :attr:`size` observed) so the stream supervisor can fall back to a
-    snapshot-verified re-read instead of silently mis-checking.
+    :attr:`size` observed) so the stream supervisor can restart with a
+    re-read from offset 0 instead of silently mis-checking.  Also raised
+    by ``watch --from-offset`` when the log is already shorter than the
+    offset it is asked to resume past.
     """
 
     def __init__(
@@ -137,25 +139,6 @@ class EventLogTruncatedError(StreamError):
         self.path = path
         self.offset = offset
         self.size = size
-        self.diagnostic = diagnostic
-
-
-class SnapshotError(StreamError):
-    """A checker snapshot could not be written, read, or trusted.
-
-    Raised for unreadable/corrupt snapshot documents and schema
-    versions this build cannot read (``CTX503``), and for snapshots
-    whose log-prefix fingerprint disagrees with the log being resumed
-    (``CTX501`` — the log diverged, rotated, or was rewritten, so the
-    snapshot summarizes bytes that no longer exist).  The rendered
-    lint-style diagnostic rides along in :attr:`diagnostic` so tooling
-    can match the stable code instead of the message text.
-    """
-
-    def __init__(
-        self, message: str, *, diagnostic: "object | None" = None
-    ) -> None:
-        super().__init__(message)
         self.diagnostic = diagnostic
 
 

@@ -39,7 +39,6 @@ See ``docs/STREAMING.md`` for the schema reference.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, fields
@@ -277,34 +276,6 @@ def append_events(events: List[Event], path: Union[str, Path]) -> int:
     with open(path, "ab") as handle:
         handle.write(data)
     return os.path.getsize(path)
-
-
-def log_prefix_digest(
-    path: Union[str, Path], offset: int
-) -> Optional[str]:
-    """SHA-256 hex digest of the log's first ``offset`` bytes.
-
-    This is the fingerprint a :mod:`repro.stream.snapshot` binds to:
-    a snapshot summarizes exactly the prefix ``[0, offset)``, so
-    re-hashing that prefix at resume time detects truncation, rotation
-    and divergence.  Returns ``None`` when the file is missing or
-    shorter than ``offset`` — a prefix that cannot be verified.
-    """
-    if offset < 0:
-        return None
-    digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as handle:
-            remaining = offset
-            while remaining > 0:
-                chunk = handle.read(min(remaining, 1 << 20))
-                if not chunk:
-                    return None  # file shorter than the claimed prefix
-                digest.update(chunk)
-                remaining -= len(chunk)
-    except FileNotFoundError:
-        return None
-    return digest.hexdigest()
 
 
 def interleave_by_commit(events: List[Event]) -> List[Event]:

@@ -17,14 +17,14 @@ can match on codes instead of message text.  The code space:
   :mod:`repro.io` (which carry the rendered diagnostic, the line, and
   the byte offset), and are registered here so tooling can match their
   codes exactly like lint findings.
-* ``CTX5xx`` — stream **recovery** defects raised by the streaming
-  checker's snapshot/resume layer (:mod:`repro.stream.snapshot`,
-  :mod:`repro.stream.supervisor`): snapshot/log fingerprint
-  disagreement, event logs shrinking under the tailer, corrupt
-  snapshots, and poison-event quarantine.  Reported through
-  :class:`repro.exceptions.SnapshotError` /
-  :class:`repro.exceptions.EventLogTruncatedError`, which carry the
-  rendered diagnostic the same way the ``CTX4xx`` loaders do.
+* ``CTX5xx`` — stream **recovery** defects raised by the event-log
+  tailer and the watch supervisor (:mod:`repro.stream.tail`,
+  :mod:`repro.stream.supervisor`): event logs shorter than a consumed
+  or resumed offset (:class:`repro.exceptions.EventLogTruncatedError`,
+  which carries the rendered diagnostic the same way the ``CTX4xx``
+  loaders do), and poison-event quarantine.  ``CTX501`` and
+  ``CTX503`` named checker-snapshot defects; snapshots are gone and
+  the two codes are retired, never to be reused.
 
 Severity policy: a defect that makes the model meaningless (an axiom
 violation, a cyclic order, a dangling reference) is an **error**; a
@@ -119,13 +119,10 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "CTX402": (Severity.ERROR, "document truncated: JSON text ends "
                "unexpectedly"),
     "CTX403": (Severity.ERROR, "document root is not a JSON object"),
-    # -- CTX5xx: stream recovery (repro.stream snapshot/supervisor) ----
-    "CTX501": (Severity.ERROR, "snapshot fingerprint disagrees with the "
-               "event log prefix (log diverged, rotated, or rewritten)"),
-    "CTX502": (Severity.ERROR, "event log shrank below the consumed "
-               "offset (truncation or rotation mid-tail)"),
-    "CTX503": (Severity.ERROR, "snapshot unreadable, corrupt, or of an "
-               "unsupported schema version"),
+    # -- CTX5xx: stream recovery (repro.stream tail/supervisor) --------
+    # CTX501 and CTX503 are retired (checker snapshots); never reuse them
+    "CTX502": (Severity.ERROR, "event log shorter than a consumed or "
+               "resumed offset (truncation or rotation)"),
     "CTX504": (Severity.ERROR, "poison event quarantined: the watcher "
                "died repeatedly at the same log offset"),
 }

@@ -45,7 +45,6 @@ class RunProfile:
     reduce_levels: List[Dict[str, Any]] = field(default_factory=list)
     recoveries: List[Dict[str, Any]] = field(default_factory=list)
     quarantines: List[Dict[str, Any]] = field(default_factory=list)
-    invalid_snapshots: List[Dict[str, Any]] = field(default_factory=list)
     streams: int = 0
     records: int = 0
 
@@ -83,10 +82,6 @@ def build_profile(
                 profile.recoveries.append(dict(record.get("fields", {})))
             elif record.get("name") == "stream.quarantine":
                 profile.quarantines.append(dict(record.get("fields", {})))
-            elif record.get("name") == "stream.snapshot.invalid":
-                profile.invalid_snapshots.append(
-                    dict(record.get("fields", {}))
-                )
     profile.streams = len(streams)
     profile.phases = sorted(
         by_name.values(), key=lambda s: (-s.total_s, s.name)
@@ -159,35 +154,21 @@ def render_profile(
                 ],
             )
         )
-    if (
-        profile.recoveries
-        or profile.quarantines
-        or profile.invalid_snapshots
-    ):
+    if profile.recoveries or profile.quarantines:
         out.append(banner("stream recovery"))
         if profile.recoveries:
             out.append(
                 format_table(
-                    ["recovery", "mode", "attempt", "offset", "line",
-                     "events restored"],
+                    ["recovery", "attempt", "bytes re-read"],
                     [
                         [
                             i + 1,
-                            r.get("mode", "?"),
                             r.get("attempt", "-"),
-                            r.get("offset", "-"),
-                            r.get("line", "-"),
-                            r.get("events", "-"),
+                            r.get("reread", "-"),
                         ]
                         for i, r in enumerate(profile.recoveries)
                     ],
                 )
-            )
-        for bad in profile.invalid_snapshots:
-            out.append(
-                f"invalid snapshot skipped on attempt "
-                f"{bad.get('attempt', '?')} ({bad.get('code', '?')}); "
-                "fell back to a full re-read"
             )
         for q in profile.quarantines:
             out.append(

@@ -13,15 +13,17 @@ watches an execution *as it happens*:
   REJECTED the moment a cycle closes;
 - :mod:`repro.stream.tail` tails a growing JSONL event log with
   torn-tail tolerance (the ``composite-tx watch`` transport);
-- :mod:`repro.stream.snapshot` freezes the whole checker into an
-  atomically written, fingerprint-bound snapshot and restores it, so
-  a killed watch resumes by replaying only the unseen log suffix;
 - :mod:`repro.stream.supervisor` runs the watch loop under the batch
-  layer's supervision contract: seeded-backoff restarts from the
-  latest valid snapshot, and poison-event quarantine.
+  layer's supervision contract: seeded-backoff restarts that re-read
+  the log from offset 0, and poison-event quarantine.
+
+The checker's state at any byte offset is a pure function of the log
+prefix, so recovery is always a re-read: a killed watch is resumed by
+re-watching the log with ``--from-offset`` set to the last offset it
+announced.
 
 See ``docs/STREAMING.md`` for semantics, the equivalence argument,
-and the snapshot/recovery contract; ``docs/RESILIENCE.md`` for how
+and the recovery contract; ``docs/RESILIENCE.md`` for how
 supervision composes with the rest of the resilience toolkit.
 """
 
@@ -31,16 +33,6 @@ from repro.stream.checker import (
     StreamResult,
     StreamVerdict,
     WATCH_STREAM,
-)
-from repro.stream.snapshot import (
-    SNAPSHOT_VERSION,
-    SnapshotWriter,
-    read_snapshot,
-    restore_checker,
-    restore_tail,
-    snapshot_document,
-    verify_snapshot,
-    write_snapshot,
 )
 from repro.stream.supervisor import (
     PoisonEvent,
@@ -54,8 +46,6 @@ __all__ = [
     "EventLogTail",
     "IncrementalChecker",
     "PoisonEvent",
-    "SNAPSHOT_VERSION",
-    "SnapshotWriter",
     "StreamAssembler",
     "StreamResult",
     "StreamSupervisor",
@@ -63,10 +53,4 @@ __all__ = [
     "SupervisedWatch",
     "TailedEvent",
     "WATCH_STREAM",
-    "read_snapshot",
-    "restore_checker",
-    "restore_tail",
-    "snapshot_document",
-    "verify_snapshot",
-    "write_snapshot",
 ]

@@ -49,19 +49,17 @@ reason the persistent builder never has to *remove* anything.
 
 Declarations carry stable monotone integer ids (list positions shift
 when an abort discards a staged root; ids never do), which is what the
-snapshot layer (:mod:`repro.stream.snapshot`) records so a restored
-assembler replays the exact application order of the uninterrupted
-run.
+persistent builder's applied set and per-schedule watermark key on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.builder import SystemBuilder
 from repro.exceptions import ModelError, ScheduleAxiomError, StreamError
-from repro.io.eventlog import Event, event_from_dict, event_to_dict
+from repro.io.eventlog import Event
 from repro.io.recorded import RecordedExecution
 
 __all__ = ["CommitDelta", "StreamAssembler"]
@@ -107,12 +105,11 @@ class StreamAssembler:
         self._arrivals: List[_Arrival] = []
         self._ended = False
         # -- persistent-builder state (build_incremental) --------------
-        #: the maintained builder; ``None`` means "materialize on next
-        #: use by replaying ``_applied_ids``" (fresh, restored from a
-        #: snapshot, or invalidated by an out-of-order activation)
+        #: the maintained builder; ``None`` means "start a fresh one on
+        #: next use" (nothing applied yet, or invalidated by an
+        #: out-of-order activation)
         self._builder: Optional[SystemBuilder] = None
-        #: decl ids in the order they were fed to the builder
-        self._applied_ids: List[int] = []
+        #: decl ids already fed to the builder
         self._applied: Set[int] = set()
         #: per schedule, the largest txn decl id applied — the
         #: byte-identity guard (see module docstring)
@@ -353,31 +350,9 @@ class StreamAssembler:
     # ------------------------------------------------------------------
     def _reset_builder(self) -> None:
         self._builder = None
-        self._applied_ids = []
         self._applied = set()
         self._txn_watermark = {}
         self._cache = None
-
-    def _materialize_builder(self) -> SystemBuilder:
-        """The persistent builder, replaying the recorded application
-        order when it is not live (fresh assembler, snapshot restore,
-        or a just-invalidated out-of-order rebuild)."""
-        if self._builder is not None:
-            return self._builder
-        builder = SystemBuilder()
-        if self._applied_ids:
-            by_id = {d.ident: d for d in self._decls}
-            for ident in self._applied_ids:
-                event = by_id[ident].event
-                self._apply_decl(builder, event)
-                if event.kind == "txn":
-                    assert event.schedule is not None
-                    previous = self._txn_watermark.get(event.schedule, -1)
-                    self._txn_watermark[event.schedule] = max(
-                        previous, ident
-                    )
-        self._builder = builder
-        return builder
 
     def build_incremental(self) -> Optional[RecordedExecution]:
         """The committed composite system via the persistent builder:
@@ -389,7 +364,9 @@ class StreamAssembler:
         if self.derive == "temporal":
             return self.build()
         for _attempt in range(2):
-            builder = self._materialize_builder()
+            if self._builder is None:
+                self._builder = SystemBuilder()
+            builder = self._builder
             fresh: List[_Decl] = []
             out_of_order = False
             for decl in self._decls:
@@ -420,11 +397,10 @@ class StreamAssembler:
             event = decl.event
             self._apply_decl(builder, event)
             self._applied.add(decl.ident)
-            self._applied_ids.append(decl.ident)
             if event.kind == "txn":
                 assert event.schedule is not None
                 self._txn_watermark[event.schedule] = decl.ident
-        key = (len(self._applied_ids), len(self._commit_order))
+        key = (len(self._applied), len(self._commit_order))
         if self._cache is not None and self._cache[0] == key:
             return self._cache[1]
         recorded = self._finish_build(builder)
@@ -460,68 +436,3 @@ class StreamAssembler:
             if decl.event.kind == "txn" and op in decl.event.ops:
                 return decl.event.txn
         return None
-
-    # ------------------------------------------------------------------
-    # snapshot support (driven by repro.stream.snapshot)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, Any]:
-        """The assembler's full state as a JSON-shaped document.
-
-        ``applied`` records the persistent builder's application order
-        by decl id — a restored assembler replays it lazily, so its
-        builder (and every byte downstream) matches the uninterrupted
-        run's.
-        """
-        return {
-            "derive": self.derive,
-            "next_decl": self._next_decl,
-            "decls": [
-                [d.ident, event_to_dict(d.event)] for d in self._decls
-            ],
-            "root_of": dict(self._root_of),
-            "committed": sorted(self._committed),
-            "begun": sorted(self._begun),
-            "commit_order": list(self._commit_order),
-            "arrivals": [
-                [a.schedule, a.root, a.op, a.item, a.mode]
-                for a in self._arrivals
-            ],
-            "ended": self._ended,
-            "applied": list(self._applied_ids),
-            "rebuilds": self.rebuilds,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Restore :meth:`snapshot_state` output into this (fresh)
-        assembler.  The persistent builder is rebuilt lazily on the
-        first :meth:`build_incremental` after restore."""
-        derive = state["derive"]
-        self.derive = None if derive is None else str(derive)
-        self._next_decl = int(state["next_decl"])
-        self._decls = [
-            _Decl(ident=int(ident), event=event_from_dict(doc))
-            for ident, doc in state["decls"]
-        ]
-        self._root_of = {
-            str(k): str(v) for k, v in state["root_of"].items()
-        }
-        self._committed = {str(r) for r in state["committed"]}
-        self._begun = {str(r) for r in state["begun"]}
-        self._commit_order = [str(r) for r in state["commit_order"]]
-        self._arrivals = [
-            _Arrival(
-                schedule=str(schedule),
-                root=str(root),
-                op=str(op),
-                item=None if item is None else str(item),
-                mode=None if mode is None else str(mode),
-            )
-            for schedule, root, op, item, mode in state["arrivals"]
-        ]
-        self._ended = bool(state["ended"])
-        self._applied_ids = [int(i) for i in state["applied"]]
-        self._applied = set(self._applied_ids)
-        self.rebuilds = int(state["rebuilds"])
-        self._builder = None
-        self._txn_watermark = {}
-        self._cache = None

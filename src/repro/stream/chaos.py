@@ -8,32 +8,30 @@ and canonical telemetry are byte-identical to a plain batch
 ``composite-tx check`` of the same execution.  Scenarios:
 
 ``kill``
-    the watcher dies mid-follow (state abandoned, snapshot on disk),
-    the writer keeps appending, and a supervised restart resumes from
-    the snapshot — replaying only the unseen suffix.
+    the watcher dies mid-follow (its checker abandoned), the writer
+    keeps appending, and the supervised restart re-reads the log from
+    offset 0.
 ``torn``
     a batch lands in two ``write`` calls, splitting a record down the
     middle; the tailer waits the torn tail out.
 ``corrupt``
     appended bytes are garbage; every restart dies on the same line
     (``ParseError``), the poison offset is quarantined (``CTX504``),
-    the writer repairs the bytes, and a fresh supervised run resumes
-    from the pre-corruption snapshot.
+    the writer repairs the bytes, and a fresh supervised run re-reads
+    the repaired log.
 ``duplicate``
     an append batch is written twice; the duplicated commit is a
     deterministic protocol violation, quarantined and repaired the
     same way.
 ``reorder``
     two declarations land transposed — *valid* protocol, wrong bytes.
-    The watcher consumes and snapshots over the diverged prefix before
-    dying; the writer rewrites the correct order, and resume detects
-    the divergence by fingerprint (``CTX501``) and falls back to a
-    full re-read instead of trusting the lying snapshot.
+    The watcher consumes the diverged prefix and dies; the writer
+    rewrites the correct order, and the restart re-reads the log as it
+    now is, so nothing of the diverged prefix survives.
 ``rotate``
     the log is copytruncate-rotated mid-follow and loses its tail: the
-    tailer catches the size regression (``CTX502``), the restart finds
-    the snapshot unverifiable against the shortened file (``CTX501``)
-    and re-reads from offset 0 while the writer backfills.
+    tailer catches the size regression (``CTX502``) and the restart
+    re-reads from offset 0 while the writer backfills.
 
 Faults are injected from the supervisor's single-threaded ``on_idle``
 hook with an injected no-op ``sleep``, so every interleaving is
@@ -56,10 +54,8 @@ from repro.io.eventlog import Event, dumps_event, events_from_recorded
 from repro.io.recorded import RecordedExecution
 from repro.obs.sink import canonical_dumps, sort_events, to_record
 from repro.obs.telemetry import Telemetry, TelemetryEvent, current, using
-from repro.stream.checker import IncrementalChecker, StreamResult
-from repro.stream.snapshot import SnapshotWriter
+from repro.stream.checker import StreamResult
 from repro.stream.supervisor import StreamSupervisor
-from repro.stream.tail import EventLogTail
 from repro.workloads.generator import WorkloadConfig, generate
 from repro.workloads.topologies import stack_topology
 
@@ -78,21 +74,22 @@ class ScenarioOutcome:
     name: str
     attempts: int
     quarantines: int
-    recover_modes: List[str]
-    replayed: int
-    total_events: int
     codes: List[str]
     status: str
 
     def describe(self) -> str:
-        modes = ",".join(self.recover_modes) or "-"
         codes = ",".join(self.codes) or "-"
         return (
             f"{self.name:<10} {self.status:<8} "
             f"attempts={self.attempts} quarantines={self.quarantines} "
-            f"replayed={self.replayed}/{self.total_events} "
-            f"recover={modes} codes={codes}"
+            f"codes={codes}"
         )
+
+
+class _WatcherKilled(StreamError):
+    """The in-process stand-in for SIGKILL: aborts one watch attempt,
+    abandoning its checker (the subprocess variant lives in the tests
+    and the CI smoke)."""
 
 
 @dataclass
@@ -159,13 +156,9 @@ def _records(telemetry: Telemetry) -> List[Dict[str, object]]:
     return [to_record(e) for e in sort_events(telemetry.collect())]
 
 
-def _supervisor(
-    log: str, snap: str, feed: Callable[[], None]
-) -> StreamSupervisor:
+def _supervisor(log: str, feed: Callable[[], None]) -> StreamSupervisor:
     return StreamSupervisor(
         log,
-        snapshot_path=snap,
-        snapshot_every=1,
         follow=True,
         interval=0.0,
         quarantine_after=2,
@@ -177,29 +170,8 @@ def _supervisor(
     )
 
 
-def _abandoned_watch(log: str, snap: str, prefix: List[bytes]) -> None:
-    """Phase A of the crash scenarios: write a log prefix, watch it
-    with snapshotting, then *abandon* the checker — the in-process
-    stand-in for SIGKILL (the subprocess variant lives in the tests
-    and the CI smoke)."""
-    with open(log, "wb") as handle:
-        handle.write(b"".join(prefix))
-    checker = IncrementalChecker()
-    tail = EventLogTail(log)
-    writer = SnapshotWriter(snap, every=1, telemetry=checker.telemetry)
-    while True:
-        events = tail.poll()
-        if not events:
-            break
-        for tailed in events:
-            checker.ingest(tailed.event)
-        writer.maybe(checker, tail)
-    # no finalize, no absorb: the "process" is gone
-
-
 def _drive(
     log: str,
-    snap: str,
     feed: Callable[[], None],
     repairs: List[Callable[[], None]],
 ) -> _ScenarioRun:
@@ -209,7 +181,7 @@ def _drive(
     quarantines = 0
     telemetry: List[TelemetryEvent] = []
     for round_index in range(len(repairs) + 1):
-        supervisor = _supervisor(log, snap, feed)
+        supervisor = _supervisor(log, feed)
         outcome = supervisor.run()
         attempts += outcome.attempts
         telemetry.extend(supervisor.telemetry.collect())
@@ -254,28 +226,20 @@ def _certified(
     )
 
 
-def _recovery_stats(
-    watch_events: List[TelemetryEvent], total: int
-) -> Tuple[List[str], int, List[str]]:
-    """(recover modes, events replayed after the best resume, CTX codes
-    seen) from the watch-stream telemetry."""
-    modes: List[str] = []
-    restored = 0
+def _codes(watch_events: List[TelemetryEvent]) -> List[str]:
+    """The CTX codes the supervised watches failed or quarantined with,
+    from the watch-stream telemetry."""
     codes = set()
     for event in watch_events:
         if event.kind != "meta":
             continue
-        fields = dict(event.fields)
-        if event.name == "stream.recover":
-            mode = str(fields.get("mode"))
-            modes.append(mode)
-            if mode == "snapshot":
-                restored = max(restored, int(str(fields.get("events", 0))))
-        elif event.name == "stream.snapshot.invalid":
-            codes.add(str(fields.get("code")))
+        if event.name == "stream.supervisor.failure":
+            code = dict(event.fields).get("code")
+            if code is not None:
+                codes.add(str(code))
         elif event.name == "stream.quarantine":
             codes.add("CTX504")
-    return modes, total - restored, sorted(codes)
+    return sorted(codes)
 
 
 # ----------------------------------------------------------------------
@@ -285,16 +249,21 @@ def _scenario(
     name: str, events: List[Event], batch_lines: int, workdir: str
 ) -> _ScenarioRun:
     log = os.path.join(workdir, f"{name}.jsonl")
-    snap = os.path.join(workdir, f"{name}.snapshot.json")
     batches = _batches(events, batch_lines)
     target = _first_commit_batch(batches)
     half = max(1, len(batches) // 2)
 
     if name == "kill":
-        _abandoned_watch(log, snap, batches[:half])
-        return _drive(
-            log, snap, _Feed(log, batches, index=half), repairs=[]
-        )
+        feed = _Feed(log, batches)
+        state = {"killed": False}
+
+        def _killing_feed() -> None:
+            if feed.index == half and not state["killed"]:
+                state["killed"] = True
+                raise _WatcherKilled(f"watcher killed after {half} batches")
+            feed()
+
+        return _drive(log, _killing_feed, repairs=[])
 
     if name == "torn":
         feed = _Feed(log, batches)
@@ -318,7 +287,7 @@ def _scenario(
                 return
             feed()
 
-        return _drive(log, snap, _torn_feed, repairs=[])
+        return _drive(log, _torn_feed, repairs=[])
 
     if name == "corrupt":
         feed = _Feed(log, batches)
@@ -331,7 +300,7 @@ def _scenario(
                 handle.seek(0, os.SEEK_END)
                 handle.write(batches[target])
 
-        return _drive(log, snap, feed, repairs=[_repair_corrupt])
+        return _drive(log, feed, repairs=[_repair_corrupt])
 
     if name == "duplicate":
         feed = _Feed(log, batches)
@@ -343,12 +312,12 @@ def _scenario(
                     feed.marks[target] + len(batches[target])
                 )
 
-        return _drive(log, snap, feed, repairs=[_repair_duplicate])
+        return _drive(log, feed, repairs=[_repair_duplicate])
 
     if name == "reorder":
         # two adjacent declaration lines transposed in the first
-        # batch: protocol-valid, byte-diverged.  Phase A consumes and
-        # snapshots the lie, then "dies".
+        # batch: protocol-valid, byte-diverged.  The watcher consumes
+        # the lie, then dies while the writer rewrites the prefix.
         swapped = list(batches)
         lines = swapped[0].split(b"\n")
         if len(lines) < 4:
@@ -357,14 +326,21 @@ def _scenario(
             )
         lines[1], lines[2] = lines[2], lines[1]
         swapped[0] = b"\n".join(lines)
-        _abandoned_watch(log, snap, swapped[:half])
-        # the writer notices and rewrites the whole prefix correctly;
-        # the stale snapshot now fingerprints bytes that are gone
-        with open(log, "wb") as handle:
-            handle.write(b"".join(batches[:half]))
-        return _drive(
-            log, snap, _Feed(log, batches, index=half), repairs=[]
-        )
+        feed = _Feed(log, swapped)
+
+        def _reordering_feed() -> None:
+            if feed.index == half and feed.batches is swapped:
+                # the writer notices and rewrites the whole prefix
+                # correctly; the restart re-reads it as it now is
+                with open(log, "wb") as handle:
+                    handle.write(b"".join(batches[:half]))
+                feed.batches = batches
+                raise _WatcherKilled(
+                    f"watcher killed after {half} diverged batches"
+                )
+            feed()
+
+        return _drive(log, _reordering_feed, repairs=[])
 
     if name == "rotate":
         feed = _Feed(log, batches)
@@ -383,7 +359,7 @@ def _scenario(
                 return
             feed()
 
-        return _drive(log, snap, _rotating_feed, repairs=[])
+        return _drive(log, _rotating_feed, repairs=[])
 
     raise StreamError(f"unknown chaos scenario {name!r}")
 
@@ -443,16 +419,12 @@ def run_chaos_suite(
                 f"chaos scenario {name!r}: canonical telemetry diverged "
                 "from the batch check"
             )
-        modes, replayed, codes = _recovery_stats(watch_events, len(events))
         outcomes.append(
             ScenarioOutcome(
                 name=name,
                 attempts=attempts,
                 quarantines=quarantines,
-                recover_modes=modes,
-                replayed=replayed,
-                total_events=len(events),
-                codes=codes,
+                codes=_codes(watch_events),
                 status=(
                     "REJECTED"
                     if result.reduction.failure is not None

@@ -25,11 +25,10 @@ persistent :class:`~repro.core.builder.SystemBuilder`
 so a commit pays for the declarations it activated, not for the whole
 log so far.
 
-The checker is also *resumable*: :meth:`IncrementalChecker.snapshot_state`
-/ :meth:`IncrementalChecker.restore_state` round-trip its entire state
-(via :mod:`repro.stream.snapshot`), and replaying the unseen log
-suffix after a restore reproduces the uninterrupted run's verdict,
-witness, and canonical telemetry byte for byte.
+The checker's state after any prefix is a pure function of that
+prefix, so it carries no resume state of its own: a restarted watch
+re-reads the log from offset 0 and reaches the uninterrupted run's
+verdict, witness, and canonical telemetry byte for byte.
 
 Rejection is *sticky*: closed relations only grow, so once a committed
 prefix closes a cycle every extension keeps it, and later commits are
@@ -281,71 +280,6 @@ class IncrementalChecker:
         if self._skips:
             self.telemetry.count("stream.skip_after_reject", self._skips)
             self._skips = 0
-
-    # ------------------------------------------------------------------
-    # snapshot support (driven by repro.stream.snapshot)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        """The checker's full resumable state.
-
-        Values are live Python objects (packed-bitset relations, sets,
-        the :class:`~repro.core.front.ReductionFailure` witness with
-        its rejected front); :mod:`repro.stream.snapshot` serializes
-        them through the typed checkpoint codec.  ``last_result`` and
-        the verdict cache are deliberately absent — both are rebuilt by
-        the next commit and never cross a restart boundary.
-        """
-        return {
-            "assembler": self.assembler.snapshot_state(),
-            "observed0": self._observed0,
-            "known_leaves": self._known_leaves,
-            "seeded": self._seeded,
-            "events": self._events,
-            "failure": self._failure,
-            "rejected_at_event": self._rejected_at_event,
-            "rejected_at_commit": self._rejected_at_commit,
-            "kind_counts": dict(self._kind_counts),
-            "skips": self._skips,
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Restore :meth:`snapshot_state` output into this (fresh)
-        checker.  Replaying the log suffix after this yields the same
-        verdict, witness, and canonical telemetry bytes as an
-        uninterrupted run over the whole log — the resume contract the
-        snapshot tests pin."""
-        assembler_state = state["assembler"]
-        assert isinstance(assembler_state, dict)
-        self.assembler.restore_state(assembler_state)
-        observed0 = state["observed0"]
-        assert isinstance(observed0, Relation)
-        self._observed0 = observed0
-        known_leaves = state["known_leaves"]
-        assert isinstance(known_leaves, set)
-        self._known_leaves = {str(leaf) for leaf in known_leaves}
-        seeded = state["seeded"]
-        assert isinstance(seeded, set)
-        self._seeded = {(str(a), str(b)) for a, b in seeded}
-        self._events = int(state["events"])  # type: ignore[call-overload]
-        failure = state["failure"]
-        assert failure is None or isinstance(failure, ReductionFailure)
-        self._failure = failure
-        rejected_at_event = state["rejected_at_event"]
-        self._rejected_at_event = (
-            None if rejected_at_event is None else int(rejected_at_event)  # type: ignore[call-overload]
-        )
-        rejected_at_commit = state["rejected_at_commit"]
-        self._rejected_at_commit = (
-            None if rejected_at_commit is None else int(rejected_at_commit)  # type: ignore[call-overload]
-        )
-        kind_counts = state["kind_counts"]
-        assert isinstance(kind_counts, dict)
-        self._kind_counts = {
-            str(kind): int(count) for kind, count in kind_counts.items()
-        }
-        self._skips = int(state["skips"])  # type: ignore[call-overload]
-        self._verdict_cache = None
-        self.last_result = None
 
     # ------------------------------------------------------------------
     def finalize(self) -> StreamResult:

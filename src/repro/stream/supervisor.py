@@ -1,4 +1,4 @@
-"""Self-healing watch loop: restart from snapshots, quarantine poison.
+"""Self-healing watch loop: restart by re-reading, quarantine poison.
 
 :class:`StreamSupervisor` runs the ``composite-tx watch`` loop under
 the same supervision contract the batch layer gives grid tasks
@@ -7,14 +7,12 @@ line, a protocol violation, a log truncated underneath the tailer, a
 hang caught by the :func:`~repro.analysis.supervise.time_limit` alarm
 — is restarted after a seeded deterministic backoff
 (:func:`repro.simulator.retry.make_retry_policy`; the default is the
-chaos layer's seeded full-jitter exponential), resuming from the
-latest *valid* snapshot: read, self-digest-checked, and
-fingerprint-verified against the log being tailed
-(:mod:`repro.stream.snapshot`).  A snapshot the log no longer agrees
-with (rotation, divergence — ``CTX501``) or that is itself corrupt
-(``CTX503``) is discarded and the attempt falls back to a full re-read
-from offset 0, so supervision never resumes lying state; it only ever
-trades replay work for it.
+chaos layer's seeded full-jitter exponential) with a fresh checker
+that re-reads the log from offset 0.  The checker's state at any
+offset is a pure function of the log prefix (the Def. 16 reduction
+over the roots committed so far), so a re-read recovers it exactly —
+there is no saved state to verify or to distrust, and a log rotated or
+rewritten underneath the watch is simply read as it now is.
 
 Failures are attributed to the byte offset just past the line being
 consumed when the attempt died.  Deterministic failures therefore
@@ -26,13 +24,14 @@ final error — the streaming analogue of the batch supervisor's
 ``max_restarts`` cap bounds pathological non-repeating failures; past
 it the last error propagates.
 
-Every restart emits a ``stream.recover`` meta record (mode
-``snapshot``/``full``, the resume offset, and how many events the
-restored checker already accounted for) on the ``"watch"`` telemetry
-stream — dropped from canonical dumps, surfaced by ``composite-tx
-profile`` as the stream-recovery section — so "how much replay did
-crashes cost" is a measured quantity, which BENCH_ST2 and the
-kill-and-resume CI smoke assert on.
+Every failure emits a ``stream.supervisor.failure`` meta record (the
+attributed offset, the error type, and its CTX code when it carries a
+diagnostic) and every restart a ``stream.recover`` meta record (the
+attempt, and ``reread``: the offset the failed attempt died at, which
+the restart reads up to again) on the ``"watch"`` telemetry stream —
+dropped from canonical dumps, surfaced by ``composite-tx profile`` as
+the stream-recovery section — so "how much replay did crashes cost" is
+a measured quantity.
 
 The loop itself is injectable (``sleep``, ``on_idle``) and
 single-threaded, which is what lets the chaos harness
@@ -46,10 +45,10 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.analysis.supervise import time_limit
-from repro.exceptions import CompositeTxError, SnapshotError
+from repro.exceptions import CompositeTxError
 from repro.lint.diagnostics import Diagnostic, Location, Severity
 from repro.obs.telemetry import Telemetry
 from repro.simulator.retry import RetryPolicy, make_retry_policy
@@ -57,13 +56,6 @@ from repro.stream.checker import (
     WATCH_STREAM,
     IncrementalChecker,
     StreamResult,
-)
-from repro.stream.snapshot import (
-    SnapshotWriter,
-    read_snapshot,
-    restore_checker,
-    restore_tail,
-    verify_snapshot,
 )
 from repro.stream.tail import EventLogTail
 
@@ -118,15 +110,13 @@ class SupervisedWatch:
 
 
 class StreamSupervisor:
-    """Run the watch loop with restart-from-snapshot supervision
-    (see module docstring)."""
+    """Run the watch loop with restart-by-re-read supervision (see
+    module docstring)."""
 
     def __init__(
         self,
         log_path: Union[str, "os.PathLike[str]"],
         *,
-        snapshot_path: Optional[str] = None,
-        snapshot_every: int = 1,
         follow: bool = True,
         interval: float = 0.05,
         quarantine_after: int = 3,
@@ -142,8 +132,6 @@ class StreamSupervisor:
         if quarantine_after < 1:
             raise ValueError("quarantine_after must be >= 1")
         self.log_path = str(log_path)
-        self.snapshot_path = snapshot_path
-        self.snapshot_every = snapshot_every
         self.follow = follow
         self.interval = interval
         self.quarantine_after = quarantine_after
@@ -164,68 +152,19 @@ class StreamSupervisor:
         self.checker: Optional[IncrementalChecker] = None
 
     # ------------------------------------------------------------------
-    def _bootstrap(
-        self, attempt: int
-    ) -> Tuple[IncrementalChecker, EventLogTail, str, int, bool]:
-        """A (checker, tail, mode, restored-events, fell-back) tuple
-        for one attempt: restored from the latest valid snapshot when
-        there is one, else fresh from offset 0.  Invalid snapshots are
-        *recorded and skipped*, never trusted — the fell-back flag is
-        True when one was, so the full re-read is surfaced as a
-        recovery even on a first attempt."""
-        fell_back = False
-        if self.snapshot_path and os.path.exists(self.snapshot_path):
-            try:
-                document = read_snapshot(self.snapshot_path)
-                verify_snapshot(
-                    document,
-                    self.log_path,
-                    snapshot_path=self.snapshot_path,
-                )
-            except SnapshotError as err:
-                code = getattr(err.diagnostic, "code", None)
-                self.telemetry.meta(
-                    "stream.snapshot.invalid",
-                    attempt=attempt,
-                    code=str(code),
-                )
-                fell_back = True
-            else:
-                checker = restore_checker(
-                    document, telemetry=self.telemetry
-                )
-                tail = restore_tail(document, self.log_path)
-                return (
-                    checker,
-                    tail,
-                    "snapshot",
-                    checker.verdict().events,
-                    False,
-                )
-        return (
-            IncrementalChecker(telemetry=self.telemetry),
-            EventLogTail(self.log_path),
-            "full",
-            0,
-            fell_back,
-        )
-
     def _watch(
         self,
         checker: IncrementalChecker,
         tail: EventLogTail,
-        writer: Optional[SnapshotWriter],
         position: Dict[str, int],
     ) -> StreamResult:
-        """One watch attempt: poll, ingest, snapshot, finalize."""
+        """One watch attempt: poll, ingest, finalize."""
         while True:
             events = tail.poll()
             for tailed in events:
                 position["offset"] = tailed.offset
                 position["line"] = tailed.line
                 checker.ingest(tailed.event)
-            if writer is not None and events:
-                writer.maybe(checker, tail)
             if checker.ended:
                 break
             if not events:
@@ -234,8 +173,6 @@ class StreamSupervisor:
                 if self.on_idle is not None:
                     self.on_idle()
                 self.sleep(self.interval)
-        if writer is not None:
-            writer.maybe(checker, tail)
         return checker.finalize()
 
     # ------------------------------------------------------------------
@@ -251,44 +188,27 @@ class StreamSupervisor:
         attempt = 0
         while True:
             attempt += 1
-            checker, tail, mode, restored, fell_back = self._bootstrap(
-                attempt
-            )
+            checker = IncrementalChecker(telemetry=self.telemetry)
+            tail = EventLogTail(self.log_path)
             self.checker = checker
-            if attempt > 1 or mode == "snapshot" or fell_back:
-                self.telemetry.meta(
-                    "stream.recover",
-                    mode=mode,
-                    attempt=attempt,
-                    offset=tail.offset,
-                    line=tail.line,
-                    events=restored,
-                )
-            writer = (
-                SnapshotWriter(
-                    self.snapshot_path,
-                    every=self.snapshot_every,
-                    telemetry=self.telemetry,
-                )
-                if self.snapshot_path
-                else None
-            )
-            position = {"offset": tail.offset, "line": tail.line}
+            position = {"offset": 0, "line": 0}
             try:
                 with time_limit(self.attempt_timeout):
-                    result = self._watch(checker, tail, writer, position)
+                    result = self._watch(checker, tail, position)
             except CompositeTxError as err:
                 offset = int(
                     getattr(err, "offset", None) or position["offset"]
                 )
                 count = self._failures.get(offset, 0) + 1
                 self._failures[offset] = count
+                diagnostic = getattr(err, "diagnostic", None)
                 self.telemetry.meta(
                     "stream.supervisor.failure",
                     attempt=attempt,
                     offset=offset,
                     failures=count,
                     error=type(err).__name__,
+                    code=getattr(diagnostic, "code", None),
                 )
                 if count >= self.quarantine_after:
                     line = int(
@@ -310,7 +230,7 @@ class StreamSupervisor:
                             ),
                             fix_hint=(
                                 "repair or excise the poison line, "
-                                "then resume from the snapshot"
+                                "then watch the log again"
                             ),
                         ),
                     )
@@ -326,6 +246,11 @@ class StreamSupervisor:
                 if attempt > self.max_restarts:
                     raise
                 self.telemetry.count("stream.supervisor.restart")
+                self.telemetry.meta(
+                    "stream.recover",
+                    attempt=attempt + 1,
+                    reread=offset,
+                )
                 self.sleep(self.policy.delay(attempt, self._rng))
             else:
                 return SupervisedWatch(

@@ -10,7 +10,9 @@ incremental: only bytes past the consumed offset are ever re-read.
 Offsets are plain byte offsets into the file.  Each returned event
 carries the offset *after* its line, so a consumer can persist the
 last offset it acted on and a later ``watch --from-offset`` can
-suppress re-announcing transitions it already reported.
+suppress re-announcing transitions it already reported.  Resuming is
+always a re-read from offset 0: the checker's state is a pure function
+of the log prefix, so nothing but the offset needs to survive a crash.
 
 A well-behaved log only ever *grows*.  If a poll observes the file
 smaller than the consumed offset, the log was truncated or rotated
@@ -19,8 +21,10 @@ unverifiable — ``poll`` raises
 :class:`~repro.exceptions.EventLogTruncatedError` (carrying the
 ``CTX502`` diagnostic) instead of silently reporting "no new events",
 which is what a bare ``seek``-past-EOF + ``read`` would do.  The
-stream supervisor catches it and falls back to a snapshot-verified
-re-read (:mod:`repro.stream.supervisor`).
+stream supervisor catches it and restarts with a re-read from offset 0
+(:mod:`repro.stream.supervisor`); ``watch --from-offset`` raises the
+same error up front when the log is already shorter than the offset
+it is asked to resume past (:func:`log_truncated`).
 """
 
 from __future__ import annotations
@@ -34,7 +38,29 @@ from repro.exceptions import EventLogTruncatedError, ParseError
 from repro.io.eventlog import Event, parse_event_line
 from repro.lint.diagnostics import Diagnostic, Location, Severity
 
-__all__ = ["EventLogTail", "TailedEvent"]
+__all__ = ["EventLogTail", "TailedEvent", "log_truncated"]
+
+
+def log_truncated(path: str, offset: int, size: int) -> EventLogTruncatedError:
+    """The ``CTX502`` error for a log of ``size`` bytes that must hold
+    at least ``offset`` (consumed by a tailer, or named by a resume)."""
+    diagnostic = Diagnostic(
+        code="CTX502",
+        severity=Severity.ERROR,
+        location=Location(file=path),
+        message=(
+            f"event log is {size} bytes, shorter than the offset "
+            f"{offset} already consumed (truncated or rotated)"
+        ),
+        fix_hint="re-read the log from offset 0",
+    )
+    return EventLogTruncatedError(
+        diagnostic.render(),
+        path=path,
+        offset=offset,
+        size=size,
+        diagnostic=diagnostic,
+    )
 
 
 @dataclass(frozen=True)
@@ -70,44 +96,12 @@ class EventLogTail:
         """1-based number of the last fully consumed line."""
         return self._line
 
-    def restore(self, offset: int, line: int) -> None:
-        """Reposition the tailer at a snapshot-recorded position.
-
-        The caller (:mod:`repro.stream.snapshot`) is responsible for
-        having verified that the log's first ``offset`` bytes still
-        match the snapshot's fingerprint before trusting this.
-        """
-        if offset < 0 or line < 0:
-            raise ValueError("tail position must be non-negative")
-        self.offset = offset
-        self._line = line
-
     def poll(self) -> List[TailedEvent]:
         try:
             with open(self.path, "rb") as handle:
                 size = os.fstat(handle.fileno()).st_size
                 if size < self.offset:
-                    raise EventLogTruncatedError(
-                        f"event log {self.path} shrank to {size} bytes "
-                        f"below the consumed offset {self.offset} "
-                        "(truncated or rotated mid-tail)",
-                        path=self.path,
-                        offset=self.offset,
-                        size=size,
-                        diagnostic=Diagnostic(
-                            code="CTX502",
-                            severity=Severity.ERROR,
-                            location=Location(file=self.path),
-                            message=(
-                                f"file size {size} < consumed offset "
-                                f"{self.offset}"
-                            ),
-                            fix_hint=(
-                                "resume from a fingerprint-verified "
-                                "snapshot, or re-read from offset 0"
-                            ),
-                        ),
-                    )
+                    raise log_truncated(self.path, self.offset, size)
                 handle.seek(self.offset)
                 data = handle.read()
         except FileNotFoundError:

@@ -295,31 +295,10 @@ _RAW_TEXTS = {
 
 
 # CTX5xx codes are raised by the streaming recovery layer
-# (SnapshotError / EventLogTruncatedError / PoisonEvent diagnostics),
+# (EventLogTruncatedError / PoisonEvent diagnostics),
 # not through lint_document: each trigger provokes the real error path
 # in a scratch directory.
 _HEADER_LINE = b'{"e": "log", "v": 1, "derive": "declared"}\n'
-
-
-def _ctx501_codes() -> Set[str]:
-    import tempfile
-    from pathlib import Path
-
-    from repro.exceptions import SnapshotError
-    from repro.stream.snapshot import verify_snapshot
-
-    with tempfile.TemporaryDirectory() as tmp:
-        log = Path(tmp) / "log.jsonl"
-        log.write_bytes(_HEADER_LINE)
-        document = {
-            "log": {"offset": 10, "line": 1, "digest": "not-the-prefix"}
-        }
-        try:
-            verify_snapshot(document, log)
-        except SnapshotError as err:
-            assert err.diagnostic is not None
-            return {err.diagnostic.code}
-    return set()
 
 
 def _ctx502_codes() -> Set[str]:
@@ -338,24 +317,6 @@ def _ctx502_codes() -> Set[str]:
         try:
             tail.poll()
         except EventLogTruncatedError as err:
-            assert err.diagnostic is not None
-            return {err.diagnostic.code}
-    return set()
-
-
-def _ctx503_codes() -> Set[str]:
-    import tempfile
-    from pathlib import Path
-
-    from repro.exceptions import SnapshotError
-    from repro.stream.snapshot import read_snapshot
-
-    with tempfile.TemporaryDirectory() as tmp:
-        snap = Path(tmp) / "snap.json"
-        snap.write_text('{"v": 1, "log"', encoding="utf-8")
-        try:
-            read_snapshot(str(snap))
-        except SnapshotError as err:
             assert err.diagnostic is not None
             return {err.diagnostic.code}
     return set()
@@ -383,9 +344,7 @@ def _ctx504_codes() -> Set[str]:
 
 
 _STREAM_TRIGGERS = {
-    "CTX501": _ctx501_codes,
     "CTX502": _ctx502_codes,
-    "CTX503": _ctx503_codes,
     "CTX504": _ctx504_codes,
 }
 
@@ -505,6 +464,15 @@ def test_axiom_payload_becomes_location():
 def test_unregistered_code_is_rejected():
     with pytest.raises(KeyError):
         DiagnosticCollector().report("CTX999", "nope")
+
+
+def test_retired_snapshot_codes_stay_retired():
+    # CTX501/CTX503 named checker-snapshot defects; the codes must never
+    # come back with a different meaning
+    for code in ("CTX501", "CTX503"):
+        assert code not in CODES
+        with pytest.raises(KeyError):
+            DiagnosticCollector().report(code, "retired")
 
 
 def test_counts_are_sorted_and_complete():

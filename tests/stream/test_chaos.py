@@ -17,12 +17,12 @@ def test_scenario_names_are_stable():
         run_chaos_suite(scenarios=["nope"])
 
 
-def test_kill_resumes_from_snapshot_with_partial_replay(tmp_path):
+def test_kill_restarts_with_a_reread(tmp_path):
     [outcome] = run_chaos_suite(scenarios=["kill"])
     assert outcome.status == "REJECTED"
     assert outcome.quarantines == 0
-    assert "snapshot" in outcome.recover_modes
-    assert 0 < outcome.replayed < outcome.total_events
+    assert outcome.attempts == 2
+    assert outcome.codes == []
 
 
 def test_corrupt_line_is_quarantined_then_repaired(tmp_path):
@@ -34,6 +34,13 @@ def test_corrupt_line_is_quarantined_then_repaired(tmp_path):
 
 def test_rotation_falls_back_to_full_reread(tmp_path):
     [outcome] = run_chaos_suite(scenarios=["rotate"])
-    assert "full" in outcome.recover_modes
-    assert "CTX501" in outcome.codes
+    assert outcome.attempts == 2
+    assert outcome.codes == ["CTX502"]
+    assert outcome.status == "REJECTED"
+
+
+def test_reorder_rereads_the_rewritten_prefix(tmp_path):
+    [outcome] = run_chaos_suite(scenarios=["reorder"])
+    assert outcome.attempts == 2
+    assert outcome.quarantines == 0
     assert outcome.status == "REJECTED"

@@ -1,20 +1,31 @@
-"""The streaming kill-and-resume contract, end to end through the CLI:
-SIGKILL a following ``composite-tx watch`` mid-log, resume it from the
-snapshot it left behind, and the certified verdict plus canonical
-telemetry are byte-identical to an uninterrupted batch ``check`` —
-while the resumed watch replays strictly fewer events than the log
-holds (mirrors ``tests/analysis/test_checkpoint.py`` for the batch
-layer)."""
+"""The streaming resume contract, through the CLI: a watch resumed with
+``--from-offset k`` re-reads the whole log and announces exactly the
+uninterrupted run's transitions past ``k``, with canonical telemetry
+byte-identical to a batch ``check``.  End to end: SIGKILL a following
+``composite-tx watch`` mid-log, resume it from the last offset it
+announced, and the two outputs together are the uninterrupted run's
+announcements, none twice (mirrors ``tests/analysis/test_checkpoint.py``
+for the batch layer)."""
 
-import json
+import contextlib
+import io
 import os
 import subprocess
 import sys
 import time
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import repro
+from repro.cli import main
 from repro.io import save
-from repro.io.eventlog import dumps_event, events_from_recorded
+from repro.io.eventlog import (
+    dumps_event,
+    events_from_recorded,
+    interleave_by_commit,
+)
 from repro.obs import canonical_dumps, read_records
 from repro.workloads.generator import WorkloadConfig, generate
 from repro.workloads.topologies import stack_topology
@@ -35,6 +46,137 @@ def _run_cli(args, cwd, timeout=120):
     )
 
 
+def _offset(line):
+    """N for an ``[offset N] ...`` transition line, else None."""
+    if not line.startswith("[offset "):
+        return None
+    return int(line[len("[offset "):line.index("]")])
+
+
+def _announcements(stdout):
+    """The transition lines, as (N, line) pairs."""
+    return [
+        (_offset(line), line)
+        for line in stdout.splitlines()
+        if _offset(line) is not None
+    ]
+
+
+def _write_log(path, events):
+    with open(path, "w", encoding="utf-8") as handle:
+        for event in events:
+            handle.write(dumps_event(event) + "\n")
+
+
+def _main(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        code = main(args)
+    return code, out.getvalue()
+
+
+SEEDS = range(8)
+
+
+@pytest.fixture(scope="module")
+def references(tmp_path_factory):
+    """seed -> (log path, line-boundary offsets, uninterrupted watch
+    stdout, canonical check telemetry), for commit-interleaved logs."""
+    out = {}
+    for seed in SEEDS:
+        tmp_path = tmp_path_factory.mktemp(f"seed{seed}")
+        recorded = generate(
+            stack_topology(3),
+            WorkloadConfig(seed=seed, roots=3, conflict_probability=0.2),
+        )
+        exec_path = tmp_path / "exec.json"
+        save(recorded, str(exec_path))
+        check_out = tmp_path / "check.jsonl"
+        _main(["check", str(exec_path), "--telemetry-out", str(check_out)])
+        log = tmp_path / "log.jsonl"
+        events = interleave_by_commit(events_from_recorded(recorded))
+        _write_log(log, events)
+        offsets = [0]
+        for event in events:
+            offsets.append(offsets[-1] + len(dumps_event(event)) + 1)
+        code, stdout = _main(["watch", str(log)])
+        assert code == 0
+        out[seed] = (
+            log,
+            offsets,
+            stdout,
+            canonical_dumps(read_records(str(check_out))),
+        )
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.sampled_from(SEEDS), data=st.data())
+def test_any_offset_resume_announces_exactly_the_suffix(
+    references, seed, data
+):
+    """The headline property: resume at any line boundary ``k`` and
+    the watch prints the uninterrupted run's transitions at offsets
+    ``> k`` and nothing else, and its verdict, witness and canonical
+    telemetry are indistinguishable from never having stopped."""
+    log, offsets, full, check_canonical = references[seed]
+    # every line boundary, with the ones at and just before a
+    # transition drawn as often as all the others together
+    edges = []
+    for offset, _ in _announcements(full):
+        edges += [offset, offsets[offsets.index(offset) - 1]]
+    k = data.draw(
+        st.sampled_from(offsets) | st.sampled_from(edges), label="k"
+    )
+    telemetry = log.parent / f"watch-{k}.jsonl"
+    code, resumed = _main(
+        [
+            "watch", str(log),
+            "--from-offset", str(k),
+            "--telemetry-out", str(telemetry),
+        ]
+    )
+    assert code == 0
+    expected = [
+        line for line in full.splitlines(keepends=True)
+        if _offset(line) is None or _offset(line) > k
+    ]
+    assert resumed == "".join(expected)
+    assert canonical_dumps(read_records(str(telemetry))) == check_canonical
+
+
+def test_from_offset_past_the_end_is_ctx502(tmp_path):
+    """A resume offset the log does not reach cannot be trusted: it
+    would silently suppress every transition below it, a REJECTED
+    alert included.  One CTX502 error line, exit 1, no traceback."""
+    log = tmp_path / "short.jsonl"
+    _write_log(
+        log,
+        events_from_recorded(
+            generate(stack_topology(2), WorkloadConfig(seed=1, roots=2))
+        ),
+    )
+    size = log.stat().st_size
+    for extra in ([], ["--follow"]):
+        completed = _run_cli(
+            ["watch", str(log), "--from-offset", str(size + 1), *extra],
+            cwd=str(tmp_path),
+        )
+        assert completed.returncode == 1
+        assert completed.stdout == ""
+        assert completed.stderr.startswith("repro watch: error: CTX502")
+        assert f"{size} bytes" in completed.stderr
+        assert "Traceback" not in completed.stderr
+        assert len(completed.stderr.splitlines()) == 1
+    # exactly the log's length is still a valid resume point
+    completed = _run_cli(
+        ["watch", str(log), "--from-offset", str(size)], cwd=str(tmp_path)
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
 def test_sigkilled_watch_resumes_byte_identical(tmp_path):
     recorded = generate(
         stack_topology(3),
@@ -44,90 +186,73 @@ def test_sigkilled_watch_resumes_byte_identical(tmp_path):
     exec_path = tmp_path / "exec.json"
     save(recorded, str(exec_path))
 
-    # uninterrupted reference: the batch check's canonical telemetry
+    # uninterrupted references: the batch check's canonical telemetry
+    # and a plain watch's announcements over the complete log
     ref = _run_cli(
         ["check", str(exec_path), "--telemetry-out",
          str(tmp_path / "ref.jsonl")],
         cwd=str(tmp_path),
     )
     assert ref.returncode in (0, 2), ref.stderr
+    full_log = tmp_path / "full.jsonl"
+    _write_log(full_log, events)
+    uninterrupted = _run_cli(["watch", str(full_log)], cwd=str(tmp_path))
+    assert uninterrupted.returncode == 0, uninterrupted.stderr
+    reference = _announcements(uninterrupted.stdout)
+    assert len(reference) == 2  # ACCEPTED at once, REJECTED near the end
 
     # a live writer appends the log while a following watch tails it
     log = tmp_path / "log.jsonl"
-    snap = tmp_path / "snap.json"
+    victim_out = tmp_path / "victim.txt"
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
-    victim = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "watch", str(log),
-            "--follow", "--interval", "0.01",
-            "--snapshot-out", str(snap),
-        ],
-        cwd=str(tmp_path),
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    try:
-        half = len(events) // 2
-        with open(log, "w", encoding="utf-8") as handle:
-            for event in events[:half]:
-                handle.write(dumps_event(event) + "\n")
-            handle.flush()
-        # SIGKILL once a snapshot covering some of the prefix exists
-        deadline = time.time() + 60
-        while time.time() < deadline:
-            if victim.poll() is not None:
-                break
-            try:
-                if json.loads(snap.read_text())["log"]["offset"] > 0:
+    with open(victim_out, "w", encoding="utf-8") as sink:
+        victim = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "watch", str(log),
+                "--follow", "--interval", "0.01",
+            ],
+            cwd=str(tmp_path),
+            env=env,
+            stdout=sink,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            half = len(events) // 2
+            _write_log(log, events[:half])
+            # SIGKILL once the watch has announced something
+            deadline = time.time() + 60
+            while time.time() < deadline:
+                if victim.poll() is not None:
                     break
-            except (OSError, json.JSONDecodeError, KeyError):
-                pass
-            time.sleep(0.005)
-        killed_mid_watch = victim.poll() is None
-        victim.kill()
-    finally:
-        victim.wait(timeout=60)
+                if _announcements(victim_out.read_text()):
+                    break
+                time.sleep(0.005)
+            killed_mid_watch = victim.poll() is None
+            victim.kill()
+        finally:
+            victim.wait(timeout=60)
     assert killed_mid_watch, "watch exited before the kill landed"
+    killed = _announcements(victim_out.read_text())
+    assert killed and "final verdict" not in victim_out.read_text()
 
-    # the snapshot on disk is complete JSON despite the SIGKILL
-    document = json.loads(snap.read_text())
-    assert document["v"] == 1
-    snapshot_events = document["log"]["line"]
-    assert 0 < snapshot_events <= half
-
-    # the writer finishes the log; the resumed watch replays only the
-    # suffix past the snapshot and certifies
-    with open(log, "w", encoding="utf-8") as handle:
-        for event in events:
-            handle.write(dumps_event(event) + "\n")
+    # the writer finishes the log; the resumed watch re-reads it and
+    # announces only past the last offset the killed watch printed
+    _write_log(log, events)
     resumed = _run_cli(
         [
             "watch", str(log),
-            "--resume-from-snapshot", str(snap),
+            "--from-offset", str(killed[-1][0]),
             "--telemetry-out", str(tmp_path / "watch.jsonl"),
         ],
         cwd=str(tmp_path),
     )
     assert resumed.returncode == 0, resumed.stderr
-    assert f"{snapshot_events} event(s) restored" in resumed.stderr
+    combined = killed + _announcements(resumed.stdout)
+    assert combined == reference
+    assert len({offset for offset, _ in combined}) == len(combined)
 
     # canonical telemetry byte-identity with the uninterrupted check
     ours = canonical_dumps(read_records(str(tmp_path / "watch.jsonl")))
     theirs = canonical_dumps(read_records(str(tmp_path / "ref.jsonl")))
     assert ours == theirs
-
-    # strictly fewer events replayed than the log holds, and the
-    # recovery is measured on the watch stream
-    records = read_records(str(tmp_path / "watch.jsonl"))
-    recover = [r for r in records if r.get("name") == "stream.recover"]
-    assert recover and recover[0]["fields"]["mode"] == "snapshot"
-    assert recover[0]["fields"]["events"] == snapshot_events
-    replayed = [
-        r for r in records
-        if r.get("name") == "stream.recover.replayed"
-    ]
-    assert replayed
-    assert replayed[0]["fields"]["value"] == len(events) - snapshot_events
-    assert replayed[0]["fields"]["value"] < len(events)

@@ -1,6 +1,6 @@
-"""Supervised watch: restart-from-snapshot through injected failures,
-poison-event quarantine with offset attribution, invalid-snapshot
-fallback, hang detection, and seeded-backoff determinism."""
+"""Supervised watch: restart-by-re-read through injected failures,
+poison-event quarantine with offset attribution, log rotation, hang
+detection, and seeded-backoff determinism."""
 
 import pytest
 
@@ -23,12 +23,12 @@ def _lines(events):
     return [(dumps_event(e) + "\n").encode("utf-8") for e in events]
 
 
-def _supervisor(log, snap, **kwargs):
+def _supervisor(log, **kwargs):
     kwargs.setdefault("follow", False)
     kwargs.setdefault("quarantine_after", 2)
     kwargs.setdefault("backoff_base", 0.0)
     kwargs.setdefault("sleep", lambda _s: None)
-    return StreamSupervisor(str(log), snapshot_path=str(snap), **kwargs)
+    return StreamSupervisor(str(log), **kwargs)
 
 
 def _metas(supervisor, name):
@@ -44,7 +44,7 @@ class TestCleanRun:
         recorded, events = _workload()
         log = tmp_path / "log.jsonl"
         log.write_bytes(b"".join(_lines(events)))
-        watch = _supervisor(log, tmp_path / "snap.json").run()
+        watch = _supervisor(log).run()
         assert watch.attempts == 1 and not watch.quarantined
         assert watch.result is not None
         batch = reduce_to_roots(recorded.system)
@@ -65,7 +65,7 @@ class TestQuarantine:
         )
         log = tmp_path / "log.jsonl"
         log.write_bytes(b"".join(poisoned))
-        supervisor = _supervisor(log, tmp_path / "snap.json")
+        supervisor = _supervisor(log)
         watch = supervisor.run()
         assert watch.quarantined and watch.result is None
         assert watch.attempts == 2
@@ -79,55 +79,49 @@ class TestQuarantine:
         assert poison.line == poison_at + 1
         assert _metas(supervisor, "stream.quarantine") != []
 
-    def test_restart_resumes_from_snapshot_not_offset_zero(
-        self, tmp_path
-    ):
-        """Attempts after a snapshot exists bootstrap from it —
-        restored events > 0, never a re-read from offset 0."""
+    def test_restart_rereads_from_offset_zero(self, tmp_path):
+        """Every restart is a fresh checker over the whole log: the
+        recovery record names the offset the failed attempt died at,
+        and the last attempt's checker carries nothing over (the one
+        poll that read the whole log raised before any ingest)."""
         _, events = _workload()
         lines = _lines(events)
+        poison_at = len(lines) - 20
         log = tmp_path / "log.jsonl"
-        snap = tmp_path / "snap.json"
-        # a clean watch over the prefix leaves a snapshot behind
-        log.write_bytes(b"".join(lines[:-20]))
-        _supervisor(log, snap).run()
-        # the log then grows a poison line
         log.write_bytes(
-            b"".join(lines[:-20] + [b"%not json%\n"] + lines[-20:])
+            b"".join(lines[:poison_at] + [b"%not json%\n"] + lines[poison_at:])
         )
-        supervisor = _supervisor(log, snap)
+        supervisor = _supervisor(log)
         watch = supervisor.run()
-        assert watch.quarantined
-        recovers = _metas(supervisor, "stream.recover")
-        assert recovers, "no stream.recover meta was emitted"
-        assert all(r["mode"] == "snapshot" for r in recovers)
-        assert recovers[0]["events"] > 0
-        assert recovers[0]["offset"] > 0
+        assert watch.quarantined and watch.attempts == 2
+        poison_offset = sum(len(l) for l in lines[:poison_at])
+        assert _metas(supervisor, "stream.recover") == [
+            {"attempt": 2, "reread": poison_offset}
+        ]
+        [_, second] = _metas(supervisor, "stream.supervisor.failure")
+        assert second["offset"] == poison_offset
+        assert supervisor.checker is not None
+        assert supervisor.checker.verdict().events == 0
 
     def test_repair_then_resume_certifies(self, tmp_path):
         """The quarantine fix-hint workflow: excise the poison line,
-        re-run the supervisor, and it resumes from the snapshot and
+        re-run the supervisor, and it re-reads the repaired log and
         certifies the same verdict as an uninterrupted batch check."""
         recorded, events = _workload()
         lines = _lines(events)
         poison_at = len(lines) * 3 // 4
         log = tmp_path / "log.jsonl"
-        snap = tmp_path / "snap.json"
-        # clean prefix first (seeds the snapshot), then the poison
-        log.write_bytes(b"".join(lines[:poison_at]))
-        _supervisor(log, snap).run()
         log.write_bytes(
             b"".join(lines[:poison_at] + [b"%x%\n"] + lines[poison_at:])
         )
-        first = _supervisor(log, snap).run()
+        first = _supervisor(log).run()
         assert first.quarantined
 
         log.write_bytes(b"".join(lines))  # the repair
-        second = _supervisor(log, snap)
+        second = _supervisor(log)
         watch = second.run()
         assert not watch.quarantined and watch.attempts == 1
-        recovers = _metas(second, "stream.recover")
-        assert recovers and recovers[0]["mode"] == "snapshot"
+        assert _metas(second, "stream.recover") == []
         batch = reduce_to_roots(recorded.system)
         assert watch.result.reduction.failure == batch.failure
 
@@ -140,7 +134,6 @@ class TestQuarantine:
         lines = _lines(events)
         log = tmp_path / "log.jsonl"
         log.write_bytes(b"".join(lines[:10] + [b"%x%\n"]))
-        snap = tmp_path / "snap.json"
 
         # every restart repairs the current poison and plants a new
         # one a line later, so the offset never repeats
@@ -154,7 +147,6 @@ class TestQuarantine:
 
         supervisor = _supervisor(
             log,
-            snap,
             quarantine_after=99,
             max_restarts=3,
             sleep=advance,
@@ -163,51 +155,41 @@ class TestQuarantine:
             supervisor.run()
 
 
-class TestInvalidSnapshotFallback:
-    def test_rotated_log_falls_back_to_full_reread(self, tmp_path):
-        """A snapshot whose fingerprint the log no longer matches
-        (CTX501) is skipped — the attempt re-reads from offset 0 and
-        still certifies, surfacing the fallback in telemetry."""
+class TestRotation:
+    def test_rotated_log_is_reread_from_offset_zero(self, tmp_path):
+        """A log copytruncate-rotated under a following watch shrinks
+        below the consumed offset: the tailer raises CTX502, and the
+        restart re-reads the log as it now is while the writer
+        backfills, certifying the batch verdict."""
         recorded, events = _workload()
         lines = _lines(events)
         log = tmp_path / "log.jsonl"
-        snap = tmp_path / "snap.json"
-        log.write_bytes(b"".join(lines[: len(lines) // 2]))
-        # abandoned watch over the half log leaves a snapshot behind
-        first = _supervisor(log, snap, follow=False)
-        first.run()
-        assert snap.exists()
+        half = len(lines) // 2
+        log.write_bytes(b"".join(lines[:half]))
+        state = {"rotated": False}
 
-        # the log is rotated: same events, rewritten with the first
-        # two lines swapped, so the snapshotted prefix bytes differ
-        diverged = [lines[1], lines[0]] + lines[2:]
-        log.write_bytes(b"".join(diverged))
+        def writer():
+            if not state["rotated"]:
+                # rotation that loses the tail: only a prefix survives
+                log.write_bytes(b"".join(lines[: half // 2]))
+                state["rotated"] = True
+            elif log.stat().st_size < sum(len(l) for l in lines):
+                log.write_bytes(b"".join(lines))
 
-        second = _supervisor(log, snap, follow=False, max_restarts=0,
-                             quarantine_after=1)
-        # the swapped order may legitimately fail to certify; the
-        # point here is the bootstrap path, so tolerate either outcome
-        try:
-            second.run()
-        except Exception:
-            pass
-        invalid = _metas(second, "stream.snapshot.invalid")
-        assert invalid and invalid[0]["code"] == "CTX501"
-        recovers = _metas(second, "stream.recover")
-        assert recovers and recovers[0]["mode"] == "full"
-        assert recovers[0]["offset"] == 0 and recovers[0]["events"] == 0
-
-    def test_corrupt_snapshot_falls_back_to_full_reread(self, tmp_path):
-        recorded, events = _workload()
-        log = tmp_path / "log.jsonl"
-        log.write_bytes(b"".join(_lines(events)))
-        snap = tmp_path / "snap.json"
-        snap.write_text("{torn")
-        supervisor = _supervisor(log, snap, follow=False)
+        supervisor = _supervisor(
+            log, follow=True, interval=0.0, on_idle=writer
+        )
         watch = supervisor.run()
-        assert watch.attempts == 1 and not watch.quarantined
-        invalid = _metas(supervisor, "stream.snapshot.invalid")
-        assert invalid and invalid[0]["code"] == "CTX503"
+        assert watch.attempts == 2 and not watch.quarantined
+        [failure] = _metas(supervisor, "stream.supervisor.failure")
+        assert failure["code"] == "CTX502"
+        assert failure["error"] == "EventLogTruncatedError"
+        [recover] = _metas(supervisor, "stream.recover")
+        assert recover == {
+            "attempt": 2,
+            "reread": sum(len(l) for l in lines[:half]),
+        }
+        assert supervisor.checker.verdict().events == len(events)
         batch = reduce_to_roots(recorded.system)
         assert watch.result.reduction.failure == batch.failure
 
@@ -224,7 +206,6 @@ class TestHangDetection:
         log.write_bytes(b"".join(lines[:-1]))  # no end record: stalls
         supervisor = StreamSupervisor(
             str(log),
-            snapshot_path=str(tmp_path / "snap.json"),
             follow=True,
             interval=0.01,
             attempt_timeout=0.3,
@@ -234,7 +215,12 @@ class TestHangDetection:
         watch = supervisor.run()
         assert watch.quarantined
         assert "wall-clock budget" in watch.poison.error
-        assert watch.poison.offset == sum(len(l) for l in lines[:-1])
+        stalled = sum(len(l) for l in lines[:-1])
+        assert watch.poison.offset == stalled
+        # the restart re-read the whole log back to the stall
+        assert _metas(supervisor, "stream.recover") == [
+            {"attempt": 2, "reread": stalled}
+        ]
 
 
 class TestDeterminism:
@@ -246,7 +232,6 @@ class TestDeterminism:
         delays = []
         supervisor = _supervisor(
             log,
-            tmp_path / f"snap-{tag}.json",
             quarantine_after=3,
             backoff_base=0.01,
             seed=seed,

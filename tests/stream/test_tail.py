@@ -93,27 +93,6 @@ def test_truncated_log_raises_ctx502(tmp_path):
     assert err.value.size == sum(len(l.encode()) for l in lines[:2])
 
 
-def test_restore_repositions_exactly(tmp_path):
-    """The snapshot resume path: a fresh tailer restored at a recorded
-    (offset, line) replays exactly the suffix with correct line
-    numbers."""
-    path = tmp_path / "log.jsonl"
-    lines = _lines()
-    path.write_text("".join(lines))
-    tail = EventLogTail(path)
-    consumed = tail.poll()
-    cut = len(consumed) // 2
-    resumed = EventLogTail(path)
-    resumed.restore(consumed[cut - 1].offset, consumed[cut - 1].line)
-    assert resumed.line == consumed[cut - 1].line
-    suffix = resumed.poll()
-    assert [(t.event, t.offset, t.line) for t in suffix] == [
-        (t.event, t.offset, t.line) for t in consumed[cut:]
-    ]
-    with pytest.raises(ValueError):
-        resumed.restore(-1, 0)
-
-
 def test_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "log.jsonl"
     first, second = _lines()[:2]

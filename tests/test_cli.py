@@ -202,6 +202,26 @@ class TestInputErrors:
         assert "No such file or directory" in completed.stderr
         assert "Traceback" not in completed.stderr
 
+    def test_stream_protocol_violation(self, tmp_path):
+        """A log out of protocol (a commit with nothing staged) is a
+        StreamError: one error line naming it, not a traceback."""
+        log = tmp_path / "log.jsonl"
+        log.write_text(
+            '{"e":"log","v":1,"derive":"declared"}\n'
+            '{"e":"commit","root":"R1"}\n'
+        )
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "watch", str(log)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr == (
+            "repro watch: error: commit of root 'R1' with no staged "
+            "transactions\n"
+        )
+
     def test_in_process_status(self, tmp_path, capsys):
         path = tmp_path / "truncated.json"
         path.write_text("")
