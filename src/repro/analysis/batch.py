@@ -88,6 +88,7 @@ from repro.analysis.supervise import (
     REASON_EXCEPTION,
     REASON_HUNG,
     REASON_TIMEOUT,
+    RETRY_POLICY,
     BatchSupervisor,
     QuarantinedTask,
     QuarantineReport,
@@ -184,7 +185,6 @@ def _run_guarded(
     index, task = pair
     if supervisor is None:
         return _attempt(worker, capture, None, index, task)
-    policy = supervisor.resolve_policy()
     rng = supervisor.task_rng(index)
     reason_counts: Dict[str, int] = {}
     last_delay = 0.0
@@ -199,14 +199,14 @@ def _run_guarded(
             return outcome
         reason = outcome.reason
         reason_counts[reason] = reason_counts.get(reason, 0) + 1
-        if not policy.should_retry(
+        if not RETRY_POLICY.should_retry(
             attempt,
             supervisor.max_attempts,
             reason,
             reason_counts[reason],
         ):
             return outcome
-        last_delay = policy.delay(attempt, rng, last_delay)
+        last_delay = RETRY_POLICY.delay(attempt, rng, last_delay)
         supervisor.sleep(last_delay)
 
 
@@ -360,7 +360,6 @@ def run_batch_report(
     worker: Callable[[T], R],
     *,
     workers: int = 1,
-    chunksize: int = 0,
     telemetry: Optional[Telemetry] = None,
     supervisor: Optional[BatchSupervisor] = None,
 ) -> BatchReport:
@@ -419,8 +418,7 @@ def run_batch_report(
                     section.record(i, outcome.result, outcome.events)
         elif supervisor is None and section is None:
             # the historical chunked-map fast path, byte for byte
-            if chunksize <= 0:
-                chunksize = max(1, math.ceil(len(todo) / (workers * 4)))
+            chunksize = max(1, math.ceil(len(todo) / (workers * 4)))
             span.note(chunksize=chunksize)
             try:
                 with worker_pool(min(workers, len(todo))) as pool:
@@ -510,7 +508,6 @@ def run_batch(
     worker: Callable[[T], R],
     *,
     workers: int = 1,
-    chunksize: int = 0,
     telemetry: Optional[Telemetry] = None,
     supervisor: Optional[BatchSupervisor] = None,
 ) -> List[R]:
@@ -529,7 +526,6 @@ def run_batch(
         tasks,
         worker,
         workers=workers,
-        chunksize=chunksize,
         telemetry=telemetry,
         supervisor=supervisor,
     ).results

@@ -205,9 +205,9 @@ class CheckpointSection:
     def record(
         self, index: int, result: Any, events: Sequence[TelemetryEvent]
     ) -> None:
-        """Record one finished task and let the session flush."""
+        """Record one finished task and flush the session."""
         self.completed[index] = (result, list(events))
-        self._session.task_recorded()
+        self._session.flush()
 
     def record_quarantine(self, entry: QuarantinedTask) -> None:
         self.quarantined.append(entry)
@@ -233,37 +233,23 @@ class CheckpointSection:
 class CheckpointSession:
     """One checkpoint file shared by every batch of one command run.
 
-    ``interval`` controls flush cadence: the document is rewritten
-    atomically after every ``interval`` completed tasks (and always
-    when the session closes or a task is quarantined).
+    The document is rewritten atomically after every completed or
+    quarantined task, and when the session closes.
     """
 
-    def __init__(
-        self,
-        path: str,
-        *,
-        argv: Sequence[str] = (),
-        interval: int = 1,
-    ) -> None:
+    def __init__(self, path: str, *, argv: Sequence[str] = ()) -> None:
         self.path = path
         self.argv = list(argv)
-        self.interval = max(1, interval)
         self.completed_ok = False
         self._sections: List[CheckpointSection] = []
         self._restored: List[Dict[str, Any]] = []
-        self._pending = 0
 
     # ------------------------------------------------------------------
     @classmethod
-    def resume(
-        cls, path: str, *, interval: int = 1
-    ) -> "CheckpointSession":
+    def resume(cls, path: str) -> "CheckpointSession":
         """Open an existing checkpoint for resumption."""
         document = read_checkpoint(path)
-        session = cls(
-            path, argv=[str(a) for a in document.get("argv", [])],
-            interval=interval,
-        )
+        session = cls(path, argv=[str(a) for a in document.get("argv", [])])
         sections = document.get("sections", [])
         if not isinstance(sections, list):
             raise CheckpointError(f"{path}: 'sections' is not a list")
@@ -309,11 +295,6 @@ class CheckpointSession:
         return section
 
     # ------------------------------------------------------------------
-    def task_recorded(self) -> None:
-        self._pending += 1
-        if self._pending >= self.interval:
-            self.flush()
-
     def to_dict(self) -> Dict[str, Any]:
         sections = [section.to_dict() for section in self._sections]
         # sections the resumed command has not (re-)claimed yet must
@@ -339,7 +320,6 @@ class CheckpointSession:
             json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
             + "\n",
         )
-        self._pending = 0
 
     def close(self) -> None:
         self.flush()

@@ -45,11 +45,10 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Union,
 )
 
 from repro.exceptions import TaskTimeoutError
-from repro.simulator.retry import RetryPolicy, make_retry_policy
+from repro.simulator.retry import ExponentialBackoff
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import ProcessPoolExecutor
@@ -62,6 +61,10 @@ REASON_CRASH = "crash"
 
 #: seconds between two checks of an orphan watch (:func:`exit_with_parent`)
 ORPHAN_POLL_INTERVAL = 0.25
+
+#: the backoff between a task's attempts; unseeded, so each delay is
+#: drawn from the per-task stream :meth:`BatchSupervisor.task_rng`
+RETRY_POLICY = ExponentialBackoff(base=0.05)
 
 #: multiplier used to derive per-task RNG seeds; a large prime keeps
 #: (seed, index) pairs from colliding for any realistic grid size
@@ -283,7 +286,7 @@ class BatchSupervisor:
     declared hung and replaced (defaults to ``3 * task_timeout + 5``
     when a task timeout is set, else disabled).  ``max_attempts`` is
     the total number of tries per task; between tries the supervisor
-    sleeps ``retry_policy.delay(...)`` drawn from the per-task seeded
+    sleeps a :data:`RETRY_POLICY` delay drawn from the per-task seeded
     stream.  With ``fail_fast=True`` the first task that exhausts its
     attempts aborts the whole batch with
     :class:`~repro.exceptions.BatchTaskError` (the pre-supervision
@@ -294,17 +297,10 @@ class BatchSupervisor:
     task_timeout: Optional[float] = None
     hang_timeout: Optional[float] = None
     max_attempts: int = 1
-    retry_policy: Union[str, RetryPolicy] = "exponential"
-    retry_base: float = 0.05
     retry_seed: int = 0
     fail_fast: bool = False
     #: injectable for tests; must stay a picklable module-level callable
     sleep: Callable[[float], None] = time.sleep
-
-    def resolve_policy(self) -> RetryPolicy:
-        """The retry policy instance (unseeded — the supervisor passes
-        the per-task stream from :meth:`task_rng` to ``delay``)."""
-        return make_retry_policy(self.retry_policy, base=self.retry_base)
 
     def task_rng(self, index: int) -> random.Random:
         """The deterministic jitter stream of task ``index`` — a

@@ -16,7 +16,6 @@ report      run every experiment, write one Markdown report
 profile     render a telemetry JSONL file into per-phase time tables
 eventlog    convert a saved execution into a streaming JSONL event log
 watch       tail an event log through the incremental Comp-C checker
-chaos-stream  fault-inject the watch loop, assert its verdict matches check
 resume      continue a killed run from its --checkpoint-out file
 
 :data:`COMMANDS` is the one table of commands (name, help line,
@@ -56,10 +55,12 @@ command (none, ``-h``, a typo) builds them all, so help and error text
 are the full parser's byte for byte (``tests/test_cli_parser.py``).
 
 Unreadable, malformed or ill-formed input (:class:`OSError`,
-:class:`repro.exceptions.ParseError`, :class:`repro.exceptions.ModelError`)
-ends in one ``repro <command>: error: <message>`` line on stderr and
-exit status 1, never a traceback; a parse error's message carries its
-``CTX4xx`` code and fix hint.
+:class:`repro.exceptions.ParseError`, :class:`repro.exceptions.ModelError`,
+and :class:`repro.exceptions.StreamError` for an event log out of
+protocol) ends in one ``repro <command>: error: <message>`` line on
+stderr and exit status 1, never a traceback; a parse error's message
+carries its ``CTX4xx`` code and fix hint, and a bad event-log line is
+named by its ``FILE:LINE``.
 """
 
 from __future__ import annotations
@@ -640,6 +641,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.analysis.tables import banner
+    from repro.exceptions import StreamError
     from repro.obs import current
     from repro.stream import EventLogTail, IncrementalChecker
     from repro.stream.tail import log_truncated
@@ -659,7 +661,14 @@ def cmd_watch(args: argparse.Namespace) -> int:
         while True:
             batch = tail.poll()
             for tailed in batch:
-                verdict = checker.ingest(tailed.event)
+                try:
+                    verdict = checker.ingest(tailed.event)
+                except StreamError as err:
+                    # name the line, as a ParseError does: it is what
+                    # the operator repairs before resuming
+                    raise StreamError(
+                        f"{tail.path}:{tailed.line}: {err}"
+                    ) from None
                 if tailed.offset <= args.from_offset:
                     # catch-up below the resume offset: state is
                     # rebuilt, transitions are not re-announced
@@ -697,28 +706,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
     )
     if args.strict and verdict.rejected:
         return 2
-    return 0
-
-
-def cmd_chaos_stream(args: argparse.Namespace) -> int:
-    from repro.analysis.tables import banner
-    from repro.stream.chaos import SCENARIOS, run_chaos_suite
-
-    scenarios = args.scenario if args.scenario else list(SCENARIOS)
-    outcomes = run_chaos_suite(
-        seed=args.seed,
-        roots=args.roots,
-        batch_lines=args.batch_lines,
-        scenarios=scenarios,
-    )
-    print(banner("chaos-stream: fault scenarios vs batch check"))
-    for outcome in outcomes:
-        print(outcome.describe())
-    print(
-        f"{len(outcomes)} scenario(s): final verdict, witness, and "
-        "canonical telemetry byte-identical to `check` under every "
-        "fault"
-    )
     return 0
 
 
@@ -1013,27 +1000,6 @@ def _watch_arguments(p: argparse.ArgumentParser) -> None:
     _add_telemetry_option(p)
 
 
-def _chaos_stream_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--scenario",
-        action="append",
-        metavar="NAME",
-        help="run only this scenario (repeatable; default: all)",
-    )
-    p.add_argument("--seed", type=int, default=3)
-    p.add_argument(
-        "--roots", type=int, default=4, help="workload roots (default 4)"
-    )
-    p.add_argument(
-        "--batch-lines",
-        type=int,
-        default=40,
-        metavar="N",
-        help="lines per simulated append batch (default 40)",
-    )
-    _add_telemetry_option(p)
-
-
 def _resume_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("checkpoint")
 
@@ -1090,11 +1056,6 @@ COMMANDS: Tuple[Command, ...] = (
     Command("watch", "stream an event log through the incremental "
             "Comp-C checker: live verdict transitions, batch-certified "
             "final verdict", _watch_arguments, cmd_watch),
-    Command("chaos-stream", "torture the supervised watch loop with log "
-            "faults (kill, torn writes, corruption, duplicates, "
-            "reordering, rotation) and hard-assert the certified verdict "
-            "stays byte-identical to `check`",
-            _chaos_stream_arguments, cmd_chaos_stream),
     Command("resume", "continue a killed chaos/experiment run from its "
             "--checkpoint-out file (re-dispatches the recorded command "
             "with --resume-from)", _resume_arguments, cmd_resume),

@@ -108,7 +108,10 @@ class StreamError(CompositeTxError):
     streaming equivalence invariant) — never for *incorrect* composite
     executions, which are reported through the live verdict exactly
     like the batch path reports them through
-    :class:`repro.core.correctness.CorrectnessReport`.
+    :class:`repro.core.correctness.CorrectnessReport`.  ``watch``
+    prefixes a violation raised while ingesting a logged event with
+    that event's ``FILE:LINE``, as the event-log parser does for a
+    malformed line.
     """
 
 
@@ -120,10 +123,10 @@ class EventLogTruncatedError(StreamError):
     consumed state past the new end is unverifiable.  Carries the
     ``CTX502`` :class:`repro.lint.diagnostics.Diagnostic` plus the
     structural facts (:attr:`path`, :attr:`offset` consumed,
-    :attr:`size` observed) so the stream supervisor can restart with a
-    re-read from offset 0 instead of silently mis-checking.  Also raised
-    by ``watch --from-offset`` when the log is already shorter than the
-    offset it is asked to resume past.
+    :attr:`size` observed), so ``watch`` stops with one error line
+    instead of silently mis-checking; the remedy is a re-read from
+    offset 0.  Also raised by ``watch --from-offset`` when the log is
+    already shorter than the offset it is asked to resume past.
     """
 
     def __init__(

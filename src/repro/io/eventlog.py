@@ -40,7 +40,6 @@ See ``docs/STREAMING.md`` for the schema reference.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -262,20 +261,6 @@ def loads_event_log(
 def save_event_log(events: List[Event], path: Union[str, Path]) -> None:
     """Write a complete log (plain write; logs are append streams)."""
     Path(path).write_text(dumps_event_log(events), encoding="utf-8")
-
-
-def append_events(events: List[Event], path: Union[str, Path]) -> int:
-    """Append events to a (possibly new) log; returns the new size.
-
-    The writer half of a live stream: one ``write`` call per batch, so
-    a concurrent :class:`repro.stream.tail.EventLogTail` sees at most
-    one torn line per poll.  Used by the chaos harness and tests to
-    play the producer role.
-    """
-    data = dumps_event_log(events).encode("utf-8")
-    with open(path, "ab") as handle:
-        handle.write(data)
-    return os.path.getsize(path)
 
 
 def interleave_by_commit(events: List[Event]) -> List[Event]:

@@ -18,13 +18,14 @@ can match on codes instead of message text.  The code space:
   the byte offset), and are registered here so tooling can match their
   codes exactly like lint findings.
 * ``CTX5xx`` — stream **recovery** defects raised by the event-log
-  tailer and the watch supervisor (:mod:`repro.stream.tail`,
-  :mod:`repro.stream.supervisor`): event logs shorter than a consumed
-  or resumed offset (:class:`repro.exceptions.EventLogTruncatedError`,
-  which carries the rendered diagnostic the same way the ``CTX4xx``
-  loaders do), and poison-event quarantine.  ``CTX501`` and
-  ``CTX503`` named checker-snapshot defects; snapshots are gone and
-  the two codes are retired, never to be reused.
+  tailer (:mod:`repro.stream.tail`) and ``watch --from-offset``: event
+  logs shorter than a consumed or resumed offset
+  (:class:`repro.exceptions.EventLogTruncatedError`, which carries the
+  rendered diagnostic the same way the ``CTX4xx`` loaders do).
+  The other ``CTX5xx`` codes named checker-snapshot defects and the
+  stream supervisor's poison-event quarantine; both mechanisms are
+  gone and their codes are retired, never to be reused (named in a
+  comment in :data:`CODES`).
 
 Severity policy: a defect that makes the model meaningless (an axiom
 violation, a cyclic order, a dangling reference) is an **error**; a
@@ -119,12 +120,11 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "CTX402": (Severity.ERROR, "document truncated: JSON text ends "
                "unexpectedly"),
     "CTX403": (Severity.ERROR, "document root is not a JSON object"),
-    # -- CTX5xx: stream recovery (repro.stream tail/supervisor) --------
-    # CTX501 and CTX503 are retired (checker snapshots); never reuse them
+    # -- CTX5xx: stream recovery (repro.stream.tail) -------------------
+    # CTX501 and CTX503 (checker snapshots) and CTX504 (stream
+    # supervisor quarantine) are retired; never reuse them
     "CTX502": (Severity.ERROR, "event log shorter than a consumed or "
                "resumed offset (truncation or rotation)"),
-    "CTX504": (Severity.ERROR, "poison event quarantined: the watcher "
-               "died repeatedly at the same log offset"),
 }
 
 #: Def.-3 axiom name -> diagnostic code (the ScheduleAxiomError bridge).

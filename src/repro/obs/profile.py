@@ -43,8 +43,6 @@ class RunProfile:
         default_factory=list
     )
     reduce_levels: List[Dict[str, Any]] = field(default_factory=list)
-    recoveries: List[Dict[str, Any]] = field(default_factory=list)
-    quarantines: List[Dict[str, Any]] = field(default_factory=list)
     streams: int = 0
     records: int = 0
 
@@ -77,11 +75,6 @@ def build_profile(
             value = float(fields.pop("value", 0))
             key = (record["name"], tuple(sorted(fields.items())))
             counters[key] = counters.get(key, 0.0) + value
-        elif kind == "meta":
-            if record.get("name") == "stream.recover":
-                profile.recoveries.append(dict(record.get("fields", {})))
-            elif record.get("name") == "stream.quarantine":
-                profile.quarantines.append(dict(record.get("fields", {})))
     profile.streams = len(streams)
     profile.phases = sorted(
         by_name.values(), key=lambda s: (-s.total_s, s.name)
@@ -154,28 +147,6 @@ def render_profile(
                 ],
             )
         )
-    if profile.recoveries or profile.quarantines:
-        out.append(banner("stream recovery"))
-        if profile.recoveries:
-            out.append(
-                format_table(
-                    ["recovery", "attempt", "bytes re-read"],
-                    [
-                        [
-                            i + 1,
-                            r.get("attempt", "-"),
-                            r.get("reread", "-"),
-                        ]
-                        for i, r in enumerate(profile.recoveries)
-                    ],
-                )
-            )
-        for q in profile.quarantines:
-            out.append(
-                f"poison event quarantined at offset "
-                f"{q.get('offset', '?')} (log line {q.get('line', '?')}) "
-                f"after {q.get('failures', '?')} failed attempt(s)"
-            )
     out.append(banner(f"slowest spans (top {top})"))
     out.append(
         format_table(

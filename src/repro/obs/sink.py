@@ -146,17 +146,9 @@ def atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_jsonl(
-    events: Iterable[TelemetryEvent], path: str, *, atomic: bool = True
-) -> None:
-    """Write the canonical JSONL stream to ``path`` (atomically by
-    default; ``atomic=False`` restores the plain streaming write)."""
-    text = dumps_events(events)
-    if atomic:
-        atomic_write_text(path, text)
-        return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+def write_jsonl(events: Iterable[TelemetryEvent], path: str) -> None:
+    """Write the canonical JSONL stream to ``path`` atomically."""
+    atomic_write_text(path, dumps_events(events))
 
 
 @dataclass(frozen=True)

@@ -199,15 +199,6 @@ class Telemetry:
         key = (name, _clean_fields(fields))
         self._counters[key] = self._counters.get(key, 0) + value
 
-    def meta(self, name: str, **fields: Any) -> None:
-        """Emit one ``meta`` record — structured bookkeeping that is
-        neither a timed span nor an accumulating counter (the stream
-        supervisor's recovery log, for example).
-        Subject to the same buffer bound as span events."""
-        if not self.enabled:
-            return
-        self._emit("meta", name, None, _clean_fields(fields))
-
     def absorb(self, events: Sequence[TelemetryEvent]) -> None:
         """Adopt events produced by another stream (a batch worker)."""
         if not self.enabled:

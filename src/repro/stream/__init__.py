@@ -12,19 +12,18 @@ watches an execution *as it happens*:
   maintained front injected, emitting a live verdict that flips to
   REJECTED the moment a cycle closes;
 - :mod:`repro.stream.tail` tails a growing JSONL event log with
-  torn-tail tolerance (the ``composite-tx watch`` transport);
-- :mod:`repro.stream.supervisor` runs the watch loop under the batch
-  layer's supervision contract: seeded-backoff restarts that re-read
-  the log from offset 0, and poison-event quarantine.
+  torn-tail tolerance (the ``composite-tx watch`` transport).
 
 The checker's state at any byte offset is a pure function of the log
-prefix, so recovery is always a re-read: a killed watch is resumed by
-re-watching the log with ``--from-offset`` set to the last offset it
-announced.
+prefix, so recovery is always a re-read: a killed watch, or one that
+stopped at a malformed line or a protocol violation (its error names
+the ``FILE:LINE``), is resumed by re-watching the log — repaired, if
+need be — with ``--from-offset`` set to the last offset it announced.
+A failure on the same bytes fails again on every re-read, so there is
+no in-process restart to attempt.
 
 See ``docs/STREAMING.md`` for semantics, the equivalence argument,
-and the recovery contract; ``docs/RESILIENCE.md`` for how
-supervision composes with the rest of the resilience toolkit.
+and the recovery contract.
 """
 
 from repro.stream.assembler import CommitDelta, StreamAssembler
@@ -34,23 +33,15 @@ from repro.stream.checker import (
     StreamVerdict,
     WATCH_STREAM,
 )
-from repro.stream.supervisor import (
-    PoisonEvent,
-    StreamSupervisor,
-    SupervisedWatch,
-)
 from repro.stream.tail import EventLogTail, TailedEvent
 
 __all__ = [
     "CommitDelta",
     "EventLogTail",
     "IncrementalChecker",
-    "PoisonEvent",
     "StreamAssembler",
     "StreamResult",
-    "StreamSupervisor",
     "StreamVerdict",
-    "SupervisedWatch",
     "TailedEvent",
     "WATCH_STREAM",
 ]

@@ -20,11 +20,10 @@ underneath the tailer and every consumed byte past the new end is
 unverifiable — ``poll`` raises
 :class:`~repro.exceptions.EventLogTruncatedError` (carrying the
 ``CTX502`` diagnostic) instead of silently reporting "no new events",
-which is what a bare ``seek``-past-EOF + ``read`` would do.  The
-stream supervisor catches it and restarts with a re-read from offset 0
-(:mod:`repro.stream.supervisor`); ``watch --from-offset`` raises the
-same error up front when the log is already shorter than the offset
-it is asked to resume past (:func:`log_truncated`).
+which is what a bare ``seek``-past-EOF + ``read`` would do.
+``watch --from-offset`` raises the same error up front when the log is
+already shorter than the offset it is asked to resume past
+(:func:`log_truncated`).
 """
 
 from __future__ import annotations
@@ -79,9 +78,12 @@ class EventLogTail:
     A final line without a newline is *torn* — the writer is mid-append
     — and is left unconsumed; it will be parsed on a later poll once
     the newline lands.  A complete line that fails to parse raises
-    :class:`~repro.exceptions.ParseError` (real corruption, not a torn
-    tail — a tailer never waits out a malformed line).  A file smaller
-    than the consumed offset raises
+    :class:`~repro.exceptions.ParseError` naming its ``FILE:LINE``
+    (real corruption, not a torn tail — a tailer never waits out a
+    malformed line).  The events before it are delivered first and the
+    next poll raises, so a consumer acts on the same events before the
+    error however the writer's appends were split across polls.  A
+    file smaller than the consumed offset raises
     :class:`~repro.exceptions.EventLogTruncatedError` (see module
     docstring).
     """
@@ -126,13 +128,12 @@ class EventLogTail:
                     line=line,
                 )
             except ParseError as err:
-                # attribute the defect to its exact log position so
-                # the supervisor can quarantine the poison line even
-                # when the whole log arrived in one poll (the tail's
-                # own state is left uncommitted — nothing before the
-                # defect counts as consumed)
-                if err.offset is None:
-                    err.offset = self.offset + consumed - len(raw)
+                if out:
+                    # hand back what precedes the defect; the next
+                    # poll re-reads the bad line and raises
+                    consumed -= len(raw)
+                    line -= 1
+                    break
                 if err.line is None:
                     err.line = line
                 raise

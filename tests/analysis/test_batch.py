@@ -16,6 +16,7 @@ from repro.analysis.protocols import (
     evaluate_protocol_under_faults,
 )
 from repro.exceptions import BatchTaskError
+from repro.obs import Telemetry
 from repro.simulator.metrics import Metrics
 from repro.workloads.topologies import stack_topology
 
@@ -70,10 +71,18 @@ class TestRunBatch:
         assert excinfo.value.index == 0
         assert excinfo.value.task == 3
 
-    def test_explicit_chunksize(self):
-        assert run_batch(range(10), square, workers=2, chunksize=3) == [
+    def test_derived_chunksize(self):
+        """The chunked-map path sizes its chunks from the task and
+        worker counts (four chunks per worker) and notes the size."""
+        tele = Telemetry()
+        assert run_batch(range(10), square, workers=2, telemetry=tele) == [
             n * n for n in range(10)
         ]
+        (run,) = [
+            e for e in tele.collect()
+            if e.kind == "exit" and e.name == "batch.run"
+        ]
+        assert dict(run.fields)["chunksize"] == 2
 
 
 class TestMergeMetrics:

@@ -140,7 +140,7 @@ class TestSessionProtocol:
     def test_checkpoint_file_is_always_complete_json(self, tmp_path):
         """Atomic rewrite: at every flush the file on disk parses."""
         ck = tmp_path / "ck.json"
-        session = CheckpointSession(str(ck), interval=1)
+        session = CheckpointSession(str(ck))
         with checkpointing(session):
             tasks = [(str(tmp_path / "log"), n) for n in range(3)]
             run_batch_report(tasks, counting_square)
@@ -342,7 +342,7 @@ class TestCheckpointComplete:
         from repro.analysis.checkpoint import checkpoint_complete
 
         path = tmp_path / "ck.json"
-        session = CheckpointSession(str(path), argv=["chaos"], interval=1)
+        session = CheckpointSession(str(path), argv=["chaos"])
         with pytest.raises(RuntimeError):
             with checkpointing(session):
                 section = session.section("fp", 3)

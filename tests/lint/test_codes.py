@@ -322,30 +322,8 @@ def _ctx502_codes() -> Set[str]:
     return set()
 
 
-def _ctx504_codes() -> Set[str]:
-    import tempfile
-    from pathlib import Path
-
-    from repro.stream.supervisor import StreamSupervisor
-
-    with tempfile.TemporaryDirectory() as tmp:
-        log = Path(tmp) / "log.jsonl"
-        log.write_bytes(_HEADER_LINE + b"this line is not an event\n")
-        supervisor = StreamSupervisor(
-            str(log),
-            follow=False,
-            quarantine_after=1,
-            backoff_base=0.0,
-            sleep=lambda _s: None,
-        )
-        watch = supervisor.run()
-        assert watch.poison is not None
-        return {watch.poison.diagnostic.code}
-
-
 _STREAM_TRIGGERS = {
     "CTX502": _ctx502_codes,
-    "CTX504": _ctx504_codes,
 }
 
 
@@ -466,10 +444,11 @@ def test_unregistered_code_is_rejected():
         DiagnosticCollector().report("CTX999", "nope")
 
 
-def test_retired_snapshot_codes_stay_retired():
-    # CTX501/CTX503 named checker-snapshot defects; the codes must never
-    # come back with a different meaning
-    for code in ("CTX501", "CTX503"):
+def test_retired_stream_codes_stay_retired():
+    # CTX501/CTX503 named checker-snapshot defects and CTX504 the stream
+    # supervisor's poison-event quarantine; the codes must never come
+    # back with a different meaning
+    for code in ("CTX501", "CTX503", "CTX504"):
         assert code not in CODES
         with pytest.raises(KeyError):
             DiagnosticCollector().report(code, "retired")

@@ -46,13 +46,6 @@ class TestAtomicWrite:
         atomic_write_text(str(target), "data\n")
         assert os.listdir(tmp_path) == ["file.txt"]
 
-    def test_write_jsonl_nonatomic_still_works(self, tmp_path):
-        target = tmp_path / "events.jsonl"
-        tele = Telemetry(clock=fixed_clock())
-        tele.count("c", 1)
-        write_jsonl(tele.collect(), str(target), atomic=False)
-        assert len(read_records(str(target))) == 1
-
 
 class TestTornTail:
     def test_intact_file_salvages_clean(self, tmp_path):

@@ -256,3 +256,74 @@ def test_sigkilled_watch_resumes_byte_identical(tmp_path):
     ours = canonical_dumps(read_records(str(tmp_path / "watch.jsonl")))
     theirs = canonical_dumps(read_records(str(tmp_path / "ref.jsonl")))
     assert ours == theirs
+
+
+@pytest.mark.parametrize("fault", ["corrupt-line", "duplicate-commit"])
+def test_watch_fault_names_its_line_and_resumes(tmp_path, fault):
+    """A fault in the log stops ``watch`` with one error line naming its
+    ``FILE:LINE``, after announcing exactly the uninterrupted run's
+    transitions before the fault.  Once the bytes are repaired,
+    ``--from-offset N`` (N = the last offset announced) announces only
+    the later transitions, with canonical telemetry byte-identical to
+    ``check``."""
+    recorded = generate(
+        stack_topology(3),
+        WorkloadConfig(seed=6, roots=4, conflict_probability=0.2),
+    )
+    exec_path = tmp_path / "exec.json"
+    save(recorded, str(exec_path))
+    ref = _run_cli(
+        ["check", str(exec_path), "--telemetry-out",
+         str(tmp_path / "check.jsonl")],
+        cwd=str(tmp_path),
+    )
+    assert ref.returncode in (0, 2), ref.stderr
+    events = interleave_by_commit(events_from_recorded(recorded))
+    lines = [dumps_event(event) + "\n" for event in events]
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(lines), encoding="utf-8")
+    uninterrupted = _run_cli(["watch", str(log)], cwd=str(tmp_path))
+    assert uninterrupted.returncode == 0, uninterrupted.stderr
+    reference = _announcements(uninterrupted.stdout)
+
+    # the fault lands on the line just past the first commit
+    first_commit = next(
+        i for i, event in enumerate(events) if event.kind == "commit"
+    )
+    bad = first_commit + 1
+    if fault == "corrupt-line":
+        faulty = lines[:bad] + ["{broken\n"] + lines[bad + 1:]
+        message = "invalid JSON in event log"
+    else:
+        faulty = lines[:bad] + [lines[first_commit]] + lines[bad:]
+        message = f"duplicate commit of root {events[first_commit].root!r}"
+    log.write_text("".join(faulty), encoding="utf-8")
+    failed = _run_cli(["watch", str(log)], cwd=str(tmp_path))
+    assert failed.returncode == 1
+    assert failed.stderr.startswith(
+        f"repro watch: error: {log}:{bad + 1}: {message}"
+    )
+    assert len(failed.stderr.splitlines()) == 1
+    assert "Traceback" not in failed.stderr
+    assert "final verdict" not in failed.stdout
+    fault_offset = len("".join(lines[:bad]).encode())
+    announced = _announcements(failed.stdout)
+    assert announced == [a for a in reference if a[0] <= fault_offset]
+    assert announced, "nothing announced before the fault"
+
+    # repair the bytes and resume past the last announced offset
+    log.write_text("".join(lines), encoding="utf-8")
+    resumed = _run_cli(
+        [
+            "watch", str(log),
+            "--from-offset", str(announced[-1][0]),
+            "--telemetry-out", str(tmp_path / "watch.jsonl"),
+        ],
+        cwd=str(tmp_path),
+    )
+    assert resumed.returncode == 0, resumed.stderr
+    later = _announcements(resumed.stdout)
+    assert later and announced + later == reference
+    ours = canonical_dumps(read_records(str(tmp_path / "watch.jsonl")))
+    theirs = canonical_dumps(read_records(str(tmp_path / "check.jsonl")))
+    assert ours == theirs

@@ -60,18 +60,20 @@ def test_torn_tail_waits_then_completes(tmp_path):
 
 def test_complete_malformed_line_raises(tmp_path):
     """Corruption *before* the tail (a complete line that is not an
-    event) is a real error, not a torn write — attributed to the bad
-    line's exact byte offset and line number, with the tail's own
-    position left uncommitted."""
+    event) is a real error, not a torn write.  The events before it
+    are delivered first; every later poll raises a ParseError naming
+    the bad line's ``FILE:LINE`` and consumes nothing past it."""
     path = tmp_path / "log.jsonl"
     first = _lines()[0]
     path.write_text(first + "{broken\n" + _lines()[1])
     tail = EventLogTail(path)
-    with pytest.raises(ParseError) as err:
-        tail.poll()
-    assert err.value.offset == len(first.encode())
-    assert err.value.line == 2
-    assert tail.offset == 0 and tail.line == 0
+    assert [t.line for t in tail.poll()] == [1]
+    for _ in range(2):
+        with pytest.raises(ParseError) as err:
+            tail.poll()
+        assert err.value.line == 2
+        assert str(err.value).startswith(f"{path}:2: invalid JSON")
+        assert tail.offset == len(first.encode()) and tail.line == 1
 
 
 def test_truncated_log_raises_ctx502(tmp_path):

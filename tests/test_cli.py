@@ -204,7 +204,8 @@ class TestInputErrors:
 
     def test_stream_protocol_violation(self, tmp_path):
         """A log out of protocol (a commit with nothing staged) is a
-        StreamError: one error line naming it, not a traceback."""
+        StreamError: one error line naming it and its ``FILE:LINE``,
+        not a traceback."""
         log = tmp_path / "log.jsonl"
         log.write_text(
             '{"e":"log","v":1,"derive":"declared"}\n'
@@ -218,8 +219,8 @@ class TestInputErrors:
         )
         assert completed.returncode == 1
         assert completed.stderr == (
-            "repro watch: error: commit of root 'R1' with no staged "
-            "transactions\n"
+            f"repro watch: error: {log}:2: commit of root 'R1' with no "
+            "staged transactions\n"
         )
 
     def test_in_process_status(self, tmp_path, capsys):

@@ -115,6 +115,31 @@ def test_serial_lint_loads_no_process_pool(documents):
     assert denied(modules, ("concurrent.futures.process",)) == []
 
 
+#: what a ``watch`` must never load: the simulator and the batch
+#: supervision stack have nothing to do with tailing one log
+WATCH_DENYLIST = (
+    "repro.simulator",
+    "repro.schedulers",
+    "repro.analysis.supervise",
+    "repro.analysis.batch",
+    "multiprocessing",
+)
+
+
+def test_watch_loads_no_simulator_or_supervision(documents, tmp_path):
+    from repro.io import load
+    from repro.io.eventlog import events_from_recorded, save_event_log
+
+    log = tmp_path / "fig1.jsonl"
+    save_event_log(events_from_recorded(load(documents[0])), log)
+    modules = loaded_modules(
+        "from repro.cli import main\n"
+        f"assert main(['watch', {str(log)!r}]) == 0\n"
+    )
+    assert "repro.stream.checker" in modules
+    assert denied(modules, WATCH_DENYLIST) == []
+
+
 # ----------------------------------------------------------------------
 # names resolve
 # ----------------------------------------------------------------------

@@ -62,7 +62,7 @@ def both(argv, capsys):
 
 
 def test_table_lists_every_command_once():
-    assert len(NAMES) == len(set(NAMES)) == 16
+    assert len(NAMES) == len(set(NAMES)) == 15
     assert NAMES[:2] == ["check", "lint"]
 
 
