@@ -643,6 +643,12 @@ class Relation:
             # skip Tarjan, but count the call as before so closure
             # telemetry does not depend on this shortcut.
             return Relation._from_state(list(self._nodes), [0] * n, None, 0)
+        if self.is_transitive():
+            # Already closed (a chain, a two-element order, a relation
+            # the caller just closed): its closure is itself.  One row
+            # test per pair instead of Tarjan; counted like the shortcut
+            # above.
+            return self.copy()
         rows = self._rows
 
         # Tarjan SCC (iterative) to handle cycles; components are

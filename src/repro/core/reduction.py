@@ -84,17 +84,47 @@ class ReductionResult:
     options: ObservedOrderOptions
     fronts: List[Front] = field(default_factory=list)
     failure: Optional[ReductionFailure] = None
-    witnesses: List[List[str]] = field(default_factory=list)
     #: per-level cost accounting, filled in by :meth:`ReductionEngine.run`
     #: (empty when the fronts were built by direct ``next_front`` calls)
     profile: List[LevelProfile] = field(default_factory=list)
     #: the static safety prover's report when ``run(static_precheck=True)``
     #: consulted it — certified or not; ``None`` when no precheck ran
     static_certificate: "Optional[StaticSafetyReport]" = None
+    #: the witnesses a one-shot :meth:`ReductionEngine.run` built next
+    #: to its steps; ``None`` when the fronts came from elsewhere
+    _witnesses: Optional[List[List[str]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def succeeded(self) -> bool:
         return self.failure is None
+
+    @property
+    def witnesses(self) -> List[List[str]]:
+        """One ``F**`` witness per successful reduction step: a
+        linearization of ``fronts[i]`` in which every level-``i+1``
+        transaction is a calculation (Def. 16 step 1).
+
+        A one-shot run builds them while each step's grouping and
+        constraints are at hand.  A streaming commit run
+        (``run(level0=...)``) builds none — the verdict needs only
+        :func:`find_isolation_failure`'s decision that the re-ordering
+        exists — so for it they are derived from the stored fronts on
+        each read.
+        """
+        if self._witnesses is not None:
+            return self._witnesses
+        out: List[List[str]] = []
+        for front in self.fronts[:-1]:
+            grouping = grouping_for_level(
+                self.system, front.nodes, front.level + 1
+            )
+            constraints = calculation_constraints(
+                self.system, front, grouping
+            )
+            out.append(witness_sequence(constraints, grouping, front.nodes))
+        return out
 
     @property
     def skipped_by_precheck(self) -> bool:
@@ -533,19 +563,26 @@ class ReductionEngine:
             result.failure = ReductionFailure(level=0, stage="cc", cycle=cycle)
             return result
         result.fronts.append(front)
+        # A commit run's result is read for its verdict only: it builds
+        # no witnesses, and ``ReductionResult.witnesses`` derives them.
+        witnesses: Optional[List[List[str]]] = [] if level0 is None else None
+        result._witnesses = witnesses
         while front.level < target:
             with tele.span("reduce.level", level=front.level + 1) as span:
                 before = closure_counters()
-                self._check_materialization(front, front.level + 1)
-                grouping = grouping_for_level(
-                    self.system, front.nodes, front.level + 1
-                )
-                constraints = calculation_constraints(
-                    self.system, front, grouping
-                )
-                outcome = self.next_front(
-                    front, _prepared=(grouping, constraints)
-                )
+                if witnesses is None:
+                    outcome = self.next_front(front)
+                else:
+                    self._check_materialization(front, front.level + 1)
+                    grouping = grouping_for_level(
+                        self.system, front.nodes, front.level + 1
+                    )
+                    constraints = calculation_constraints(
+                        self.system, front, grouping
+                    )
+                    outcome = self.next_front(
+                        front, _prepared=(grouping, constraints)
+                    )
                 shown = (
                     outcome.rejected_front
                     if isinstance(outcome, ReductionFailure)
@@ -555,9 +592,10 @@ class ReductionEngine:
                     self._note_level(span, shown, before)
             if isinstance(outcome, ReductionFailure):
                 return self._record_failure(result, outcome, span)
-            result.witnesses.append(
-                witness_sequence(constraints, grouping, front.nodes)
-            )
+            if witnesses is not None:
+                witnesses.append(
+                    witness_sequence(constraints, grouping, front.nodes)
+                )
             front = outcome
             self._record_level(result, front, span)
             result.fronts.append(front)

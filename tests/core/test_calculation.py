@@ -1,5 +1,8 @@
 """Unit tests for calculations (Def. 14) and isolation feasibility."""
 
+import pytest
+
+import repro.core.reduction as reduction
 from repro.core.builder import SystemBuilder
 from repro.core.calculation import (
     calculation_constraints,
@@ -8,8 +11,10 @@ from repro.core.calculation import (
     is_contiguous,
     witness_sequence,
 )
-from repro.core.reduction import ReductionEngine
+from repro.core.reduction import ReductionEngine, reduce_to_roots
 from repro.figures import figure3_system, figure4_system
+from repro.workloads.generator import WorkloadConfig, generate
+from tests.core.golden import GOLDEN_SPECS
 
 
 def stack(db_exec, top_conflicts=()):
@@ -136,3 +141,94 @@ class TestWitness:
         assert is_contiguous(["a", "b", "c"], ["a", "b"])
         assert not is_contiguous(["a", "c", "b"], ["a", "b"])
         assert is_contiguous(["a", "c", "b"], ["c"])
+
+
+def _golden_builder(topo, cfg):
+    return lambda: generate(topo(), WorkloadConfig(**cfg)).system
+
+
+WITNESS_SYSTEMS = [("figure4", figure4_system)] + [
+    (name, _golden_builder(topo, cfg)) for name, topo, cfg in GOLDEN_SPECS
+]
+
+
+def _binds(system, a, b):
+    """An observed pair constrains the re-ordering unless both ends are
+    operations of one schedule that does not make them conflict."""
+    owner = system.schedule_of_operation(a)
+    if owner is None or owner != system.schedule_of_operation(b):
+        return True
+    return system.schedule(owner).conflicting(a, b)
+
+
+def _assert_valid_witness(system, front, witness):
+    """``witness`` is an F** of ``front`` by Def. 16 step 1, checked from
+    the definitions (no engine helper)."""
+    assert sorted(witness) == sorted(front.nodes)
+    position = {node: i for i, node in enumerate(witness)}
+    groups = {}
+    for node in front.nodes:
+        if system.grouping_level(node) == front.level + 1:
+            groups.setdefault(system.parent(node), []).append(node)
+    for members in groups.values():
+        spots = sorted(position[m] for m in members)
+        assert spots == list(range(spots[0], spots[0] + len(spots)))
+    required = list(front.input_weak.pairs()) + list(front.input_strong.pairs())
+    for parent, members in groups.items():
+        schedule = system.schedule(system.schedule_of_transaction(parent))
+        inside = set(members)
+        required.extend(
+            (a, b)
+            for a, b in schedule.transactions[parent].weak_order.pairs()
+            if a in inside and b in inside
+        )
+    required.extend(
+        (a, b)
+        for a, b in front.observed.pairs()
+        if a != b and a in position and b in position and _binds(system, a, b)
+    )
+    for a, b in required:
+        assert position[a] < position[b], (front.level, a, b)
+
+
+def _commit_run(system):
+    """A streaming commit's run: the level-0 front is injected."""
+    engine = ReductionEngine(system)
+    return engine.run(level0=engine.level0_front())
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in WITNESS_SYSTEMS], ids=[n for n, _ in WITNESS_SYSTEMS]
+)
+def test_commit_run_builds_no_witness_and_each_derived_one_is_valid(
+    monkeypatch, build
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("witness_sequence called during the run")
+
+    system = build()
+    monkeypatch.setattr(reduction, "witness_sequence", refuse)
+    result = _commit_run(system)
+    monkeypatch.undo()
+    assert result.fronts
+    witnesses = result.witnesses
+    assert len(witnesses) == len(result.fronts) - 1
+    for front, witness in zip(result.fronts, witnesses):
+        _assert_valid_witness(system, front, witness)
+    # a one-shot run builds the same witnesses alongside its steps
+    assert reduce_to_roots(system).witnesses == witnesses
+
+
+def test_reading_witnesses_is_repeatable_and_leaves_fronts_alone():
+    result = _commit_run(figure4_system())
+
+    def snapshot():
+        return [
+            [list(r.pairs()) for r in (f.observed, f.input_weak, f.input_strong)]
+            for f in result.fronts
+        ]
+
+    before = snapshot()
+    first = result.witnesses
+    assert result.witnesses == first
+    assert snapshot() == before

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.orders import Relation, total_order_from_sequence
+from repro.core.orders import (
+    Relation,
+    closure_counters,
+    total_order_from_sequence,
+)
 from repro.exceptions import CycleError
 
 
@@ -285,3 +289,55 @@ def test_union_contains_both(p1, p2):
 def test_quotient_of_identity_is_same_graph(pairs):
     r = Relation(pairs)
     assert r.mapped(lambda x: x) == r
+
+
+def _warshall(relation):
+    """The transitive closure as a pair set, by the textbook triple loop
+    (``x R+ x`` exactly when ``x`` lies on a cycle or has a self-loop)."""
+    reach = set(relation.pairs())
+    elements = relation.elements
+    for k in elements:
+        for i in elements:
+            if (i, k) in reach:
+                for j in elements:
+                    if (k, j) in reach:
+                        reach.add((i, j))
+    return reach
+
+
+@st.composite
+def closure_inputs(draw):
+    """Random relations, their closures (already transitive), chains and
+    relations with explicit self-loops."""
+    shape = draw(st.sampled_from(["random", "closed", "chain", "loops"]))
+    if shape == "chain":
+        order = draw(st.permutations(range(draw(st.integers(0, 8)))))
+        return Relation(zip(order, order[1:]), elements=order)
+    relation = Relation(draw(pair_lists), elements=draw(st.lists(nodes)))
+    if shape == "closed":
+        return relation.transitive_closure()
+    if shape == "loops":
+        for x in draw(st.lists(nodes, min_size=1, max_size=4)):
+            relation.add(x, x)
+    return relation
+
+
+@given(closure_inputs())
+@settings(max_examples=200, deadline=None)
+def test_closure_matches_warshall_and_is_independent_of_its_input(relation):
+    before = list(relation.pairs())
+    calls, rows = closure_counters()["calls"], closure_counters()["rows"]
+    closed = relation.transitive_closure()
+    counters = closure_counters()
+    assert counters["calls"] == calls + 1
+    assert counters["rows"] == rows + len(relation.elements)
+    assert set(closed.pairs()) == _warshall(relation)
+    assert closed.elements == relation.elements
+    # The result shares no state with its input, in either direction.
+    for x in relation.elements:
+        closed.add(x, "fresh")
+    assert list(relation.pairs()) == before
+    snapshot = list(closed.pairs())
+    for x in closed.elements:
+        relation.add("other", x)
+    assert list(closed.pairs()) == snapshot

@@ -35,6 +35,21 @@ class TestConstruction:
         with pytest.raises(CycleError):
             Transaction("T", ["a", "b"], weak_order=[("a", "b"), ("b", "a")])
 
+    @pytest.mark.parametrize(
+        "orders",
+        [
+            dict(weak_order=[("a", "b"), ("b", "c"), ("c", "a")]),
+            dict(weak_order=[("c", "b")], strong_order=[("a", "c"), ("b", "a")]),
+        ],
+    )
+    def test_cyclic_order_names_its_cycle(self, orders):
+        with pytest.raises(CycleError) as err:
+            Transaction("T", ["a", "b", "c", "d"], **orders)
+        assert err.value.cycle == ["a", "a"]
+        assert str(err.value) == (
+            "intra-transaction order of 'T' is cyclic: cycle a -> a"
+        )
+
     def test_empty_operations_allowed(self):
         # Degenerate but legal: a transaction that did nothing.
         t = Transaction("T", [])
