@@ -58,7 +58,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.certificates import replay_refutation
 from repro.core.observed import ObservedOrderOptions
@@ -71,7 +72,9 @@ from repro.lint.orientation import (
     mixed_graph_unsafe_reason,
 )
 from repro.obs.telemetry import current
-from repro.workloads.topologies import TopologySpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workloads.topologies import TopologySpec
 
 
 class SafetyVerdict(enum.Enum):
@@ -289,8 +292,59 @@ def _covering_pairs(relation: Relation) -> List[Tuple[str, str]]:
     return out
 
 
+#: one conflict pair of a schedule: its items ``a < b``, the level at
+#: which both exist as front nodes, and the recorded weak-output
+#: direction (``True`` for ``a -> b``, ``False`` for ``b -> a``,
+#: ``None`` when the recorded execution leaves the pair unordered)
+_ConflictSource = Tuple[str, str, int, Optional[bool]]
+
+
+@dataclass(frozen=True)
+class _ScheduleSources:
+    """The level-independent edge sources of one schedule."""
+
+    name: str
+    level: int
+    conflicts: Tuple[_ConflictSource, ...]
+    covering: Tuple[Tuple[str, str], ...]
+
+
+def _schedule_sources(system: CompositeSystem) -> List[_ScheduleSources]:
+    """Every schedule's edge sources, in the order the level edges list
+    them (schedules sorted, conflict pairs sorted)."""
+    schedules = system.schedules
+    out: List[_ScheduleSources] = []
+    for sname in sorted(schedules):
+        schedule = schedules[sname]
+        conflicts: List[_ConflictSource] = []
+        for pair in sorted(schedule.conflicts, key=sorted):
+            a, b = sorted(pair)
+            if (a, b) in schedule.weak_output:
+                recorded: Optional[bool] = True
+            elif (b, a) in schedule.weak_output:
+                recorded = False
+            else:
+                recorded = None
+            exists = max(
+                system.materialization_level(a),
+                system.materialization_level(b),
+            )
+            conflicts.append((a, b, exists, recorded))
+        out.append(
+            _ScheduleSources(
+                name=sname,
+                level=system.level_of(sname),
+                conflicts=tuple(conflicts),
+                covering=tuple(_covering_pairs(schedule.weak_input)),
+            )
+        )
+    return out
+
+
 def _level_edges(
-    system: CompositeSystem, level: int
+    system: CompositeSystem,
+    level: int,
+    sources: Sequence[_ScheduleSources],
 ) -> List[SafetyEdge]:
     """The potential-conflict multigraph edges at reduction level
     ``level``, in a deterministic order."""
@@ -304,37 +358,29 @@ def _level_edges(
             reps[node] = cached
         return cached
 
-    for sname in sorted(system.schedules):
-        schedule = system.schedules[sname]
-        for pair in sorted(schedule.conflicts, key=sorted):
-            a, b = sorted(pair)
-            if (
-                system.materialization_level(a) > level
-                or system.materialization_level(b) > level
-            ):
+    for source in sources:
+        for a, b, exists, recorded in source.conflicts:
+            if exists > level:
                 continue  # the operations are not front nodes yet
             u, v = rep(a), rep(b)
             if u == v:
                 continue  # internal to one subtree: ordered below `level`
-            # the recorded execution's direction for the pair, if any
-            if (a, b) in schedule.weak_output:
-                oriented: Optional[Tuple[str, str]] = (u, v)
-            elif (b, a) in schedule.weak_output:
-                oriented = (v, u)
+            if recorded is None:
+                oriented: Optional[Tuple[str, str]] = None
             else:
-                oriented = None
+                oriented = (u, v) if recorded else (v, u)
             edges.append(
                 SafetyEdge(
                     endpoints=(u, v) if u <= v else (v, u),
                     source="conflict",
-                    schedule=sname,
+                    schedule=source.name,
                     pair=(a, b),
                     level=level,
                     oriented=oriented,
                 )
             )
-        if system.level_of(sname) <= level:
-            for a, b in _covering_pairs(schedule.weak_input):
+        if source.level <= level:
+            for a, b in source.covering:
                 u, v = rep(a), rep(b)
                 if u == v:
                     continue
@@ -342,7 +388,7 @@ def _level_edges(
                     SafetyEdge(
                         endpoints=(u, v) if u <= v else (v, u),
                         source="input",
-                        schedule=sname,
+                        schedule=source.name,
                         pair=(a, b),
                         level=level,
                         oriented=(u, v),
@@ -351,23 +397,28 @@ def _level_edges(
     return edges
 
 
-def _front_size(system: CompositeSystem, level: int) -> int:
-    """How many nodes the level-``level`` front has."""
-    count = 0
+def _front_sizes(system: CompositeSystem) -> List[int]:
+    """How many nodes each level's front has, for levels ``0..N``: a
+    node is on the level-``l`` front iff it has materialized by ``l``
+    and is not yet grouped (roots never are)."""
+    top = system.order + 1
+    delta = [0] * (top + 1)
     for node in system.all_nodes():
+        first = system.materialization_level(node)
         grouping = system.grouping_level(node)
-        if system.materialization_level(node) <= level and (
-            grouping is None or grouping > level
-        ):
-            count += 1
-    return count
+        last = top if grouping is None else grouping
+        if first < last:
+            delta[first] += 1
+            delta[last] -= 1
+    return list(accumulate(delta[:top]))
 
 
-def _check_level(system: CompositeSystem, level: int) -> LevelWitness:
-    """Union-find forest test over the level multigraph; parallel edges
-    count as cycles (two sources connecting the same components can
-    orient against each other)."""
-    edges = _level_edges(system, level)
+def _check_level(
+    level: int, edges: Sequence[SafetyEdge], node_count: int
+) -> LevelWitness:
+    """Union-find forest test over the level multigraph ``edges``;
+    parallel edges count as cycles (two sources connecting the same
+    components can orient against each other)."""
     parent: Dict[str, str] = {}
     adjacency: Dict[str, List[Tuple[str, SafetyEdge]]] = {}
 
@@ -390,7 +441,7 @@ def _check_level(system: CompositeSystem, level: int) -> LevelWitness:
             )
             return LevelWitness(
                 level=level,
-                node_count=_front_size(system, level),
+                node_count=node_count,
                 edge_count=len(edges),
                 forest=False,
                 cycle_nodes=cycle_nodes,
@@ -401,7 +452,7 @@ def _check_level(system: CompositeSystem, level: int) -> LevelWitness:
         adjacency.setdefault(v, []).append((u, edge))
     return LevelWitness(
         level=level,
-        node_count=_front_size(system, level),
+        node_count=node_count,
         edge_count=len(edges),
         forest=True,
     )
@@ -412,9 +463,13 @@ def _forest_path(
     start: str,
     goal: str,
 ) -> List[Tuple[str, Optional[SafetyEdge]]]:
-    """The unique ``start -> goal`` path in the current forest, as
-    ``(node, edge-to-next)`` steps (the last step's edge is ``None``
-    placeholder-free: ``goal`` itself is not included)."""
+    """The unique ``start -> goal`` path in the current forest.
+
+    Returns one ``(node, edge)`` step per edge of the path, in order
+    from ``start``: ``edge`` leads from ``node`` to the next step's node,
+    or to ``goal`` for the last step.  ``goal`` itself is not listed, so
+    ``start == goal`` gives ``[]``.  ``edge`` is ``None`` only in the
+    unreachable fallback for a ``goal`` outside ``start``'s tree."""
     if start == goal:
         return []
     frontier = [start]
@@ -533,13 +588,15 @@ def prove_static_safety(
         )
     tele = current()
     with tele.span("lint.prove", levels=system.order + 1) as span:
+        sources = _schedule_sources(system)
+        front_sizes = _front_sizes(system)
         witnesses: List[LevelWitness] = []
         level_edges: Dict[int, List[SafetyEdge]] = {}
         for level in range(system.order + 1):
             tele.count("lint.level_checked")
-            edges = _level_edges(system, level)
+            edges = _level_edges(system, level, sources)
             level_edges[level] = edges
-            witnesses.append(_check_level(system, level))
+            witnesses.append(_check_level(level, edges, front_sizes[level]))
         if all(w.forest for w in witnesses):
             span.note(certified=True, tier="forest")
             return StaticSafetyReport(

@@ -28,7 +28,7 @@ diagnostic (with a fix hint pointing at the propagation) even though
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.builder import SystemBuilder, _execution_pairs
 from repro.core.front import Front
@@ -39,7 +39,9 @@ from repro.exceptions import CompositeTxError, ScheduleAxiomError
 from repro.io.text_format import FORMAT_VERSION
 from repro.io.trace import TRACE_VERSION
 from repro.lint.diagnostics import AXIOM_CODES, Diagnostic, DiagnosticCollector
-from repro.workloads.topologies import TopologySpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workloads.topologies import TopologySpec
 
 _AXIOM_HINTS: Dict[str, str] = {
     "1a": "order the conflicting operations to match the weak input order",
@@ -762,6 +764,8 @@ def lint_topology_document(
     Returns the parsed :class:`TopologySpec` when structurally sound so
     the safety pass can analyze it, otherwise ``None``.
     """
+    from repro.workloads.topologies import TopologySpec
+
     before = len(collector.errors)
     levels = document.get("levels")
     if not isinstance(levels, Mapping) or not levels:

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import repro.lint.safety as safety
 from repro.core.builder import SystemBuilder
 from repro.core.observed import ObservedOrderOptions
 from repro.core.reduction import reduce_to_roots
+from repro.figures import figure1_system, figure3_system, figure4_system
 from repro.io import load
 from repro.lint import (
     DiagnosticCollector,
@@ -26,6 +28,7 @@ from repro.workloads.topologies import (
     TopologySpec,
     fork_topology,
     join_topology,
+    random_dag_topology,
     stack_topology,
     tree_topology,
 )
@@ -177,6 +180,154 @@ def test_topology_diamond_warns_tree_does_not():
     collector = DiagnosticCollector()
     assert analyze_topology_safety(collector, stack_topology(3))
     assert len(collector) == 0
+
+
+# ----------------------------------------------------------------------
+# the per-level multigraph against a definition-level oracle
+# ----------------------------------------------------------------------
+
+
+def _oracle_representative(system, node, level):
+    """Def. 16.2: climb while the grouping step has happened by
+    ``level`` (roots are never grouped)."""
+    grouping = system.grouping_level(node)
+    while grouping is not None and grouping <= level:
+        node = system.parent(node)
+        grouping = system.grouping_level(node)
+    return node
+
+
+def _oracle_covering(relation):
+    """Pairs of ``relation`` with no element strictly between them."""
+    pairs = set(relation.pairs())
+    middles = {b for _, b in pairs}
+    return {
+        (a, b)
+        for a, b in pairs
+        if not any((a, c) in pairs and (c, b) in pairs for c in middles - {a, b})
+    }
+
+
+def _oracle_level(system, level):
+    """The level-``level`` multigraph as the module docstring states it:
+    ``(edges, front size, forest)`` with every edge an
+    ``(endpoints, source, schedule, pair)`` tuple."""
+    rep = {n: _oracle_representative(system, n, level) for n in system.all_nodes()}
+    edges = []
+    for name, schedule in system.schedules.items():
+        for pair in schedule.conflicts:
+            a, b = sorted(pair)
+            exists = max(
+                system.materialization_level(a), system.materialization_level(b)
+            )
+            if exists <= level and rep[a] != rep[b]:
+                ends = tuple(sorted((rep[a], rep[b])))
+                edges.append((ends, "conflict", name, (a, b)))
+        if system.level_of(name) <= level:
+            for a, b in _oracle_covering(schedule.weak_input):
+                if rep[a] != rep[b]:
+                    ends = tuple(sorted((rep[a], rep[b])))
+                    edges.append((ends, "input", name, (a, b)))
+    front = 0
+    for node in system.all_nodes():
+        grouping = system.grouping_level(node)
+        if system.materialization_level(node) <= level and (
+            grouping is None or level < grouping
+        ):
+            front += 1
+    # a multigraph is a forest iff each component has one edge fewer
+    # than it has nodes, i.e. |E| = |V| - #components over touched nodes
+    neighbours = {}
+    for (u, v), *_ in edges:
+        neighbours.setdefault(u, set()).add(v)
+        neighbours.setdefault(v, set()).add(u)
+    components, seen = 0, set()
+    for start in neighbours:
+        if start in seen:
+            continue
+        components += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            for nxt in neighbours[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    forest = len(edges) == len(neighbours) - components
+    return edges, front, forest
+
+
+def _oracle_systems():
+    yield "figure1", figure1_system()
+    yield "figure3", figure3_system()
+    yield "figure4", figure4_system()
+    specs = [
+        stack_topology(3),
+        fork_topology(3),
+        join_topology(3),
+        tree_topology(2, 2),
+        random_dag_topology(3, 2, seed=1),
+    ]
+    for spec in specs:
+        for layout in ("serial", "perturbed", "random"):
+            for seed in range(3):
+                config = WorkloadConfig(
+                    seed=seed,
+                    roots=3,
+                    conflict_probability=0.1 + 0.1 * seed,
+                    intra_order_probability=0.3 if seed == 2 else 0.0,
+                    layout=layout,
+                )
+                yield f"{spec.name}/{layout}/{seed}", generate(spec, config).system
+
+
+def test_level_multigraphs_match_the_definition_oracle():
+    """Every level's edge count, front size and forest bit equal an
+    oracle built straight from the module docstring, and every cycle
+    witness is a closed walk through oracle edges."""
+    levels = cycles = 0
+    for label, system in _oracle_systems():
+        report = prove_static_safety(system, refute=False)
+        assert [w.level for w in report.witnesses] == list(range(system.order + 1))
+        for witness in report.witnesses:
+            levels += 1
+            edges, front, forest = _oracle_level(system, witness.level)
+            where = (label, witness.level)
+            assert witness.edge_count == len(edges), where
+            assert witness.node_count == front, where
+            assert witness.forest == forest, where
+            if forest:
+                continue
+            cycles += 1
+            for edge in witness.cycle_edges:
+                key = (edge.endpoints, edge.source, edge.schedule, edge.pair)
+                assert key in edges, (where, key)
+                assert edge.level == witness.level, where
+            ring = witness.cycle_nodes
+            assert len(ring) == len(witness.cycle_edges) + 1, where
+            assert ring[0] == ring[-1], where
+            for edge, u, v in zip(witness.cycle_edges, ring, ring[1:]):
+                assert set(edge.endpoints) == {u, v}, where
+    assert cycles > 0 and levels > cycles  # both kinds of level occur
+
+
+def test_prover_builds_each_level_edge_once(monkeypatch):
+    """One prover run constructs exactly the edges its witnesses count:
+    no level's multigraph is built twice."""
+    built = []
+
+    class CountingEdge(safety.SafetyEdge):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(safety, "SafetyEdge", CountingEdge)
+    systems = [_lost_update_system(), figure1_system(), figure3_system()]
+    for system in systems:
+        built.clear()
+        report = prove_static_safety(system, refute=False)
+        assert built, "the prover built no edges"
+        assert len(built) == sum(w.edge_count for w in report.witnesses)
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,20 @@ CHECK_DENYLIST = (
     "multiprocessing",
 )
 
+#: what a serial ``lint`` of a system document must never load: the
+#: generators behind topology documents, the criteria they pull in, and
+#: the stacks of other commands
+LINT_DENYLIST = (
+    "repro.workloads",
+    "repro.criteria",
+    "repro.simulator",
+    "repro.stream",
+    "repro.analysis.batch",
+    "repro.viz",
+    "multiprocessing",
+    "concurrent.futures.process",
+)
+
 
 def loaded_modules(code):
     """The ``sys.modules`` names after running ``code`` in a fresh
@@ -105,14 +119,14 @@ def test_analysis_leaf_import_does_not_run_the_package():
     assert analysis == ["repro.analysis", "repro.analysis.tables"]
 
 
-def test_serial_lint_loads_no_process_pool(documents):
+def test_serial_lint_loads_no_command_stack(documents):
     accepted, _ = documents
     modules = loaded_modules(
         "from repro.cli import main\n"
-        f"main(['lint', '--workers', '1', {accepted!r}])\n"
+        f"assert main(['lint', '--workers', '1', {accepted!r}]) == 0\n"
     )
-    assert "repro.lint.report" in modules
-    assert denied(modules, ("concurrent.futures.process",)) == []
+    assert "repro.lint.safety" in modules
+    assert denied(modules, LINT_DENYLIST) == []
 
 
 #: what a ``watch`` must never load: the simulator and the batch
