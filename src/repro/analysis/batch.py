@@ -24,11 +24,10 @@ canonical ``(stream, seq)`` order — so a ``--workers 4`` telemetry file
 is a stable merge of the per-worker streams, identical (modulo wall
 durations) to the serial file.
 
-And it extends to recovery: because merging is a pure function of the
-submission-ordered result list, a run resumed from a checkpoint (see
-:mod:`repro.analysis.checkpoint`) merges restored and fresh results in
-the same order an uninterrupted run would have, producing
-byte-identical metrics and canonical telemetry.
+And it extends to recovery: every task is seeded and merging is a pure
+function of the submission-ordered result list, so a killed run is
+simply re-run with the same command and reproduces its metrics and
+canonical telemetry byte for byte.
 
 Resilience
 ----------
@@ -78,11 +77,6 @@ from typing import (
     TypeVar,
 )
 
-from repro.analysis.checkpoint import (
-    CheckpointSection,
-    ambient_session,
-    batch_fingerprint,
-)
 from repro.analysis.supervise import (
     REASON_CRASH,
     REASON_EXCEPTION,
@@ -257,7 +251,6 @@ def _parallel_outcomes(
     supervisor: Optional[BatchSupervisor],
     todo: Sequence[Tuple[int, T]],
     max_workers: int,
-    section: Optional[CheckpointSection],
 ) -> Dict[int, _TaskOutcome]:
     """Submit-based parallel execution that survives lost workers.
 
@@ -329,8 +322,6 @@ def _parallel_outcomes(
                             index, None, [], repr(err), traceback.format_exc()
                         )
                     outcomes[index] = outcome
-                    if section is not None and outcome.error is None:
-                        section.record(index, outcome.result, outcome.events)
                 if broken:
                     reason = REASON_CRASH
                     lost = [min(broken, key=lambda pair: pair[0])]
@@ -376,13 +367,6 @@ def run_batch_report(
     tasks re-run under the worker-loss rule of
     :func:`_parallel_outcomes`.
 
-    When an ambient :func:`repro.analysis.checkpoint.checkpointing`
-    session is active, this call claims its next checkpoint section:
-    completed tasks are recorded (results + telemetry events) as they
-    finish, and previously completed or quarantined tasks are restored
-    instead of re-run — quarantined tasks are *not* retried on resume;
-    rerun without resuming to retry them.
-
     ``telemetry`` defaults to the ambient sink; when active, each task
     records into its own stream and the events are absorbed here in
     submission order.
@@ -390,33 +374,17 @@ def run_batch_report(
     tele = telemetry if telemetry is not None else current()
     capture = tele.enabled
     task_list = list(tasks)
-    session = ambient_session()
-    section: Optional[CheckpointSection] = None
-    if session is not None:
-        section = session.section(
-            batch_fingerprint(worker, task_list), len(task_list)
-        )
-    restored: Dict[int, Tuple[Any, List[TelemetryEvent]]] = (
-        dict(section.completed) if section is not None else {}
-    )
-    restored_quarantine: List[QuarantinedTask] = (
-        list(section.quarantined) if section is not None else []
-    )
-    skip = set(restored) | {q.index for q in restored_quarantine}
     with tele.span(
         "batch.run", tasks=len(task_list), workers=workers
     ) as span:
-        todo = [
-            (i, task) for i, task in enumerate(task_list) if i not in skip
-        ]
+        todo = list(enumerate(task_list))
         outcomes: Dict[int, _TaskOutcome] = {}
         if workers <= 1 or len(todo) <= 1:
             for i, task in todo:
-                outcome = _run_guarded(worker, capture, supervisor, (i, task))
-                outcomes[i] = outcome
-                if section is not None and outcome.error is None:
-                    section.record(i, outcome.result, outcome.events)
-        elif supervisor is None and section is None:
+                outcomes[i] = _run_guarded(
+                    worker, capture, supervisor, (i, task)
+                )
+        elif supervisor is None:
             # the historical chunked-map fast path, byte for byte
             chunksize = max(1, math.ceil(len(todo) / (workers * 4)))
             span.note(chunksize=chunksize)
@@ -438,30 +406,17 @@ def run_batch_report(
                         None,
                         [pair for pair in todo if pair[0] not in outcomes],
                         workers,
-                        None,
                     )
                 )
         else:
             outcomes = _parallel_outcomes(
-                worker, capture, supervisor, todo, workers, section
+                worker, capture, supervisor, todo, workers
             )
 
         # fold everything back in submission order
         report = BatchReport(results=[])
-        for entry in restored_quarantine:
-            report.quarantine.add(entry)
         first_failure: Optional[Tuple[_TaskOutcome, T]] = None
         for i, task in enumerate(task_list):
-            if i in restored:
-                result, events = restored[i]
-                if capture:
-                    tele.absorb(events)
-                report.results.append(result)
-                report.completed[i] = result
-                continue
-            if i not in outcomes:  # restored quarantine entry
-                report.results.append(None)
-                continue
             outcome = outcomes[i]
             if capture:
                 tele.absorb(outcome.events)
@@ -470,23 +425,18 @@ def run_batch_report(
                 report.completed[i] = outcome.result
                 continue
             report.results.append(None)
-            entry = QuarantinedTask(
-                index=i,
-                task_repr=repr(task),
-                reason=outcome.reason,
-                error=outcome.error,
-                traceback=outcome.error_traceback,
-                attempts=outcome.attempts,
+            report.quarantine.add(
+                QuarantinedTask(
+                    index=i,
+                    task_repr=repr(task),
+                    reason=outcome.reason,
+                    error=outcome.error,
+                    traceback=outcome.error_traceback,
+                    attempts=outcome.attempts,
+                )
             )
-            report.quarantine.add(entry)
-            if section is not None:
-                section.record_quarantine(entry)
             if first_failure is None:
                 first_failure = (outcome, task)
-        # normalize: restored + fresh entries in one deterministic
-        # task-index order, duplicates (a resume replaying a recorded
-        # quarantine) collapsed
-        report.quarantine = QuarantineReport.merge([report.quarantine])
         fail_fast = supervisor.fail_fast if supervisor is not None else True
         if first_failure is not None and fail_fast:
             outcome, task = first_failure
@@ -635,8 +585,7 @@ def chaos_grid_report(
     :func:`repro.analysis.protocols.evaluate_protocol_under_faults`
     per protocol, but with every (protocol, seed) cell an independent
     task — so ``workers`` parallelizes across protocols *and* seeds,
-    the supervisor's quarantine isolates poisoned cells, and an
-    ambient checkpoint session makes the whole grid resumable."""
+    and the supervisor's quarantine isolates poisoned cells."""
     from repro.analysis.protocols import chaos_run_task, merge_chaos_runs
 
     tasks = [

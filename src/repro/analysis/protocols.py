@@ -250,7 +250,7 @@ def chaos_run(
     ``seed`` (the seeding contract of :mod:`repro.simulator.retry`):
     retry jitter then depends only on the cell, not on how many other
     cells shared the worker's engine stream, so a grid sharded or
-    resumed at any granularity reproduces the same runs.  Pass a
+    re-run at any granularity reproduces the same runs.  Pass a
     :class:`RetryPolicy` instance to control seeding yourself.  The
     default is seeded full-jitter exponential backoff — under fault
     storms it spreads synchronized retry herds apart where the legacy

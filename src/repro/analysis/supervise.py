@@ -22,7 +22,7 @@ Retry jitter is drawn from a per-task ``random.Random`` seeded with
 ``retry_seed`` and the task's submission index only (see
 :meth:`BatchSupervisor.task_rng`), never from worker identity or wall
 clock — so the delay sequence of any one task is identical whether the
-grid runs serially, sharded, or resumed from a checkpoint.  This is
+grid runs serially, sharded, or is re-run after a kill.  This is
 the same seeding contract :mod:`repro.simulator.retry` documents for
 seeded policies.
 """
@@ -40,8 +40,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -195,27 +193,6 @@ class QuarantinedTask:
     traceback: str = ""
     attempts: int = 1
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "task": self.task_repr,
-            "reason": self.reason,
-            "error": self.error,
-            "traceback": self.traceback,
-            "attempts": self.attempts,
-        }
-
-    @classmethod
-    def from_dict(cls, document: Dict[str, Any]) -> "QuarantinedTask":
-        return cls(
-            index=int(document["index"]),
-            task_repr=str(document["task"]),
-            reason=str(document["reason"]),
-            error=str(document["error"]),
-            traceback=str(document.get("traceback", "")),
-            attempts=int(document.get("attempts", 1)),
-        )
-
 
 @dataclass
 class QuarantineReport:
@@ -236,25 +213,6 @@ class QuarantineReport:
         self.entries.append(entry)
         self.entries.sort(key=lambda e: e.index)
 
-    @classmethod
-    def merge(
-        cls, reports: "Iterable[QuarantineReport]"
-    ) -> "QuarantineReport":
-        """Deterministic merge: entries from every report,
-        ordered by task index, deduplicated by index (first report
-        wins — a resume can replay an entry its checkpoint already
-        recorded).  Serial, parallel and resumed keep-going runs
-        therefore render identical quarantine sections regardless of
-        completion order.
-        """
-        merged = cls()
-        seen: Dict[int, QuarantinedTask] = {}
-        for report in reports:
-            for entry in report.entries:
-                seen.setdefault(entry.index, entry)
-        merged.entries = [seen[index] for index in sorted(seen)]
-        return merged
-
     def indices(self) -> List[int]:
         return [entry.index for entry in self.entries]
 
@@ -271,9 +229,6 @@ class QuarantineReport:
             )
             lines.append(f"    params: {entry.task_repr}")
         return "\n".join(lines)
-
-    def to_dict(self) -> List[Dict[str, Any]]:
-        return [entry.to_dict() for entry in self.entries]
 
 
 @dataclass

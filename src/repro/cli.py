@@ -16,7 +16,6 @@ report      run every experiment, write one Markdown report
 profile     render a telemetry JSONL file into per-phase time tables
 eventlog    convert a saved execution into a streaming JSONL event log
 watch       tail an event log through the incremental Comp-C checker
-resume      continue a killed run from its --checkpoint-out file
 
 :data:`COMMANDS` is the one table of commands (name, help line,
 argument builder, ``cmd_*``), in ``--help`` order.
@@ -28,19 +27,16 @@ stream (spans, counters) to ``PATH``, deterministically ordered across
 worker counts.  ``profile PATH`` turns such a file back into tables
 (see docs/OBSERVABILITY.md).
 
-``chaos`` and ``experiment`` accept ``--checkpoint-out PATH``: the run
-periodically writes an atomic, schema-versioned checkpoint of every
-completed grid cell.  A killed run continues with ``composite-tx
-resume PATH`` (or ``--resume-from PATH`` on the original command),
-re-running only what had not finished — the resumed run's metrics and
-canonical telemetry are byte-identical to an uninterrupted run's.
-``chaos`` additionally supervises its cells (``--task-timeout``,
-``--task-retries``) and quarantines cells that keep failing instead of
-aborting the grid; ``--fail-fast`` restores the abort-everything
-behaviour.  Under ``--workers N`` a pool worker that is SIGKILLed or
-hangs does not change the output: the tasks it took down re-run, and a
-task that keeps losing workers alone is quarantined as a ``crash`` or
-``hung`` cell.  See docs/RESILIENCE.md.
+Every ``chaos`` and ``experiment`` grid is seeded, so a killed run is
+re-run with the same command: its metrics and canonical telemetry are
+byte-identical to an uninterrupted run's.  ``chaos`` supervises its
+cells (``--task-timeout``, ``--task-retries``) and quarantines cells
+that keep failing instead of aborting the grid; ``--fail-fast``
+restores the abort-everything behaviour.  Under ``--workers N`` a pool
+worker that is SIGKILLed or hangs does not change the output: the
+tasks it took down re-run, and a task that keeps losing workers alone
+is quarantined as a ``crash`` or ``hung`` cell.  See
+docs/RESILIENCE.md.
 
 The CLI is a thin veneer over the library; every command maps onto the
 public API used by the examples and benchmarks.  Each command imports
@@ -56,8 +52,9 @@ are the full parser's byte for byte (``tests/test_cli_parser.py``).
 
 Unreadable, malformed or ill-formed input (:class:`OSError`,
 :class:`repro.exceptions.ParseError`, :class:`repro.exceptions.ModelError`,
-and :class:`repro.exceptions.StreamError` for an event log out of
-protocol) ends in one ``repro <command>: error: <message>`` line on
+:class:`repro.exceptions.WorkloadError` for invalid generator
+parameters, and :class:`repro.exceptions.StreamError` for an event log
+out of protocol) ends in one ``repro <command>: error: <message>`` line on
 stderr and exit status 1, never a traceback; a parse error's message
 carries its ``CTX4xx`` code and fix hint, and a bad event-log line is
 named by its ``FILE:LINE``.
@@ -115,22 +112,32 @@ def _add_telemetry_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_checkpoint_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--checkpoint-out",
-        metavar="PATH",
-        help="periodically write an atomic checkpoint of completed "
-        "grid cells; a killed run continues with `composite-tx resume "
-        "PATH`",
-    )
-    parser.add_argument(
-        "--resume-from",
-        metavar="PATH",
-        help="resume from a checkpoint written by --checkpoint-out: "
-        "completed cells are restored, only unfinished work re-runs "
-        "(quarantined cells are NOT retried; rerun without this flag "
-        "to retry them)",
-    )
+def _count(text: str) -> int:
+    """argparse ``type=`` of a count option: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    """argparse ``type=`` of a time budget: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}"
+        )
+    return value
 
 
 def _add_static_precheck_option(parser: argparse.ArgumentParser) -> None:
@@ -358,7 +365,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
     supervisor = BatchSupervisor(
         task_timeout=args.task_timeout,
-        max_attempts=max(1, args.task_retries),
+        max_attempts=args.task_retries,
         retry_seed=args.seed,
         fail_fast=args.fail_fast,
     )
@@ -646,6 +653,10 @@ def cmd_watch(args: argparse.Namespace) -> int:
     from repro.stream import EventLogTail, IncrementalChecker
     from repro.stream.tail import log_truncated
 
+    if not args.follow:
+        # nothing will append to a missing log: a typo in its path
+        # must not read as an empty, accepted stream
+        os.stat(args.file)
     if args.from_offset:
         # resuming past bytes the log no longer holds would silently
         # suppress every transition below the offset
@@ -707,46 +718,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
     if args.strict and verdict.rejected:
         return 2
     return 0
-
-
-def cmd_resume(args: argparse.Namespace) -> int:
-    from repro.analysis.checkpoint import checkpoint_complete, read_checkpoint
-
-    document = read_checkpoint(args.checkpoint)
-    if checkpoint_complete(document):
-        # every section is fully recorded (or the session closed
-        # cleanly): re-dispatching would spawn a pool just to restore
-        # everything and re-print — say so and succeed instead
-        print(
-            f"{args.checkpoint}: nothing to resume "
-            "(checkpoint records a completed run)"
-        )
-        return 0
-    stored = [str(a) for a in document.get("argv", [])]
-    if not stored:
-        raise SystemExit(
-            f"{args.checkpoint}: no command line recorded; resume with "
-            "the original command plus --resume-from"
-        )
-    # re-dispatch the recorded command with --resume-from appended
-    # (dropping any stale --resume-from a doubly-resumed run recorded)
-    forwarded: List[str] = []
-    skip_next = False
-    for argument in stored:
-        if skip_next:
-            skip_next = False
-            continue
-        if argument == "--resume-from":
-            skip_next = True
-            continue
-        if argument.startswith("--resume-from="):
-            continue
-        forwarded.append(argument)
-    print(
-        "resuming: repro " + " ".join(forwarded + ["--resume-from", args.checkpoint]),
-        file=sys.stderr,
-    )
-    return main(forwarded + ["--resume-from", args.checkpoint])
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -850,8 +821,8 @@ def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--protocol", choices=("cc", "s2pl", "sgt", "to"), default="cc"
     )
-    p.add_argument("--clients", type=int, default=4)
-    p.add_argument("--transactions", type=int, default=8)
+    p.add_argument("--clients", type=_count, default=4)
+    p.add_argument("--transactions", type=_count, default=8)
     p.add_argument("--items", type=int, default=4)
     p.add_argument("--skew", type=float, default=0.8)
     p.add_argument("-o", "--output")
@@ -873,10 +844,10 @@ def _chaos_arguments(p: argparse.ArgumentParser) -> None:
         help="fault-plan scale: 0 disables faults, 1 is the default "
         "mix, >1 amplifies it",
     )
-    p.add_argument("--clients", type=int, default=3)
-    p.add_argument("--transactions", type=int, default=5)
+    p.add_argument("--clients", type=_count, default=3)
+    p.add_argument("--transactions", type=_count, default=5)
     p.add_argument(
-        "--runs", type=int, default=2, help="seeded runs per protocol"
+        "--runs", type=_count, default=2, help="seeded runs per protocol"
     )
     p.add_argument(
         "--retry-policy",
@@ -894,7 +865,7 @@ def _chaos_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--task-timeout",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="per-cell wall-clock budget enforced inside the worker; "
@@ -902,7 +873,7 @@ def _chaos_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--task-retries",
-        type=int,
+        type=_count,
         default=1,
         metavar="N",
         help="attempts per grid cell (seeded jittered backoff between "
@@ -917,7 +888,6 @@ def _chaos_arguments(p: argparse.ArgumentParser) -> None:
     _add_static_precheck_option(p)
     _add_workers_option(p)
     _add_telemetry_option(p)
-    _add_checkpoint_options(p)
 
 
 def _figures_arguments(p: argparse.ArgumentParser) -> None:
@@ -928,10 +898,9 @@ def _experiment_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "name", choices=("t1", "t2", "t3", "t4", "h1", "p2", "a1")
     )
-    p.add_argument("--trials", type=int, default=30)
+    p.add_argument("--trials", type=_count, default=30)
     _add_workers_option(p)
     _add_telemetry_option(p)
-    _add_checkpoint_options(p)
 
 
 def _compare_arguments(p: argparse.ArgumentParser) -> None:
@@ -1000,13 +969,9 @@ def _watch_arguments(p: argparse.ArgumentParser) -> None:
     _add_telemetry_option(p)
 
 
-def _resume_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("checkpoint")
-
-
 def _report_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", default="REPORT.md")
-    p.add_argument("--trials", type=int, default=30)
+    p.add_argument("--trials", type=_count, default=30)
     p.add_argument(
         "--protocols",
         action="store_true",
@@ -1056,9 +1021,6 @@ COMMANDS: Tuple[Command, ...] = (
     Command("watch", "stream an event log through the incremental "
             "Comp-C checker: live verdict transitions, batch-certified "
             "final verdict", _watch_arguments, cmd_watch),
-    Command("resume", "continue a killed chaos/experiment run from its "
-            "--checkpoint-out file (re-dispatches the recorded command "
-            "with --resume-from)", _resume_arguments, cmd_resume),
     Command("report", "run every experiment, write a Markdown report",
             _report_arguments, cmd_report),
 )
@@ -1091,12 +1053,13 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    raw_argv = list(sys.argv[1:]) if argv is None else list(argv)
+    if argv is None:
+        argv = sys.argv[1:]
     # the named command's subparser alone; anything else (no command,
     # -h, an unknown name) gets every command, so help and error text
     # list them all
-    parser = build_parser(raw_argv[0] if raw_argv else None)
-    args = parser.parse_args(raw_argv)
+    parser = build_parser(argv[0] if argv else None)
+    args = parser.parse_args(argv)
 
     def dispatch() -> int:
         telemetry_out = getattr(args, "telemetry_out", None)
@@ -1112,40 +1075,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"telemetry written to {telemetry_out}", file=sys.stderr)
         return code
 
-    def run() -> int:
-        checkpoint_out = getattr(args, "checkpoint_out", None)
-        resume_from = getattr(args, "resume_from", None)
-        if not checkpoint_out and not resume_from:
-            return dispatch()
-        from repro.analysis.checkpoint import (
-            CheckpointSession,
-            checkpointing,
-        )
-
-        if resume_from:
-            # keep checkpointing into the same file (or
-            # --checkpoint-out's override) so a resumed run can itself
-            # be killed and resumed; the recorded argv stays the
-            # original command's
-            session = CheckpointSession.resume(resume_from)
-            if checkpoint_out:
-                session.path = checkpoint_out
-        else:
-            session = CheckpointSession(checkpoint_out, argv=raw_argv)
-        with checkpointing(session):
-            return dispatch()
-
-    from repro.exceptions import ModelError, ParseError, StreamError
+    from repro.exceptions import (
+        ModelError,
+        ParseError,
+        StreamError,
+        WorkloadError,
+    )
 
     try:
-        return run()
-    except (ParseError, ModelError, StreamError, OSError) as error:
-        # unreadable, malformed or ill-formed input, or an event log
-        # out of protocol: one line in argparse's error style instead
-        # of a traceback (the exit status was 1 either way).  Coded
-        # errors (CTX4xx, CTX502) carry their rendered diagnostic as
-        # the message.  Caught outside `checkpointing`, which marks a
-        # checkpoint complete only on a clean exit.
+        return dispatch()
+    except (
+        ParseError, ModelError, StreamError, WorkloadError, OSError
+    ) as error:
+        # unreadable, malformed or ill-formed input, invalid generator
+        # parameters, or an event log out of protocol: one line in
+        # argparse's error style instead of a traceback (the exit
+        # status was 1 either way).  Coded errors (CTX4xx, CTX502)
+        # carry their rendered diagnostic as the message.
         print(f"repro {args.command}: error: {error}", file=sys.stderr)
         return 1
 

@@ -218,17 +218,6 @@ class TaskTimeoutError(CompositeTxError):
     """
 
 
-class CheckpointError(CompositeTxError):
-    """A batch checkpoint could not be written, read, or resumed.
-
-    Raised for unreadable/torn checkpoint documents, for schema
-    versions this build does not understand, and for resume attempts
-    whose grid fingerprint does not match the checkpoint (resuming a
-    checkpoint into a *different* grid would silently mis-merge
-    results).
-    """
-
-
 class ParseError(CompositeTxError):
     """The text format parser rejected its input.
 

@@ -20,7 +20,7 @@ Two mechanisms keep telemetry readable after a crash or SIGKILL:
 * :func:`write_jsonl` is **atomic** — it writes to a sibling temp
   file, ``fsync``\\ s, then ``os.replace``\\ s onto the target, so a
   reader never observes a half-written file (the same
-  write-then-fsync-then-rename discipline batch checkpoints use);
+  write-then-fsync-then-rename discipline lint witness documents use);
 * :func:`salvage_records` performs **torn-tail recovery** for streams
   that *were* killed mid-append: a final line that is not a complete
   JSON record is truncated away (in memory) and reported as a
@@ -135,8 +135,8 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` atomically (write, fsync, rename).
 
     A reader sees either the previous complete file or the new
-    complete file, never a torn intermediate — the checkpointing
-    discipline shared by telemetry sinks and batch checkpoints.
+    complete file, never a torn intermediate — the discipline shared
+    by telemetry sinks and lint witness documents.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as handle:

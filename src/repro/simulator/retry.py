@@ -27,7 +27,7 @@ supervisor, per-cell chaos runs) stay reproducible: each task derives
 its policy seed from stable identifiers only — the run's base seed and
 the task's submission index, never worker ids or wall-clock — so the
 jitter sequence of any one task is the same whether the grid runs
-serially, across N processes, or resumed from a checkpoint.  An
+serially, across N processes, or re-run after a kill.  An
 *unseeded* policy (``seed=None``, the default) keeps the legacy
 behaviour of drawing from the caller's stream, which the simulation
 engine relies on for its own bit-for-bit determinism.
@@ -130,7 +130,7 @@ class ExponentialBackoff(RetryPolicy):
     so the delay sequence depends only on the seed and the number of
     draws — the default policy of the chaos layer and the batch
     supervisor, both of which derive ``N`` from (base seed, task
-    index) to keep sharded and resumed runs reproducible.
+    index) to keep sharded and re-run grids reproducible.
     """
 
     name = "exponential"

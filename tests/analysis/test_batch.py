@@ -1,6 +1,7 @@
 """Tests for the parallel batch runner and its determinism contract."""
 
 import dataclasses
+import time
 
 import pytest
 
@@ -10,11 +11,13 @@ from repro.analysis.batch import (
     chaos_grid,
     merge_metrics,
     run_batch,
+    run_batch_report,
 )
 from repro.analysis.protocols import (
     evaluate_protocol,
     evaluate_protocol_under_faults,
 )
+from repro.analysis.supervise import BatchSupervisor
 from repro.exceptions import BatchTaskError
 from repro.obs import Telemetry
 from repro.simulator.metrics import Metrics
@@ -28,6 +31,15 @@ def square(task):
 def fail_on_three(task):
     if task == 3:
         raise ValueError("boom")
+    return task
+
+
+def fail_negative_slowly(task):
+    """Fail negative tasks after ``-task`` ticks, so that under a pool
+    the later failing index finishes first."""
+    if task < 0:
+        time.sleep(-task * 0.05)
+        raise ValueError(f"negative {task}")
     return task
 
 
@@ -193,3 +205,21 @@ class TestParallelDeterminism:
             spec, "cc", seeds=(0, 1, 2), intensity=0.5, workers=3
         )
         assert serial == parallel
+
+    def test_keep_going_quarantine_is_in_index_order(self):
+        """Two failing tasks, the later one failing first under a pool:
+        the quarantine section renders the same, in task-index order,
+        serially and in parallel."""
+        tasks = [-4, 1, 2, -1, 5]
+        rendered = []
+        for workers in (1, 2):
+            report = run_batch_report(
+                tasks,
+                fail_negative_slowly,
+                workers=workers,
+                supervisor=BatchSupervisor(fail_fast=False),
+            )
+            assert report.results == [None, 1, 2, None, 5]
+            assert report.quarantine.indices() == [0, 3]
+            rendered.append(report.quarantine.render())
+        assert rendered[0] == rendered[1]

@@ -29,6 +29,7 @@ from repro.analysis.supervise import (
 from repro.exceptions import BatchTaskError, TaskTimeoutError
 from repro.obs import Telemetry, canonical_dumps, read_records, to_record, using
 from repro.simulator.retry import ExponentialBackoff
+from tests.analysis.orphans import assert_no_process_names
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -230,59 +231,18 @@ class TestQuarantine:
         assert "3 attempt(s)" in text
         assert "(spec, 'cc', 7)" in text
 
-    def test_roundtrip_dict(self):
-        entry = QuarantinedTask(
-            index=1, task_repr="t", reason=REASON_HUNG, error="e",
-            traceback="tb", attempts=2,
-        )
-        assert QuarantinedTask.from_dict(entry.to_dict()) == entry
-
-
-class TestQuarantineMerge:
-    @staticmethod
-    def _entry(index, reason=REASON_EXCEPTION, error="e"):
-        return QuarantinedTask(
-            index=index, task_repr=f"t{index}", reason=reason, error=error
-        )
-
-    def test_merge_orders_by_task_index(self):
-        a = QuarantineReport()
-        a.add(self._entry(7))
-        a.add(self._entry(2))
-        b = QuarantineReport()
-        b.add(self._entry(5))
-        merged = QuarantineReport.merge([a, b])
-        assert merged.indices() == [2, 5, 7]
-
-    def test_merge_is_order_independent(self):
-        """Cross-shard determinism: whatever order the per-shard
-        reports arrive in, the merge is the same report."""
-        parts = []
-        for indices in ([3, 1], [9], [4, 0]):
-            report = QuarantineReport()
-            for index in indices:
-                report.add(self._entry(index))
-            parts.append(report)
-        forward = QuarantineReport.merge(parts)
-        backward = QuarantineReport.merge(reversed(parts))
-        assert forward.indices() == backward.indices() == [0, 1, 3, 4, 9]
-        assert [e.to_dict() for e in forward.entries] == [
-            e.to_dict() for e in backward.entries
-        ]
-
-    def test_merge_deduplicates_replayed_entries(self):
-        """At-least-once delivery: the same task quarantined by two
-        shard attempts appears once, first report wins."""
-        a = QuarantineReport()
-        a.add(self._entry(4, error="first"))
-        b = QuarantineReport()
-        b.add(self._entry(4, error="second"))
-        merged = QuarantineReport.merge([a, b])
-        assert len(merged) == 1
-        assert merged.entries[0].error == "first"
-
-    def test_merge_of_nothing_is_empty(self):
-        assert len(QuarantineReport.merge([])) == 0
+    def test_add_keeps_task_index_order(self):
+        report = QuarantineReport()
+        for index in (7, 2, 5):
+            report.add(
+                QuarantinedTask(
+                    index=index,
+                    task_repr=f"t{index}",
+                    reason=REASON_EXCEPTION,
+                    error="e",
+                )
+            )
+        assert report.indices() == [2, 5, 7]
 
 
 class TestTimeoutsAndRetries:
@@ -579,6 +539,55 @@ class TestWorkerLoss:
         if not killed:
             pytest.skip("the sweep finished before a worker could be killed")
         assert stdout == serial.stdout
+        ours = canonical_dumps(read_records(str(tmp_path / "out.jsonl")))
+        theirs = canonical_dumps(read_records(str(tmp_path / "ref.jsonl")))
+        assert ours == theirs
+
+    def test_sigkilled_parent_leaves_no_workers(self, tmp_path):
+        """SIGKILL the parent of a ``chaos --workers 2`` sweep: its pool
+        workers exit on their own, and re-running the same command
+        reproduces the uninterrupted run's stdout and canonical
+        telemetry (a killed seeded run is simply re-run)."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC
+        argv = [sys.executable, "-m", "repro", *CHAOS_ARGS, "--workers", "2"]
+        out = ["--telemetry-out", str(tmp_path / "out.jsonl")]
+
+        def finish(extra):
+            return subprocess.run(
+                argv + extra,
+                cwd=str(tmp_path),
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=240,
+            )
+
+        reference = finish(["--telemetry-out", str(tmp_path / "ref.jsonl")])
+        assert reference.returncode == 0, reference.stderr
+        victim = subprocess.Popen(
+            argv + out,
+            cwd=str(tmp_path),
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        deadline = time.monotonic() + 60
+        while (
+            victim.poll() is None
+            and not _children(victim.pid)
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.005)
+        killed = victim.poll() is None
+        victim.kill()
+        victim.wait(timeout=60)
+        assert_no_process_names(str(tmp_path))
+        if not killed:
+            pytest.skip("the sweep finished before its parent was killed")
+        rerun = finish(out)
+        assert rerun.returncode == 0, rerun.stderr
+        assert rerun.stdout == reference.stdout
         ours = canonical_dumps(read_records(str(tmp_path / "out.jsonl")))
         theirs = canonical_dumps(read_records(str(tmp_path / "ref.jsonl")))
         assert ours == theirs

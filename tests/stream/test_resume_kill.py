@@ -4,14 +4,14 @@ uninterrupted run's transitions past ``k``, with canonical telemetry
 byte-identical to a batch ``check``.  End to end: SIGKILL a following
 ``composite-tx watch`` mid-log, resume it from the last offset it
 announced, and the two outputs together are the uninterrupted run's
-announcements, none twice (mirrors ``tests/analysis/test_checkpoint.py``
-for the batch layer)."""
+announcements, none twice."""
 
 import contextlib
 import io
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -175,6 +175,36 @@ def test_from_offset_past_the_end_is_ctx502(tmp_path):
         ["watch", str(log), "--from-offset", str(size)], cwd=str(tmp_path)
     )
     assert completed.returncode == 0, completed.stderr
+
+
+def test_missing_log_is_an_error_unless_following(tmp_path):
+    """Without ``--follow`` nothing will ever append to a missing log,
+    so a typo in its path is an OSError line and exit 1 -- not an
+    empty stream that ``--strict`` would pass.  ``--follow`` waits for
+    the log to appear."""
+    log = tmp_path / "late.jsonl"
+    for extra in ([], ["--strict"]):
+        completed = _run_cli(["watch", str(log), *extra], cwd=str(tmp_path))
+        assert completed.returncode == 1
+        assert completed.stdout == ""
+        assert completed.stderr == (
+            f"repro watch: error: [Errno 2] No such file or directory: "
+            f"'{log}'\n"
+        )
+    events = events_from_recorded(
+        generate(stack_topology(2), WorkloadConfig(seed=1, roots=2))
+    )
+    writer = threading.Timer(0.2, _write_log, args=(log, events))
+    writer.start()
+    try:
+        code, out = _main(
+            ["watch", str(log), "--follow", "--interval", "0.02"]
+        )
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert code == 0
+    assert f"{len(events)} event(s)" in out
 
 
 def test_sigkilled_watch_resumes_byte_identical(tmp_path):

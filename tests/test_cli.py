@@ -223,6 +223,22 @@ class TestInputErrors:
             "staged transactions\n"
         )
 
+    def test_invalid_generator_parameters(self, tmp_path):
+        """A WorkloadError (here a zero-depth stack) is bad input too."""
+        output = tmp_path / "g.json"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "generate", "--topology",
+             "stack", "--depth", "0", "-o", str(output)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr == (
+            "repro generate: error: stack depth must be >= 1\n"
+        )
+        assert not output.exists()
+
     def test_in_process_status(self, tmp_path, capsys):
         path = tmp_path / "truncated.json"
         path.write_text("")

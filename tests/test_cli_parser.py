@@ -31,7 +31,6 @@ MINIMAL = {
     "profile": ["t.jsonl"],
     "eventlog": ["f.json", "log.jsonl"],
     "watch": ["log.jsonl"],
-    "resume": ["ck.json"],
 }
 
 
@@ -62,7 +61,7 @@ def both(argv, capsys):
 
 
 def test_table_lists_every_command_once():
-    assert len(NAMES) == len(set(NAMES)) == 15
+    assert len(NAMES) == len(set(NAMES)) == 14
     assert NAMES[:2] == ["check", "lint"]
 
 
@@ -133,6 +132,43 @@ def test_unknown_command(capsys):
     # "argument command", not a pinned metavar, names the argument
     assert "repro: error: argument command: invalid choice: 'bogus'" in err
     assert all(name in err.splitlines()[-1] for name in NAMES)
+
+
+def test_resume_is_not_a_command(capsys):
+    status, out, err = outcome(main, ["resume", "x"], capsys)
+    assert (status, out) == (2, "")
+    assert "repro: error: argument command: invalid choice: 'resume'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["chaos", "--runs", "-1"], "argument --runs: must be >= 1, got -1"),
+        (["chaos", "--runs", "x"], "argument --runs: invalid int value: 'x'"),
+        (["chaos", "--clients", "0"], "argument --clients: must be >= 1"),
+        (["chaos", "--transactions", "0"],
+         "argument --transactions: must be >= 1"),
+        (["chaos", "--task-retries", "0"],
+         "argument --task-retries: must be >= 1"),
+        (["chaos", "--task-timeout", "-1"],
+         "argument --task-timeout: must be a finite number > 0, got -1"),
+        (["chaos", "--task-timeout", "0"], "argument --task-timeout: must"),
+        (["chaos", "--task-timeout", "nan"], "argument --task-timeout: must"),
+        (["simulate", "--clients", "0"], "argument --clients: must be >= 1"),
+        (["simulate", "--transactions", "-3"],
+         "argument --transactions: must be >= 1"),
+        (["experiment", "h1", "--trials", "-2"],
+         "argument --trials: must be >= 1, got -2"),
+        (["report", "--trials", "0"], "argument --trials: must be >= 1"),
+    ],
+)
+def test_counts_below_one_are_usage_errors(argv, message, capsys):
+    """A count or time budget that cannot describe a run is refused
+    by the parser (exit 2) before anything runs."""
+    status, out, err = outcome(main, argv, capsys)
+    assert (status, out) == (2, "")
+    assert err.startswith(f"usage: repro {argv[0]} ")
+    assert f"repro {argv[0]}: error: {message}" in err
 
 
 def test_check_builds_one_subparser(tmp_path, monkeypatch, capsys):
