@@ -96,7 +96,7 @@ def _topology(args: argparse.Namespace):
 def _add_workers_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_count,
         default=1,
         help="shard independent runs across N processes (1 = serial; "
         "output is bit-identical either way)",
@@ -136,6 +136,21 @@ def _seconds(text: str) -> float:
     if not 0 < value < float("inf"):
         raise argparse.ArgumentTypeError(
             f"must be a finite number > 0, got {text}"
+        )
+    return value
+
+
+def _interval(text: str) -> float:
+    """argparse ``type=`` of a poll interval: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text}"
         )
     return value
 
@@ -823,7 +838,7 @@ def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--clients", type=_count, default=4)
     p.add_argument("--transactions", type=_count, default=8)
-    p.add_argument("--items", type=int, default=4)
+    p.add_argument("--items", type=_count, default=4)
     p.add_argument("--skew", type=float, default=0.8)
     p.add_argument("-o", "--output")
     _add_static_precheck_option(p)
@@ -956,7 +971,7 @@ def _watch_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--interval",
-        type=float,
+        type=_interval,
         default=0.2,
         metavar="SECONDS",
         help="poll interval while following (default 0.2s)",

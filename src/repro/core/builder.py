@@ -6,12 +6,20 @@ that is tedious to write by hand:
 
 * intra-transaction orders are folded into the owning schedule's output
   orders (axiom 2 of Def. 3 demands them there anyway);
+* strong input orders are expanded into the strong output pairs axiom 3
+  demands when the recorded execution satisfies them;
 * output orders of a caller schedule are propagated as input orders of
   the callee when both operations are transactions of the same callee
   (Def. 4.7) — so a model stays well-formed without the user repeating
-  every order twice;
-* strong input orders are expanded into the strong output pairs axiom 3
-  demands when the recorded execution satisfies them.
+  every order twice.
+
+:meth:`SystemBuilder.build` does all three in one pass over the
+schedules, callers before callees (declaration order breaking ties).
+Def. 4.6 makes the invocation graph acyclic, so when a schedule is
+reached every caller has already been built and its input orders are
+final: the pass expands axiom 3 from them, constructs the
+:class:`Schedule` (which closes each order once), and reads the
+callee-bound pairs straight from that schedule's closed output rows.
 
 Example
 -------
@@ -29,8 +37,9 @@ Example
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.orders import Relation
 from repro.core.schedule import Schedule
@@ -191,11 +200,22 @@ class SystemBuilder:
         ``propagate_orders`` applies Def. 4.7 automatically: every output
         order between two operations that are transactions of the same
         callee schedule is added to that callee's input orders.
+
+        With propagation, schedules are constructed callers first, so a
+        schedule's input orders are final when it is reached and its
+        callee-bound pairs are read straight from its closed output
+        orders; without, in declaration order.  The system lists them
+        in declaration order either way.
         """
         if not self._drafts:
             raise ModelError("no schedules declared")
-        resolved: Dict[str, Dict[str, List[Tuple[str, str]]]] = {}
-        for name, draft in self._drafts.items():
+        txn_schedule = self._txn_schedule
+        weak_in = {n: list(d.weak_input) for n, d in self._drafts.items()}
+        strong_in = {n: list(d.strong_input) for n, d in self._drafts.items()}
+        built: Dict[str, Schedule] = {}
+        for name in self._callers_first() if propagate_orders else self._drafts:
+            draft = self._drafts[name]
+            transactions = draft.transactions
             weak_out = list(draft.weak_output)
             strong_out = list(draft.strong_output)
             if draft.execution is not None:
@@ -205,123 +225,81 @@ class SystemBuilder:
                     )
                 )
             # Axiom 2: intra-transaction orders must surface in outputs.
-            for txn in draft.transactions.values():
+            for txn in transactions.values():
                 weak_out.extend(txn.weak_order.pairs())
                 strong_out.extend(txn.strong_order.pairs())
-            # Axiom 3: strong inputs sequence whole transactions.
-            for t1, t2 in draft.strong_input:
-                ops1 = draft.transactions[t1].operations
-                ops2 = draft.transactions[t2].operations
-                for a in ops1:
-                    for b in ops2:
-                        strong_out.append((a, b))
-            resolved[name] = {
-                "weak_output": weak_out,
-                "strong_output": strong_out,
-                "weak_input": list(draft.weak_input),
-                "strong_input": list(draft.strong_input),
-            }
-
-        if propagate_orders:
-            self._propagate(resolved)
-
-        schedules = []
-        for name, draft in self._drafts.items():
-            orders = resolved[name]
-            schedules.append(
-                Schedule(
-                    name,
-                    list(draft.transactions.values()),
-                    conflicts=draft.conflicts,
-                    weak_input=orders["weak_input"],
-                    strong_input=orders["strong_input"],
-                    weak_output=orders["weak_output"],
-                    strong_output=orders["strong_output"],
-                    validate=validate,
-                )
+            # Axiom 3: closed strong inputs sequence whole transactions.
+            # An unknown name is left for Schedule to report.
+            strong = strong_in[name]
+            if strong and all(t in transactions for p in strong for t in p):
+                for t1, t2 in Relation(strong).transitive_closure().pairs():
+                    for a in transactions[t1].operations:
+                        strong_out.extend(
+                            (a, b) for b in transactions[t2].operations
+                        )
+            schedule = built[name] = Schedule(
+                name,
+                list(transactions.values()),
+                conflicts=draft.conflicts,
+                weak_input=weak_in[name],
+                strong_input=strong,
+                weak_output=weak_out,
+                strong_output=strong_out,
+                validate=validate,
             )
-        return CompositeSystem(schedules, validate=validate)
+            if not propagate_orders:
+                continue
+            # Def. 4.7: one mask per callee over the output carrier
+            # (bit i is operations[i]) selects its transactions.
+            masks: Dict[str, int] = {}
+            for i, op in enumerate(schedule.operations):
+                callee = txn_schedule.get(op)
+                if callee is not None and callee != name:
+                    masks[callee] = masks.get(callee, 0) | (1 << i)
+            for closed, staged in (
+                (schedule.weak_output, weak_in),
+                (schedule.strong_output, strong_in),
+            ):
+                for callee, mask in masks.items():
+                    for a in closed.unpack(mask):
+                        staged[callee].extend(
+                            (a, b)
+                            for b in closed.unpack(closed.row_bits(a) & mask)
+                        )
+        return CompositeSystem(
+            [built[name] for name in self._drafts], validate=validate
+        )
 
-    def _propagate(
-        self, resolved: Dict[str, Dict[str, List[Tuple[str, str]]]]
-    ) -> None:
-        """Def. 4.7: caller output orders become callee input orders.
-
-        Validation checks the *transitively closed* output relations, so
-        propagation works on closures too (a pair derived through a
-        chain of conflicts still binds the callee).  The weak side
-        closes strong ∪ weak, as :class:`Schedule` does, so a chain
-        mixing strong and weak steps binds the callee's weak input.  A
-        propagated strong input can force new strong outputs via axiom
-        3, which may propagate further down, so this iterates to a fixed
-        point — re-closing only the schedules whose staged outputs
-        changed in the previous pass.
-        """
-        txn_schedule = self._txn_schedule
-        # Set shadows of the staged lists, built on first use: the
-        # membership test per closed pair was a list scan.
-        shadows: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {}
-
-        def stage(name: str, kind: str, pair: Tuple[str, str]) -> bool:
-            seen = shadows.get((name, kind))
-            if seen is None:
-                seen = shadows[(name, kind)] = set(resolved[name][kind])
-            if pair in seen:
-                return False
-            seen.add(pair)
-            resolved[name][kind].append(pair)
-            return True
-
-        def expand_strong_inputs(name: str) -> bool:
-            # Axiom 3 over the closed strong input order.
-            pairs = resolved[name]["strong_input"]
-            if not pairs:
-                return False
-            transactions = self._drafts[name].transactions
-            added = False
-            for t1, t2 in Relation(pairs).transitive_closure().pairs():
-                for a in transactions[t1].operations:
-                    for b in transactions[t2].operations:
-                        added |= stage(name, "strong_output", (a, b))
-            return added
-
-        changed_outputs: List[str] = list(self._drafts)
-        changed_strong_inputs: Set[str] = set(changed_outputs)
-        while changed_outputs:
-            for name in changed_outputs:
-                orders = resolved[name]
-                strong = Relation(orders["strong_output"])
-                weak = strong.copy()
-                weak.add_all(orders["weak_output"])
-                # One mask per callee over weak's carrier; strong's
-                # carrier is a prefix of it, so the masks and unpack
-                # below serve both closures.
-                masks: Dict[str, int] = {}
-                for i, e in enumerate(weak.elements):
-                    callee = txn_schedule.get(e)
-                    if callee is not None and callee != name:
-                        masks[callee] = masks.get(callee, 0) | (1 << i)
-                if not masks:
-                    continue
-                for closed, kind_in in (
-                    (weak.transitive_closure(), "weak_input"),
-                    (strong.transitive_closure(), "strong_input"),
-                ):
-                    for callee, mask in masks.items():
-                        for a in weak.unpack(mask):
-                            row = closed.row_bits(a) & mask
-                            for b in weak.unpack(row):
-                                if (
-                                    stage(callee, kind_in, (a, b))
-                                    and kind_in == "strong_input"
-                                ):
-                                    changed_strong_inputs.add(callee)
-            changed_outputs = [
-                name
-                for name in self._drafts
-                if name in changed_strong_inputs and expand_strong_inputs(name)
-            ]
-            changed_strong_inputs = set()
+    def _callers_first(self) -> List[str]:
+        """Schedule names with every caller before its callees,
+        declaration order breaking ties.  Schedules on or below an
+        invocation cycle (which :class:`CompositeSystem` rejects,
+        Def. 4.6) follow in declaration order."""
+        names = list(self._drafts)
+        rank = {name: i for i, name in enumerate(names)}
+        callees: Dict[str, Set[str]] = {}
+        callers = dict.fromkeys(names, 0)
+        for name, draft in self._drafts.items():
+            callees[name] = {
+                self._txn_schedule[op]
+                for txn in draft.transactions.values()
+                for op in txn.operations
+                if op in self._txn_schedule
+            } - {name}
+            for callee in callees[name]:
+                callers[callee] += 1
+        ready = [name for name in names if not callers[name]]
+        order: List[str] = []
+        while ready:
+            name = min(ready, key=rank.__getitem__)
+            ready.remove(name)
+            order.append(name)
+            for callee in callees[name]:
+                callers[callee] -= 1
+                if not callers[callee]:
+                    ready.append(callee)
+        order.extend(name for name in names if callers[name])
+        return order
 
     # ------------------------------------------------------------------
     # declarative construction
@@ -359,22 +337,16 @@ class SystemBuilder:
                     )
                 else:
                     builder.transaction(tname, sname, list(tdef))
-            for a, b in body.get("conflicts", []):
-                builder.conflict(sname, a, b)
+            draft = builder._drafts[sname]
+            draft.conflicts.extend((a, b) for a, b in body.get("conflicts", []))
             if "executed" in body:
                 builder.executed(
                     sname,
                     list(body["executed"]),
                     mode=body.get("executed_mode", "conflicts"),
                 )
-            for a, b in body.get("weak_output", []):
-                builder.weak_output(sname, a, b)
-            for a, b in body.get("strong_output", []):
-                builder.strong_output(sname, a, b)
-            for a, b in body.get("weak_input", []):
-                builder.weak_input(sname, a, b)
-            for a, b in body.get("strong_input", []):
-                builder.strong_input(sname, a, b)
+            for key in ("weak_output", "strong_output", "weak_input", "strong_input"):
+                getattr(draft, key).extend((a, b) for a, b in body.get(key, []))
         return builder
 
 

@@ -138,19 +138,14 @@ class Relation:
         pairs: Iterable[Pair] = (),
         elements: Iterable[Element] = (),
     ) -> None:
-        #: element -> bit position (insertion order)
-        self._index: Dict[Element, int] = {}
-        #: bit position -> element
-        self._nodes: List[Element] = []
         # Intern the carrier in bulk (no per-element add_element call):
         # every schedule and transaction builds its relations over all
         # of its operations, so this sits on the document-load path.
-        index = self._index
-        nodes = self._nodes
-        for element in elements:
-            if element not in index:
-                index[element] = len(nodes)
-                nodes.append(element)
+        #: bit position -> element
+        nodes: List[Element] = list(dict.fromkeys(elements))
+        self._nodes = nodes
+        #: element -> bit position (insertion order)
+        self._index: Dict[Element, int] = {e: i for i, e in enumerate(nodes)}
         #: successor bitmaps, one int per element
         self._rows: List[int] = [0] * len(nodes)
         #: predecessor bitmaps (the transpose); ``None`` when stale —
@@ -158,7 +153,8 @@ class Relation:
         #: rebuilds it on demand
         self._cols: Optional[List[int]] = [0] * len(nodes)
         self._size = 0
-        self.add_all(pairs)
+        if pairs:
+            self.add_all(pairs)
 
     # ------------------------------------------------------------------
     # internal plumbing
@@ -310,11 +306,11 @@ class Relation:
     # ------------------------------------------------------------------
     def __contains__(self, pair: Pair) -> bool:
         a, b = pair
-        ia = self._index.get(a)
-        ib = self._index.get(b)
-        if ia is None or ib is None:
+        index = self._index
+        try:
+            return (self._rows[index[a]] >> index[b]) & 1 == 1
+        except KeyError:
             return False
-        return bool((self._rows[ia] >> ib) & 1)
 
     def __len__(self) -> int:
         return self._size
@@ -380,6 +376,8 @@ class Relation:
 
     def pairs(self) -> Iterator[Pair]:
         """Iterate over all pairs in deterministic order."""
+        if not self._size:
+            return
         nodes = self._nodes
         for i, a in enumerate(nodes):
             mask = self._rows[i]
@@ -438,6 +436,8 @@ class Relation:
         """Pairs of ``self`` absent from ``other``, in :meth:`pairs`
         order — the row-wise containment check behind the Def.-19
         verifications (``self ⊆ other`` iff this yields nothing)."""
+        if not self._size:
+            return
         nodes = self._nodes
         aligned = nodes == other._nodes
         oindex = other._index
@@ -922,6 +922,8 @@ class Relation:
         :meth:`find_cycle` pass.  On a relation that is *not* closed the
         result only reports literal self-loops.
         """
+        if not self._size:
+            return None
         for i, row in enumerate(self._rows):
             if (row >> i) & 1:
                 return self._nodes[i]
@@ -1197,6 +1199,50 @@ def find_cycle_in_union(
                 colour[node] = BLACK
                 stack.pop()
     return None
+
+
+def closed_orders(
+    elements: Iterable[Element],
+    strong_pairs: Iterable[Pair],
+    weak_pairs: Iterable[Pair],
+    unknown: Callable[[Element, str], Exception],
+) -> Tuple[Relation, Relation]:
+    """The transitively closed ``(weak, strong)`` orders over
+    ``elements``: strong from ``strong_pairs``, weak from those plus
+    ``weak_pairs`` — the shape of Def. 2's intra orders and Def. 3's
+    input and output orders.
+
+    Each pair is member-checked and interned in one loop, strong pairs
+    first; an element outside ``elements`` raises
+    ``unknown(element, "strong" | "weak")``.  Only a relation with pairs
+    is closed, and when the weak pairs add none the weak closure is a
+    copy of the strong one.
+    """
+    strong = Relation(elements=elements)
+    index = strong._index
+
+    def intern(relation: Relation, pairs: Iterable[Pair], kind: str) -> bool:
+        rows = relation._rows
+        before = list(rows)
+        try:
+            for a, b in pairs:
+                # The row subscript is evaluated first: a before b.
+                rows[index[a]] |= 1 << index[b]
+        except KeyError as missing:
+            raise unknown(missing.args[0], kind) from None
+        relation._cols = None
+        if rows == before:
+            return False
+        relation._size = sum(map(_popcount, rows))
+        return True
+
+    intern(strong, strong_pairs, "strong")
+    weak = strong.copy()
+    grew = intern(weak, weak_pairs, "weak")
+    if not strong:
+        return (weak.transitive_closure() if grew else weak), strong
+    strong = strong.transitive_closure()
+    return (weak.transitive_closure() if grew else strong.copy()), strong
 
 
 def total_order_from_sequence(sequence: Iterable[Element]) -> Relation:

@@ -43,7 +43,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.orders import Relation
+from repro.core.orders import Relation, closed_orders
 from repro.core.transaction import Transaction
 from repro.exceptions import CycleError, ModelError, ScheduleAxiomError
 
@@ -141,21 +141,12 @@ class Schedule:
             self._conflict_adj.setdefault(a, set()).add(b)
             self._conflict_adj.setdefault(b, set()).add(a)
 
-        operations = tuple(self._owner_of)
-
-        strong_in = Relation(elements=self._transactions)
-        strong_in.add_all(self._check_txn_pairs(strong_input, "strong input"))
-        weak_in = strong_in.copy()
-        weak_in.add_all(self._check_txn_pairs(weak_input, "weak input"))
-        self._weak_input = weak_in.transitive_closure()
-        self._strong_input = strong_in.transitive_closure()
-
-        strong_out = Relation(elements=operations)
-        strong_out.add_all(self._check_op_pairs(strong_output, "strong output"))
-        weak_out = strong_out.copy()
-        weak_out.add_all(self._check_op_pairs(weak_output, "weak output"))
-        self._weak_output = weak_out.transitive_closure()
-        self._strong_output = strong_out.transitive_closure()
+        self._weak_input, self._strong_input = closed_orders(
+            self._transactions, strong_input, weak_input, self._not_transaction
+        )
+        self._weak_output, self._strong_output = closed_orders(
+            self._owner_of, strong_output, weak_output, self._not_operation
+        )
 
         # Both relations are closed, so a self-loop probe (O(V)) decides
         # acyclicity; find_cycle runs only to produce the witness.
@@ -175,33 +166,17 @@ class Schedule:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    def _check_txn_pairs(
-        self, pairs: Iterable[Tuple[str, str]], label: str
-    ) -> List[Tuple[str, str]]:
-        checked = []
-        for a, b in pairs:
-            for t in (a, b):
-                if t not in self._transactions:
-                    raise ModelError(
-                        f"{label} order of schedule {self.name!r} mentions "
-                        f"{t!r}, which is not one of its transactions"
-                    )
-            checked.append((a, b))
-        return checked
+    def _not_transaction(self, t: object, kind: str) -> ModelError:
+        return ModelError(
+            f"{kind} input order of schedule {self.name!r} mentions "
+            f"{t!r}, which is not one of its transactions"
+        )
 
-    def _check_op_pairs(
-        self, pairs: Iterable[Tuple[str, str]], label: str
-    ) -> List[Tuple[str, str]]:
-        checked = []
-        for a, b in pairs:
-            for o in (a, b):
-                if o not in self._owner_of:
-                    raise ModelError(
-                        f"{label} order of schedule {self.name!r} mentions "
-                        f"{o!r}, which is not one of its operations"
-                    )
-            checked.append((a, b))
-        return checked
+    def _not_operation(self, o: object, kind: str) -> ModelError:
+        return ModelError(
+            f"{kind} output order of schedule {self.name!r} mentions "
+            f"{o!r}, which is not one of its operations"
+        )
 
     @classmethod
     def from_sequence(

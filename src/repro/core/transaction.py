@@ -16,9 +16,10 @@ execution of non-conflicting pieces (Def. 1).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence, Tuple
 
-from repro.core.orders import Relation
+from repro.core.orders import Relation, closed_orders
 from repro.exceptions import CycleError, ModelError
 
 
@@ -63,23 +64,12 @@ class Transaction:
         self.name = name
         self._operations = ops
 
-        strong = Relation(elements=ops)
-        if sequential:
-            for earlier, later in zip(ops, ops[1:]):
-                strong.add(earlier, later)
-        for a, b in strong_order:
-            self._require_member(a)
-            self._require_member(b)
-            strong.add(a, b)
-
-        weak = strong.copy()
-        for a, b in weak_order:
-            self._require_member(a)
-            self._require_member(b)
-            weak.add(a, b)
-
-        weak = weak.transitive_closure()
-        strong = strong.transitive_closure()
+        weak, strong = closed_orders(
+            ops,
+            chain(zip(ops, ops[1:]) if sequential else (), strong_order),
+            weak_order,
+            self._not_member,
+        )
         # A closed relation is cyclic iff some row holds its own bit:
         # the O(V) probe decides, find_cycle only builds the witness.
         if weak.first_self_loop() is not None:
@@ -90,12 +80,11 @@ class Transaction:
         self._weak = weak
         self._strong = strong
 
-    def _require_member(self, op: str) -> None:
-        if op not in self._operations:
-            raise ModelError(
-                f"operation {op!r} ordered by transaction {self.name!r} "
-                "but not in its operation set"
-            )
+    def _not_member(self, op: object, kind: str) -> ModelError:
+        return ModelError(
+            f"operation {op!r} ordered by transaction {self.name!r} "
+            "but not in its operation set"
+        )
 
     # ------------------------------------------------------------------
     @property

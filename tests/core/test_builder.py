@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.builder import SystemBuilder, build_system
-from repro.exceptions import ModelError
+from repro.exceptions import CycleError, ModelError
 
 
 class TestDeclaration:
@@ -44,6 +44,18 @@ class TestDeclaration:
         b = SystemBuilder()
         with pytest.raises(ModelError):
             b.executed("S", ["a"], mode="banana")
+
+
+    def test_unknown_strong_input_is_a_model_error(self):
+        b = SystemBuilder()
+        b.transaction("T1", "S", ["a"]).transaction("T2", "S", ["b"])
+        b.strong_input("S", "T1", "T9")
+        with pytest.raises(ModelError) as caught:
+            b.build()
+        assert str(caught.value) == (
+            "strong input order of schedule 'S' mentions 'T9', which is "
+            "not one of its transactions"
+        )
 
 
 class TestExecutionModes:
@@ -140,6 +152,17 @@ class TestOrderPropagation:
         assert ("m1", "m2") in sys.schedule("DB").strong_output
         assert ("m1", "m2") in sys.schedule("Leaf").strong_input
         assert ("p", "q") in sys.schedule("Leaf").strong_output
+
+
+    def test_recursion_across_propagated_orders_is_a_cycle_error(self):
+        # S1 and S2 invoke each other, so neither comes first; T's strong
+        # order u1 << u2 still binds S2, and the system reports the cycle.
+        b = SystemBuilder()
+        b.transaction("T", "S1", ["u1", "u2"], sequential=True)
+        b.transaction("u1", "S2", ["V"]).transaction("u2", "S2", ["x"])
+        b.transaction("V", "S1", ["y"])
+        with pytest.raises(CycleError, match="recursion in the invocation"):
+            b.build()
 
 
 class TestFromSpec:

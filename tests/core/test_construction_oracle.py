@@ -13,6 +13,12 @@ as their set.
 The systems are seeded stack/fork/join/DAG workloads, and mutations of
 them rebuilt with ``validate=False``: a dropped propagated input pair,
 a dropped axiom-1 output pair, an added strong output.
+
+A second oracle re-derives what :class:`SystemBuilder` must construct
+from a spec: the fixed point of Def. 4.7 propagation (a caller's closed
+output orders between two transactions of one callee become that
+callee's input orders) with the axiom-3 expansion of closed strong
+inputs inside it, computed over plain sets of pairs.
 """
 
 import random
@@ -20,6 +26,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.builder import SystemBuilder
 from repro.core.schedule import Schedule
 from repro.core.system import CompositeSystem
 from repro.core.transaction import Transaction
@@ -145,14 +152,19 @@ def assert_agrees(system):
 # ----------------------------------------------------------------------
 # systems and mutations
 # ----------------------------------------------------------------------
-def seeded_system(topology, seed):
+def seeded(topology, seed, layout="random"):
     config = WorkloadConfig(
         seed=seed,
         roots=5,
         conflict_probability=0.4,
         intra_order_probability=0.3,
+        layout=layout,
     )
-    return generate(TOPOLOGIES[topology](), config).system
+    return generate(TOPOLOGIES[topology](), config)
+
+
+def seeded_system(topology, seed):
+    return seeded(topology, seed).system
 
 
 def cover_pairs(relation):
@@ -328,3 +340,232 @@ def test_propagation_violations_come_out_in_operation_order():
         ("Top", "DB", ("w", "v"), "weak"),
     ]
     assert_agrees(system)
+
+
+# ----------------------------------------------------------------------
+# the Def.-4.7 propagation oracle
+# ----------------------------------------------------------------------
+def close(pairs):
+    """Transitive closure of a set of pairs, one search per source."""
+    succ = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    closed = set()
+    for a in succ:
+        seen, stack = set(), [a]
+        while stack:
+            for b in succ.get(stack.pop(), ()):
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        closed.update((a, b) for b in seen)
+    return closed
+
+
+def spec_pairs(body, key):
+    return {tuple(p) for p in body.get(key, [])}
+
+
+def oracle_orders(spec):
+    """``{schedule: {order: pairs}}`` for the four closed orders of
+    every schedule the spec declares, after propagation."""
+    bodies = spec["schedules"]
+    txns = {
+        s: {
+            t: d if isinstance(d, dict) else {"ops": d}
+            for t, d in body.get("transactions", {}).items()
+        }
+        for s, body in bodies.items()
+    }
+    ops_of = {t: list(d["ops"]) for s in txns for t, d in txns[s].items()}
+    callee_of = {t: s for s in txns for t in txns[s]}
+    weak_out, strong_out, weak_in, strong_in = {}, {}, {}, {}
+    for s, body in bodies.items():
+        weak_out[s] = spec_pairs(body, "weak_output")
+        strong_out[s] = spec_pairs(body, "strong_output")
+        weak_in[s] = spec_pairs(body, "weak_input")
+        strong_in[s] = spec_pairs(body, "strong_input")
+        for d in txns[s].values():  # axiom 2
+            ops = d["ops"]
+            strong = {tuple(p) for p in d.get("strong", [])}
+            if d.get("sequential"):
+                strong |= set(zip(ops, ops[1:]))
+            strong_out[s] |= strong
+            weak_out[s] |= strong | {tuple(p) for p in d.get("weak", [])}
+        executed = body.get("executed")
+        if executed is not None:
+            if body.get("executed_mode") == "temporal":
+                weak_out[s] |= set(zip(executed, executed[1:]))
+            else:
+                at = {op: i for i, op in enumerate(executed)}
+                weak_out[s] |= {
+                    (a, b) if at[a] < at[b] else (b, a)
+                    for a, b in body.get("conflicts", [])
+                    if a in at and b in at
+                }
+    changed = True
+    while changed:
+        changed = False
+        for s in bodies:
+            for t1, t2 in close(strong_in[s]):  # axiom 3
+                forced = {(a, b) for a in ops_of[t1] for b in ops_of[t2]}
+                if not forced <= strong_out[s]:
+                    strong_out[s] |= forced
+                    changed = True
+            for closed, inputs in (
+                (close(weak_out[s] | strong_out[s]), weak_in),
+                (close(strong_out[s]), strong_in),
+            ):
+                for a, b in closed:
+                    callee = callee_of.get(a)
+                    if callee in (None, s) or callee_of.get(b) != callee:
+                        continue
+                    if (a, b) not in inputs[callee]:
+                        inputs[callee].add((a, b))
+                        changed = True
+    return {
+        s: {
+            "weak_input": close(weak_in[s] | strong_in[s]),
+            "strong_input": close(strong_in[s]),
+            "weak_output": close(weak_out[s] | strong_out[s]),
+            "strong_output": close(strong_out[s]),
+        }
+        for s in bodies
+    }
+
+
+def assert_built_as_oracle(spec, validate=True):
+    """Build ``spec`` and compare every schedule's four orders with the
+    oracle's, pair for pair; returns the built system."""
+    system = SystemBuilder.from_spec(spec).build(validate=validate)
+    expected = oracle_orders(spec)
+    assert list(system.schedules) == list(spec["schedules"])
+    for name, schedule in system.schedules.items():
+        for kind, pairs in expected[name].items():
+            assert set(getattr(schedule, kind).pairs()) == pairs, (name, kind)
+    return system
+
+
+def seeded_spec(topology, seed, layout="random"):
+    """The declarations a seeded workload is built from: transactions
+    with their intra orders, conflicts and executed sequences."""
+    recorded = seeded(topology, seed, layout)
+    return {
+        "schedules": {
+            name: {
+                "transactions": {
+                    t: {
+                        "ops": list(txn.operations),
+                        "weak": [list(p) for p in txn.weak_order.pairs()],
+                    }
+                    for t, txn in schedule.transactions.items()
+                },
+                "conflicts": sorted(sorted(p) for p in schedule.conflicts),
+                "executed": list(recorded.executions[name]),
+            }
+            for name, schedule in recorded.system.schedules.items()
+        }
+    }
+
+
+def test_seeded_workloads_propagate_as_the_oracle():
+    for topology in TOPOLOGIES:
+        for seed in range(4):
+            spec = seeded_spec(topology, seed)
+            system = assert_built_as_oracle(spec)
+            if topology == "stack":
+                assert any(len(s.weak_input) for s in system.schedules.values())
+
+
+def test_sequential_transactions_propagate_as_the_oracle():
+    # Every transaction made sequential in execution order, on serial
+    # layouts so the result stays acyclic: its strong intra order
+    # becomes strong output, then callee strong input, then axiom-3
+    # strong output one level further down.
+    strong = 0
+    for topology in TOPOLOGIES:
+        for seed in range(4):
+            spec = seeded_spec(topology, seed, "serial")
+            for body in spec["schedules"].values():
+                at = {op: i for i, op in enumerate(body["executed"])}
+                for d in body["transactions"].values():
+                    d["ops"].sort(key=at.__getitem__)
+                    d["sequential"] = True
+            system = assert_built_as_oracle(spec, validate=False)
+            strong += any(len(s.strong_input) for s in system.schedules.values())
+    assert strong >= 12
+
+
+def test_declared_strong_inputs_propagate_as_the_oracle():
+    # A strong input between the first and last root transaction of the
+    # top schedule: axiom 3 sequences them, Def. 4.7 hands the result to
+    # the callees as strong input, and so on down the stack.
+    deep = 0
+    for topology in TOPOLOGIES:
+        for seed in range(4):
+            spec = seeded_spec(topology, seed, "serial")
+            system = seeded(topology, seed, "serial").system
+            top = max(system.schedules, key=system.level_of)
+            body = spec["schedules"][top]
+            owner = {
+                op: t for t, d in body["transactions"].items() for op in d["ops"]
+            }
+            first, last = owner[body["executed"][0]], owner[body["executed"][-1]]
+            body["strong_input"] = [[first, last]]
+            built = assert_built_as_oracle(spec, validate=False)
+            deep += any(
+                built.level_of(name) <= built.level_of(top) - 2
+                and len(schedule.strong_input)
+                for name, schedule in built.schedules.items()
+            )
+    assert deep >= 4
+
+
+def test_propagated_strong_input_forces_strong_outputs_two_levels_down():
+    spec = {
+        "schedules": {
+            "Top": {
+                "transactions": {"T1": ["u1"], "T2": ["u2"]},
+                "strong_input": [["T1", "T2"]],
+            },
+            "Mid": {"transactions": {"u1": ["m1"], "u2": ["m2"]}},
+            "Leaf": {
+                "transactions": {"m1": ["p"], "m2": ["q"]},
+                "executed": ["p", "q"],
+            },
+        }
+    }
+    system = assert_built_as_oracle(spec)
+    assert ("u1", "u2") in system.schedule("Mid").strong_input
+    assert ("m1", "m2") in system.schedule("Leaf").strong_input
+    assert ("p", "q") in system.schedule("Leaf").strong_output
+
+
+def test_callee_declared_before_its_caller_propagates_as_the_oracle():
+    spec = {
+        "schedules": {
+            "Leaf": {"transactions": {"m1": ["p"], "m2": ["q"]}},
+            "Mid": {"transactions": {"u1": ["m1"], "u2": ["m2"]}},
+            "Top": {
+                "transactions": {"T": {"ops": ["u1", "u2"], "sequential": True}},
+            },
+        }
+    }
+    system = assert_built_as_oracle(spec)
+    assert ("m1", "m2") in system.schedule("Leaf").strong_input
+    assert ("p", "q") in system.schedule("Leaf").strong_output
+
+
+def test_axiom_3_expands_the_closed_strong_input():
+    # T1 ->> T2 ->> T3 with an empty T2: only the closed input orders
+    # T1 ->> T3, so only its expansion sequences a << c.
+    spec = {
+        "schedules": {
+            "S": {
+                "transactions": {"T1": ["a"], "T2": [], "T3": ["c"]},
+                "strong_input": [["T1", "T2"], ["T2", "T3"]],
+            }
+        }
+    }
+    system = assert_built_as_oracle(spec)
+    assert ("a", "c") in system.schedule("S").strong_output

@@ -239,6 +239,21 @@ class TestInputErrors:
         )
         assert not output.exists()
 
+    def test_unknown_strong_input(self, tmp_path):
+        """A strong input naming an unknown transaction is the
+        schedule's ModelError, not a KeyError from the builder."""
+        path = tmp_path / "unknown.json"
+        path.write_text(
+            '{"schedules": {"S": {"transactions": {"T1": ["a"], '
+            '"T2": ["b"]}, "strong_input": [["T1", "T9"]]}}}'
+        )
+        completed = self.run_check(path)
+        assert completed.returncode == 1
+        assert completed.stderr == (
+            "repro check: error: strong input order of schedule 'S' "
+            "mentions 'T9', which is not one of its transactions\n"
+        )
+
     def test_in_process_status(self, tmp_path, capsys):
         path = tmp_path / "truncated.json"
         path.write_text("")

@@ -160,6 +160,14 @@ def test_resume_is_not_a_command(capsys):
         (["experiment", "h1", "--trials", "-2"],
          "argument --trials: must be >= 1, got -2"),
         (["report", "--trials", "0"], "argument --trials: must be >= 1"),
+        (["simulate", "--items", "0"], "argument --items: must be >= 1, got 0"),
+        (["experiment", "t1", "--workers", "0"],
+         "argument --workers: must be >= 1, got 0"),
+        (["chaos", "--workers", "-3"], "argument --workers: must be >= 1"),
+        (["watch", "x.jsonl", "--follow", "--interval", "-1"],
+         "argument --interval: must be a finite number >= 0, got -1"),
+        (["watch", "x.jsonl", "--interval", "inf"],
+         "argument --interval: must be a finite number >= 0"),
     ],
 )
 def test_counts_below_one_are_usage_errors(argv, message, capsys):
