@@ -331,14 +331,20 @@ class SystemBuilder:
                         tname,
                         sname,
                         tdef.get("ops", []),
-                        weak_order=[tuple(p) for p in tdef.get("weak", [])],
-                        strong_order=[tuple(p) for p in tdef.get("strong", [])],
+                        weak_order=_spec_pairs(
+                            sname, f"{tname}.weak", tdef.get("weak")
+                        ),
+                        strong_order=_spec_pairs(
+                            sname, f"{tname}.strong", tdef.get("strong")
+                        ),
                         sequential=bool(tdef.get("sequential", False)),
                     )
                 else:
                     builder.transaction(tname, sname, list(tdef))
             draft = builder._drafts[sname]
-            draft.conflicts.extend((a, b) for a, b in body.get("conflicts", []))
+            draft.conflicts.extend(
+                _spec_pairs(sname, "conflicts", body.get("conflicts"))
+            )
             if "executed" in body:
                 builder.executed(
                     sname,
@@ -346,8 +352,31 @@ class SystemBuilder:
                     mode=body.get("executed_mode", "conflicts"),
                 )
             for key in ("weak_output", "strong_output", "weak_input", "strong_input"):
-                getattr(draft, key).extend((a, b) for a, b in body.get(key, []))
+                getattr(draft, key).extend(_spec_pairs(sname, key, body.get(key)))
         return builder
+
+
+def _spec_pairs(sname: str, key: str, value: object) -> List[Tuple[str, str]]:
+    """The pairs listed under ``key`` of schedule ``sname`` in a spec.
+
+    Every entry must be a two-element list or tuple: anything else —
+    including a two-character string, which would unpack into its
+    characters — raises :class:`ModelError` worded like lint's CTX305.
+    An absent (``None``) value lists no pairs.
+    """
+    if value is None:
+        return []
+    if not isinstance(value, (list, tuple)):
+        raise ModelError(f"{key!r} of schedule {sname!r} is not a list of pairs")
+    pairs: List[Tuple[str, str]] = []
+    for entry in value:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+            raise ModelError(
+                f"{key!r} of schedule {sname!r} contains the malformed "
+                f"entry {entry!r} (expected a pair)"
+            )
+        pairs.append((entry[0], entry[1]))
+    return pairs
 
 
 def build_system(spec: Mapping, **kwargs) -> CompositeSystem:

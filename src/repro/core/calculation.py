@@ -133,17 +133,22 @@ def calculation_constraints(
 def find_isolation_failure(
     constraints: Relation, grouping: Grouping
 ) -> Optional[ReductionFailure]:
-    """Check Def. 16 step 1 feasibility; return a failure witness or None."""
+    """Check Def. 16 step 1 feasibility; return a failure witness or None.
+
+    Each group is decided on the constraint rows under its member mask;
+    only a cyclic group is restricted out to build its witness cycle.
+    """
     for parent, members in grouping.groups.items():
-        internal = constraints.restricted_to(members)
-        cycle = internal.find_cycle()
-        if cycle is not None:
-            return ReductionFailure(
-                level=grouping.level,
-                stage="calculation",
-                cycle=cycle,
-                blocked=(parent,),
-            )
+        if constraints.is_acyclic(constraints.mask_of(members)):
+            continue
+        cycle = constraints.restricted_to(members).find_cycle()
+        assert cycle is not None
+        return ReductionFailure(
+            level=grouping.level,
+            stage="calculation",
+            cycle=cycle,
+            blocked=(parent,),
+        )
     quotient = constraints.mapped(grouping.rep)
     cycle = quotient.find_cycle()
     if cycle is not None:
@@ -163,22 +168,25 @@ def witness_sequence(
     """A concrete ``F**`` witness: a linearization of the front in which
     every group is contiguous and all constraints are respected.
 
-    Only call after :func:`find_isolation_failure` returned ``None``.
+    Each group's members are ordered on the constraint rows under the
+    group's member mask, lowest constraint index first.
+
+    Only call after :func:`find_isolation_failure` returned ``None``,
+    with ``constraints`` over every front node (as
+    :func:`calculation_constraints` builds them).
     """
     quotient = constraints.mapped(grouping.rep)
     for node in nodes:
         quotient.add_element(grouping.rep(node))
-    outer = quotient.topological_sort()
     sequence: List[str] = []
-    for rep in outer:
+    for rep in quotient.topological_sort():
         members = grouping.groups.get(rep)
         if members is None:
             sequence.append(rep)
         else:
-            internal = constraints.restricted_to(members)
-            for member in members:
-                internal.add_element(member)
-            sequence.extend(internal.topological_sort())
+            sequence.extend(
+                constraints.topological_sort(constraints.mask_of(members))
+            )
     return sequence
 
 

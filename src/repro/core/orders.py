@@ -17,7 +17,9 @@ word-parallel on those rows — ``copy`` is a list copy, ``union`` is a
 row-wise OR, ``inverse`` is a transpose swap, ``restricted_to`` is a
 row mask, ``transitive_closure``/``delta_closure``/``add_closed``
 propagate reachability as row ORs and build their results directly
-from the closed rows (no per-pair materialization).  The historical
+from the closed rows (no per-pair materialization), and ``is_acyclic``
+is a DFS over the rows' masks — the sorted witness DFS of
+``find_cycle`` runs only once a cycle is known to exist.  The historical
 dict-of-sets views ``_succ``/``_pred`` are synthesized lazily for
 compatibility and are **read-only snapshots** — mutating them does not
 write through.
@@ -935,58 +937,32 @@ class Relation:
     def find_cycle(self) -> Optional[List[Element]]:
         """Return one directed cycle ``[a, ..., a]`` or ``None`` if acyclic.
 
-        Iterative three-colour DFS (no recursion: histories can be deep).
-        Traversal order — roots in carrier insertion order, children in
-        :func:`_sort_key` order — is pinned so witness cycles are
-        deterministic and identical to the historical dict engine.
+        :meth:`is_acyclic` decides; only a cyclic relation runs the
+        pinned witness DFS of :func:`_witness_cycle`, so witness cycles
+        are deterministic and identical to the historical dict engine.
+        """
+        if self.is_acyclic():
+            return None
+        return _witness_cycle(self._nodes, self._rows, False)
+
+    def is_acyclic(
+        self,
+        members: Optional[int] = None,
+        *,
+        skip_self_loops: bool = False,
+    ) -> bool:
+        """True if the relation, viewed as a digraph, has no cycle.
+
+        ``members`` (a :meth:`mask_of` bitmap) restricts the question to
+        the induced subgraph on those elements; ``skip_self_loops``
+        ignores reflexive pairs.  Decided on the bitset rows by
+        :func:`_rows_acyclic` — no witness is built.
         """
         if not self._size:
-            return None
-        n = len(self._nodes)
-        nodes = self._nodes
-        rows = self._rows
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = [WHITE] * n
-        parent: Dict[int, int] = {}
-
-        def children(i: int) -> Iterator[int]:
-            succ = list(_iter_bits(rows[i]))
-            succ.sort(key=lambda j: _sort_key(nodes[j]))
-            return iter(succ)
-
-        for root in range(n):
-            if colour[root] != WHITE:
-                continue
-            stack: List[Tuple[int, Iterator[int]]] = [(root, children(root))]
-            colour[root] = GREY
-            while stack:
-                node, kids = stack[-1]
-                advanced = False
-                for child in kids:
-                    if colour[child] == WHITE:
-                        colour[child] = GREY
-                        parent[child] = node
-                        stack.append((child, children(child)))
-                        advanced = True
-                        break
-                    if colour[child] == GREY:
-                        # Found a back edge node -> child; unwind the path.
-                        cycle = [child]
-                        cursor = node
-                        while cursor != child:
-                            cycle.append(cursor)
-                            cursor = parent[cursor]
-                        cycle.append(child)
-                        cycle.reverse()
-                        return [nodes[i] for i in cycle]
-                if not advanced:
-                    colour[node] = BLACK
-                    stack.pop()
-        return None
-
-    def is_acyclic(self) -> bool:
-        """True if the relation, viewed as a digraph, has no cycle."""
-        return self.find_cycle() is None
+            return True
+        if members is None:
+            members = (1 << len(self._rows)) - 1
+        return _rows_acyclic(self._rows, members, skip_self_loops)
 
     def is_irreflexive(self) -> bool:
         """True if no element is related to itself (empty diagonal)."""
@@ -1028,38 +1004,48 @@ class Relation:
     # ------------------------------------------------------------------
     # linearization
     # ------------------------------------------------------------------
-    def topological_sort(self) -> List[Element]:
-        """A linear extension of the relation over its carrier set.
+    def topological_sort(
+        self, members: Optional[int] = None
+    ) -> List[Element]:
+        """A linear extension of the relation over its carrier set, or
+        over the elements of the :meth:`mask_of` bitmap ``members``
+        (ignoring pairs that leave it).
 
         Raises :class:`CycleError` (with a witness) when cyclic.  Ties
-        are broken by carrier insertion order, which makes results
-        deterministic across runs.
+        are broken by carrier insertion order — Kahn's algorithm always
+        emits the lowest set bit of a ready bitmask — which makes
+        results deterministic across runs.
         """
-        n = len(self._nodes)
         nodes = self._nodes
-        in_degree = [_popcount(c) for c in self._transpose()]
-        queue: List[int] = [i for i in range(n) if in_degree[i] == 0]
-        order: List[int] = []
-        head = 0
-        while head < len(queue):
-            # Pick the smallest-position ready element for determinism
-            # (bit position == carrier insertion position).
-            best = min(range(head, len(queue)), key=lambda k: queue[k])
-            queue[head], queue[best] = queue[best], queue[head]
-            node = queue[head]
-            head += 1
-            order.append(node)
-            succ = list(_iter_bits(self._rows[node]))
-            succ.sort(key=lambda j: _sort_key(nodes[j]))
-            for child in succ:
+        rows = self._rows
+        if members is None:
+            members = (1 << len(rows)) - 1
+        cols = self._transpose()
+        in_degree: Dict[int, int] = {}
+        ready = 0
+        for i in _iter_bits(members):
+            degree = in_degree[i] = _popcount(cols[i] & members)
+            if not degree:
+                ready |= 1 << i
+        order: List[Element] = []
+        while ready:
+            low = ready & -ready
+            ready ^= low
+            node = low.bit_length() - 1
+            order.append(nodes[node])
+            succ = rows[node] & members
+            while succ:
+                bit = succ & -succ
+                child = bit.bit_length() - 1
                 in_degree[child] -= 1
-                if in_degree[child] == 0:
-                    queue.append(child)
-        if len(order) != n:
-            cycle = self.find_cycle()
+                if not in_degree[child]:
+                    ready |= bit
+                succ ^= bit
+        if len(order) != len(in_degree):
+            cycle = self.restricted_to(self.unpack(members)).find_cycle()
             assert cycle is not None
             raise CycleError("relation is not linearizable", cycle)
-        return [nodes[i] for i in order]
+        return order
 
     def all_topological_sorts(
         self, limit: Optional[int] = None
@@ -1113,80 +1099,110 @@ def _sort_key(element: Element) -> Tuple[str, str]:
     return (type(element).__name__, str(element))
 
 
-def find_cycle_in_union(
-    relations: Iterable["Relation"],
-    *,
-    skip_self_loops: bool = False,
-) -> Optional[List[Element]]:
-    """One directed cycle of ``⋃ relations``, without materializing it.
+def _rows_acyclic(rows: List[int], members: int, skip_self_loops: bool) -> bool:
+    """Decide whether the digraph of ``rows`` induced on the ``members``
+    bitmap is acyclic (with ``skip_self_loops``, reflexive pairs do not
+    count).
 
-    Behaviourally identical to ``relations[0].union(*relations[1:])``
-    followed by :meth:`Relation.find_cycle` (same carrier order, same
-    successor sort, hence the same witness cycle) — but it never copies
-    the relations: successor sets are merged per visited node straight
-    from the bitset rows, which for the checker's dense closed observed
-    orders is the dominant cost of the Def.-13 consistency test.  With
-    ``skip_self_loops`` reflexive pairs are ignored, matching the
-    self-loop discard of :meth:`repro.core.front.Front.consistency_violation`.
+    A DFS on the masks alone: ``unvisited`` holds the members not yet
+    reached and ``grey`` the current path.  A row that hits ``grey`` on
+    entry is a back edge — while a node stays on the path, the nodes
+    that turn grey below it are black again before it resumes, so one
+    test per visit suffices.  Rows need no member masking: ``unvisited``
+    and ``grey`` are subsets of ``members``.  Children are taken lowest
+    bit first; the order is irrelevant to the verdict, so nothing is
+    sorted and no witness is kept.
     """
-    pool = list(relations)
-    order: Dict[Element, None] = {}
-    for relation in pool:
-        for element in relation._nodes:
-            order.setdefault(element, None)
+    unvisited = members
+    grey = 0
+    path: List[int] = []
+    pending: List[int] = []
+    while unvisited:
+        low = unvisited & -unvisited
+        while True:
+            unvisited ^= low
+            row = rows[low.bit_length() - 1]
+            if skip_self_loops:
+                if row & grey:
+                    return False
+                grey |= low
+            else:
+                grey |= low
+                if row & grey:
+                    return False
+            path.append(low)
+            pending.append(row)
+            while path:
+                nxt = pending[-1] & unvisited
+                if nxt:
+                    pending[-1] = nxt
+                    low = nxt & -nxt
+                    break
+                grey ^= path.pop()
+                pending.pop()
+            else:
+                break
+    return True
 
-    # Children must be visited in ``_sort_key`` order (the witness-cycle
-    # contract).  Rank the union carrier once, so merging successor rows
-    # into a rank-indexed bitmap yields them already sorted — one global
-    # O(n log n) sort instead of a sort (plus key tuples) per visited
-    # node, which dominated the Def.-13 test on dense closed orders.
-    ranked = sorted(order, key=_sort_key)
-    rank_bit = {e: 1 << r for r, e in enumerate(ranked)}
-    perms = [
-        [rank_bit[e] for e in relation._nodes] for relation in pool
-    ]
 
-    def successors(node: Element) -> List[Element]:
+def _witness_cycle(
+    nodes: List[Element], rows: List[int], skip_self_loops: bool
+) -> List[Element]:
+    """One directed cycle ``[a, ..., a]`` of the digraph of ``rows``
+    over ``nodes``, which must be cyclic (with ``skip_self_loops``,
+    cyclic without its reflexive pairs).
+
+    Iterative three-colour DFS (no recursion: histories can be deep).
+    Traversal order — roots in carrier order, children in
+    :func:`_sort_key` order — is pinned so witness cycles are
+    deterministic and identical to the historical dict engine.  The
+    carrier is ranked once, so remapping a successor row into a
+    rank-indexed bitmap yields the children already sorted: one
+    O(n log n) sort instead of a sort (plus key tuples) per visited
+    node.
+    """
+    n = len(nodes)
+    ranked = sorted(range(n), key=lambda i: _sort_key(nodes[i]))
+    rank_bit = [0] * n
+    for r, i in enumerate(ranked):
+        rank_bit[i] = 1 << r
+
+    def children(i: int) -> Iterator[int]:
+        mask = rows[i]
         merged = 0
-        for relation, perm in zip(pool, perms):
-            i = relation._index.get(node)
-            if i is None:
-                continue
-            mask = relation._rows[i]
-            while mask:
-                low = mask & -mask
-                merged |= perm[low.bit_length() - 1]
-                mask &= mask - 1
+        while mask:
+            low = mask & -mask
+            merged |= rank_bit[low.bit_length() - 1]
+            mask ^= low
         if skip_self_loops:
-            merged &= ~rank_bit[node]
-        out: List[Element] = []
+            merged &= ~rank_bit[i]
+        out: List[int] = []
         while merged:
             low = merged & -merged
             out.append(ranked[low.bit_length() - 1])
-            merged &= merged - 1
-        return out
+            merged ^= low
+        return iter(out)
 
     WHITE, GREY, BLACK = 0, 1, 2
-    colour: Dict[Element, int] = {e: WHITE for e in order}
-    parent: Dict[Element, Element] = {}
-    for root in order:
+    colour = [WHITE] * n
+    parent: Dict[int, int] = {}
+    for root in range(n):
         if colour[root] != WHITE:
             continue
-        stack: List[Tuple[Element, Iterator[Element]]] = [
-            (root, iter(successors(root)))
-        ]
+        stack: List[Tuple[int, Iterator[int]]] = [(root, children(root))]
         colour[root] = GREY
         while stack:
-            node, children = stack[-1]
+            node, kids = stack[-1]
             advanced = False
-            for child in children:
+            for child in kids:
                 if colour[child] == WHITE:
                     colour[child] = GREY
                     parent[child] = node
-                    stack.append((child, iter(successors(child))))
+                    stack.append((child, children(child)))
                     advanced = True
                     break
                 if colour[child] == GREY:
+                    # Found a back edge node -> child; unwind the path.
                     cycle = [child]
                     cursor = node
                     while cursor != child:
@@ -1194,11 +1210,66 @@ def find_cycle_in_union(
                         cursor = parent[cursor]
                     cycle.append(child)
                     cycle.reverse()
-                    return cycle
+                    return [nodes[i] for i in cycle]
             if not advanced:
                 colour[node] = BLACK
                 stack.pop()
-    return None
+    raise ValueError(  # pragma: no cover - invariant
+        "_witness_cycle: the relation is acyclic"
+    )
+
+
+def find_cycle_in_union(
+    relations: Iterable["Relation"],
+    *,
+    skip_self_loops: bool = False,
+) -> Optional[List[Element]]:
+    """One directed cycle of ``⋃ relations``, or ``None`` when acyclic.
+
+    Behaviourally identical to ``relations[0].union(*relations[1:])``
+    followed by :meth:`Relation.find_cycle` (same carrier order, same
+    successor sort, hence the same witness cycle).  The union's rows are
+    ORed once, in first-appearance carrier order (a whole-row OR for
+    each relation whose carrier is a prefix of it), and
+    :func:`_rows_acyclic` decides on them; only a cyclic union runs the
+    witness DFS.  With ``skip_self_loops`` reflexive pairs are ignored,
+    matching the self-loop discard of
+    :meth:`repro.core.front.Front.consistency_violation`.
+    """
+    pool = list(relations)
+    order: Dict[Element, None] = {}
+    for relation in pool:
+        for element in relation._nodes:
+            order.setdefault(element, None)
+    nodes = list(order)
+    rows = _union_rows(pool, nodes)
+    if _rows_acyclic(rows, (1 << len(nodes)) - 1, skip_self_loops):
+        return None
+    return _witness_cycle(nodes, rows, skip_self_loops)
+
+
+def _union_rows(pool: List["Relation"], nodes: List[Element]) -> List[int]:
+    """The rows of ``⋃ pool`` over ``nodes`` (the union carrier in
+    first-appearance order, which extends ``pool[0]``'s index)."""
+    rows = [0] * len(nodes)
+    index: Optional[Dict[Element, int]] = None
+    for relation in pool:
+        own = relation._nodes
+        if own == nodes[: len(own)]:
+            for i, mask in enumerate(relation._rows):
+                rows[i] |= mask
+            continue
+        if index is None:
+            index = {e: i for i, e in enumerate(nodes)}
+        shift = [index[e] for e in own]
+        for oi, mask in enumerate(relation._rows):
+            acc = 0
+            while mask:
+                low = mask & -mask
+                acc |= 1 << shift[low.bit_length() - 1]
+                mask &= mask - 1
+            rows[shift[oi]] |= acc
+    return rows
 
 
 def closed_orders(

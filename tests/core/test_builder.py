@@ -222,3 +222,35 @@ class TestFromSpec:
         }
         sys = build_system(spec)
         assert ("a", "b") in sys.schedule("S").weak_output
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "conflicts",
+            "weak_output",
+            "strong_output",
+            "weak_input",
+            "strong_input",
+            "T1.weak",
+            "T1.strong",
+        ],
+    )
+    @pytest.mark.parametrize("entry", [["a", "b", "c"], ["a"], 7, "ab"])
+    def test_spec_rejects_malformed_pairs(self, key, entry):
+        body = {"transactions": {"T1": {"ops": ["a", "b"]}, "T2": ["c"]}}
+        if key.startswith("T1."):
+            body["transactions"]["T1"][key[3:]] = [entry]
+        else:
+            body[key] = [entry]
+        with pytest.raises(ModelError) as info:
+            SystemBuilder.from_spec({"schedules": {"S": body}})
+        assert str(info.value) == (
+            f"{key!r} of schedule 'S' contains the malformed entry "
+            f"{entry!r} (expected a pair)"
+        )
+
+    def test_spec_rejects_a_pair_list_that_is_not_a_list(self):
+        spec = {"schedules": {"S": {"transactions": {"T1": ["a"]},
+                                    "conflicts": "ab"}}}
+        with pytest.raises(ModelError, match="not a list of pairs"):
+            SystemBuilder.from_spec(spec)

@@ -1,5 +1,6 @@
 """CLI tests (direct main() invocation; one subprocess smoke test)."""
 
+import json
 import subprocess
 import sys
 
@@ -252,6 +253,31 @@ class TestInputErrors:
         assert completed.stderr == (
             "repro check: error: strong input order of schedule 'S' "
             "mentions 'T9', which is not one of its transactions\n"
+        )
+
+    @pytest.mark.parametrize(
+        "key, entry",
+        [
+            ("weak_output", '["a", "b", "a"]'),
+            ("conflicts", '["a"]'),
+            ("strong_input", "3"),
+            ("weak_input", '"t3"'),
+        ],
+    )
+    def test_malformed_pair(self, tmp_path, capsys, key, entry):
+        """A pair entry that is not a two-element list is one error
+        line worded like lint's CTX305 — a two-character string is not
+        unpacked into its characters."""
+        path = tmp_path / "pair.json"
+        path.write_text(
+            '{"schedules": {"S": {"transactions": {"T1": ["a"], '
+            f'"T2": ["b"]}}, "{key}": [{entry}]}}}}}}'
+        )
+        assert main(["check", str(path)]) == 1
+        shown = json.loads(entry)
+        assert capsys.readouterr().err == (
+            f"repro check: error: {key!r} of schedule 'S' contains the "
+            f"malformed entry {shown!r} (expected a pair)\n"
         )
 
     def test_in_process_status(self, tmp_path, capsys):
