@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, cast
 
 from repro.core.orders import Relation
 from repro.core.schedule import Schedule
@@ -356,27 +356,42 @@ class SystemBuilder:
         return builder
 
 
-def _spec_pairs(sname: str, key: str, value: object) -> List[Tuple[str, str]]:
-    """The pairs listed under ``key`` of schedule ``sname`` in a spec.
+def pair_shape_errors(sname: str, key: str, value: object) -> List[str]:
+    """Why the value under ``key`` of schedule ``sname`` in a spec is
+    not a list of pairs: one message per malformed entry, or one for a
+    value that is not a list at all.  Empty when it is well formed
+    (an absent, ``None``, value lists no pairs).
 
-    Every entry must be a two-element list or tuple: anything else —
-    including a two-character string, which would unpack into its
-    characters — raises :class:`ModelError` worded like lint's CTX305.
-    An absent (``None``) value lists no pairs.
+    Every entry must be a two-element list or tuple — a two-character
+    string would otherwise unpack into its characters.  Lint reports
+    each message as CTX305; :meth:`SystemBuilder.from_spec` raises the
+    first.
     """
     if value is None:
         return []
     if not isinstance(value, (list, tuple)):
-        raise ModelError(f"{key!r} of schedule {sname!r} is not a list of pairs")
-    pairs: List[Tuple[str, str]] = []
+        return [f"{key!r} of schedule {sname!r} is not a list of pairs"]
+    errors: List[str] = []
     for entry in value:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-            raise ModelError(
+            errors.append(
                 f"{key!r} of schedule {sname!r} contains the malformed "
                 f"entry {entry!r} (expected a pair)"
             )
-        pairs.append((entry[0], entry[1]))
-    return pairs
+    return errors
+
+
+def _spec_pairs(sname: str, key: str, value: object) -> List[Tuple[str, str]]:
+    """The pairs listed under ``key`` of schedule ``sname`` in a spec;
+    a malformed value raises :class:`ModelError` with the first
+    :func:`pair_shape_errors` message."""
+    if value is None or value == []:  # most keys of a saved document
+        return []
+    errors = pair_shape_errors(sname, key, value)
+    if errors:
+        raise ModelError(errors[0])
+    entries = cast("Sequence[Sequence[str]]", value)
+    return [(entry[0], entry[1]) for entry in entries]
 
 
 def build_system(spec: Mapping, **kwargs) -> CompositeSystem:

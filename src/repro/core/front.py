@@ -102,10 +102,10 @@ class Front:
 
         Reflexive pairs (which the transitive closure of a cyclic
         observed order contains) are dropped so the witness is the
-        underlying multi-node cycle rather than a bare self-loop.  The
-        union is traversed virtually (:func:`find_cycle_in_union`) —
-        materializing ``<_o ∪ →`` per level dominated the checker's
-        profile on dense observed orders.
+        underlying multi-node cycle rather than a bare self-loop.
+        :func:`find_cycle_in_union` builds ``<_o ∪ →`` once with
+        :meth:`Relation.union`, decides acyclicity on its rows and runs
+        the sorted witness DFS only when there is a cycle.
         """
         return find_cycle_in_union(
             (self.observed, self.input_weak), skip_self_loops=True

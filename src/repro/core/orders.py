@@ -1226,50 +1226,20 @@ def find_cycle_in_union(
 ) -> Optional[List[Element]]:
     """One directed cycle of ``⋃ relations``, or ``None`` when acyclic.
 
-    Behaviourally identical to ``relations[0].union(*relations[1:])``
-    followed by :meth:`Relation.find_cycle` (same carrier order, same
-    successor sort, hence the same witness cycle).  The union's rows are
-    ORed once, in first-appearance carrier order (a whole-row OR for
-    each relation whose carrier is a prefix of it), and
-    :func:`_rows_acyclic` decides on them; only a cyclic union runs the
-    witness DFS.  With ``skip_self_loops`` reflexive pairs are ignored,
-    matching the self-loop discard of
+    The union is built once with :meth:`Relation.union` (first-appearance
+    carrier order) and :meth:`Relation.is_acyclic` decides on its rows;
+    only a cyclic union runs the witness DFS, so the cycle is the one
+    :meth:`Relation.find_cycle` would report.  With ``skip_self_loops``
+    reflexive pairs are ignored, matching the self-loop discard of
     :meth:`repro.core.front.Front.consistency_violation`.
     """
     pool = list(relations)
-    order: Dict[Element, None] = {}
-    for relation in pool:
-        for element in relation._nodes:
-            order.setdefault(element, None)
-    nodes = list(order)
-    rows = _union_rows(pool, nodes)
-    if _rows_acyclic(rows, (1 << len(nodes)) - 1, skip_self_loops):
+    if not pool:
         return None
-    return _witness_cycle(nodes, rows, skip_self_loops)
-
-
-def _union_rows(pool: List["Relation"], nodes: List[Element]) -> List[int]:
-    """The rows of ``⋃ pool`` over ``nodes`` (the union carrier in
-    first-appearance order, which extends ``pool[0]``'s index)."""
-    rows = [0] * len(nodes)
-    index: Optional[Dict[Element, int]] = None
-    for relation in pool:
-        own = relation._nodes
-        if own == nodes[: len(own)]:
-            for i, mask in enumerate(relation._rows):
-                rows[i] |= mask
-            continue
-        if index is None:
-            index = {e: i for i, e in enumerate(nodes)}
-        shift = [index[e] for e in own]
-        for oi, mask in enumerate(relation._rows):
-            acc = 0
-            while mask:
-                low = mask & -mask
-                acc |= 1 << shift[low.bit_length() - 1]
-                mask &= mask - 1
-            rows[shift[oi]] |= acc
-    return rows
+    union = pool[0].union(*pool[1:])
+    if union.is_acyclic(skip_self_loops=skip_self_loops):
+        return None
+    return _witness_cycle(union._nodes, union._rows, skip_self_loops)
 
 
 def closed_orders(

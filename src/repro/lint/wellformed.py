@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.builder import SystemBuilder, _execution_pairs
+from repro.core.builder import SystemBuilder, _execution_pairs, pair_shape_errors
 from repro.core.front import Front
 from repro.core.orders import Relation
 from repro.core.schedule import Schedule, _normalize_conflicts
@@ -303,23 +303,8 @@ def _check_pair_shapes(
     key: str,
     value: object,
 ) -> None:
-    if value is None:
-        return
-    if not isinstance(value, (list, tuple)):
-        collector.report(
-            "CTX305",
-            f"{key!r} of schedule {sname!r} is not a list of pairs",
-            schedule=sname,
-        )
-        return
-    for entry in value:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-            collector.report(
-                "CTX305",
-                f"{key!r} of schedule {sname!r} contains the malformed "
-                f"entry {entry!r} (expected a pair)",
-                schedule=sname,
-            )
+    for message in pair_shape_errors(sname, key, value):
+        collector.report("CTX305", message, schedule=sname)
 
 
 def _lint_raw_schedule(

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core.builder import SystemBuilder, build_system
+from repro.core.builder import SystemBuilder, build_system, pair_shape_errors
 from repro.exceptions import CycleError, ModelError
+from repro.lint.diagnostics import DiagnosticCollector
+from repro.lint.wellformed import lint_system_document
 
 
 class TestDeclaration:
@@ -248,6 +250,18 @@ class TestFromSpec:
             f"{key!r} of schedule 'S' contains the malformed entry "
             f"{entry!r} (expected a pair)"
         )
+
+    def test_lint_and_builder_word_malformed_pairs_alike(self):
+        body = {"transactions": {"T1": ["a", "b"]},
+                "conflicts": [["a", "b", "c"], 7]}
+        collector = DiagnosticCollector()
+        lint_system_document(collector, {"schedules": {"S": body}})
+        reported = [d.message for d in collector.errors if d.code == "CTX305"]
+        assert reported == pair_shape_errors("S", "conflicts", body["conflicts"])
+        assert len(reported) == 2
+        with pytest.raises(ModelError) as info:
+            SystemBuilder.from_spec({"schedules": {"S": body}})
+        assert str(info.value) == reported[0]
 
     def test_spec_rejects_a_pair_list_that_is_not_a_list(self):
         spec = {"schedules": {"S": {"transactions": {"T1": ["a"]},
