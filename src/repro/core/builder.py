@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, cast
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.orders import Relation
 from repro.core.schedule import Schedule
@@ -226,8 +226,9 @@ class SystemBuilder:
                 )
             # Axiom 2: intra-transaction orders must surface in outputs.
             for txn in transactions.values():
-                weak_out.extend(txn.weak_order.pairs())
-                strong_out.extend(txn.strong_order.pairs())
+                if txn.ordered:
+                    weak_out.extend(txn.weak_order.pairs())
+                    strong_out.extend(txn.strong_order.pairs())
             # Axiom 3: closed strong inputs sequence whole transactions.
             # An unknown name is left for Schedule to report.
             strong = strong_in[name]
@@ -320,17 +321,25 @@ class SystemBuilder:
                     "weak_input": [["T1", "T2"]],
                 },
             }}
+
+        A malformed shape raises :class:`ModelError` with the message
+        of its rule below (lint's CTX305 wording).
         """
         builder = cls()
-        schedules = spec.get("schedules", {})
+        schedules = spec.get("schedules")
+        _require(schedules_shape_error(schedules))
         for sname, body in schedules.items():
+            _require(body_shape_error(sname, body))
             builder.schedule(sname)
-            for tname, tdef in body.get("transactions", {}).items():
+            transactions = body.get("transactions", {})
+            _require(transactions_shape_error(sname, transactions))
+            for tname, tdef in transactions.items():
+                _require(transaction_shape_error(sname, tname, tdef))
                 if isinstance(tdef, Mapping):
                     builder.transaction(
                         tname,
                         sname,
-                        tdef.get("ops", []),
+                        tdef.get("ops", ()),
                         weak_order=_spec_pairs(
                             sname, f"{tname}.weak", tdef.get("weak")
                         ),
@@ -340,20 +349,110 @@ class SystemBuilder:
                         sequential=bool(tdef.get("sequential", False)),
                     )
                 else:
-                    builder.transaction(tname, sname, list(tdef))
+                    builder.transaction(tname, sname, tdef)
             draft = builder._drafts[sname]
             draft.conflicts.extend(
                 _spec_pairs(sname, "conflicts", body.get("conflicts"))
             )
-            if "executed" in body:
+            executed = body.get("executed")
+            _require(executed_shape_error(sname, executed))
+            if executed is not None:
                 builder.executed(
                     sname,
-                    list(body["executed"]),
+                    executed,
                     mode=body.get("executed_mode", "conflicts"),
                 )
             for key in ("weak_output", "strong_output", "weak_input", "strong_input"):
                 getattr(draft, key).extend(_spec_pairs(sname, key, body.get(key)))
         return builder
+
+
+# ----------------------------------------------------------------------
+# spec shapes: each rule and its wording live here once.  Lint reports
+# every message as CTX305; from_spec raises the first as ModelError,
+# and io.text_format.loads its executions message as ParseError.
+# ----------------------------------------------------------------------
+def _require(error: Optional[str]) -> None:
+    if error is not None:
+        raise ModelError(error)
+
+
+#: What a list in a spec may be: a JSON list, or a tuple when the spec
+#: is built in code.  A string would otherwise iterate (or unpack) into
+#: its characters.
+_LISTS = (list, tuple)
+
+
+def schedules_shape_error(value: object) -> Optional[str]:
+    """Why a spec's ``schedules`` section is unusable: absent, empty or
+    not a mapping of schedule names to bodies.  ``None`` when usable."""
+    if value and isinstance(value, Mapping):
+        return None
+    return "document has no 'schedules' section"
+
+
+def body_shape_error(sname: str, body: object) -> Optional[str]:
+    """Why the body of schedule ``sname`` is malformed, or ``None``."""
+    if isinstance(body, Mapping):
+        return None
+    return f"schedule {sname!r} body is not a mapping"
+
+
+def transactions_shape_error(sname: str, value: object) -> Optional[str]:
+    """Why the ``transactions`` of schedule ``sname`` are malformed, or
+    ``None``."""
+    if isinstance(value, Mapping):
+        return None
+    return f"'transactions' of schedule {sname!r} is not a mapping"
+
+
+def transaction_shape_error(
+    sname: str, tname: str, tdef: object
+) -> Optional[str]:
+    """Why the definition of transaction ``tname`` is malformed: it
+    must be an operation list, or a mapping whose ``ops`` (when given)
+    is one.  ``None`` when well formed."""
+    if isinstance(tdef, Mapping):
+        if isinstance(tdef.get("ops", ()), _LISTS):
+            return None
+        return (
+            f"'ops' of transaction {tname!r} of schedule {sname!r} is not "
+            "a list of operations"
+        )
+    if isinstance(tdef, _LISTS):
+        return None
+    return (
+        f"transaction {tname!r} of schedule {sname!r} is neither an "
+        "operation list nor a mapping"
+    )
+
+
+def executed_shape_error(sname: str, value: object) -> Optional[str]:
+    """Why the ``executed`` sequence of schedule ``sname`` is
+    malformed, or ``None`` (an absent, ``None``, value records none)."""
+    if value is None or isinstance(value, _LISTS):
+        return None
+    return f"'executed' of schedule {sname!r} is not a list of operations"
+
+
+def executions_shape_errors(value: object) -> List[str]:
+    """Why a document's top-level ``executions`` section is malformed:
+    one message when it is not a mapping, else one per schedule whose
+    sequence is not a list.  Empty when well formed or absent."""
+    if value is None:
+        return []
+    if not isinstance(value, Mapping):
+        return ["'executions' is not a mapping of schedule -> sequence"]
+    return [
+        f"'executions' of schedule {sname!r} is not a list of operations"
+        for sname, sequence in value.items()
+        if not isinstance(sequence, _LISTS)
+    ]
+
+
+def _is_pair(entry: object) -> bool:
+    """A spec pair is a two-element list."""
+    return isinstance(entry, _LISTS) and len(entry) == 2
 
 
 def pair_shape_errors(sname: str, key: str, value: object) -> List[str]:
@@ -362,18 +461,17 @@ def pair_shape_errors(sname: str, key: str, value: object) -> List[str]:
     value that is not a list at all.  Empty when it is well formed
     (an absent, ``None``, value lists no pairs).
 
-    Every entry must be a two-element list or tuple — a two-character
-    string would otherwise unpack into its characters.  Lint reports
-    each message as CTX305; :meth:`SystemBuilder.from_spec` raises the
+    Every entry must pass :func:`_is_pair`.  Lint reports each message
+    as CTX305; :meth:`SystemBuilder.from_spec` raises the
     first.
     """
     if value is None:
         return []
-    if not isinstance(value, (list, tuple)):
+    if not isinstance(value, _LISTS):
         return [f"{key!r} of schedule {sname!r} is not a list of pairs"]
     errors: List[str] = []
     for entry in value:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+        if not _is_pair(entry):
             errors.append(
                 f"{key!r} of schedule {sname!r} contains the malformed "
                 f"entry {entry!r} (expected a pair)"
@@ -382,16 +480,21 @@ def pair_shape_errors(sname: str, key: str, value: object) -> List[str]:
 
 
 def _spec_pairs(sname: str, key: str, value: object) -> List[Tuple[str, str]]:
-    """The pairs listed under ``key`` of schedule ``sname`` in a spec;
-    a malformed value raises :class:`ModelError` with the first
-    :func:`pair_shape_errors` message."""
-    if value is None or value == []:  # most keys of a saved document
+    """The pairs listed under ``key`` of schedule ``sname`` in a spec,
+    converted and shape-checked in one pass; a malformed value raises
+    :class:`ModelError` with the first :func:`pair_shape_errors`
+    message."""
+    if value is None:
         return []
-    errors = pair_shape_errors(sname, key, value)
-    if errors:
-        raise ModelError(errors[0])
-    entries = cast("Sequence[Sequence[str]]", value)
-    return [(entry[0], entry[1]) for entry in entries]
+    pairs: List[Tuple[str, str]] = []
+    if isinstance(value, _LISTS):
+        for entry in value:
+            if not _is_pair(entry):
+                break
+            pairs.append((entry[0], entry[1]))
+        else:
+            return pairs
+    raise ModelError(pair_shape_errors(sname, key, value)[0])
 
 
 def build_system(spec: Mapping, **kwargs) -> CompositeSystem:

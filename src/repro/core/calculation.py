@@ -121,6 +121,8 @@ def calculation_constraints(
     for parent, members in grouping.groups.items():
         schedule = system.schedule(system.schedule_of_transaction(parent))
         txn = schedule.transactions[parent]
+        if not txn.ordered:
+            continue
         member_set = set(members)
         for a, b in txn.weak_order.pairs():
             if a in member_set and b in member_set:

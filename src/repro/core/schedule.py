@@ -347,8 +347,13 @@ class Schedule:
 
     def iter_axiom_violations(self) -> Iterator[ScheduleAxiomError]:
         """Yield every Def. 3 axiom violation as a structured
-        (unraised) :class:`ScheduleAxiomError`, in axiom order."""
-        for pair in sorted(self._conflicts, key=sorted):
+        (unraised) :class:`ScheduleAxiomError`, in axiom order.
+
+        Axiom 1 is decided on the output rows first
+        (:meth:`_axiom1_holds`); the sorted per-pair walk below runs
+        only to word the violations of a schedule that breaks it."""
+        axiom1 = () if self._axiom1_holds() else sorted(self._conflicts, key=sorted)
+        for pair in axiom1:
             a, b = sorted(pair)
             ta, tb = self._owner_of[a], self._owner_of[b]
             if ta == tb:
@@ -383,6 +388,8 @@ class Schedule:
                     transactions=(ta, tb),
                 )
         for txn in self._transactions.values():
+            if not txn.ordered:
+                continue
             for a, b in txn.weak_order.missing_pairs(self._weak_output):
                 yield ScheduleAxiomError(
                     "2a",
@@ -423,6 +430,42 @@ class Schedule:
                 schedule=self.name,
                 operations=(a, b),
             )
+
+    def _axiom1_holds(self) -> bool:
+        """Decide Def. 3 axiom 1 on the rows, with no sort and no
+        violation built.
+
+        The weak output is acyclic, so each conflicting pair is ordered
+        one way, or not at all.  An ordered pair ``a ≺ b`` breaks the
+        axiom only when ``b``'s transaction precedes ``a``'s in the weak
+        input (1a or 1b); an unordered one when its operations belong
+        to distinct transactions (1a, 1b or 1c alike).
+        """
+        out = self._weak_output
+        rows = out._rows
+        index = out._index
+        owner = self._owner_of
+        inputs = self._weak_input
+        input_rows = inputs._rows
+        input_index = inputs._index
+        ordered_inputs = bool(inputs)
+        for a, b in self._conflicts:
+            i = index[a]
+            j = index[b]
+            if (rows[i] >> j) & 1:
+                first, then = a, b
+            elif (rows[j] >> i) & 1:
+                first, then = b, a
+            elif owner[a] != owner[b]:
+                return False
+            else:
+                continue
+            if ordered_inputs and (
+                input_rows[input_index[owner[then]]]
+                >> input_index[owner[first]]
+            ) & 1:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # per-schedule conflict consistency (used by SCC / FCC / JCC)

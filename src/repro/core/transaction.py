@@ -16,8 +16,7 @@ execution of non-conflicting pieces (Def. 1).
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.core.orders import Relation, closed_orders
 from repro.exceptions import CycleError, ModelError
@@ -63,12 +62,18 @@ class Transaction:
             raise ModelError(f"transaction {name!r} cannot contain itself")
         self.name = name
         self._operations = ops
-
+        strong_pairs = list(zip(ops, ops[1:])) if sequential else []
+        strong_pairs.extend(strong_order)
+        weak_pairs = list(weak_order)
+        # An order-free transaction cannot be cyclic: its two empty
+        # relations are built on first read (most documents declare no
+        # intra order at all, so most never are).
+        self._weak: Optional[Relation] = None
+        self._strong: Optional[Relation] = None
+        if not (strong_pairs or weak_pairs):
+            return
         weak, strong = closed_orders(
-            ops,
-            chain(zip(ops, ops[1:]) if sequential else (), strong_order),
-            weak_order,
-            self._not_member,
+            ops, strong_pairs, weak_pairs, self._not_member
         )
         # A closed relation is cyclic iff some row holds its own bit:
         # the O(V) probe decides, find_cycle only builds the witness.
@@ -93,26 +98,39 @@ class Transaction:
         return self._operations
 
     @property
+    def ordered(self) -> bool:
+        """True iff ``≺_t`` relates some pair.  An order-free
+        transaction contributes nothing to Def. 3 axiom 2 or to the
+        Def.-14 intra-order constraints, so those loops skip it."""
+        return bool(self._weak)
+
+    @property
     def weak_order(self) -> Relation:
         """``≺_t``, transitively closed."""
-        return self._weak
+        weak = self._weak
+        if weak is None:
+            weak = self._weak = Relation(elements=self._operations)
+        return weak
 
     @property
     def strong_order(self) -> Relation:
         """``≪_t``, transitively closed (always ``⊆ weak_order``)."""
-        return self._strong
+        strong = self._strong
+        if strong is None:
+            strong = self._strong = Relation(elements=self._operations)
+        return strong
 
     def weakly_ordered(self, a: str, b: str) -> bool:
         """True iff ``a ≺_t b``."""
-        return (a, b) in self._weak
+        return (a, b) in self.weak_order
 
     def strongly_ordered(self, a: str, b: str) -> bool:
         """True iff ``a ≪_t b``."""
-        return (a, b) in self._strong
+        return (a, b) in self.strong_order
 
     def is_sequential(self) -> bool:
         """True iff the strong order is total over the operations."""
-        return self._strong.is_total_over(self._operations)
+        return self.strong_order.is_total_over(self._operations)
 
     def __len__(self) -> int:
         return len(self._operations)
@@ -126,8 +144,8 @@ class Transaction:
         return (
             self.name == other.name
             and self._operations == other._operations
-            and self._weak == other._weak
-            and self._strong == other._strong
+            and self.weak_order == other.weak_order
+            and self.strong_order == other.strong_order
         )
 
     def __hash__(self) -> int:

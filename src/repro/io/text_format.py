@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.core.builder import SystemBuilder
+from repro.core.builder import SystemBuilder, executions_shape_errors
 from repro.core.system import CompositeSystem
 from repro.exceptions import ParseError
 from repro.io.jsondoc import parse_json_document
@@ -76,10 +76,11 @@ def loads(text: str, *, source: Optional[str] = None) -> RecordedExecution:
         raise ParseError(f"unsupported format version {version}")
     builder = SystemBuilder.from_spec(document)
     system = builder.build()
-    executions = {
-        name: list(seq)
-        for name, seq in document.get("executions", {}).items()
-    }
+    sections = document.get("executions")
+    errors = executions_shape_errors(sections)
+    if errors:
+        raise ParseError(errors[0])
+    executions = {name: list(seq) for name, seq in (sections or {}).items()}
     return RecordedExecution(system=system, executions=executions)
 
 

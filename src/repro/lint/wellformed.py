@@ -30,7 +30,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.builder import SystemBuilder, _execution_pairs, pair_shape_errors
+from repro.core.builder import (
+    SystemBuilder,
+    _execution_pairs,
+    body_shape_error,
+    executed_shape_error,
+    executions_shape_errors,
+    pair_shape_errors,
+    schedules_shape_error,
+    transaction_shape_error,
+    transactions_shape_error,
+)
 from repro.core.front import Front
 from repro.core.orders import Relation
 from repro.core.schedule import Schedule, _normalize_conflicts
@@ -240,10 +250,11 @@ def lint_system_document(
             fix_hint="re-save the document with the current library",
         )
     schedules = document.get("schedules")
-    if not isinstance(schedules, Mapping) or not schedules:
+    error = schedules_shape_error(schedules)
+    if error is not None:
         collector.report(
             "CTX305",
-            "document has no 'schedules' section",
+            error,
             fix_hint="a system document maps schedule names to bodies",
         )
         return None
@@ -251,12 +262,9 @@ def lint_system_document(
     ops_of_schedule: Dict[str, List[str]] = {}
     txns_of_schedule: Dict[str, List[str]] = {}
     for sname, body in schedules.items():
-        if not isinstance(body, Mapping):
-            collector.report(
-                "CTX305",
-                f"schedule {sname!r} body is not a mapping",
-                schedule=str(sname),
-            )
+        error = body_shape_error(sname, body)
+        if error is not None:
+            collector.report("CTX305", error, schedule=str(sname))
             continue
         ops, txns = _lint_raw_schedule(collector, str(sname), body)
         ops_of_schedule[str(sname)] = ops
@@ -324,16 +332,17 @@ def _lint_raw_schedule(
     intra_strong: List[Tuple[str, str]] = []
 
     transactions = body.get("transactions", {})
-    if not isinstance(transactions, Mapping):
-        collector.report(
-            "CTX305",
-            f"'transactions' of schedule {sname!r} is not a mapping",
-            schedule=sname,
-        )
+    error = transactions_shape_error(sname, transactions)
+    if error is not None:
+        collector.report("CTX305", error, schedule=sname)
         transactions = {}
     for tname, tdef in transactions.items():
         tname = str(tname)
         txn_names.append(tname)
+        error = transaction_shape_error(sname, tname, tdef)
+        if error is not None:
+            collector.report("CTX305", error, schedule=sname, nodes=(tname,))
+            continue
         if isinstance(tdef, Mapping):
             t_ops = [str(o) for o in tdef.get("ops", [])]
             weak = _pairs(tdef.get("weak", []))
@@ -344,18 +353,9 @@ def _lint_raw_schedule(
                                tdef.get("strong"))
             if tdef.get("sequential"):
                 strong = strong + list(zip(t_ops, t_ops[1:]))
-        elif isinstance(tdef, (list, tuple)):
+        else:
             t_ops = [str(o) for o in tdef]
             weak, strong = [], []
-        else:
-            collector.report(
-                "CTX305",
-                f"transaction {tname!r} of schedule {sname!r} is neither "
-                "an operation list nor a mapping",
-                schedule=sname,
-                nodes=(tname,),
-            )
-            continue
         seen: Set[str] = set()
         for op in t_ops:
             if op in seen:
@@ -513,7 +513,11 @@ def _lint_raw_schedule(
     # recorded execution sequence
     executed = body.get("executed")
     execution_pairs: List[Tuple[str, str]] = []
-    if executed is not None:
+    error = executed_shape_error(sname, executed)
+    if error is not None:
+        collector.report("CTX305", error, schedule=sname)
+        output_ok = False
+    elif executed is not None:
         mode = body.get("executed_mode", "conflicts")
         if mode not in ("conflicts", "temporal"):
             collector.report(
@@ -633,12 +637,10 @@ def _lint_executions_section(
 ) -> None:
     """The optional top-level ``executions`` section (temporal layouts)."""
     executions = document.get("executions")
-    if executions is None:
-        return
-    if not isinstance(executions, Mapping):
-        collector.report(
-            "CTX305", "'executions' is not a mapping of schedule -> sequence"
-        )
+    errors = executions_shape_errors(executions)
+    for error in errors:
+        collector.report("CTX305", error)
+    if executions is None or errors:
         return
     for sname, sequence in executions.items():
         sname = str(sname)

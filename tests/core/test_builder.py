@@ -268,3 +268,9 @@ class TestFromSpec:
                                     "conflicts": "ab"}}}
         with pytest.raises(ModelError, match="not a list of pairs"):
             SystemBuilder.from_spec(spec)
+
+    def test_spec_null_executed_records_no_sequence(self):
+        spec = {"schedules": {"S": {"transactions": {"T1": ["a"], "T2": ["b"]},
+                                    "executed": None,
+                                    "weak_output": [["a", "b"]]}}}
+        assert ("a", "b") in build_system(spec).schedule("S").weak_output

@@ -1,9 +1,14 @@
 """Unit tests for Def.-2 transactions."""
 
+import json
+
 import pytest
 
+from repro.core.builder import SystemBuilder
+from repro.core.orders import Relation, closure_counters
 from repro.core.transaction import Transaction
 from repro.exceptions import CycleError, ModelError
+from repro.io.text_format import dumps, loads
 
 
 class TestConstruction:
@@ -108,3 +113,66 @@ class TestValueSemantics:
 
     def test_repr_mentions_name(self):
         assert "T9" in repr(Transaction("T9", ["x"]))
+
+
+class TestOrderFree:
+    """A transaction with no intra order builds its two empty relations
+    on first read."""
+
+    def test_orders_are_empty_relations_over_the_operations(self):
+        t = Transaction("T", ["x", "y"])
+        assert not t.ordered
+        assert t.weak_order == Relation(elements=["x", "y"])
+        assert t.strong_order == Relation(elements=["x", "y"])
+        assert t.weak_order is not t.strong_order
+        assert t.weak_order is t.weak_order
+        assert t.strong_order is t.strong_order
+        assert not t.ordered
+
+    def test_ordered_iff_an_intra_pair_is_declared(self):
+        assert Transaction("T", ["x", "y"], weak_order=[("x", "y")]).ordered
+        assert Transaction("T", ["x", "y"], strong_order=[("x", "y")]).ordered
+        assert Transaction("T", ["x", "y"], sequential=True).ordered
+        assert not Transaction("T", ["x"], sequential=True).ordered
+
+    def test_equal_to_explicit_empty_orders(self):
+        free = Transaction("T", ["x", "y"])
+        explicit = Transaction("T", ["x", "y"], weak_order=[], strong_order=[])
+        assert free == explicit and explicit == free
+        assert hash(free) == hash(explicit)
+        assert {free, explicit} == {free}
+
+    def test_unequal_to_an_ordered_transaction(self):
+        free = Transaction("T", ["x", "y"])
+        ordered = Transaction("T", ["x", "y"], weak_order=[("x", "y")])
+        assert free != ordered and ordered != free
+
+    def test_queries(self):
+        t = Transaction("T", ["x", "y"])
+        assert not t.weakly_ordered("x", "y")
+        assert not t.strongly_ordered("x", "y")
+        assert not t.is_sequential()
+        assert Transaction("T", ["x"]).is_sequential()
+
+    def test_document_round_trip_is_byte_identical(self):
+        b = SystemBuilder()
+        b.transaction("T1", "S", ["a", "b"])
+        b.transaction("T2", "S", ["c", "d"], weak_order=[("c", "d")])
+        b.transaction("T3", "S", [])
+        b.conflict("S", "a", "c")
+        b.executed("S", ["a", "c", "b", "d"])
+        text = dumps(b.build())
+        assert json.loads(text)["schedules"]["S"]["transactions"]["T1"] == {
+            "ops": ["a", "b"],
+            "strong": [],
+            "weak": [],
+        }
+        system = loads(text).system
+        assert not system.schedule("S").transactions["T1"].ordered
+        assert dumps(system) == text
+
+    def test_construction_makes_no_closure_call(self):
+        before = closure_counters()
+        t = Transaction("T", ["x", "y", "z"])
+        t.weak_order, t.strong_order
+        assert closure_counters() == before

@@ -280,6 +280,48 @@ class TestInputErrors:
             f"malformed entry {shown!r} (expected a pair)\n"
         )
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ('{"schedules": {"S": {"transactions": {"T1": 5}}}}',
+             "transaction 'T1' of schedule 'S' is neither an operation "
+             "list nor a mapping"),
+            ('{"schedules": {"S": {"transactions": {"T1": "ab"}}}}',
+             "transaction 'T1' of schedule 'S' is neither an operation "
+             "list nor a mapping"),
+            ('{"schedules": {"S": {"transactions": {"T1": {"ops": 5}}}}}',
+             "'ops' of transaction 'T1' of schedule 'S' is not a list of "
+             "operations"),
+            ('{"schedules": {"S": {"transactions": {"T1": ["a"]}, '
+             '"executed": 5}}}',
+             "'executed' of schedule 'S' is not a list of operations"),
+            ('{"schedules": {"S": [1, 2]}}',
+             "schedule 'S' body is not a mapping"),
+            ('{"schedules": {"S": {"transactions": [["a"]]}}}',
+             "'transactions' of schedule 'S' is not a mapping"),
+            ('{"schedules": []}', "document has no 'schedules' section"),
+            ('{"schedules": {}}', "document has no 'schedules' section"),
+            ('{"schedules": {"S": {"transactions": {"T1": ["a"]}}}, '
+             '"executions": 3}',
+             "'executions' is not a mapping of schedule -> sequence"),
+            ('{"schedules": {"S": {"transactions": {"T1": ["a"]}}}, '
+             '"executions": {"S": 3}}',
+             "'executions' of schedule 'S' is not a list of operations"),
+        ],
+    )
+    def test_malformed_shape(self, tmp_path, capsys, document, message):
+        """Each malformed document shape is one `check` error line with
+        the message lint reports as CTX305, never a traceback; a string
+        is not read as a list of one-character operations."""
+        path = tmp_path / "shape.json"
+        path.write_text(document)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == f"repro check: error: {message}\n"
+        assert main(["lint", "--format", "json", str(path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        found = report["files"][0]["diagnostics"]
+        assert ("CTX305", message) in [(d["code"], d["message"]) for d in found]
+
     def test_in_process_status(self, tmp_path, capsys):
         path = tmp_path / "truncated.json"
         path.write_text("")
