@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.orders import Relation
 from repro.core.schedule import Schedule
@@ -369,8 +369,9 @@ class SystemBuilder:
 
 # ----------------------------------------------------------------------
 # spec shapes: each rule and its wording live here once.  Lint reports
-# every message as CTX305; from_spec raises the first as ModelError,
-# and io.text_format.loads its executions message as ParseError.
+# every message as CTX305 (a lane of the wrong operations as CTX302);
+# from_spec raises the first as ModelError, and io.text_format.loads
+# its executions messages as ParseError.
 # ----------------------------------------------------------------------
 def _require(error: Optional[str]) -> None:
     if error is not None:
@@ -381,6 +382,22 @@ def _require(error: Optional[str]) -> None:
 #: is built in code.  A string would otherwise iterate (or unpack) into
 #: its characters.
 _LISTS = (list, tuple)
+
+
+#: The one name rule: an operation or transaction a spec lists is named
+#: by a string (a list would be unhashable, and a number would be a
+#: node other than its digits).
+_NAME = str
+
+
+def _is_name_list(value: object) -> bool:
+    """A list of operation names."""
+    if not isinstance(value, _LISTS):
+        return False
+    for op in value:
+        if not isinstance(op, _NAME):
+            return False
+    return True
 
 
 def schedules_shape_error(value: object) -> Optional[str]:
@@ -411,15 +428,16 @@ def transaction_shape_error(
 ) -> Optional[str]:
     """Why the definition of transaction ``tname`` is malformed: it
     must be an operation list, or a mapping whose ``ops`` (when given)
-    is one.  ``None`` when well formed."""
+    is one; every operation is a ``_NAME``.  ``None`` when well
+    formed."""
     if isinstance(tdef, Mapping):
-        if isinstance(tdef.get("ops", ()), _LISTS):
+        if _is_name_list(tdef.get("ops", ())):
             return None
         return (
             f"'ops' of transaction {tname!r} of schedule {sname!r} is not "
             "a list of operations"
         )
-    if isinstance(tdef, _LISTS):
+    if _is_name_list(tdef):
         return None
     return (
         f"transaction {tname!r} of schedule {sname!r} is neither an "
@@ -430,7 +448,7 @@ def transaction_shape_error(
 def executed_shape_error(sname: str, value: object) -> Optional[str]:
     """Why the ``executed`` sequence of schedule ``sname`` is
     malformed, or ``None`` (an absent, ``None``, value records none)."""
-    if value is None or isinstance(value, _LISTS):
+    if value is None or _is_name_list(value):
         return None
     return f"'executed' of schedule {sname!r} is not a list of operations"
 
@@ -438,7 +456,9 @@ def executed_shape_error(sname: str, value: object) -> Optional[str]:
 def executions_shape_errors(value: object) -> List[str]:
     """Why a document's top-level ``executions`` section is malformed:
     one message when it is not a mapping, else one per schedule whose
-    sequence is not a list.  Empty when well formed or absent."""
+    sequence is not a list of operation names.  Empty when well formed
+    or absent; :func:`execution_lane_errors` then checks the lanes
+    against the system."""
     if value is None:
         return []
     if not isinstance(value, Mapping):
@@ -446,13 +466,52 @@ def executions_shape_errors(value: object) -> List[str]:
     return [
         f"'executions' of schedule {sname!r} is not a list of operations"
         for sname, sequence in value.items()
-        if not isinstance(sequence, _LISTS)
+        if not _is_name_list(sequence)
     ]
 
 
+def execution_lane_errors(
+    value: Mapping, operations_of: Mapping[str, Collection[str]]
+) -> List[Tuple[str, str, Tuple[str, ...]]]:
+    """Why the lanes of a well-shaped ``executions`` section do not fit
+    a system whose schedules have the operations ``operations_of``: one
+    ``(schedule, message, nodes)`` per lane that names an unknown
+    schedule (``nodes`` empty), or that does not list each operation
+    of its schedule exactly once (``nodes`` the missing and the extra
+    ones).  Empty when every lane fits.
+
+    Lint reports the first kind as CTX305 and the second as CTX302;
+    :func:`repro.io.text_format.loads` raises the first message."""
+    errors: List[Tuple[str, str, Tuple[str, ...]]] = []
+    for sname, sequence in value.items():
+        sname = str(sname)
+        if sname not in operations_of:
+            errors.append(
+                (sname, f"'executions' names unknown schedule {sname!r}", ())
+            )
+            continue
+        declared = set(operations_of[sname])
+        listed = set(sequence)
+        if listed != declared or len(sequence) != len(declared):
+            missing = sorted(declared - listed)
+            extra = sorted(listed - declared)
+            errors.append(
+                (
+                    sname,
+                    f"top-level execution of {sname!r} does not match its "
+                    f"declared operations (missing={missing}, extra={extra})",
+                    tuple(missing + extra),
+                )
+            )
+    return errors
+
+
 def _is_pair(entry: object) -> bool:
-    """A spec pair is a two-element list."""
-    return isinstance(entry, _LISTS) and len(entry) == 2
+    """A spec pair is a two-element list of names."""
+    if isinstance(entry, _LISTS) and len(entry) == 2:
+        a, b = entry
+        return isinstance(a, _NAME) and isinstance(b, _NAME)
+    return False
 
 
 def pair_shape_errors(sname: str, key: str, value: object) -> List[str]:
@@ -469,14 +528,20 @@ def pair_shape_errors(sname: str, key: str, value: object) -> List[str]:
         return []
     if not isinstance(value, _LISTS):
         return [f"{key!r} of schedule {sname!r} is not a list of pairs"]
-    errors: List[str] = []
-    for entry in value:
-        if not _is_pair(entry):
-            errors.append(
-                f"{key!r} of schedule {sname!r} contains the malformed "
-                f"entry {entry!r} (expected a pair)"
-            )
-    return errors
+    return [
+        malformed_pair_message(sname, key, entry)
+        for entry in value
+        if not _is_pair(entry)
+    ]
+
+
+def malformed_pair_message(sname: str, key: str, entry: object) -> str:
+    """The wording for one ``entry`` under ``key`` of schedule
+    ``sname`` that fails :func:`_is_pair`."""
+    return (
+        f"{key!r} of schedule {sname!r} contains the malformed "
+        f"entry {entry!r} (expected a pair)"
+    )
 
 
 def _spec_pairs(sname: str, key: str, value: object) -> List[Tuple[str, str]]:

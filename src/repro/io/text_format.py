@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.core.builder import SystemBuilder, executions_shape_errors
+from repro.core.builder import SystemBuilder, execution_lane_errors, executions_shape_errors
 from repro.core.system import CompositeSystem
 from repro.exceptions import ParseError
 from repro.io.jsondoc import parse_json_document
@@ -66,7 +66,10 @@ def loads(text: str, *, source: Optional[str] = None) -> RecordedExecution:
     parse diagnostics; text that is not valid JSON, truncated, or not
     an object at the root raises :class:`ParseError` carrying a
     ``CTX401``/``CTX402``/``CTX403`` diagnostic with file, line, and
-    byte offset (see :mod:`repro.io.jsondoc`).
+    byte offset (see :mod:`repro.io.jsondoc`).  An ``executions``
+    section that is malformed, or whose lanes do not fit the system
+    (:func:`~repro.core.builder.execution_lane_errors`), raises
+    :class:`ParseError` with its first message.
     """
     document = parse_json_document(text, source=source, expect_object=True)
     if "schedules" not in document:
@@ -78,6 +81,9 @@ def loads(text: str, *, source: Optional[str] = None) -> RecordedExecution:
     system = builder.build()
     sections = document.get("executions")
     errors = executions_shape_errors(sections)
+    if sections and not errors:
+        operations = {n: s.operations for n, s in system.schedules.items()}
+        errors = [e[1] for e in execution_lane_errors(sections, operations)]
     if errors:
         raise ParseError(errors[0])
     executions = {name: list(seq) for name, seq in (sections or {}).items()}

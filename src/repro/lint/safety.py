@@ -59,7 +59,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.certificates import replay_refutation
 from repro.core.observed import ObservedOrderOptions
@@ -267,36 +267,74 @@ class StaticSafetyReport:
         }
 
 
-def _representative(system: CompositeSystem, node: str, level: int) -> str:
-    """The level-``level`` representative of ``node``: walk the parent
-    chain while the grouping step has already happened (Def. 16.2)."""
-    while True:
+#: a node's ``(first, last, parent)``: the level at which it
+#: materializes as a front node, the level at which it is grouped into
+#: its parent (``N + 1`` for a root, which never is), and that parent
+_NodeLevels = Tuple[int, int, str]
+
+
+def _node_levels(system: CompositeSystem) -> Dict[str, _NodeLevels]:
+    """Every node's :data:`_NodeLevels`, read from the system once."""
+    top = system.order + 1
+    levels: Dict[str, _NodeLevels] = {}
+    for node in system.all_nodes():
         grouping = system.grouping_level(node)
-        if grouping is None or grouping > level:
-            return node
-        node = system.parent(node)
+        levels[node] = (
+            system.materialization_level(node),
+            top if grouping is None else grouping,
+            system.parent(node),
+        )
+    return levels
+
+
+def _representatives(
+    nodes: Mapping[str, _NodeLevels], top: int
+) -> Iterator[Dict[str, str]]:
+    """Every node's level-``l`` representative (Def. 16.2: the ancestor
+    it has been grouped into), for ``l = 0..top - 1`` in turn.
+
+    One map serves every level and is advanced in place: at level
+    ``l``, a node whose representative has been grouped by ``l`` moves
+    to that representative's parent.  Grouping levels rise strictly up
+    a parent chain, so one step per level reaches the representative.
+    """
+    reps = {node: node for node in nodes}
+    for level in range(top):
+        for node, rep in reps.items():
+            _, grouping, parent = nodes[rep]
+            if grouping <= level:
+                reps[node] = parent
+        yield reps
 
 
 def _covering_pairs(relation: Relation) -> List[Tuple[str, str]]:
-    """The covering (Hasse) pairs of a transitively closed relation.
+    """The covering (Hasse) pairs of a transitively closed, irreflexive
+    relation, sorted: the covers of ``a`` are its row minus the OR of
+    its successors' rows (everything two or more steps above ``a``).
 
     Using covering pairs instead of the closure keeps the multigraph
     honest: the closure of a chain ``a < b < c`` would add the chord
     ``(a, c)`` and turn every 3-chain into a spurious triangle.
     """
     out: List[Tuple[str, str]] = []
-    for a, b in sorted(relation.pairs()):
-        if any(c != b and (c, b) in relation for c in relation.successors(a)):
+    for a in relation.elements:
+        row = relation.row_bits(a)
+        if not row:
             continue
-        out.append((a, b))
+        above = 0
+        for c in relation.unpack(row):
+            above |= relation.row_bits(c)
+        out.extend((a, b) for b in relation.unpack(row & ~above))
+    out.sort()
     return out
 
 
-#: one conflict pair of a schedule: its items ``a < b``, the level at
-#: which both exist as front nodes, and the recorded weak-output
-#: direction (``True`` for ``a -> b``, ``False`` for ``b -> a``,
-#: ``None`` when the recorded execution leaves the pair unordered)
-_ConflictSource = Tuple[str, str, int, Optional[bool]]
+#: one conflict pair of a schedule: the items ``(a, b)`` with
+#: ``a < b``, the level at which both exist as front nodes, and the
+#: recorded weak-output direction (``True`` for ``a -> b``, ``False``
+#: for ``b -> a``, ``None`` when the recorded execution leaves the pair
+#: unordered)
+_ConflictSource = Tuple[Tuple[str, str], int, Optional[bool]]
 
 
 @dataclass(frozen=True)
@@ -309,7 +347,9 @@ class _ScheduleSources:
     covering: Tuple[Tuple[str, str], ...]
 
 
-def _schedule_sources(system: CompositeSystem) -> List[_ScheduleSources]:
+def _schedule_sources(
+    system: CompositeSystem, nodes: Mapping[str, _NodeLevels]
+) -> List[_ScheduleSources]:
     """Every schedule's edge sources, in the order the level edges list
     them (schedules sorted, conflict pairs sorted)."""
     schedules = system.schedules
@@ -317,19 +357,15 @@ def _schedule_sources(system: CompositeSystem) -> List[_ScheduleSources]:
     for sname in sorted(schedules):
         schedule = schedules[sname]
         conflicts: List[_ConflictSource] = []
-        for pair in sorted(schedule.conflicts, key=sorted):
-            a, b = sorted(pair)
+        for a, b in sorted(map(sorted, schedule.conflicts)):
             if (a, b) in schedule.weak_output:
                 recorded: Optional[bool] = True
             elif (b, a) in schedule.weak_output:
                 recorded = False
             else:
                 recorded = None
-            exists = max(
-                system.materialization_level(a),
-                system.materialization_level(b),
-            )
-            conflicts.append((a, b, exists, recorded))
+            exists = max(nodes[a][0], nodes[b][0])
+            conflicts.append(((a, b), exists, recorded))
         out.append(
             _ScheduleSources(
                 name=sname,
@@ -341,72 +377,62 @@ def _schedule_sources(system: CompositeSystem) -> List[_ScheduleSources]:
     return out
 
 
+#: one edge of a level multigraph as plain data, ``(u, v, schedule,
+#: source, pair, recorded)``: the fields of a :class:`SafetyEdge`, with
+#: ``u <= v`` its endpoints and ``recorded`` its ``oriented`` arc.
+#: Only an edge a witness names is turned into a ``SafetyEdge``.
+_Edge = Tuple[str, str, str, str, Tuple[str, str], Optional[Arc]]
+
+
+def _safety_edge(edge: _Edge, level: int) -> SafetyEdge:
+    u, v, schedule, source, pair, recorded = edge
+    return SafetyEdge((u, v), source, schedule, pair, level, recorded)
+
+
 def _level_edges(
-    system: CompositeSystem,
+    reps: Mapping[str, str],
     level: int,
     sources: Sequence[_ScheduleSources],
-) -> List[SafetyEdge]:
+) -> List[_Edge]:
     """The potential-conflict multigraph edges at reduction level
-    ``level``, in a deterministic order."""
-    edges: List[SafetyEdge] = []
-    reps: Dict[str, str] = {}
-
-    def rep(node: str) -> str:
-        cached = reps.get(node)
-        if cached is None:
-            cached = _representative(system, node, level)
-            reps[node] = cached
-        return cached
-
+    ``level``, ``reps`` being that level's representative map, in a
+    deterministic order: schedules sorted, then each schedule's
+    conflict pairs sorted and its covering pairs sorted."""
+    edges: List[_Edge] = []
+    append = edges.append
     for source in sources:
-        for a, b, exists, recorded in source.conflicts:
+        name = source.name
+        for pair, exists, recorded in source.conflicts:
             if exists > level:
                 continue  # the operations are not front nodes yet
-            u, v = rep(a), rep(b)
+            u, v = reps[pair[0]], reps[pair[1]]
             if u == v:
                 continue  # internal to one subtree: ordered below `level`
             if recorded is None:
-                oriented: Optional[Tuple[str, str]] = None
+                arc: Optional[Arc] = None
             else:
-                oriented = (u, v) if recorded else (v, u)
-            edges.append(
-                SafetyEdge(
-                    endpoints=(u, v) if u <= v else (v, u),
-                    source="conflict",
-                    schedule=source.name,
-                    pair=(a, b),
-                    level=level,
-                    oriented=oriented,
-                )
-            )
+                arc = (u, v) if recorded else (v, u)
+            if u > v:
+                u, v = v, u
+            append((u, v, name, "conflict", pair, arc))
         if source.level <= level:
-            for a, b in source.covering:
-                u, v = rep(a), rep(b)
+            for pair in source.covering:
+                u, v = reps[pair[0]], reps[pair[1]]
                 if u == v:
                     continue
-                edges.append(
-                    SafetyEdge(
-                        endpoints=(u, v) if u <= v else (v, u),
-                        source="input",
-                        schedule=source.name,
-                        pair=(a, b),
-                        level=level,
-                        oriented=(u, v),
-                    )
-                )
+                if u < v:
+                    append((u, v, name, "input", pair, (u, v)))
+                else:
+                    append((v, u, name, "input", pair, (u, v)))
     return edges
 
 
-def _front_sizes(system: CompositeSystem) -> List[int]:
-    """How many nodes each level's front has, for levels ``0..N``: a
-    node is on the level-``l`` front iff it has materialized by ``l``
-    and is not yet grouped (roots never are)."""
-    top = system.order + 1
+def _front_sizes(nodes: Mapping[str, _NodeLevels], top: int) -> List[int]:
+    """How many nodes each level's front has, for levels
+    ``0..top - 1``: a node is on the level-``l`` front iff it has
+    materialized by ``l`` and is not yet grouped (roots never are)."""
     delta = [0] * (top + 1)
-    for node in system.all_nodes():
-        first = system.materialization_level(node)
-        grouping = system.grouping_level(node)
-        last = top if grouping is None else grouping
+    for first, last, _ in nodes.values():
         if first < last:
             delta[first] += 1
             delta[last] -= 1
@@ -414,13 +440,13 @@ def _front_sizes(system: CompositeSystem) -> List[int]:
 
 
 def _check_level(
-    level: int, edges: Sequence[SafetyEdge], node_count: int
+    level: int, edges: Sequence[_Edge], node_count: int
 ) -> LevelWitness:
     """Union-find forest test over the level multigraph ``edges``;
     parallel edges count as cycles (two sources connecting the same
     components can orient against each other)."""
     parent: Dict[str, str] = {}
-    adjacency: Dict[str, List[Tuple[str, SafetyEdge]]] = {}
+    adjacency: Dict[str, List[Tuple[str, _Edge]]] = {}
 
     def find(x: str) -> str:
         root = x
@@ -431,14 +457,14 @@ def _check_level(
         return root
 
     for edge in edges:
-        u, v = edge.endpoints
+        u, v = edge[0], edge[1]
         ru, rv = find(u), find(v)
         if ru == rv:
             path = _forest_path(adjacency, u, v)
             cycle_nodes = tuple(n for n, _ in path) + (v, u)
-            cycle_edges = tuple(e for _, e in path if e is not None) + (
-                edge,
-            )
+            cycle_edges = tuple(
+                _safety_edge(e, level) for _, e in path if e is not None
+            ) + (_safety_edge(edge, level),)
             return LevelWitness(
                 level=level,
                 node_count=node_count,
@@ -459,10 +485,10 @@ def _check_level(
 
 
 def _forest_path(
-    adjacency: Mapping[str, Sequence[Tuple[str, "SafetyEdge"]]],
+    adjacency: Mapping[str, Sequence[Tuple[str, _Edge]]],
     start: str,
     goal: str,
-) -> List[Tuple[str, Optional[SafetyEdge]]]:
+) -> List[Tuple[str, Optional[_Edge]]]:
     """The unique ``start -> goal`` path in the current forest.
 
     Returns one ``(node, edge)`` step per edge of the path, in order
@@ -473,7 +499,7 @@ def _forest_path(
     if start == goal:
         return []
     frontier = [start]
-    came_from: Dict[str, Tuple[str, SafetyEdge]] = {start: (start, None)}  # type: ignore[dict-item]
+    came_from: Dict[str, Tuple[str, _Edge]] = {start: (start, None)}  # type: ignore[dict-item]
     while frontier:
         node = frontier.pop()
         for neighbour, edge in adjacency.get(node, ()):
@@ -486,7 +512,7 @@ def _forest_path(
             frontier.append(neighbour)
     if goal not in came_from:
         return [(start, None)]  # pragma: no cover - forest invariant
-    steps: List[Tuple[str, Optional[SafetyEdge]]] = []
+    steps: List[Tuple[str, Optional[_Edge]]] = []
     cursor = goal
     while cursor != start:
         previous, edge = came_from[cursor]
@@ -496,18 +522,18 @@ def _forest_path(
     return steps
 
 
-def _orient_level(witness: LevelWitness, edges: List[SafetyEdge]) -> bool:
+def _orient_level(edges: Sequence[_Edge]) -> bool:
     """Tier 2 for one non-forest level: ``True`` when some orientation
     of the free edges closes a directed cycle."""
     forced: List[Arc] = []
     free: List[Arc] = []
-    for edge in edges:
-        if edge.source == "input":
-            # input edges are direction-forced; oriented is always set
-            assert edge.oriented is not None
-            forced.append(edge.oriented)
+    for u, v, _, source, _, recorded in edges:
+        if source == "input":
+            # input edges are direction-forced; recorded is always set
+            assert recorded is not None
+            forced.append(recorded)
         else:
-            free.append(edge.endpoints)
+            free.append((u, v))
     return mixed_graph_unsafe_reason(forced, free) is not None
 
 
@@ -522,16 +548,16 @@ class _Candidate:
 
 
 def _recorded_cycle(
-    level: int, edges: List[SafetyEdge]
+    level: int, edges: Sequence[_Edge]
 ) -> Optional[_Candidate]:
     """A directed cycle of the level multigraph under the *recorded*
     orientations, or ``None`` (conflict pairs the recorded execution
     leaves unordered impose no arc)."""
-    arced = [e for e in edges if e.oriented is not None]
-    cycle = find_directed_cycle([e.oriented for e in arced])  # type: ignore[misc]
+    arced = [edge for edge in edges if edge[-1] is not None]  # a recorded arc
+    cycle = find_directed_cycle([edge[-1] for edge in arced])  # type: ignore[misc]
     if cycle is None:
         return None
-    chosen = tuple(arced[i] for i in cycle)
+    chosen = tuple(_safety_edge(arced[i], level) for i in cycle)
     nodes = tuple(e.oriented[0] for e in chosen if e.oriented is not None)
     return _Candidate(level=level, cycle_nodes=nodes, cycle_edges=chosen)
 
@@ -588,13 +614,15 @@ def prove_static_safety(
         )
     tele = current()
     with tele.span("lint.prove", levels=system.order + 1) as span:
-        sources = _schedule_sources(system)
-        front_sizes = _front_sizes(system)
+        nodes = _node_levels(system)
+        top = system.order + 1
+        sources = _schedule_sources(system, nodes)
+        front_sizes = _front_sizes(nodes, top)
         witnesses: List[LevelWitness] = []
-        level_edges: Dict[int, List[SafetyEdge]] = {}
-        for level in range(system.order + 1):
+        level_edges: Dict[int, List[_Edge]] = {}
+        for level, reps in enumerate(_representatives(nodes, top)):
             tele.count("lint.level_checked")
-            edges = _level_edges(system, level, sources)
+            edges = _level_edges(reps, level, sources)
             level_edges[level] = edges
             witnesses.append(_check_level(level, edges, front_sizes[level]))
         if all(w.forest for w in witnesses):
@@ -612,7 +640,7 @@ def prove_static_safety(
             tele.count("lint.orientation_checked")
             witnesses[i] = replace(
                 witness,
-                orientable=_orient_level(witness, level_edges[witness.level]),
+                orientable=_orient_level(level_edges[witness.level]),
             )
         cycles = [w for w in witnesses if not w.forest]
         certified = all(w.orientable is False for w in cycles)

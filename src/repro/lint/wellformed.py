@@ -33,9 +33,12 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, 
 from repro.core.builder import (
     SystemBuilder,
     _execution_pairs,
+    _is_pair,
     body_shape_error,
     executed_shape_error,
+    execution_lane_errors,
     executions_shape_errors,
+    malformed_pair_message,
     pair_shape_errors,
     schedules_shape_error,
     transaction_shape_error,
@@ -295,8 +298,8 @@ def lint_system_document(
 
 
 def _pairs(value: object) -> List[Tuple[str, str]]:
-    """Coerce a JSON pair list, dropping malformed entries (the caller
-    reports those separately via :func:`_check_pair_shapes`)."""
+    """Coerce a trace front's JSON pair list, dropping malformed
+    entries."""
     out: List[Tuple[str, str]] = []
     if isinstance(value, (list, tuple)):
         for entry in value:
@@ -305,14 +308,32 @@ def _pairs(value: object) -> List[Tuple[str, str]]:
     return out
 
 
-def _check_pair_shapes(
+def _checked_pairs(
     collector: DiagnosticCollector,
     sname: str,
     key: str,
     value: object,
-) -> None:
-    for message in pair_shape_errors(sname, key, value):
-        collector.report("CTX305", message, schedule=sname)
+) -> List[Tuple[str, str]]:
+    """The pairs listed under ``key`` of schedule ``sname``, in one
+    pass: an entry that fails the builder's pair rule, or a value that
+    is not a list, is reported as CTX305 in the builder's wording and
+    contributes no pair."""
+    pairs: List[Tuple[str, str]] = []
+    if isinstance(value, (list, tuple)):
+        for entry in value:
+            if _is_pair(entry):
+                pairs.append((entry[0], entry[1]))
+            else:
+                collector.report(
+                    "CTX305",
+                    malformed_pair_message(sname, key, entry),
+                    schedule=sname,
+                )
+    elif value is not None:  # not a list: one message
+        collector.report(
+            "CTX305", pair_shape_errors(sname, key, value)[0], schedule=sname
+        )
+    return pairs
 
 
 def _lint_raw_schedule(
@@ -344,17 +365,17 @@ def _lint_raw_schedule(
             collector.report("CTX305", error, schedule=sname, nodes=(tname,))
             continue
         if isinstance(tdef, Mapping):
-            t_ops = [str(o) for o in tdef.get("ops", [])]
-            weak = _pairs(tdef.get("weak", []))
-            strong = _pairs(tdef.get("strong", []))
-            _check_pair_shapes(collector, sname, f"{tname}.weak",
-                               tdef.get("weak"))
-            _check_pair_shapes(collector, sname, f"{tname}.strong",
-                               tdef.get("strong"))
+            t_ops = list(tdef.get("ops", []))
+            weak = _checked_pairs(
+                collector, sname, f"{tname}.weak", tdef.get("weak")
+            )
+            strong = _checked_pairs(
+                collector, sname, f"{tname}.strong", tdef.get("strong")
+            )
             if tdef.get("sequential"):
                 strong = strong + list(zip(t_ops, t_ops[1:]))
         else:
-            t_ops = [str(o) for o in tdef]
+            t_ops = list(tdef)
             weak, strong = [], []
         seen: Set[str] = set()
         for op in t_ops:
@@ -402,7 +423,7 @@ def _lint_raw_schedule(
                         nodes=(op, tname),
                         fix_hint="order only declared operations",
                     )
-        if member_ok:
+        if member_ok and (strong or weak):
             intra = Relation(strong + weak)
             cycle = intra.find_cycle()
             if cycle is not None:
@@ -422,9 +443,9 @@ def _lint_raw_schedule(
     known_txns = set(txn_names)
 
     # conflicts: all self-conflicts and duplicates in one pass
-    _check_pair_shapes(collector, sname, "conflicts",
-                       body.get("conflicts"))
-    raw_conflicts = _pairs(body.get("conflicts", []))
+    raw_conflicts = _checked_pairs(
+        collector, sname, "conflicts", body.get("conflicts")
+    )
 
     def _conflict_issue(kind: str, pair: Tuple[str, str]) -> None:
         if kind == "self-conflict":
@@ -459,11 +480,14 @@ def _lint_raw_schedule(
                     fix_hint="conflicts may only name declared operations",
                 )
 
+    # input and output orders, each list read once
+    orders: Dict[str, List[Tuple[str, str]]] = {}
+
     # input orders over transactions
     input_ok = True
     for key in ("weak_input", "strong_input"):
-        _check_pair_shapes(collector, sname, key, body.get(key))
-        for a, b in _pairs(body.get(key, [])):
+        orders[key] = _checked_pairs(collector, sname, key, body.get(key))
+        for a, b in orders[key]:
             for t in (a, b):
                 if t not in known_txns:
                     input_ok = False
@@ -477,10 +501,7 @@ def _lint_raw_schedule(
                         "transactions",
                     )
     if input_ok:
-        weak_in = Relation(
-            _pairs(body.get("strong_input", []))
-            + _pairs(body.get("weak_input", []))
-        )
+        weak_in = Relation(orders["strong_input"] + orders["weak_input"])
         cycle = weak_in.find_cycle()
         if cycle is not None:
             collector.report(
@@ -495,8 +516,8 @@ def _lint_raw_schedule(
     # output orders over operations
     output_ok = True
     for key in ("weak_output", "strong_output"):
-        _check_pair_shapes(collector, sname, key, body.get(key))
-        for a, b in _pairs(body.get(key, [])):
+        orders[key] = _checked_pairs(collector, sname, key, body.get(key))
+        for a, b in orders[key]:
             for op in (a, b):
                 if op not in known_ops:
                     output_ok = False
@@ -527,7 +548,7 @@ def _lint_raw_schedule(
                 fix_hint="use 'conflicts' or 'temporal'",
             )
             mode = "conflicts"
-        sequence = [str(o) for o in executed]
+        sequence = list(executed)
         if set(sequence) != known_ops or len(sequence) != len(known_ops):
             missing = sorted(known_ops - set(sequence))
             extra = sorted(set(sequence) - known_ops)
@@ -552,15 +573,13 @@ def _lint_raw_schedule(
         # pairs, intra-transaction orders, execution-derived pairs, and
         # the axiom-3 expansion of strong inputs.
         weak_out = Relation(
-            _pairs(body.get("strong_output", []))
-            + _pairs(body.get("weak_output", []))
+            orders["strong_output"]
+            + orders["weak_output"]
             + intra_weak
             + execution_pairs
         )
         if input_ok:
-            strong_in = Relation(
-                _pairs(body.get("strong_input", []))
-            ).transitive_closure()
+            strong_in = Relation(orders["strong_input"]).transitive_closure()
             txn_ops: Dict[str, List[str]] = {}
             for op, owner in op_owner.items():
                 txn_ops.setdefault(owner, []).append(op)
@@ -642,28 +661,19 @@ def _lint_executions_section(
         collector.report("CTX305", error)
     if executions is None or errors:
         return
-    for sname, sequence in executions.items():
-        sname = str(sname)
+    for sname, message, nodes in execution_lane_errors(
+        executions, ops_of_schedule
+    ):
         if sname not in ops_of_schedule:
-            collector.report(
-                "CTX305",
-                f"'executions' names unknown schedule {sname!r}",
-                schedule=sname,
-            )
+            collector.report("CTX305", message, schedule=sname)
             continue
-        declared = set(ops_of_schedule[sname])
-        listed = [str(o) for o in sequence]
-        if set(listed) != declared or len(listed) != len(declared):
-            missing = sorted(declared - set(listed))
-            extra = sorted(set(listed) - declared)
-            collector.report(
-                "CTX302",
-                f"top-level execution of {sname!r} does not match its "
-                f"declared operations (missing={missing}, extra={extra})",
-                schedule=sname,
-                nodes=tuple(missing + extra),
-                fix_hint="the lane must list every operation exactly once",
-            )
+        collector.report(
+            "CTX302",
+            message,
+            schedule=sname,
+            nodes=nodes,
+            fix_hint="the lane must list every operation exactly once",
+        )
 
 
 # ----------------------------------------------------------------------

@@ -237,7 +237,9 @@ class TestFromSpec:
             "T1.strong",
         ],
     )
-    @pytest.mark.parametrize("entry", [["a", "b", "c"], ["a"], 7, "ab"])
+    @pytest.mark.parametrize(
+        "entry", [["a", "b", "c"], ["a"], 7, "ab", ["a", 5], ["a", ["b"]]]
+    )
     def test_spec_rejects_malformed_pairs(self, key, entry):
         body = {"transactions": {"T1": {"ops": ["a", "b"]}, "T2": ["c"]}}
         if key.startswith("T1."):

@@ -211,23 +211,31 @@ def _oracle_covering(relation):
 def _oracle_level(system, level):
     """The level-``level`` multigraph as the module docstring states it:
     ``(edges, front size, forest)`` with every edge an
-    ``(endpoints, source, schedule, pair)`` tuple."""
+    ``(endpoints, source, schedule, pair, oriented)`` tuple, listed
+    schedule by schedule (sorted), conflict pairs (sorted) before
+    covering pairs (sorted)."""
     rep = {n: _oracle_representative(system, n, level) for n in system.all_nodes()}
     edges = []
-    for name, schedule in system.schedules.items():
-        for pair in schedule.conflicts:
-            a, b = sorted(pair)
+    for name in sorted(system.schedules):
+        schedule = system.schedules[name]
+        for a, b in sorted(tuple(sorted(pair)) for pair in schedule.conflicts):
             exists = max(
                 system.materialization_level(a), system.materialization_level(b)
             )
             if exists <= level and rep[a] != rep[b]:
                 ends = tuple(sorted((rep[a], rep[b])))
-                edges.append((ends, "conflict", name, (a, b)))
+                if (a, b) in schedule.weak_output:
+                    oriented = (rep[a], rep[b])
+                elif (b, a) in schedule.weak_output:
+                    oriented = (rep[b], rep[a])
+                else:
+                    oriented = None
+                edges.append((ends, "conflict", name, (a, b), oriented))
         if system.level_of(name) <= level:
-            for a, b in _oracle_covering(schedule.weak_input):
+            for a, b in sorted(_oracle_covering(schedule.weak_input)):
                 if rep[a] != rep[b]:
                     ends = tuple(sorted((rep[a], rep[b])))
-                    edges.append((ends, "input", name, (a, b)))
+                    edges.append((ends, "input", name, (a, b), (rep[a], rep[b])))
     front = 0
     for node in system.all_nodes():
         grouping = system.grouping_level(node)
@@ -281,18 +289,43 @@ def _oracle_systems():
                 yield f"{spec.name}/{layout}/{seed}", generate(spec, config).system
 
 
-def test_level_multigraphs_match_the_definition_oracle():
-    """Every level's edge count, front size and forest bit equal an
-    oracle built straight from the module docstring, and every cycle
-    witness is a closed walk through oracle edges."""
+def _record_level_edges(monkeypatch):
+    """Wrap the prover's level projection; returns the list it fills
+    with one ``(level, edges)`` entry per call."""
+    calls = []
+    project = safety._level_edges
+
+    def recording(reps, level, sources):
+        edges = project(reps, level, sources)
+        calls.append((level, edges))
+        return edges
+
+    monkeypatch.setattr(safety, "_level_edges", recording)
+    return calls
+
+
+def _as_oracle_edge(edge, level):
+    e = safety._safety_edge(edge, level)
+    return (e.endpoints, e.source, e.schedule, e.pair, e.oriented)
+
+
+def test_level_multigraphs_match_the_definition_oracle(monkeypatch):
+    """Every level's ordered edge list (recorded orientation included),
+    front size and forest bit equal an oracle built straight from the
+    module docstring, and every cycle witness is a closed walk through
+    oracle edges."""
+    calls = _record_level_edges(monkeypatch)
     levels = cycles = 0
     for label, system in _oracle_systems():
+        calls.clear()
         report = prove_static_safety(system, refute=False)
         assert [w.level for w in report.witnesses] == list(range(system.order + 1))
-        for witness in report.witnesses:
+        assert [level for level, _ in calls] == list(range(system.order + 1))
+        for witness, (_, projected) in zip(report.witnesses, calls):
             levels += 1
             edges, front, forest = _oracle_level(system, witness.level)
             where = (label, witness.level)
+            assert [_as_oracle_edge(e, witness.level) for e in projected] == edges, where
             assert witness.edge_count == len(edges), where
             assert witness.node_count == front, where
             assert witness.forest == forest, where
@@ -300,7 +333,7 @@ def test_level_multigraphs_match_the_definition_oracle():
                 continue
             cycles += 1
             for edge in witness.cycle_edges:
-                key = (edge.endpoints, edge.source, edge.schedule, edge.pair)
+                key = (edge.endpoints, edge.source, edge.schedule, edge.pair, edge.oriented)
                 assert key in edges, (where, key)
                 assert edge.level == witness.level, where
             ring = witness.cycle_nodes
@@ -312,8 +345,24 @@ def test_level_multigraphs_match_the_definition_oracle():
 
 
 def test_prover_builds_each_level_edge_once(monkeypatch):
-    """One prover run constructs exactly the edges its witnesses count:
-    no level's multigraph is built twice."""
+    """One prover run projects each level exactly once, and those
+    projections hold exactly the edges its witnesses count: no level's
+    multigraph is built twice."""
+    calls = _record_level_edges(monkeypatch)
+    systems = [_lost_update_system(), figure1_system(), figure3_system()]
+    for system in systems:
+        calls.clear()
+        report = prove_static_safety(system)
+        assert [level for level, _ in calls] == list(range(system.order + 1))
+        assert any(edges for _, edges in calls), "the prover built no edges"
+        assert [len(edges) for _, edges in calls] == [
+            w.edge_count for w in report.witnesses
+        ]
+
+
+def test_prover_builds_safety_edges_only_for_witnesses(monkeypatch):
+    """A ``SafetyEdge`` object is built only for an edge a level witness
+    or a refutation candidate names, never for the rest of a level."""
     built = []
 
     class CountingEdge(safety.SafetyEdge):
@@ -321,13 +370,31 @@ def test_prover_builds_each_level_edge_once(monkeypatch):
             built.append(1)
             super().__init__(*args, **kwargs)
 
+    candidates = []
+    find_candidate = safety._recorded_cycle
+
+    def recording(level, edges):
+        candidate = find_candidate(level, edges)
+        if candidate is not None:
+            candidates.append(candidate)
+        return candidate
+
     monkeypatch.setattr(safety, "SafetyEdge", CountingEdge)
-    systems = [_lost_update_system(), figure1_system(), figure3_system()]
+    monkeypatch.setattr(safety, "_recorded_cycle", recording)
+    systems = [_lost_update_system(), _lost_update_system(("a", "b", "c"))]
+    systems.extend(system for _, system in _oracle_systems())
+    refuted = edges = 0
     for system in systems:
         built.clear()
-        report = prove_static_safety(system, refute=False)
-        assert built, "the prover built no edges"
-        assert len(built) == sum(w.edge_count for w in report.witnesses)
+        candidates.clear()
+        report = prove_static_safety(system)
+        named = sum(len(w.cycle_edges) for w in report.witnesses)
+        named += sum(len(c.cycle_edges) for c in candidates)
+        assert len(built) == named, system
+        refuted += bool(candidates)
+        edges += sum(w.edge_count for w in report.witnesses)
+    assert refuted, "no system reached the refuter"
+    assert edges > 10 * len(systems)  # far more edges than witnesses name
 
 
 # ----------------------------------------------------------------------

@@ -307,12 +307,35 @@ class TestInputErrors:
             ('{"schedules": {"S": {"transactions": {"T1": ["a"]}}}, '
              '"executions": {"S": 3}}',
              "'executions' of schedule 'S' is not a list of operations"),
+            ('{"schedules": {"S": {"transactions": {"T1": ["a", ["b"]]}}}}',
+             "transaction 'T1' of schedule 'S' is neither an operation "
+             "list nor a mapping"),
+            ('{"schedules": {"S": {"transactions": {"T1": ["a", 5]}}}}',
+             "transaction 'T1' of schedule 'S' is neither an operation "
+             "list nor a mapping"),
+            ('{"schedules": {"S": {"transactions": {"T1": {"ops": [5]}}}}}',
+             "'ops' of transaction 'T1' of schedule 'S' is not a list of "
+             "operations"),
+            ('{"schedules": {"S": {"transactions": {"T1": ["a"], '
+             '"T2": ["b"]}, "conflicts": [["a", ["b"]]]}}}',
+             "'conflicts' of schedule 'S' contains the malformed entry "
+             "['a', ['b']] (expected a pair)"),
+            ('{"schedules": {"S": {"transactions": {"T1": ["a"]}, '
+             '"executed": ["a", ["b"]]}}}',
+             "'executed' of schedule 'S' is not a list of operations"),
+            ('{"schedules": {"S": {"transactions": {"T1": ["a"]}}}, '
+             '"executions": {"S": ["a", 5]}}',
+             "'executions' of schedule 'S' is not a list of operations"),
+            ('{"schedules": {"S": {"transactions": {"T1": ["a"]}}}, '
+             '"executions": {"Q": ["a"]}}',
+             "'executions' names unknown schedule 'Q'"),
         ],
     )
     def test_malformed_shape(self, tmp_path, capsys, document, message):
         """Each malformed document shape is one `check` error line with
         the message lint reports as CTX305, never a traceback; a string
-        is not read as a list of one-character operations."""
+        is not read as a list of one-character operations, and an
+        operation name that is not a string is no name."""
         path = tmp_path / "shape.json"
         path.write_text(document)
         assert main(["check", str(path)]) == 1
@@ -321,6 +344,37 @@ class TestInputErrors:
         report = json.loads(capsys.readouterr().out)
         found = report["files"][0]["diagnostics"]
         assert ("CTX305", message) in [(d["code"], d["message"]) for d in found]
+        assert report["files"][0]["safety"] is None  # nothing certified
+
+    @pytest.mark.parametrize(
+        "lane, missing, extra",
+        [('["a", "zzz"]', [], ["zzz"]), ('["b"]', ["a"], ["b"]),
+         ('["a", "a"]', [], [])],
+    )
+    def test_executions_lane_mismatch(
+        self, tmp_path, capsys, lane, missing, extra
+    ):
+        """A top-level lane that does not list its schedule's operations
+        exactly once is one `check` error line, and lint's CTX302 with
+        the same message; neither accepts the document."""
+        path = tmp_path / "lane.json"
+        path.write_text(
+            '{"schedules": {"S": {"transactions": {"T1": ["a"]}}}, '
+            f'"executions": {{"S": {lane}}}}}'
+        )
+        message = (
+            "top-level execution of 'S' does not match its declared "
+            f"operations (missing={missing}, extra={extra})"
+        )
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == f"repro check: error: {message}\n"
+        assert main(["lint", "--format", "json", str(path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        found = report["files"][0]["diagnostics"]
+        assert [(d["code"], d["message"]) for d in found] == [
+            ("CTX302", message)
+        ]
+        assert report["files"][0]["safety"] is None
 
     def test_in_process_status(self, tmp_path, capsys):
         path = tmp_path / "truncated.json"
