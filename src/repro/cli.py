@@ -167,6 +167,15 @@ def _add_static_precheck_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_fronts_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--fronts",
+        action="store_true",
+        help="print every front of the reduction with its closed "
+        "observed and input orders, instead of one line per level",
+    )
+
+
 def _add_topology_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--topology",
@@ -186,7 +195,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = check_composite_correctness(
         recorded.system, static_precheck=args.static_precheck
     )
-    print(report.narrative())
+    print(report.narrative() if args.fronts else report.report())
     if args.profile:
         from repro.analysis.tables import banner, format_table
 
@@ -724,7 +733,8 @@ def cmd_watch(args: argparse.Namespace) -> int:
         return 0
     print()
     print(banner("final verdict (batch-certified)"))
-    print(result.reduction.narrative())
+    reduction = result.reduction
+    print(reduction.narrative() if args.fronts else reduction.report())
     verdict = result.verdict
     print(
         f"stream: {verdict.events} event(s), {verdict.commits} "
@@ -772,6 +782,7 @@ def _check_arguments(p: argparse.ArgumentParser) -> None:
         help="print the per-level reduction profile (wall time, "
         "closure calls, bitset rows touched)",
     )
+    _add_fronts_option(p)
     _add_static_precheck_option(p)
     _add_telemetry_option(p)
 
@@ -981,6 +992,7 @@ def _watch_arguments(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="exit 2 when the stream is rejected",
     )
+    _add_fronts_option(p)
     _add_telemetry_option(p)
 
 

@@ -357,6 +357,12 @@ class SystemBuilder:
             executed = body.get("executed")
             _require(executed_shape_error(sname, executed))
             if executed is not None:
+                ops = [
+                    op for t in draft.transactions.values() for op in t.operations
+                ]
+                mismatch = executed_sequence_error(sname, executed, ops)
+                if mismatch is not None:
+                    raise ModelError(mismatch[0])
                 builder.executed(
                     sname,
                     executed,
@@ -453,6 +459,38 @@ def executed_shape_error(sname: str, value: object) -> Optional[str]:
     return f"'executed' of schedule {sname!r} is not a list of operations"
 
 
+def _listing_mismatch(
+    declared: Collection[str], sequence: Sequence[str]
+) -> Optional[Tuple[List[str], List[str]]]:
+    """``(missing, extra)``, each sorted, when ``sequence`` does not
+    list each of the ``declared`` operations exactly once; ``None``
+    when it does."""
+    declared = set(declared)
+    listed = set(sequence)
+    if listed == declared and len(sequence) == len(declared):
+        return None
+    return sorted(declared - listed), sorted(listed - declared)
+
+
+def executed_sequence_error(
+    sname: str, sequence: Sequence[str], operations: Collection[str]
+) -> Optional[Tuple[str, Tuple[str, ...]]]:
+    """Why the well-shaped ``executed`` sequence of schedule ``sname``
+    does not fit its declared ``operations``: ``(message, nodes)`` when
+    it does not list each of them exactly once (``nodes`` the missing
+    and the extra ones), else ``None``.  Lint reports it as CTX302;
+    :meth:`SystemBuilder.from_spec` raises the message."""
+    mismatch = _listing_mismatch(operations, sequence)
+    if mismatch is None:
+        return None
+    missing, extra = mismatch
+    return (
+        f"execution sequence of {sname!r} does not match the declared "
+        f"operations (missing={missing}, extra={extra})",
+        tuple(missing + extra),
+    )
+
+
 def executions_shape_errors(value: object) -> List[str]:
     """Why a document's top-level ``executions`` section is malformed:
     one message when it is not a mapping, else one per schedule whose
@@ -490,11 +528,9 @@ def execution_lane_errors(
                 (sname, f"'executions' names unknown schedule {sname!r}", ())
             )
             continue
-        declared = set(operations_of[sname])
-        listed = set(sequence)
-        if listed != declared or len(sequence) != len(declared):
-            missing = sorted(declared - listed)
-            extra = sorted(listed - declared)
+        mismatch = _listing_mismatch(operations_of[sname], sequence)
+        if mismatch is not None:
+            missing, extra = mismatch
             errors.append(
                 (
                     sname,

@@ -133,12 +133,16 @@ def calculation_constraints(
 
 
 def find_isolation_failure(
-    constraints: Relation, grouping: Grouping
+    constraints: Relation,
+    grouping: Grouping,
+    quotient: Optional[Relation] = None,
 ) -> Optional[ReductionFailure]:
     """Check Def. 16 step 1 feasibility; return a failure witness or None.
 
     Each group is decided on the constraint rows under its member mask;
     only a cyclic group is restricted out to build its witness cycle.
+    ``quotient`` is ``constraints.mapped(grouping.rep)`` when the caller
+    has already built it (built here otherwise).
     """
     for parent, members in grouping.groups.items():
         if constraints.is_acyclic(constraints.mask_of(members)):
@@ -151,7 +155,8 @@ def find_isolation_failure(
             cycle=cycle,
             blocked=(parent,),
         )
-    quotient = constraints.mapped(grouping.rep)
+    if quotient is None:
+        quotient = constraints.mapped(grouping.rep)
     cycle = quotient.find_cycle()
     if cycle is not None:
         blocked = tuple(node for node in cycle[:-1] if node in grouping.groups)
@@ -165,7 +170,10 @@ def find_isolation_failure(
 
 
 def witness_sequence(
-    constraints: Relation, grouping: Grouping, nodes: Tuple[str, ...]
+    constraints: Relation,
+    grouping: Grouping,
+    nodes: Tuple[str, ...],
+    quotient: Optional[Relation] = None,
 ) -> List[str]:
     """A concrete ``F**`` witness: a linearization of the front in which
     every group is contiguous and all constraints are respected.
@@ -175,9 +183,11 @@ def witness_sequence(
 
     Only call after :func:`find_isolation_failure` returned ``None``,
     with ``constraints`` over every front node (as
-    :func:`calculation_constraints` builds them).
+    :func:`calculation_constraints` builds them).  ``quotient`` is as
+    for :func:`find_isolation_failure`; it gains the nodes' elements.
     """
-    quotient = constraints.mapped(grouping.rep)
+    if quotient is None:
+        quotient = constraints.mapped(grouping.rep)
     for node in nodes:
         quotient.add_element(grouping.rep(node))
     sequence: List[str] = []

@@ -40,15 +40,25 @@ class CorrectnessReport:
         """How many reduction steps succeeded (== system order iff correct)."""
         return self.fronts[-1].level if self.fronts else -1
 
-    def narrative(self) -> str:
-        """Multi-line, human-readable account (used by examples/benches)."""
-        head = (
+    def _header(self) -> str:
+        """The first line of :meth:`narrative` and :meth:`report`."""
+        return (
             f"composite system of order {self.system.order} with "
             f"{len(self.system.schedules)} schedules, "
             f"{len(self.system.roots)} composite transactions, "
             f"{len(self.system.leaves)} leaf operations"
         )
-        return head + "\n" + self.reduction.narrative()
+
+    def narrative(self) -> str:
+        """Multi-line, human-readable account, every front's closed
+        orders included (``check --fronts``; used by examples/benches)."""
+        return self._header() + "\n" + self.reduction.narrative()
+
+    def report(self) -> str:
+        """The account sized to the verdict (``check``'s default): the
+        header, one line per reduction level, and the verdict (see
+        :meth:`ReductionResult.report`)."""
+        return self._header() + "\n" + self.reduction.report()
 
     def explain(self) -> str:
         """Root-cause report for a rejection: each edge of the

@@ -16,28 +16,57 @@ Example output for the Figure-3 rejection::
 
 Chains are found by BFS over the seed graph (ordered conflicting pairs
 of every schedule), restricted to nodes of the two subtrees at the
-endpoints; input-order edges are reported as requirements instead.
+endpoints; input-order edges are reported as requirements instead.  The
+seed graph is built one node at a time, as the search reaches it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.core.observed import ObservedOrderOptions, seed_observed_pairs
-from repro.core.orders import Relation
 from repro.core.reduction import ReductionResult
 from repro.core.system import CompositeSystem
 from repro.exceptions import ReductionError
 
 
-def _seed_graph(system: CompositeSystem) -> Relation:
-    """All ordered conflicting pairs, across every schedule, over every
-    node (the ground truth every observed pair descends from)."""
-    graph = Relation()
-    nodes = list(system.all_nodes())
-    graph.add_all(seed_observed_pairs(system, nodes, ObservedOrderOptions()))
-    return graph
+class _SeedGraph:
+    """All ordered conflicting pairs, across every schedule (the ground
+    truth every observed pair descends from), read one node at a time:
+    the successors of ``n`` are its conflict neighbours ``m`` in ``n``'s
+    schedule with ``(n, m)`` in that schedule's weak output — the pairs
+    :func:`repro.core.observed.seed_observed_pairs` seeds over every
+    node.  Memoized, so the chain searches of one cycle share them."""
+
+    def __init__(self, system: CompositeSystem) -> None:
+        self._system = system
+        self._successors: Dict[str, List[str]] = {}
+
+    def _neighbours(self, node: str, *, forward: bool) -> List[str]:
+        sname = self._system.schedule_of_operation(node)
+        if sname is None:  # a root is nobody's operation
+            return []
+        schedule = self._system.schedule(sname)
+        output = schedule.weak_output
+        return [
+            other
+            for other in schedule.conflict_neighbours(node)
+            if ((node, other) if forward else (other, node)) in output
+        ]
+
+    def successors(self, node: str) -> List[str]:
+        """``node``'s seed successors, sorted by ``str``."""
+        found = self._successors.get(node)
+        if found is None:
+            found = sorted(self._neighbours(node, forward=True), key=str)
+            self._successors[node] = found
+        return found
+
+    def touches(self, node: str) -> bool:
+        """True when ``node`` is an endpoint of some seed pair."""
+        return bool(
+            self.successors(node) or self._neighbours(node, forward=False)
+        )
 
 
 def _subtree(system: CompositeSystem, node: str) -> set:
@@ -48,15 +77,15 @@ def _subtree(system: CompositeSystem, node: str) -> set:
 
 
 def _find_chain(
-    graph: Relation, sources: set, targets: set
+    graph: _SeedGraph, sources: set, targets: set
 ) -> Optional[List[str]]:
     """Shortest seed-graph path from any source node into any target."""
-    queue = deque((s,) for s in sorted(sources) if s in graph.elements)
+    queue = deque((s,) for s in sorted(sources) if graph.touches(s))
     seen = set(sources)
     while queue:
         path = queue.popleft()
         node = path[-1]
-        for succ in sorted(graph.successors(node), key=str):
+        for succ in graph.successors(node):
             if succ in targets:
                 return list(path) + [succ]
             if succ not in seen:
@@ -79,11 +108,11 @@ def explain_edge(
     system: CompositeSystem, before: str, after: str
 ) -> List[str]:
     """Evidence lines for one dependency edge ``before -> after``."""
-    return _explain_edge(system, _seed_graph(system), before, after)
+    return _explain_edge(system, _SeedGraph(system), before, after)
 
 
 def _explain_edge(
-    system: CompositeSystem, graph: Relation, before: str, after: str
+    system: CompositeSystem, graph: _SeedGraph, before: str, after: str
 ) -> List[str]:
     chain = _find_chain(
         graph, _subtree(system, before), _subtree(system, after)
@@ -113,7 +142,7 @@ def explain_failure(result: ReductionResult) -> str:
     lines = [failure.describe(), ""]
     cycle = failure.cycle
     # one seed graph serves every edge of the cycle
-    graph = _seed_graph(system)
+    graph = _SeedGraph(system)
     for before, after in zip(cycle, cycle[1:]):
         lines.append(f"{before} -> {after}")
         lines.extend(_explain_edge(system, graph, before, after))

@@ -177,10 +177,9 @@ class ReductionResult:
             )
         return self.final_front.serialization()
 
-    def narrative(self) -> str:
-        """A human-readable account of the whole reduction, front by
-        front — the format the examples and the F3/F4 benchmarks print."""
-        lines: List[str] = []
+    def _skip_account(self) -> Optional[str]:
+        """The whole account of a static-precheck skip, or ``None``
+        when the reduction ran."""
         if self.skipped_by_precheck:
             return (
                 "reduction skipped -- "
@@ -194,6 +193,24 @@ class ReductionResult:
                 + "\nREJECTED -- statically refuted "
                 "(replay-validated witness)"
             )
+        return None
+
+    def _verdict_line(self) -> str:
+        """The last line of :meth:`narrative` and :meth:`report`: the
+        serial witness, or the failure's counterexample."""
+        if self.failure is not None:
+            return f"REJECTED -- {self.failure.describe()}"
+        return "ACCEPTED -- serial witness: " + " << ".join(
+            self.serial_order()
+        )
+
+    def narrative(self) -> str:
+        """A human-readable account of the whole reduction, front by
+        front — the format the examples and the F3/F4 benchmarks print."""
+        skipped = self._skip_account()
+        if skipped is not None:
+            return skipped
+        lines: List[str] = []
         for front in self.fronts:
             lines.append(
                 f"level {front.level} front: "
@@ -203,13 +220,23 @@ class ReductionResult:
             lines.append(f"  observed order: {obs or '(empty)'}")
             inp = ", ".join(f"{a}->{b}" for a, b in front.input_weak.pairs())
             lines.append(f"  input orders:   {inp or '(empty)'}")
-        if self.failure is not None:
-            lines.append(f"REJECTED -- {self.failure.describe()}")
-        else:
-            lines.append(
-                "ACCEPTED -- serial witness: "
-                + " << ".join(self.serial_order())
-            )
+        lines.append(self._verdict_line())
+        return "\n".join(lines)
+
+    def report(self) -> str:
+        """The account sized to the verdict (``check``'s default): one
+        line per :attr:`profile` row (front size and observed-pair
+        count), then the verdict line — the serial witness or the
+        failing cycle, which certify it (Theorem 1)."""
+        skipped = self._skip_account()
+        if skipped is not None:
+            return skipped
+        lines = [
+            f"level {row.level}: {row.nodes} nodes, "
+            f"{row.observed_pairs} observed pairs"
+            for row in self.profile
+        ]
+        lines.append(self._verdict_line())
         return "\n".join(lines)
 
 
@@ -322,8 +349,8 @@ class ReductionEngine:
         explain why none exists.
 
         ``_prepared`` lets :meth:`run` pass an already-computed
-        ``(grouping, constraints)`` pair so the witness extraction and
-        the step share the work.
+        ``(grouping, constraints, quotient)`` triple so the witness
+        extraction and the step share the work.
         """
         level = front.level + 1
         system = self.system
@@ -332,9 +359,10 @@ class ReductionEngine:
             self._check_materialization(front, level)
             grouping = grouping_for_level(system, front.nodes, level)
             constraints = calculation_constraints(system, front, grouping)
+            quotient = None
         else:
-            grouping, constraints = _prepared
-        failure = find_isolation_failure(constraints, grouping)
+            grouping, constraints, quotient = _prepared
+        failure = find_isolation_failure(constraints, grouping, quotient)
         if failure is not None:
             tele.count("reduce.isolation_reject")
             return failure
@@ -580,8 +608,11 @@ class ReductionEngine:
                     constraints = calculation_constraints(
                         self.system, front, grouping
                     )
+                    # one quotient serves the isolation test and the
+                    # witness
+                    quotient = constraints.mapped(grouping.rep)
                     outcome = self.next_front(
-                        front, _prepared=(grouping, constraints)
+                        front, _prepared=(grouping, constraints, quotient)
                     )
                 shown = (
                     outcome.rejected_front
@@ -594,7 +625,9 @@ class ReductionEngine:
                 return self._record_failure(result, outcome, span)
             if witnesses is not None:
                 witnesses.append(
-                    witness_sequence(constraints, grouping, front.nodes)
+                    witness_sequence(
+                        constraints, grouping, front.nodes, quotient
+                    )
                 )
             front = outcome
             self._record_level(result, front, span)

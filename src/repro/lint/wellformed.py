@@ -35,6 +35,7 @@ from repro.core.builder import (
     _execution_pairs,
     _is_pair,
     body_shape_error,
+    executed_sequence_error,
     executed_shape_error,
     execution_lane_errors,
     executions_shape_errors,
@@ -549,15 +550,14 @@ def _lint_raw_schedule(
             )
             mode = "conflicts"
         sequence = list(executed)
-        if set(sequence) != known_ops or len(sequence) != len(known_ops):
-            missing = sorted(known_ops - set(sequence))
-            extra = sorted(set(sequence) - known_ops)
+        mismatch = executed_sequence_error(sname, sequence, known_ops)
+        if mismatch is not None:
+            message, nodes = mismatch
             collector.report(
                 "CTX302",
-                f"execution sequence of {sname!r} does not match the "
-                f"declared operations (missing={missing}, extra={extra})",
+                message,
                 schedule=sname,
-                nodes=tuple(missing + extra),
+                nodes=nodes,
                 fix_hint="the sequence must list every declared operation "
                 "exactly once",
             )

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.builder import SystemBuilder, build_system, pair_shape_errors
+from repro.core.builder import (
+    SystemBuilder,
+    build_system,
+    executed_sequence_error,
+    pair_shape_errors,
+)
 from repro.exceptions import CycleError, ModelError
 from repro.lint.diagnostics import DiagnosticCollector
 from repro.lint.wellformed import lint_system_document
@@ -270,6 +275,35 @@ class TestFromSpec:
                                     "conflicts": "ab"}}}
         with pytest.raises(ModelError, match="not a list of pairs"):
             SystemBuilder.from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "executed, missing, extra",
+        [(["b", "zz"], ["a"], ["zz"]), (["a"], ["b"], []),
+         (["a", "b", "b"], [], []), ([], ["a", "b"], [])],
+    )
+    def test_spec_rejects_an_executed_sequence_of_other_operations(
+        self, executed, missing, extra
+    ):
+        spec = {"schedules": {"S": {"transactions": {"T1": ["a"], "T2": ["b"]},
+                                    "executed": executed}}}
+        message = (
+            "execution sequence of 'S' does not match the declared "
+            f"operations (missing={missing}, extra={extra})"
+        )
+        assert executed_sequence_error("S", executed, ["a", "b"]) == (
+            message,
+            tuple(missing + extra),
+        )
+        with pytest.raises(ModelError) as info:
+            build_system(spec)
+        assert str(info.value) == message
+
+    def test_spec_accepts_an_executed_sequence_in_any_order(self):
+        spec = {"schedules": {"S": {"transactions": {"T1": ["a"], "T2": ["b"]},
+                                    "conflicts": [["a", "b"]],
+                                    "executed": ["b", "a"]}}}
+        assert executed_sequence_error("S", ["b", "a"], ["a", "b"]) is None
+        assert ("b", "a") in build_system(spec).schedule("S").weak_output
 
     def test_spec_null_executed_records_no_sequence(self):
         spec = {"schedules": {"S": {"transactions": {"T1": ["a"], "T2": ["b"]},

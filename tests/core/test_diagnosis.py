@@ -3,13 +3,20 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.core import diagnosis
 from repro.core.correctness import check_composite_correctness
 from repro.core.diagnosis import explain_edge, explain_failure
+from repro.core.observed import ObservedOrderOptions, seed_observed_pairs
+from repro.core.orders import Relation
 from repro.core.reduction import reduce_to_roots
 from repro.exceptions import ReductionError
 from repro.figures import figure3_system, figure4_system
 from repro.workloads.generator import WorkloadConfig, generate
-from repro.workloads.topologies import join_topology, stack_topology
+from repro.workloads.topologies import (
+    fork_topology,
+    join_topology,
+    stack_topology,
+)
 
 
 class TestExplainFailure:
@@ -120,3 +127,76 @@ class TestSharedSeedGraph:
         result = reduce_to_roots(rec.system)
         assume(not result.succeeded)
         assert explain_failure(result) == edge_by_edge(result)
+
+
+def eager_seed_graph(system):
+    """The seed graph as a whole-system relation over every node — the
+    eager construction the on-demand ``_SeedGraph`` replaces."""
+    graph = Relation()
+    nodes = list(system.all_nodes())
+    graph.add_all(seed_observed_pairs(system, nodes, ObservedOrderOptions()))
+    return graph
+
+
+class EagerSeedGraph:
+    """``_SeedGraph``'s interface read off :func:`eager_seed_graph`."""
+
+    def __init__(self, system):
+        self.graph = eager_seed_graph(system)
+
+    def successors(self, node):
+        return sorted(self.graph.successors(node), key=str)
+
+    def touches(self, node):
+        return node in self.graph.elements
+
+
+def rejected_ensemble():
+    """Every rejected system of the ensembles above, plus generated
+    random stack, fork and join rejects."""
+    yield figure3_system()
+    cases = [(join_topology(3), 3, 0.3), (stack_topology(2), 3, 0.3)]
+    cases += [
+        (topology, roots, conflicts)
+        for topology in (
+            stack_topology(1),
+            stack_topology(3),
+            fork_topology(3),
+            join_topology(2),
+        )
+        for roots, conflicts in ((2, 0.5), (4, 0.15), (5, 0.3))
+    ]
+    for topology, roots, conflicts in cases:
+        for seed in range(20):
+            rec = generate(
+                topology,
+                WorkloadConfig(
+                    seed=seed, roots=roots, conflict_probability=conflicts
+                ),
+            )
+            result = reduce_to_roots(rec.system)
+            if not result.succeeded:
+                yield rec.system
+
+
+class TestOnDemandSeedGraph:
+    """The seed graph built node by node as the chain search reaches it
+    equals the eager whole-system one, and so do the explanations."""
+
+    def test_matches_the_eager_graph_on_every_node(self):
+        systems = 0
+        for system in rejected_ensemble():
+            eager = EagerSeedGraph(system)
+            lazy = diagnosis._SeedGraph(system)
+            for node in system.all_nodes():
+                assert lazy.touches(node) == eager.touches(node), node
+                if eager.touches(node):
+                    assert lazy.successors(node) == eager.successors(node)
+            systems += 1
+        assert systems > 50
+
+    def test_explanations_match_the_eager_graph(self, monkeypatch):
+        results = [reduce_to_roots(s) for s in rejected_ensemble()]
+        lazy = [explain_failure(r) for r in results]
+        monkeypatch.setattr(diagnosis, "_SeedGraph", EagerSeedGraph)
+        assert [explain_failure(r) for r in results] == lazy

@@ -10,8 +10,8 @@ root-level pair is traceable to a seed chain.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.diagnosis import _seed_graph
-from repro.core.observed import ObservedOrderOptions
+from repro.core.observed import ObservedOrderOptions, seed_observed_pairs
+from repro.core.orders import Relation
 from repro.core.reduction import reduce_to_roots
 from repro.testing import recorded_executions
 from repro.workloads.topologies import (
@@ -43,7 +43,7 @@ def test_root_level_observed_pairs_trace_to_ground_chains(recorded):
     result = reduce_to_roots(system)
     if not result.succeeded:
         return
-    ground = _seed_graph(system)
+    ground = Relation(seed_observed_pairs(system, system.all_nodes()))
     for schedule in system.schedules.values():
         for txn in schedule.transactions.values():
             ground.add_all(txn.weak_order.pairs())

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.builder import SystemBuilder
 from repro.core.observed import ObservedOrderOptions
+from repro.core.orders import Relation
 from repro.core.reduction import ReductionEngine, reduce_to_roots
 from repro.exceptions import ReductionError
 from repro.figures import (
@@ -11,6 +12,8 @@ from repro.figures import (
     figure3_system,
     figure4_system,
 )
+from repro.workloads.generator import WorkloadConfig, generate
+from repro.workloads.topologies import stack_topology
 
 
 class TestLevel0:
@@ -142,6 +145,48 @@ class TestVerdicts:
         b.transaction("T2", "S", ["c"])
         b.executed("S", ["a", "c", "b"])
         assert reduce_to_roots(b.build()).succeeded
+
+
+class TestOneQuotientPerLevel:
+    """A one-shot run builds each level's quotient once and hands it to
+    both the isolation test and the witness."""
+
+    @pytest.fixture()
+    def mapped_calls(self, monkeypatch):
+        calls = []
+        original = Relation.mapped
+
+        def counting(relation, *args, **kwargs):
+            calls.append(relation)
+            return original(relation, *args, **kwargs)
+
+        monkeypatch.setattr(Relation, "mapped", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            figure1_system,
+            figure4_system,
+            lambda: generate(
+                stack_topology(3), WorkloadConfig(seed=1, layout="serial")
+            ).system,
+        ],
+    )
+    def test_accepted_run_maps_once_per_level(self, make, mapped_calls):
+        system = make()
+        result = reduce_to_roots(system)
+        assert result.succeeded
+        assert len(mapped_calls) == system.order
+        # the witnesses equal those derived afresh from the fronts
+        engine = ReductionEngine(system)
+        derived = engine.run(level0=engine.level0_front())
+        assert result.witnesses == derived.witnesses
+
+    def test_rejected_run_maps_once_per_attempted_level(self, mapped_calls):
+        result = reduce_to_roots(figure3_system())
+        assert not result.succeeded
+        assert len(mapped_calls) == result.failure.level
 
 
 class TestOptions:

@@ -115,3 +115,35 @@ def test_watch_strict_exit_code(tmp_path, capsys):
     ]
     log.write_text("".join(lines))
     assert main(["watch", "--strict", str(log)]) == 2
+
+
+def test_watch_final_block_is_the_check_report(tmp_path, capsys):
+    """The batch-certified block ends in the verdict-sized report that
+    ``check`` prints after its header; ``--fronts`` swaps in every
+    front's closed orders, as for ``check``."""
+    recorded = generate(
+        tree_topology(2, 2),
+        WorkloadConfig(seed=3, roots=3, conflict_probability=0.2),
+    )
+    system_file = tmp_path / "system.json"
+    save(recorded, system_file)
+    log = tmp_path / "stream.jsonl"
+    assert main(["eventlog", str(system_file), str(log)]) == 0
+    capsys.readouterr()
+
+    def final_block(argv):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        block = out.split("final verdict (batch-certified)", 1)[1]
+        return block.splitlines()[2:-1]  # past the banner's rule
+
+    def check_body(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out.splitlines()[1:]  # past the header
+
+    report = final_block(["watch", str(log)])
+    assert report == check_body(["check", str(system_file)])
+    assert not any("observed order:" in line for line in report)
+    fronts = final_block(["watch", "--fronts", str(log)])
+    assert fronts == check_body(["check", "--fronts", str(system_file)])
+    assert any("observed order:" in line for line in fronts)

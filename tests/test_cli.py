@@ -3,12 +3,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.core.correctness import check_composite_correctness
 from repro.figures import figure1_system, figure3_system
-from repro.io import save
+from repro.io import load, save
 
 
 @pytest.fixture()
@@ -44,6 +46,63 @@ class TestCheck:
         assert "reduction profile" in out
         assert "closure" in out
         assert "total" in out
+
+
+def run_main(argv, capsys):
+    """``(exit status, stdout)`` of ``main(argv)``."""
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+class TestCheckReport:
+    """``check`` prints a report sized to the verdict: the header, one
+    line per reduction level, the verdict.  ``check --fronts`` prints
+    every front's closed orders, ``CorrectnessReport.narrative()``."""
+
+    @pytest.mark.parametrize(
+        "system", [figure1_system, figure3_system], ids=["accept", "reject"]
+    )
+    def test_report_frames_the_same_verdict(self, system, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        save(system(), path)
+        code, report = run_main(["check", str(path)], capsys)
+        fronts_code, fronts = run_main(["check", "--fronts", str(path)], capsys)
+        assert code == fronts_code == 0
+        lines, full = report.splitlines(), fronts.splitlines()
+        assert (lines[0], lines[-1]) == (full[0], full[-1])
+        assert lines[-1].startswith(("ACCEPTED -- ", "REJECTED -- "))
+        assert "observed order:" in fronts
+        assert "observed order:" not in report
+        profile = check_composite_correctness(system()).reduction.profile
+        assert lines[1:-1] == [
+            f"level {row.level}: {row.nodes} nodes, "
+            f"{row.observed_pairs} observed pairs"
+            for row in profile
+        ]
+        assert profile
+
+    def test_explain_follows_the_report(self, incorrect_file, capsys):
+        code, out = run_main(["check", "--explain", incorrect_file], capsys)
+        _, report = run_main(["check", incorrect_file], capsys)
+        explained = check_composite_correctness(figure3_system()).explain()
+        assert code == 0
+        assert out == report + "\n" + explained + "\n"
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(
+            str(path)
+            for folder in ("examples/lint", "tests/fixtures")
+            for path in Path(folder).glob("*.json")
+        ),
+    )
+    def test_fronts_prints_the_narrative(self, path, capsys):
+        code, out = run_main(["check", "--fronts", path], capsys)
+        if code == 1:  # not a system document: an error, no report
+            assert out == ""
+            return
+        report = check_composite_correctness(load(path).system)
+        assert out == report.narrative() + "\n"
 
 
 class TestInfo:
@@ -368,6 +427,38 @@ class TestInputErrors:
         )
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().err == f"repro check: error: {message}\n"
+        assert main(["lint", "--format", "json", str(path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        found = report["files"][0]["diagnostics"]
+        assert [(d["code"], d["message"]) for d in found] == [
+            ("CTX302", message)
+        ]
+        assert report["files"][0]["safety"] is None
+
+    @pytest.mark.parametrize(
+        "executed, missing, extra",
+        [('["b", "zz"]', ["a"], ["zz"]), ('["a"]', ["b"], []),
+         ('["a", "b", "a"]', [], [])],
+    )
+    def test_executed_sequence_mismatch(
+        self, tmp_path, capsys, executed, missing, extra
+    ):
+        """A schedule's ``executed`` sequence that does not list its
+        operations exactly once is one `check` error line, and lint's
+        CTX302 with the same message; neither accepts the document."""
+        path = tmp_path / "executed.json"
+        path.write_text(
+            '{"schedules": {"S": {"transactions": {"T1": ["a"], '
+            f'"T2": ["b"]}}, "executed": {executed}}}}}}}'
+        )
+        message = (
+            "execution sequence of 'S' does not match the declared "
+            f"operations (missing={missing}, extra={extra})"
+        )
+        assert main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro check: error: {message}\n"
         assert main(["lint", "--format", "json", str(path)]) == 2
         report = json.loads(capsys.readouterr().out)
         found = report["files"][0]["diagnostics"]
