@@ -39,38 +39,37 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.orders import Relation
-from repro.core.schedule import Schedule
-from repro.core.system import CompositeSystem
+from repro.core.schedule import (
+    Schedule,
+    executed_sequence_error,
+    execution_mode_error,
+    execution_pairs,
+    listing_mismatch,
+)
+from repro.core.system import CompositeSystem, assigned_twice
 from repro.core.transaction import Transaction
-from repro.exceptions import ModelError
+from repro.exceptions import ModelError, Report, report_or_raise
 
 
-def _execution_pairs(
-    sequence: Sequence[str],
-    mode: str,
-    conflicts: Iterable[Tuple[str, str]],
-) -> List[Tuple[str, str]]:
-    """Weak-output pairs committed by a recorded execution sequence."""
-    if mode == "temporal":
-        return list(zip(sequence, sequence[1:]))
-    position = {op: i for i, op in enumerate(sequence)}
-    pairs: List[Tuple[str, str]] = []
-    for a, b in conflicts:
-        if a in position and b in position:
-            if position[a] < position[b]:
-                pairs.append((a, b))
-            else:
-                pairs.append((b, a))
-    return pairs
+def _placed(report: Report, schedule: str) -> Report:
+    """``report``, placing on ``schedule`` each violation that names no
+    schedule of its own (a transaction's)."""
+
+    def placed(error: ModelError) -> None:
+        if error.schedule is None:
+            error.schedule = schedule
+        report(error)
+
+    return placed
 
 
 @dataclass
 class _ScheduleDraft:
     name: str
-    transactions: "Dict[str, Transaction]" = field(default_factory=dict)
+    transactions: List[Transaction] = field(default_factory=list)
     conflicts: List[Tuple[str, str]] = field(default_factory=list)
     weak_input: List[Tuple[str, str]] = field(default_factory=list)
     strong_input: List[Tuple[str, str]] = field(default_factory=list)
@@ -81,15 +80,31 @@ class _ScheduleDraft:
 
 
 class SystemBuilder:
-    """Incremental builder for :class:`repro.core.system.CompositeSystem`."""
+    """Incremental builder for :class:`repro.core.system.CompositeSystem`.
 
-    def __init__(self) -> None:
+    Without ``report`` the first ill-formed declaration raises
+    :class:`ModelError`.  With it (lint's path) the builder, and the
+    transactions, schedules and system it constructs, report every
+    violation to it and carry on with the usable rest; such a build
+    describes a system only when nothing was reported.
+    """
+
+    def __init__(self, *, report: Optional[Report] = None) -> None:
         self._drafts: Dict[str, _ScheduleDraft] = {}
         self._txn_schedule: Dict[str, str] = {}
+        self._report = report
+
+    def _refuse(self, error: ModelError) -> None:
+        report_or_raise(self._report, error)
 
     # ------------------------------------------------------------------
     # declaration
     # ------------------------------------------------------------------
+    @property
+    def schedule_names(self) -> Tuple[str, ...]:
+        """The schedules declared so far, in declaration order."""
+        return tuple(self._drafts)
+
     def schedule(self, name: str) -> "SystemBuilder":
         """Declare a schedule (idempotent; usually implicit)."""
         if name not in self._drafts:
@@ -109,20 +124,20 @@ class SystemBuilder:
         """Declare transaction ``name`` of ``schedule`` with the given
         operations and intra-transaction orders (Def. 2)."""
         self.schedule(schedule)
-        if name in self._txn_schedule:
-            raise ModelError(
-                f"transaction {name!r} already declared on schedule "
-                f"{self._txn_schedule[name]!r}"
-            )
+        first = self._txn_schedule.get(name, schedule)
+        if first != schedule and self._report is None:
+            # fail fast; a collecting build leaves it to CompositeSystem
+            raise assigned_twice(name, first, schedule)
         txn = Transaction(
             name,
             operations,
             weak_order=weak_order,
             strong_order=strong_order,
             sequential=sequential,
+            report=None if self._report is None else _placed(self._report, schedule),
         )
-        self._drafts[schedule].transactions[name] = txn
-        self._txn_schedule[name] = schedule
+        self._txn_schedule.setdefault(name, schedule)
+        self._drafts[schedule].transactions.append(txn)
         return self
 
     def conflict(self, schedule: str, a: str, b: str) -> "SystemBuilder":
@@ -160,8 +175,10 @@ class SystemBuilder:
             the whole sequence becomes the weak output order (the
             conservative reading; used by the A1 ablation benchmark).
         """
-        if mode not in ("conflicts", "temporal"):
-            raise ModelError(f"unknown execution mode {mode!r}")
+        error = execution_mode_error(schedule, mode)
+        if error is not None:
+            self._refuse(error)
+            return self
         self.schedule(schedule)
         self._drafts[schedule].execution = list(sequence)
         self._drafts[schedule].execution_mode = mode
@@ -205,48 +222,47 @@ class SystemBuilder:
         schedule's input orders are final when it is reached and its
         callee-bound pairs are read straight from its closed output
         orders; without, in declaration order.  The system lists them
-        in declaration order either way.
+        in declaration order either way.  ``validate`` checks the Def.-3
+        axioms (in construction order) and Def. 4.7 once the whole
+        system is built.
         """
-        if not self._drafts:
-            raise ModelError("no schedules declared")
         txn_schedule = self._txn_schedule
         weak_in = {n: list(d.weak_input) for n, d in self._drafts.items()}
         strong_in = {n: list(d.strong_input) for n, d in self._drafts.items()}
         built: Dict[str, Schedule] = {}
         for name in self._callers_first() if propagate_orders else self._drafts:
             draft = self._drafts[name]
-            transactions = draft.transactions
             weak_out = list(draft.weak_output)
             strong_out = list(draft.strong_output)
             if draft.execution is not None:
                 weak_out.extend(
-                    _execution_pairs(
+                    execution_pairs(
                         draft.execution, draft.execution_mode, draft.conflicts
                     )
                 )
             # Axiom 2: intra-transaction orders must surface in outputs.
-            for txn in transactions.values():
+            for txn in draft.transactions:
                 if txn.ordered:
                     weak_out.extend(txn.weak_order.pairs())
                     strong_out.extend(txn.strong_order.pairs())
             # Axiom 3: closed strong inputs sequence whole transactions.
             # An unknown name is left for Schedule to report.
             strong = strong_in[name]
-            if strong and all(t in transactions for p in strong for t in p):
+            ops_of = {t.name: t.operations for t in draft.transactions} if strong else {}
+            if strong and all(t in ops_of for p in strong for t in p):
                 for t1, t2 in Relation(strong).transitive_closure().pairs():
-                    for a in transactions[t1].operations:
-                        strong_out.extend(
-                            (a, b) for b in transactions[t2].operations
-                        )
+                    for a in ops_of[t1]:
+                        strong_out.extend((a, b) for b in ops_of[t2])
             schedule = built[name] = Schedule(
                 name,
-                list(transactions.values()),
+                draft.transactions,
                 conflicts=draft.conflicts,
                 weak_input=weak_in[name],
                 strong_input=strong,
                 weak_output=weak_out,
                 strong_output=strong_out,
-                validate=validate,
+                validate=False,
+                report=self._report,
             )
             if not propagate_orders:
                 continue
@@ -267,9 +283,19 @@ class SystemBuilder:
                             (a, b)
                             for b in closed.unpack(closed.row_bits(a) & mask)
                         )
-        return CompositeSystem(
-            [built[name] for name in self._drafts], validate=validate
+        system = CompositeSystem(
+            [built[name] for name in self._drafts],
+            validate=False,
+            report=self._report,
         )
+        # Validation follows the whole structure, as lint's does, so a
+        # structural defect anywhere is raised before any axiom.
+        if validate:
+            for schedule in built.values():
+                schedule.validate_axioms()
+            for violation in system.iter_order_propagation_violations():
+                raise violation
+        return system
 
     def _callers_first(self) -> List[str]:
         """Schedule names with every caller before its callees,
@@ -283,7 +309,7 @@ class SystemBuilder:
         for name, draft in self._drafts.items():
             callees[name] = {
                 self._txn_schedule[op]
-                for txn in draft.transactions.values()
+                for txn in draft.transactions
                 for op in txn.operations
                 if op in self._txn_schedule
             } - {name}
@@ -306,7 +332,9 @@ class SystemBuilder:
     # declarative construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_spec(cls, spec: Mapping) -> "SystemBuilder":
+    def from_spec(
+        cls, spec: Mapping, *, report: Optional[Report] = None
+    ) -> "SystemBuilder":
         """Build from a nested-dict specification (the shape used by the
         text format in :mod:`repro.io.text_format` and by tests).
 
@@ -322,66 +350,204 @@ class SystemBuilder:
                 },
             }}
 
-        A malformed shape raises :class:`ModelError` with the message
-        of its rule below (lint's CTX305 wording).
+        Every list is a JSON list (or a tuple), every operation and both
+        ends of every pair a string, ``sequential`` a boolean, and an
+        ``executed`` sequence, or a lane of the text format's top-level
+        ``executions`` section, lists each operation of its schedule
+        once.  A malformed shape raises :class:`ModelError`; given
+        ``report``, each is reported and the offending item left out.
         """
-        builder = cls()
+        builder = cls(report=report)
+        refuse = builder._refuse
         schedules = spec.get("schedules")
-        _require(schedules_shape_error(schedules))
+        if not (schedules and isinstance(schedules, Mapping)):
+            refuse(
+                ModelError(
+                    "document has no 'schedules' section",
+                    hint="a system document maps schedule names to bodies",
+                )
+            )
+            return builder
         for sname, body in schedules.items():
-            _require(body_shape_error(sname, body))
-            builder.schedule(sname)
-            transactions = body.get("transactions", {})
-            _require(transactions_shape_error(sname, transactions))
-            for tname, tdef in transactions.items():
-                _require(transaction_shape_error(sname, tname, tdef))
-                if isinstance(tdef, Mapping):
-                    builder.transaction(
-                        tname,
-                        sname,
-                        tdef.get("ops", ()),
-                        weak_order=_spec_pairs(
-                            sname, f"{tname}.weak", tdef.get("weak")
-                        ),
-                        strong_order=_spec_pairs(
-                            sname, f"{tname}.strong", tdef.get("strong")
-                        ),
-                        sequential=bool(tdef.get("sequential", False)),
+            if not isinstance(body, Mapping):
+                refuse(
+                    ModelError(
+                        f"schedule {sname!r} body is not a mapping",
+                        schedule=sname,
                     )
-                else:
-                    builder.transaction(tname, sname, tdef)
+                )
+                continue
+            transactions = body.get("transactions", {})
+            if not isinstance(transactions, Mapping):
+                refuse(
+                    ModelError(
+                        f"'transactions' of schedule {sname!r} is not a "
+                        "mapping",
+                        schedule=sname,
+                    )
+                )
+                continue
+            builder.schedule(sname)
+            for tname, tdef in transactions.items():
+                builder._spec_transaction(sname, tname, tdef)
             draft = builder._drafts[sname]
             draft.conflicts.extend(
-                _spec_pairs(sname, "conflicts", body.get("conflicts"))
+                builder._spec_pairs(sname, "conflicts", body.get("conflicts"))
             )
-            executed = body.get("executed")
-            _require(executed_shape_error(sname, executed))
-            if executed is not None:
-                ops = [
-                    op for t in draft.transactions.values() for op in t.operations
-                ]
-                mismatch = executed_sequence_error(sname, executed, ops)
-                if mismatch is not None:
-                    raise ModelError(mismatch[0])
-                builder.executed(
-                    sname,
-                    executed,
-                    mode=body.get("executed_mode", "conflicts"),
+            executed = body.get("executed")  # None records no sequence
+            if executed is not None and builder._spec_names(
+                sname, "'executed' of schedule", executed
+            ):
+                error = executed_sequence_error(
+                    sname, executed, builder._operations(sname)
                 )
+                if error is not None:
+                    refuse(error)
+                else:
+                    builder.executed(
+                        sname,
+                        executed,
+                        mode=body.get("executed_mode", "conflicts"),
+                    )
             for key in ("weak_output", "strong_output", "weak_input", "strong_input"):
-                getattr(draft, key).extend(_spec_pairs(sname, key, body.get(key)))
+                getattr(draft, key).extend(
+                    builder._spec_pairs(sname, key, body.get(key))
+                )
+        builder._spec_executions(spec.get("executions"))
         return builder
 
+    def _operations(self, schedule: str) -> List[str]:
+        """The operations of the transactions declared on ``schedule``."""
+        return [
+            op
+            for txn in self._drafts[schedule].transactions
+            for op in txn.operations
+        ]
 
-# ----------------------------------------------------------------------
-# spec shapes: each rule and its wording live here once.  Lint reports
-# every message as CTX305 (a lane of the wrong operations as CTX302);
-# from_spec raises the first as ModelError, and io.text_format.loads
-# its executions messages as ParseError.
-# ----------------------------------------------------------------------
-def _require(error: Optional[str]) -> None:
-    if error is not None:
-        raise ModelError(error)
+    def _spec_transaction(self, sname: str, tname: str, tdef: Any) -> None:
+        """Declare transaction ``tname`` of a spec: an operation list,
+        or a mapping of ``ops``, ``weak`` and ``strong`` pairs and a
+        boolean ``sequential``.  When collecting, a definition without
+        a usable operation list declares the name with no operations."""
+        is_mapping = isinstance(tdef, Mapping)
+        fields = tdef if is_mapping else {}
+        ops = fields.get("ops", ()) if is_mapping else tdef
+        if not _is_name_list(ops):
+            self._refuse(
+                ModelError(
+                    f"'ops' of transaction {tname!r} of schedule {sname!r} "
+                    "is not a list of operations"
+                    if is_mapping
+                    else f"transaction {tname!r} of schedule {sname!r} is "
+                    "neither an operation list nor a mapping",
+                    schedule=sname,
+                    nodes=(tname,),
+                )
+            )
+            self.transaction(tname, sname, ())
+            return
+        weak = self._spec_pairs(sname, f"{tname}.weak", fields.get("weak"))
+        strong = self._spec_pairs(sname, f"{tname}.strong", fields.get("strong"))
+        sequential = fields.get("sequential", False)
+        if not isinstance(sequential, bool):
+            self._refuse(
+                ModelError(
+                    f"'sequential' of transaction {tname!r} of schedule "
+                    f"{sname!r} is not a boolean",
+                    schedule=sname,
+                    nodes=(tname,),
+                    hint="write true or false",
+                )
+            )
+            sequential = False
+        self.transaction(
+            tname,
+            sname,
+            ops,
+            weak_order=weak,
+            strong_order=strong,
+            sequential=sequential,
+        )
+
+    def _spec_pairs(
+        self, sname: str, key: str, value: object
+    ) -> List[Tuple[str, str]]:
+        """The pairs listed under ``key`` of schedule ``sname``, each
+        entry shape-checked once: one that is not a pair of names, or a
+        value that is not a list, is a violation (an absent, ``None``,
+        value lists none)."""
+        if value is None:
+            return []
+        if not isinstance(value, _LISTS):
+            self._refuse(
+                ModelError(
+                    f"{key!r} of schedule {sname!r} is not a list of pairs",
+                    schedule=sname,
+                )
+            )
+            return []
+        pairs: List[Tuple[str, str]] = []
+        for entry in value:
+            if _is_pair(entry):
+                pairs.append((entry[0], entry[1]))
+            else:
+                self._refuse(
+                    ModelError(
+                        f"{key!r} of schedule {sname!r} contains the "
+                        f"malformed entry {entry!r} (expected a pair)",
+                        schedule=sname,
+                    )
+                )
+        return pairs
+
+    def _spec_names(self, sname: str, what: str, value: object) -> bool:
+        """Whether ``value`` is a list of operation names; when it is
+        not, that is a violation, worded by ``what``."""
+        if _is_name_list(value):
+            return True
+        self._refuse(
+            ModelError(
+                f"{what} {sname!r} is not a list of operations", schedule=sname
+            )
+        )
+        return False
+
+    def _spec_executions(self, value: object) -> None:
+        """The text format's top-level ``executions`` section: a mapping
+        of schedule name to one lane that lists each operation of that
+        schedule once (lint code CTX302 when it does not)."""
+        if value is None:
+            return
+        if not isinstance(value, Mapping):
+            self._refuse(
+                ModelError("'executions' is not a mapping of schedule -> sequence")
+            )
+            return
+        for sname, lane in value.items():
+            if not self._spec_names(sname, "'executions' of schedule", lane):
+                continue
+            if sname not in self._drafts:
+                self._refuse(
+                    ModelError(
+                        f"'executions' names unknown schedule {sname!r}",
+                        schedule=sname,
+                    )
+                )
+                continue
+            mismatch = listing_mismatch(self._operations(sname), lane)
+            if mismatch is not None:
+                missing, extra = mismatch
+                self._refuse(
+                    ModelError(
+                        f"top-level execution of {sname!r} does not match "
+                        f"its declared operations (missing={missing}, "
+                        f"extra={extra})",
+                        code="CTX302",
+                        schedule=sname,
+                        nodes=missing + extra,
+                        hint="the lane must list every operation exactly once",
+                    )
+                )
 
 
 #: What a list in a spec may be: a JSON list, or a tuple when the spec
@@ -406,196 +572,12 @@ def _is_name_list(value: object) -> bool:
     return True
 
 
-def schedules_shape_error(value: object) -> Optional[str]:
-    """Why a spec's ``schedules`` section is unusable: absent, empty or
-    not a mapping of schedule names to bodies.  ``None`` when usable."""
-    if value and isinstance(value, Mapping):
-        return None
-    return "document has no 'schedules' section"
-
-
-def body_shape_error(sname: str, body: object) -> Optional[str]:
-    """Why the body of schedule ``sname`` is malformed, or ``None``."""
-    if isinstance(body, Mapping):
-        return None
-    return f"schedule {sname!r} body is not a mapping"
-
-
-def transactions_shape_error(sname: str, value: object) -> Optional[str]:
-    """Why the ``transactions`` of schedule ``sname`` are malformed, or
-    ``None``."""
-    if isinstance(value, Mapping):
-        return None
-    return f"'transactions' of schedule {sname!r} is not a mapping"
-
-
-def transaction_shape_error(
-    sname: str, tname: str, tdef: object
-) -> Optional[str]:
-    """Why the definition of transaction ``tname`` is malformed: it
-    must be an operation list, or a mapping whose ``ops`` (when given)
-    is one; every operation is a ``_NAME``.  ``None`` when well
-    formed."""
-    if isinstance(tdef, Mapping):
-        if _is_name_list(tdef.get("ops", ())):
-            return None
-        return (
-            f"'ops' of transaction {tname!r} of schedule {sname!r} is not "
-            "a list of operations"
-        )
-    if _is_name_list(tdef):
-        return None
-    return (
-        f"transaction {tname!r} of schedule {sname!r} is neither an "
-        "operation list nor a mapping"
-    )
-
-
-def executed_shape_error(sname: str, value: object) -> Optional[str]:
-    """Why the ``executed`` sequence of schedule ``sname`` is
-    malformed, or ``None`` (an absent, ``None``, value records none)."""
-    if value is None or _is_name_list(value):
-        return None
-    return f"'executed' of schedule {sname!r} is not a list of operations"
-
-
-def _listing_mismatch(
-    declared: Collection[str], sequence: Sequence[str]
-) -> Optional[Tuple[List[str], List[str]]]:
-    """``(missing, extra)``, each sorted, when ``sequence`` does not
-    list each of the ``declared`` operations exactly once; ``None``
-    when it does."""
-    declared = set(declared)
-    listed = set(sequence)
-    if listed == declared and len(sequence) == len(declared):
-        return None
-    return sorted(declared - listed), sorted(listed - declared)
-
-
-def executed_sequence_error(
-    sname: str, sequence: Sequence[str], operations: Collection[str]
-) -> Optional[Tuple[str, Tuple[str, ...]]]:
-    """Why the well-shaped ``executed`` sequence of schedule ``sname``
-    does not fit its declared ``operations``: ``(message, nodes)`` when
-    it does not list each of them exactly once (``nodes`` the missing
-    and the extra ones), else ``None``.  Lint reports it as CTX302;
-    :meth:`SystemBuilder.from_spec` raises the message."""
-    mismatch = _listing_mismatch(operations, sequence)
-    if mismatch is None:
-        return None
-    missing, extra = mismatch
-    return (
-        f"execution sequence of {sname!r} does not match the declared "
-        f"operations (missing={missing}, extra={extra})",
-        tuple(missing + extra),
-    )
-
-
-def executions_shape_errors(value: object) -> List[str]:
-    """Why a document's top-level ``executions`` section is malformed:
-    one message when it is not a mapping, else one per schedule whose
-    sequence is not a list of operation names.  Empty when well formed
-    or absent; :func:`execution_lane_errors` then checks the lanes
-    against the system."""
-    if value is None:
-        return []
-    if not isinstance(value, Mapping):
-        return ["'executions' is not a mapping of schedule -> sequence"]
-    return [
-        f"'executions' of schedule {sname!r} is not a list of operations"
-        for sname, sequence in value.items()
-        if not _is_name_list(sequence)
-    ]
-
-
-def execution_lane_errors(
-    value: Mapping, operations_of: Mapping[str, Collection[str]]
-) -> List[Tuple[str, str, Tuple[str, ...]]]:
-    """Why the lanes of a well-shaped ``executions`` section do not fit
-    a system whose schedules have the operations ``operations_of``: one
-    ``(schedule, message, nodes)`` per lane that names an unknown
-    schedule (``nodes`` empty), or that does not list each operation
-    of its schedule exactly once (``nodes`` the missing and the extra
-    ones).  Empty when every lane fits.
-
-    Lint reports the first kind as CTX305 and the second as CTX302;
-    :func:`repro.io.text_format.loads` raises the first message."""
-    errors: List[Tuple[str, str, Tuple[str, ...]]] = []
-    for sname, sequence in value.items():
-        sname = str(sname)
-        if sname not in operations_of:
-            errors.append(
-                (sname, f"'executions' names unknown schedule {sname!r}", ())
-            )
-            continue
-        mismatch = _listing_mismatch(operations_of[sname], sequence)
-        if mismatch is not None:
-            missing, extra = mismatch
-            errors.append(
-                (
-                    sname,
-                    f"top-level execution of {sname!r} does not match its "
-                    f"declared operations (missing={missing}, extra={extra})",
-                    tuple(missing + extra),
-                )
-            )
-    return errors
-
-
 def _is_pair(entry: object) -> bool:
     """A spec pair is a two-element list of names."""
     if isinstance(entry, _LISTS) and len(entry) == 2:
         a, b = entry
         return isinstance(a, _NAME) and isinstance(b, _NAME)
     return False
-
-
-def pair_shape_errors(sname: str, key: str, value: object) -> List[str]:
-    """Why the value under ``key`` of schedule ``sname`` in a spec is
-    not a list of pairs: one message per malformed entry, or one for a
-    value that is not a list at all.  Empty when it is well formed
-    (an absent, ``None``, value lists no pairs).
-
-    Every entry must pass :func:`_is_pair`.  Lint reports each message
-    as CTX305; :meth:`SystemBuilder.from_spec` raises the
-    first.
-    """
-    if value is None:
-        return []
-    if not isinstance(value, _LISTS):
-        return [f"{key!r} of schedule {sname!r} is not a list of pairs"]
-    return [
-        malformed_pair_message(sname, key, entry)
-        for entry in value
-        if not _is_pair(entry)
-    ]
-
-
-def malformed_pair_message(sname: str, key: str, entry: object) -> str:
-    """The wording for one ``entry`` under ``key`` of schedule
-    ``sname`` that fails :func:`_is_pair`."""
-    return (
-        f"{key!r} of schedule {sname!r} contains the malformed "
-        f"entry {entry!r} (expected a pair)"
-    )
-
-
-def _spec_pairs(sname: str, key: str, value: object) -> List[Tuple[str, str]]:
-    """The pairs listed under ``key`` of schedule ``sname`` in a spec,
-    converted and shape-checked in one pass; a malformed value raises
-    :class:`ModelError` with the first :func:`pair_shape_errors`
-    message."""
-    if value is None:
-        return []
-    pairs: List[Tuple[str, str]] = []
-    if isinstance(value, _LISTS):
-        for entry in value:
-            if not _is_pair(entry):
-                break
-            pairs.append((entry[0], entry[1]))
-        else:
-            return pairs
-    raise ModelError(pair_shape_errors(sname, key, value)[0])
 
 
 def build_system(spec: Mapping, **kwargs) -> CompositeSystem:

@@ -45,7 +45,7 @@ from typing import (
     Tuple,
 )
 
-from repro.exceptions import CycleError
+from repro.exceptions import CycleError, ModelError, Report, report_or_raise
 
 Element = Hashable
 Pair = Tuple[Element, Element]
@@ -1246,7 +1246,8 @@ def closed_orders(
     elements: Iterable[Element],
     strong_pairs: Iterable[Pair],
     weak_pairs: Iterable[Pair],
-    unknown: Callable[[Element, str], Exception],
+    unknown: Callable[[Element, str], ModelError],
+    report: Optional[Report] = None,
 ) -> Tuple[Relation, Relation]:
     """The transitively closed ``(weak, strong)`` orders over
     ``elements``: strong from ``strong_pairs``, weak from those plus
@@ -1255,9 +1256,10 @@ def closed_orders(
 
     Each pair is member-checked and interned in one loop, strong pairs
     first; an element outside ``elements`` raises
-    ``unknown(element, "strong" | "weak")``.  Only a relation with pairs
-    is closed, and when the weak pairs add none the weak closure is a
-    copy of the strong one.
+    ``unknown(element, "strong" | "weak")``, or, given ``report``, is
+    reported (each unknown end of the pair) and the pair dropped.  Only
+    a relation with pairs is closed, and when the weak pairs add none
+    the weak closure is a copy of the strong one.
     """
     strong = Relation(elements=elements)
     index = strong._index
@@ -1265,12 +1267,17 @@ def closed_orders(
     def intern(relation: Relation, pairs: Iterable[Pair], kind: str) -> bool:
         rows = relation._rows
         before = list(rows)
-        try:
-            for a, b in pairs:
-                # The row subscript is evaluated first: a before b.
-                rows[index[a]] |= 1 << index[b]
-        except KeyError as missing:
-            raise unknown(missing.args[0], kind) from None
+        remaining = iter(pairs)
+        while True:
+            try:
+                for a, b in remaining:
+                    # The row subscript is evaluated first: a before b.
+                    rows[index[a]] |= 1 << index[b]
+                break
+            except KeyError:
+                for end in (a, b):
+                    if end not in index:
+                        report_or_raise(report, unknown(end, kind))
         relation._cols = None
         if rows == before:
             return False

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import (
     AbstractSet,
-    Callable,
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
@@ -45,52 +45,94 @@ from typing import (
 
 from repro.core.orders import Relation, closed_orders
 from repro.core.transaction import Transaction
-from repro.exceptions import CycleError, ModelError, ScheduleAxiomError
+from repro.exceptions import (
+    CycleError,
+    ModelError,
+    Report,
+    ScheduleAxiomError,
+    report_or_raise,
+)
 
 # Shared empty adjacency row for operations with no declared conflicts.
 _NO_NEIGHBOURS: FrozenSet[str] = frozenset()
 
 ConflictPair = FrozenSet[str]
 
-#: Callback used by :func:`_normalize_conflicts` to report a defective
-#: pair: ``(issue, (a, b))`` where ``issue`` is ``"self-conflict"`` or
-#: ``"duplicate"``.
-ConflictIssueHandler = Callable[[str, Tuple[str, str]], None]
+#: The ``mode`` of a recorded execution sequence (see
+#: :meth:`repro.core.builder.SystemBuilder.executed`).
+EXECUTION_MODES = ("conflicts", "temporal")
 
 
-def _normalize_conflicts(
-    pairs: Iterable[Tuple[str, str]],
-    on_issue: Optional[ConflictIssueHandler] = None,
-) -> Set[ConflictPair]:
-    """Normalize a conflict declaration into a set of unordered pairs.
+def execution_mode_error(schedule: str, mode: object) -> Optional[ModelError]:
+    """Why ``mode`` is no execution mode for ``schedule``, or ``None``."""
+    if mode in EXECUTION_MODES:
+        return None
+    return ModelError(
+        f"unknown execution mode {mode!r} on schedule {schedule!r}",
+        schedule=schedule,
+        hint="use 'conflicts' or 'temporal'",
+    )
 
-    Without ``on_issue`` (the engine's construction path) the first
-    self-conflicting pair raises :class:`ModelError` and duplicates are
-    silently collapsed.  With ``on_issue`` (the lint path) *every*
-    self-conflicting and duplicate pair is reported through the callback
-    in one pass — the collector decides what to do with them — and the
-    usable pairs are still returned.
-    """
-    normalized: Set[ConflictPair] = set()
-    for a, b in pairs:
-        if a == b:
-            if on_issue is None:
-                raise ModelError(
-                    f"operation {a!r} cannot conflict with itself"
-                )
-            on_issue("self-conflict", (a, b))
-            continue
-        key: ConflictPair = frozenset((a, b))
-        if key in normalized:
-            if on_issue is not None:
-                on_issue("duplicate", (a, b))
-            continue
-        normalized.add(key)
-    return normalized
+
+def execution_pairs(
+    sequence: Sequence[str],
+    mode: str,
+    conflicts: Iterable[Tuple[str, str]],
+) -> List[Tuple[str, str]]:
+    """The weak-output pairs a recorded execution ``sequence`` commits:
+    the whole sequence in ``"temporal"`` mode, else each conflict
+    between two of its operations, in the order they ran."""
+    if mode == "temporal":
+        return list(zip(sequence, sequence[1:]))
+    position = {op: i for i, op in enumerate(sequence)}
+    return [
+        (a, b) if position[a] < position[b] else (b, a)
+        for a, b in conflicts
+        if a in position and b in position
+    ]
+
+
+def listing_mismatch(
+    operations: Collection[str], sequence: Sequence[str]
+) -> Optional[Tuple[List[str], List[str]]]:
+    """``(missing, extra)``, each sorted, when ``sequence`` does not
+    list each of ``operations`` exactly once; ``None`` when it does."""
+    declared = set(operations)
+    listed = set(sequence)
+    if listed == declared and len(sequence) == len(declared):
+        return None
+    return sorted(declared - listed), sorted(listed - declared)
+
+
+def executed_sequence_error(
+    schedule: str, sequence: Sequence[str], operations: Collection[str]
+) -> Optional[ModelError]:
+    """Why the recorded execution ``sequence`` of ``schedule`` does not
+    fit its declared ``operations`` (CTX302, its nodes the missing and
+    the extra ones), or ``None`` when it lists each exactly once."""
+    mismatch = listing_mismatch(operations, sequence)
+    if mismatch is None:
+        return None
+    missing, extra = mismatch
+    return ModelError(
+        f"execution sequence of {schedule!r} does not match the declared "
+        f"operations (missing={missing}, extra={extra})",
+        code="CTX302",
+        schedule=schedule,
+        nodes=missing + extra,
+        hint="the sequence must list every declared operation exactly once",
+    )
 
 
 class Schedule:
-    """One component's recorded behaviour (Def. 3)."""
+    """One component's recorded behaviour (Def. 3).
+
+    Without ``report`` the first violation of Def. 3's well-formedness
+    raises :class:`ModelError`; with it, each is reported and the
+    schedule keeps what is usable (see
+    :func:`repro.exceptions.report_or_raise`).  The axioms are checked
+    only when ``validate`` is true.
+    """
 
     def __init__(
         self,
@@ -103,61 +145,94 @@ class Schedule:
         weak_output: Iterable[Tuple[str, str]] = (),
         strong_output: Iterable[Tuple[str, str]] = (),
         validate: bool = True,
+        report: Optional[Report] = None,
     ) -> None:
         if not name:
-            raise ModelError("schedule name must be non-empty")
+            report_or_raise(
+                report, ModelError("schedule name must be non-empty")
+            )
         self.name = name
 
         self._transactions: Dict[str, Transaction] = {}
         self._owner_of: Dict[str, str] = {}
         for txn in transactions:
             if txn.name in self._transactions:
-                raise ModelError(
-                    f"schedule {name!r} lists transaction {txn.name!r} twice"
+                report_or_raise(
+                    report,
+                    ModelError(
+                        f"schedule {name!r} lists transaction {txn.name!r} "
+                        "twice",
+                        code="CTX202",
+                        schedule=name,
+                        nodes=(txn.name,),
+                    ),
                 )
+                continue
             self._transactions[txn.name] = txn
             for op in txn.operations:
                 if op in self._owner_of:
-                    raise ModelError(
-                        f"operation {op!r} belongs to two transactions "
-                        f"({self._owner_of[op]!r} and {txn.name!r}) of "
-                        f"schedule {name!r}"
+                    report_or_raise(
+                        report,
+                        ModelError(
+                            f"operation {op!r} belongs to two transactions "
+                            f"({self._owner_of[op]!r} and {txn.name!r}) of "
+                            f"schedule {name!r}",
+                            code="CTX203",
+                            schedule=name,
+                            nodes=(op,),
+                            hint="operation names must be globally unique",
+                        ),
                     )
+                    continue
                 self._owner_of[op] = txn.name
 
-        self._conflicts = _normalize_conflicts(conflicts)
-        # Adjacency view of the conflict set: `conflicting` sits on the
-        # observed-order and constraint hot paths, and a per-call
+        # The conflict set and its adjacency view: `conflicting` sits on
+        # the observed-order and constraint hot paths, and a per-call
         # frozenset construction dominated it.
+        self._conflicts: Set[ConflictPair] = set()
         self._conflict_adj: Dict[str, Set[str]] = {}
-        for pair in self._conflicts:
-            for op in pair:
-                if op not in self._owner_of:
-                    raise ModelError(
-                        f"conflict on {op!r} which is not an operation of "
-                        f"schedule {name!r}"
-                    )
-            a, b = tuple(pair)
-            self._conflict_adj.setdefault(a, set()).add(b)
-            self._conflict_adj.setdefault(b, set()).add(a)
+        owner_of = self._owner_of
+        for a, b in conflicts:
+            if a != b and a in owner_of and b in owner_of:
+                pair: ConflictPair = frozenset((a, b))
+                if pair not in self._conflicts:
+                    self._conflicts.add(pair)
+                    self._conflict_adj.setdefault(a, set()).add(b)
+                    self._conflict_adj.setdefault(b, set()).add(a)
+                    continue
+            self._drop_conflict(a, b, report)
 
         self._weak_input, self._strong_input = closed_orders(
-            self._transactions, strong_input, weak_input, self._not_transaction
+            self._transactions,
+            strong_input,
+            weak_input,
+            self._not_transaction,
+            report,
         )
         self._weak_output, self._strong_output = closed_orders(
-            self._owner_of, strong_output, weak_output, self._not_operation
+            self._owner_of,
+            strong_output,
+            weak_output,
+            self._not_operation,
+            report,
         )
 
         # Both relations are closed, so a self-loop probe (O(V)) decides
         # acyclicity; find_cycle runs only to produce the witness.
-        for relation, label in (
-            (self._weak_input, "input"),
-            (self._weak_output, "output"),
+        for relation, label, code in (
+            (self._weak_input, "input", "CTX114"),
+            (self._weak_output, "output", "CTX115"),
         ):
             if relation.first_self_loop() is not None:
-                raise CycleError(
-                    f"weak {label} order of {name!r} is cyclic",
-                    relation.find_cycle(),
+                report_or_raise(
+                    report,
+                    CycleError(
+                        f"weak {label} order of {name!r} is cyclic",
+                        relation.find_cycle(),
+                        code=code,
+                        schedule=name,
+                        hint=f"{label} orders must be strict partial orders",
+                    ),
                 )
 
         if validate:
@@ -166,16 +241,66 @@ class Schedule:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
+    def _drop_conflict(self, a: str, b: str, report: Optional[Report]) -> None:
+        """Why the declared ``CON(a, b)`` is not kept: a self-conflict,
+        an end that is no operation of this schedule, or a repeat (a
+        warning that only a collecting construction reports)."""
+        if a != b and a in self._owner_of and b in self._owner_of:
+            if report is not None:
+                report(
+                    ModelError(
+                        f"conflict pair ({a!r}, {b!r}) declared twice on "
+                        f"schedule {self.name!r}",
+                        code="CTX111",
+                        schedule=self.name,
+                        nodes=(a, b),
+                        hint="drop the duplicate declaration",
+                    )
+                )
+        elif a == b:
+            report_or_raise(
+                report,
+                ModelError(
+                    f"operation {a!r} cannot conflict with itself",
+                    code="CTX110",
+                    schedule=self.name,
+                    nodes=(a,),
+                    hint="conflicts relate two distinct operations",
+                ),
+            )
+        else:
+            for op in (a, b):
+                if op not in self._owner_of:
+                    report_or_raise(
+                        report,
+                        ModelError(
+                            f"conflict on {op!r} which is not an operation "
+                            f"of schedule {self.name!r}",
+                            code="CTX112",
+                            schedule=self.name,
+                            nodes=(op,),
+                            hint="conflicts may only name declared operations",
+                        ),
+                    )
+
     def _not_transaction(self, t: object, kind: str) -> ModelError:
         return ModelError(
             f"{kind} input order of schedule {self.name!r} mentions "
-            f"{t!r}, which is not one of its transactions"
+            f"{t!r}, which is not one of its transactions",
+            code="CTX113",
+            schedule=self.name,
+            nodes=(str(t),),
+            hint="input orders relate the schedule's own transactions",
         )
 
     def _not_operation(self, o: object, kind: str) -> ModelError:
         return ModelError(
             f"{kind} output order of schedule {self.name!r} mentions "
-            f"{o!r}, which is not one of its operations"
+            f"{o!r}, which is not one of its operations",
+            code="CTX113",
+            schedule=self.name,
+            nodes=(str(o),),
+            hint="output orders relate the schedule's own operations",
         )
 
     @classmethod
@@ -205,33 +330,15 @@ class Schedule:
         inputs; pure interleaved histories have no incidental strong
         sequencing).
         """
-        if mode not in ("conflicts", "temporal"):
-            raise ModelError(f"unknown execution mode {mode!r}")
-        ops_declared: Set[str] = set()
-        for txn in transactions:
-            ops_declared.update(txn.operations)
-        if set(execution) != ops_declared:
-            missing = ops_declared - set(execution)
-            extra = set(execution) - ops_declared
-            raise ModelError(
-                f"execution sequence of {name!r} does not match the "
-                f"declared operations (missing={sorted(missing)}, "
-                f"extra={sorted(extra)})"
-            )
-        if mode == "temporal":
-            weak_output = list(zip(execution, execution[1:]))
-        else:
-            index = {op: i for i, op in enumerate(execution)}
-            weak_output = []
-            for pair in _normalize_conflicts(conflicts):
-                a, b = tuple(pair)
-                if a not in index or b not in index:
-                    raise ModelError(
-                        f"conflict ({a!r}, {b!r}) mentions an operation "
-                        f"outside the execution of {name!r}"
-                    )
-                ordered = (a, b) if index[a] < index[b] else (b, a)
-                weak_output.append(ordered)
+        ops = [op for txn in transactions for op in txn.operations]
+        for error in (
+            execution_mode_error(name, mode),
+            executed_sequence_error(name, execution, ops),
+        ):
+            if error is not None:
+                raise error
+        # A conflict the constructor drops is its to report.
+        weak_output = execution_pairs(execution, mode, conflicts)
         # Intra-transaction weak orders (axiom 2a) must surface in the
         # weak output regardless of mode.
         for txn in transactions:

@@ -24,58 +24,109 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.orders import Relation
 from repro.core.schedule import Schedule
-from repro.exceptions import CycleError, ModelError, OrderPropagationError
+from repro.exceptions import (
+    CycleError,
+    ModelError,
+    OrderPropagationError,
+    Report,
+    report_or_raise,
+)
+
+
+def assigned_twice(txn: str, first: str, second: str) -> ModelError:
+    """Def. 4.1 broken: transaction ``txn`` of schedule ``first`` is
+    declared again on ``second``."""
+    return ModelError(
+        f"transaction {txn!r} assigned to two schedules "
+        f"({first!r} and {second!r})",
+        code="CTX202",
+        schedule=second,
+        nodes=(txn,),
+        hint="a transaction belongs to exactly one schedule (Def. 4.1)",
+    )
 
 
 class CompositeSystem:
-    """An immutable, validated composite system (Def. 4)."""
+    """An immutable, validated composite system (Def. 4).
+
+    Without ``report`` the first violation of Defs. 4.1-4.6 raises
+    :class:`ModelError`; with it, each is reported and the system keeps
+    what is usable (see :func:`repro.exceptions.report_or_raise`).
+    Def. 4.7 is checked only when ``validate`` is true.
+    """
 
     def __init__(
-        self, schedules: Sequence[Schedule], *, validate: bool = True
+        self,
+        schedules: Sequence[Schedule],
+        *,
+        validate: bool = True,
+        report: Optional[Report] = None,
     ) -> None:
         if not schedules:
             raise ModelError("a composite system needs at least one schedule")
         self._schedules: Dict[str, Schedule] = {}
         for schedule in schedules:
             if schedule.name in self._schedules:
-                raise ModelError(
-                    f"two schedules named {schedule.name!r} in the system"
+                report_or_raise(
+                    report,
+                    ModelError(
+                        f"two schedules named {schedule.name!r} in the system",
+                        code="CTX201",
+                        schedule=schedule.name,
+                        hint="rename one of the schedules",
+                    ),
                 )
+                continue
             self._schedules[schedule.name] = schedule
 
-        self._index_structure()
-        self._compute_invocation_graph()
-        self._compute_levels()
+        self._index_structure(report)
+        self._levels: Dict[str, int] = {}
+        self._order = 0
+        if self._compute_invocation_graph(report):
+            self._compute_levels()
         if validate:
             self._validate_order_propagation()
 
     # ------------------------------------------------------------------
     # structural indexing
     # ------------------------------------------------------------------
-    def _index_structure(self) -> None:
+    def _index_structure(self, report: Optional[Report]) -> None:
         # Def. 4.1: a transaction belongs to exactly one schedule.
         self._schedule_of_txn: Dict[str, str] = {}
         for sname, schedule in self._schedules.items():
             for tname in schedule.transaction_names:
                 if tname in self._schedule_of_txn:
-                    raise ModelError(
-                        f"transaction {tname!r} assigned to two schedules "
-                        f"({self._schedule_of_txn[tname]!r} and {sname!r})"
+                    report_or_raise(
+                        report,
+                        assigned_twice(
+                            tname, self._schedule_of_txn[tname], sname
+                        ),
                     )
+                    continue
                 self._schedule_of_txn[tname] = sname
 
         # Def. 5: unique parents.  An operation name appearing in two
-        # transactions (across any schedules) would make `parent` ambiguous.
+        # transactions (across any schedules) would make `parent`
+        # ambiguous; a schedule has already refused one in two of its
+        # own transactions.
         self._parent_of: Dict[str, str] = {}
         for sname, schedule in self._schedules.items():
-            for tname, txn in schedule.transactions.items():
-                for op in txn.operations:
-                    if op in self._parent_of:
-                        raise ModelError(
+            for op, tname in schedule._owner_of.items():
+                if op in self._parent_of:
+                    report_or_raise(
+                        report,
+                        ModelError(
                             f"node {op!r} is an operation of both "
-                            f"{self._parent_of[op]!r} and {tname!r}"
-                        )
-                    self._parent_of[op] = tname
+                            f"{self._parent_of[op]!r} and {tname!r}",
+                            code="CTX203",
+                            schedule=sname,
+                            nodes=(op,),
+                            hint="operation names must be globally unique "
+                            "(Def. 5)",
+                        ),
+                    )
+                    continue
+                self._parent_of[op] = tname
 
         all_ops = tuple(self._parent_of)  # insertion order: deterministic
         all_txns = set(self._schedule_of_txn)
@@ -99,30 +150,57 @@ class CompositeSystem:
             o for o in all_ops if o in all_txns
         )
         if not self._roots:
-            raise ModelError(
-                "system has no root transaction (every transaction is "
-                "invoked by another one — the invocation structure is cyclic)"
+            report_or_raise(
+                report,
+                ModelError(
+                    "system has no root transaction (every transaction is "
+                    "invoked by another one — the invocation structure is "
+                    "cyclic)",
+                    code="CTX204",
+                    hint="at least one transaction must be nobody's "
+                    "operation (Def. 4.5)",
+                ),
             )
 
-    def _compute_invocation_graph(self) -> None:
+    def _compute_invocation_graph(self, report: Optional[Report]) -> bool:
+        """Def. 8's graph; ``False`` when it breaks Def. 4.6."""
         graph = Relation(elements=self._schedules)
+        self._invocation_graph = graph
+        acyclic = True
         for sname, schedule in self._schedules.items():
             for op in schedule.operations:
                 target = self._schedule_of_txn.get(op)
-                if target is not None:
-                    if target == sname:
-                        raise CycleError(
-                            f"schedule {sname!r} invokes itself",
+                if target is None:
+                    continue
+                if target == sname:
+                    acyclic = False
+                    report_or_raise(
+                        report,
+                        CycleError(
+                            f"schedule {sname!r} invokes itself through {op!r}",
                             [sname, sname],
-                        )
+                            code="CTX205",
+                            schedule=sname,
+                            nodes=(op,),
+                            hint="a transaction cannot run on the schedule "
+                            "that invokes it",
+                        ),
+                    )
+                else:
                     graph.add(sname, target)
         cycle = graph.find_cycle()
         if cycle is not None:
-            raise CycleError(
-                "recursion in the invocation graph (violates Def. 4.6)",
-                cycle,
+            report_or_raise(
+                report,
+                CycleError(
+                    "recursion in the invocation graph (violates Def. 4.6)",
+                    cycle,
+                    code="CTX206",
+                    hint="invocations must form a DAG (Def. 4.6)",
+                ),
             )
-        self._invocation_graph = graph
+            return False
+        return acyclic
 
     def _compute_levels(self) -> None:
         # level(S) = longest path starting at S in the IG, plus one.

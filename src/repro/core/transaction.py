@@ -16,10 +16,34 @@ execution of non-conflicting pieces (Def. 1).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.orders import Relation, closed_orders
-from repro.exceptions import CycleError, ModelError
+from repro.exceptions import CycleError, ModelError, Report, report_or_raise
+
+
+def _distinct_operations(
+    name: str, ops: Tuple[str, ...], report: Optional[Report]
+) -> Tuple[str, ...]:
+    """``ops`` without the repeats and without ``name`` itself, each
+    one a Def.-2 violation: ``O_t`` is a set of the transaction's
+    subordinate operations."""
+    kept: List[str] = []
+    for op in ops:
+        if op in kept:
+            message = f"transaction {name!r} lists operation {op!r} twice"
+            nodes: Tuple[str, ...] = (op, name)
+            hint: Optional[str] = "list each operation once"
+        elif op == name:
+            message = f"transaction {name!r} cannot contain itself"
+            nodes, hint = (name,), None
+        else:
+            kept.append(op)
+            continue
+        report_or_raise(
+            report, ModelError(message, code="CTX203", nodes=nodes, hint=hint)
+        )
+    return tuple(kept)
 
 
 class Transaction:
@@ -40,6 +64,12 @@ class Transaction:
     sequential:
         Convenience flag: when true, the mention order of ``operations``
         becomes a total *strong* order (a fully sequential program).
+    report:
+        Without it, the first Def.-2 violation raises
+        :class:`ModelError`; with it, each is reported and the
+        transaction keeps what is usable: every operation once, the
+        pairs over its operations, and no order at all if they are
+        cyclic (see :func:`repro.exceptions.report_or_raise`).
     """
 
     __slots__ = ("name", "_operations", "_weak", "_strong")
@@ -52,43 +82,53 @@ class Transaction:
         strong_order: Iterable[Tuple[str, str]] = (),
         *,
         sequential: bool = False,
+        report: Optional[Report] = None,
     ) -> None:
         if not name:
-            raise ModelError("transaction name must be non-empty")
+            report_or_raise(
+                report, ModelError("transaction name must be non-empty")
+            )
         ops = tuple(operations)
-        if len(set(ops)) != len(ops):
-            raise ModelError(f"transaction {name!r} lists duplicate operations")
-        if name in ops:
-            raise ModelError(f"transaction {name!r} cannot contain itself")
+        if len(set(ops)) != len(ops) or name in ops:
+            ops = _distinct_operations(name, ops, report)
         self.name = name
         self._operations = ops
-        strong_pairs = list(zip(ops, ops[1:])) if sequential else []
-        strong_pairs.extend(strong_order)
-        weak_pairs = list(weak_order)
         # An order-free transaction cannot be cyclic: its two empty
         # relations are built on first read (most documents declare no
         # intra order at all, so most never are).
         self._weak: Optional[Relation] = None
         self._strong: Optional[Relation] = None
+        strong_pairs = list(zip(ops, ops[1:])) if sequential else []
+        strong_pairs.extend(strong_order)
+        weak_pairs = list(weak_order)
         if not (strong_pairs or weak_pairs):
             return
         weak, strong = closed_orders(
-            ops, strong_pairs, weak_pairs, self._not_member
+            ops, strong_pairs, weak_pairs, self._not_member, report
         )
         # A closed relation is cyclic iff some row holds its own bit:
         # the O(V) probe decides, find_cycle only builds the witness.
         if weak.first_self_loop() is not None:
-            raise CycleError(
-                f"intra-transaction order of {name!r} is cyclic",
-                weak.find_cycle(),
+            report_or_raise(
+                report,
+                CycleError(
+                    f"intra-transaction order of {name!r} is cyclic",
+                    weak.find_cycle(),
+                    code="CTX115",
+                    hint="intra-transaction orders must be acyclic",
+                ),
             )
+            return
         self._weak = weak
         self._strong = strong
 
     def _not_member(self, op: object, kind: str) -> ModelError:
         return ModelError(
             f"operation {op!r} ordered by transaction {self.name!r} "
-            "but not in its operation set"
+            "but not in its operation set",
+            code="CTX113",
+            nodes=(str(op), self.name),
+            hint="order only declared operations",
         )
 
     # ------------------------------------------------------------------

@@ -8,6 +8,8 @@ problems.
 
 from __future__ import annotations
 
+from typing import Callable, Dict, Iterable, Optional
+
 
 class CompositeTxError(Exception):
     """Base class for every error raised by this library."""
@@ -20,7 +22,67 @@ class ModelError(CompositeTxError):
     transaction assigned to two schedules (Def. 4.1), a recursive
     invocation graph (Def. 4.6), or an order relation that is not a
     strict partial order.
+
+    Each rule's check site states its violation structurally, so the
+    linter reports it without parsing the message: :attr:`code` is the
+    stable ``CTX***`` lint code (``CTX305``, a malformed document,
+    unless the site names another), :attr:`schedule` the schedule it
+    concerns, :attr:`nodes` the offending transactions or operations
+    and :attr:`hint` how to fix it.  A constructor given a
+    :data:`Report` hands each violation to it and carries on without
+    the offending item (see :func:`report_or_raise`).
     """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        code: str = "CTX305",
+        schedule: Optional[str] = None,
+        nodes: Iterable[str] = (),
+        hint: Optional[str] = None,
+    ) -> None:
+        super().__init__(message)
+        self.code = code
+        self.schedule = schedule
+        self.nodes = tuple(nodes)
+        self.hint = hint
+
+
+#: Where a collecting construction sends each violation it finds.
+Report = Callable[[ModelError], None]
+
+
+def report_or_raise(report: Optional[Report], error: ModelError) -> None:
+    """The one way a check site states a violation: raise ``error``
+    (the engine's fail-fast path), or, given a ``report`` collector
+    (lint's path), hand it over and return, so that the caller drops
+    the offending pair, operation or transaction and goes on."""
+    if report is None:
+        raise error
+    report(error)
+
+
+#: Def.-3 axiom name -> lint code.
+AXIOM_CODES: Dict[str, str] = {
+    "1a": "CTX101",
+    "1b": "CTX102",
+    "1c": "CTX103",
+    "2a": "CTX104",
+    "2b": "CTX105",
+    "3": "CTX106",
+    "4": "CTX107",
+}
+
+_AXIOM_HINTS: Dict[str, str] = {
+    "1a": "order the conflicting operations to match the weak input order",
+    "1b": "order the conflicting operations to match the weak input order",
+    "1c": "add a weak output pair between the conflicting operations",
+    "2a": "surface the intra-transaction weak order in the weak output",
+    "2b": "surface the intra-transaction strong order in the strong output",
+    "3": "expand the strong input order into strong output operation pairs",
+    "4": "every strong output pair must also be a weak output pair",
+}
 
 
 class ScheduleAxiomError(ModelError):
@@ -28,12 +90,10 @@ class ScheduleAxiomError(ModelError):
 
     The offending axiom is recorded in :attr:`axiom` using the paper's
     numbering (``"1a"``, ``"1b"``, ``"1c"``, ``"2a"``, ``"2b"``, ``"3"``,
-    ``"4"``).  The violation is also carried structurally so callers
-    (the lint layer, debuggers) never have to parse the message:
-    :attr:`schedule` names the offending schedule, :attr:`operations`
-    the operation pair and :attr:`transactions` the transaction pair
-    involved (either tuple may be empty when the axiom does not mention
-    that kind of node).
+    ``"4"``).  :attr:`operations` holds the operation pair and
+    :attr:`transactions` the transaction pair involved (either tuple
+    may be empty when the axiom does not mention that kind of node);
+    :attr:`nodes` is the two together.
     """
 
     def __init__(
@@ -45,9 +105,14 @@ class ScheduleAxiomError(ModelError):
         operations: "tuple[str, ...]" = (),
         transactions: "tuple[str, ...]" = (),
     ) -> None:
-        super().__init__(f"schedule axiom {axiom} violated: {message}")
+        super().__init__(
+            f"schedule axiom {axiom} violated: {message}",
+            code=AXIOM_CODES[axiom],
+            schedule=schedule,
+            nodes=tuple(operations) + tuple(transactions),
+            hint=_AXIOM_HINTS[axiom],
+        )
         self.axiom = axiom
-        self.schedule = schedule
         self.operations = tuple(operations)
         self.transactions = tuple(transactions)
 
@@ -59,7 +124,8 @@ class OrderPropagationError(ModelError):
 
     Carries the violation structurally: :attr:`caller` / :attr:`callee`
     are the schedule names, :attr:`pair` the offending operation pair,
-    and :attr:`kind` is ``"weak"`` or ``"strong"``.
+    and :attr:`kind` is ``"weak"`` (lint code ``CTX207``) or
+    ``"strong"`` (``CTX208``).
     """
 
     def __init__(
@@ -71,7 +137,14 @@ class OrderPropagationError(ModelError):
         pair: "tuple[str, str]",
         kind: str,
     ) -> None:
-        super().__init__(message)
+        super().__init__(
+            message,
+            code="CTX207" if kind == "weak" else "CTX208",
+            schedule=caller,
+            nodes=pair,
+            hint=f"add the pair to the {kind} input order of {callee!r} "
+            "(SystemBuilder propagates it automatically)",
+        )
         self.caller = caller
         self.callee = callee
         self.pair = (pair[0], pair[1])
@@ -82,11 +155,27 @@ class CycleError(ModelError):
     """An order relation that must be acyclic contains a cycle.
 
     :attr:`cycle` holds one witness cycle as a list of node names,
-    ``[a, b, ..., a]``.
+    ``[a, b, ..., a]``; it is also :attr:`nodes` unless the check site
+    names others.
     """
 
-    def __init__(self, message: str, cycle: list) -> None:
-        super().__init__(f"{message}: cycle {' -> '.join(map(str, cycle))}")
+    def __init__(
+        self,
+        message: str,
+        cycle: list,
+        *,
+        code: str = "CTX305",
+        schedule: Optional[str] = None,
+        nodes: Optional[Iterable[str]] = None,
+        hint: Optional[str] = None,
+    ) -> None:
+        super().__init__(
+            f"{message}: cycle {' -> '.join(map(str, cycle))}",
+            code=code,
+            schedule=schedule,
+            nodes=map(str, cycle) if nodes is None else nodes,
+            hint=hint,
+        )
         self.cycle = list(cycle)
 
 

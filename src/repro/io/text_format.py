@@ -1,8 +1,9 @@
 """Save/load composite executions as JSON documents.
 
 The on-disk shape is the nested-dict *spec* that
-:meth:`repro.core.builder.SystemBuilder.from_spec` consumes, extended
-with a top-level ``executions`` section for temporal layouts.  Orders
+:meth:`repro.core.builder.SystemBuilder.from_spec` consumes, with a
+top-level ``executions`` section for temporal layouts (checked against
+the system there, and returned as the recorded lanes here).  Orders
 are stored explicitly (not as ``executed`` sequences) so a round trip
 reproduces the exact committed relations of the original system.
 """
@@ -11,15 +12,29 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Mapping, Optional, Union
 
-from repro.core.builder import SystemBuilder, execution_lane_errors, executions_shape_errors
+from repro.core.builder import SystemBuilder
 from repro.core.system import CompositeSystem
-from repro.exceptions import ParseError
+from repro.exceptions import ModelError, ParseError
 from repro.io.jsondoc import parse_json_document
 from repro.io.recorded import RecordedExecution
 
 FORMAT_VERSION = 1
+
+
+def format_version_error(document: Mapping) -> Optional[ModelError]:
+    """Why ``document`` is in a format version this library does not
+    read (CTX303; an absent version is the current one), or ``None``."""
+    version = document.get("version", FORMAT_VERSION)
+    if version == FORMAT_VERSION:
+        return None
+    return ModelError(
+        f"unsupported format version {version!r} "
+        f"(this library writes version {FORMAT_VERSION})",
+        code="CTX303",
+        hint="re-save the document with the current library",
+    )
 
 
 def system_to_spec(system: CompositeSystem) -> Dict:
@@ -66,27 +81,22 @@ def loads(text: str, *, source: Optional[str] = None) -> RecordedExecution:
     parse diagnostics; text that is not valid JSON, truncated, or not
     an object at the root raises :class:`ParseError` carrying a
     ``CTX401``/``CTX402``/``CTX403`` diagnostic with file, line, and
-    byte offset (see :mod:`repro.io.jsondoc`).  An ``executions``
-    section that is malformed, or whose lanes do not fit the system
-    (:func:`~repro.core.builder.execution_lane_errors`), raises
-    :class:`ParseError` with its first message.
+    byte offset (see :mod:`repro.io.jsondoc`).  A document with no
+    ``schedules``, or of another format version
+    (:func:`format_version_error`), raises :class:`ParseError` too.
+    The system, ``executions`` section included, is checked by
+    :meth:`SystemBuilder.from_spec` and ``build``, which raise
+    :class:`~repro.exceptions.ModelError`.
     """
     document = parse_json_document(text, source=source, expect_object=True)
     if "schedules" not in document:
         raise ParseError("document has no 'schedules' section")
-    version = document.get("version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format version {version}")
-    builder = SystemBuilder.from_spec(document)
-    system = builder.build()
-    sections = document.get("executions")
-    errors = executions_shape_errors(sections)
-    if sections and not errors:
-        operations = {n: s.operations for n, s in system.schedules.items()}
-        errors = [e[1] for e in execution_lane_errors(sections, operations)]
-    if errors:
-        raise ParseError(errors[0])
-    executions = {name: list(seq) for name, seq in (sections or {}).items()}
+    error = format_version_error(document)
+    if error is not None:
+        raise ParseError(str(error))
+    system = SystemBuilder.from_spec(document).build()
+    sections = document.get("executions") or {}
+    executions = {name: list(seq) for name, seq in sections.items()}
     return RecordedExecution(system=system, executions=executions)
 
 

@@ -3,9 +3,9 @@ subsystem).
 
 Four passes over the model vocabulary of the paper:
 
-* :mod:`repro.lint.wellformed` — every Def. 3 schedule axiom and Def. 4
-  system constraint as *collected* diagnostics instead of fail-fast
-  exceptions;
+* :mod:`repro.lint.wellformed` — every document shape rule and Def. 2-9
+  constraint as *collected* diagnostics, reported by the same check
+  sites that raise them for ``check``;
 * :mod:`repro.lint.safety` — a two-sided, verdict-tiered static Comp-C
   analysis: a forest certifier (tier 1), an orientation certifier over
   the mixed forced/free multigraph (tier 2,
@@ -50,13 +50,13 @@ from repro.lint.safety import (
     prove_static_safety,
 )
 from repro.lint.wellformed import (
-    axiom_diagnostic,
     lint_order_propagation,
     lint_schedule_axioms,
     lint_schedules,
     lint_system_document,
     lint_topology_document,
     lint_trace_document,
+    model_diagnostic,
 )
 from repro.lint.witness import (
     WITNESS_VERSION,
@@ -85,7 +85,6 @@ __all__ = [
     "WITNESS_VERSION",
     "analyze_system_safety",
     "analyze_topology_safety",
-    "axiom_diagnostic",
     "build_witness_document",
     "lint_document",
     "lint_order_propagation",
@@ -97,6 +96,7 @@ __all__ = [
     "lint_system_document",
     "lint_topology_document",
     "lint_trace_document",
+    "model_diagnostic",
     "prove_static_safety",
     "render_json",
     "render_text",

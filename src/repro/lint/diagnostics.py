@@ -41,6 +41,9 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+# Def.-3 axiom name -> code, stated where ScheduleAxiomError carries it
+from repro.exceptions import AXIOM_CODES as AXIOM_CODES
+
 
 class Severity(enum.Enum):
     """Lint severity levels (ordered: ERROR > WARNING > NOTE).
@@ -126,18 +129,6 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "CTX502": (Severity.ERROR, "event log shorter than a consumed or "
                "resumed offset (truncation or rotation)"),
 }
-
-#: Def.-3 axiom name -> diagnostic code (the ScheduleAxiomError bridge).
-AXIOM_CODES: Dict[str, str] = {
-    "1a": "CTX101",
-    "1b": "CTX102",
-    "1c": "CTX103",
-    "2a": "CTX104",
-    "2b": "CTX105",
-    "3": "CTX106",
-    "4": "CTX107",
-}
-
 
 @dataclass(frozen=True)
 class Location:

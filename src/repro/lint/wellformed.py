@@ -1,85 +1,77 @@
-"""The well-formedness pass: every Def. 2/3/4 constraint as diagnostics.
+"""The well-formedness pass: every Def. 2-9 violation as a diagnostic.
 
-The engine enforces the model definitions fail-fast — a malformed model
-surfaces as the *first* :class:`~repro.exceptions.ModelError` raised
-mid-construction.  This pass re-checks the same constraints as
-*collected* diagnostics so one run reports every defect:
+The engine checks the model definitions in one place: each rule has
+one check site in :mod:`repro.core` (the shape rules of
+:meth:`~repro.core.builder.SystemBuilder.from_spec` and the
+constructors of :class:`~repro.core.transaction.Transaction`,
+:class:`~repro.core.schedule.Schedule` and
+:class:`~repro.core.system.CompositeSystem`), which states its
+violation as a structured :class:`~repro.exceptions.ModelError`: the
+CTX code, the schedule, the nodes, the message and a fix hint.
+``check`` constructs without a collector, so the first violation
+raises.  This pass constructs *with* one (:func:`collect`), so each
+site reports its violation and carries on with the usable data, and
+one run reports every defect; a message is never written here.
 
-1. a **raw pass** over the document dictionary mirrors every
-   unconditional construction check (dangling references, duplicate
-   declarations, cyclic orders) — these must be caught *before*
-   construction, because constructors raise on them regardless of
-   ``validate=False``;
-2. when the raw pass finds no errors, the system is **constructed**
-   with ``validate=False`` (axioms and Def. 4.7 deferred) and the
-   engine's own check generators —
+1. the document is **built** through
+   :meth:`~repro.core.builder.SystemBuilder.from_spec` and ``build``
+   with ``validate=False`` (axioms and Def. 4.7 deferred);
+2. only when that build reported no error are the engine's own check
+   generators drained:
    :meth:`~repro.core.schedule.Schedule.iter_axiom_violations` and
    :meth:`~repro.core.system.CompositeSystem.iter_order_propagation_violations`
-   — are drained into diagnostics.  Because these are the *same*
-   generators the constructors raise from, linter and engine can never
-   disagree about what constitutes a violation.
+   (the ones ``validate_axioms`` and Def.-4.7 validation raise the first
+   of).  A build that reported an error is thrown away.
 
-Documents are linted **as written**: construction here does *not* apply
-the builder's automatic Def.-4.7 order propagation, so a document whose
-explicit relations violate Def. 4.7 gets a ``CTX207``/``CTX208``
-diagnostic (with a fix hint pointing at the propagation) even though
-:func:`repro.io.load` would silently repair it.
+Since both commands run the same checks, ``check`` fails on a document
+exactly when this pass reports an error from the build or the axioms,
+with the message of one of them.  Documents are linted **as written**:
+construction here does *not* apply the builder's automatic Def.-4.7
+order propagation, so a document whose explicit relations violate
+Def. 4.7 gets a ``CTX207``/``CTX208`` diagnostic (with a fix hint
+pointing at the propagation) even though :func:`repro.io.load` would
+silently repair it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.builder import (
-    SystemBuilder,
-    _execution_pairs,
-    _is_pair,
-    body_shape_error,
-    executed_sequence_error,
-    executed_shape_error,
-    execution_lane_errors,
-    executions_shape_errors,
-    malformed_pair_message,
-    pair_shape_errors,
-    schedules_shape_error,
-    transaction_shape_error,
-    transactions_shape_error,
-)
+from repro.core.builder import SystemBuilder
 from repro.core.front import Front
 from repro.core.orders import Relation
-from repro.core.schedule import Schedule, _normalize_conflicts
+from repro.core.schedule import Schedule
 from repro.core.system import CompositeSystem
-from repro.exceptions import CompositeTxError, ScheduleAxiomError
-from repro.io.text_format import FORMAT_VERSION
+from repro.exceptions import CompositeTxError, ModelError, Report
+from repro.io.text_format import format_version_error
 from repro.io.trace import TRACE_VERSION
-from repro.lint.diagnostics import AXIOM_CODES, Diagnostic, DiagnosticCollector
+from repro.lint.diagnostics import Diagnostic, DiagnosticCollector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.topologies import TopologySpec
 
-_AXIOM_HINTS: Dict[str, str] = {
-    "1a": "order the conflicting operations to match the weak input order",
-    "1b": "order the conflicting operations to match the weak input order",
-    "1c": "add a weak output pair between the conflicting operations",
-    "2a": "surface the intra-transaction weak order in the weak output",
-    "2b": "surface the intra-transaction strong order in the strong output",
-    "3": "expand the strong input order into strong output operation pairs",
-    "4": "every strong output pair must also be a weak output pair",
-}
 
-
-def axiom_diagnostic(
-    collector: DiagnosticCollector, violation: ScheduleAxiomError
+def model_diagnostic(
+    collector: DiagnosticCollector, error: ModelError
 ) -> Diagnostic:
-    """Record one Def.-3 axiom violation under its stable code, reusing
-    the exception's structured payload as the diagnostic location."""
+    """Record one violation under its code, with the exception's
+    structured payload as the diagnostic location and fix hint."""
     return collector.report(
-        AXIOM_CODES[violation.axiom],
-        str(violation),
-        schedule=violation.schedule,
-        nodes=violation.operations + violation.transactions,
-        fix_hint=_AXIOM_HINTS[violation.axiom],
+        error.code,
+        str(error),
+        schedule=error.schedule,
+        nodes=error.nodes,
+        fix_hint=error.hint,
     )
+
+
+def collect(collector: DiagnosticCollector) -> Report:
+    """The collector as the ``report`` of a collecting construction."""
+
+    def report(error: ModelError) -> None:
+        model_diagnostic(collector, error)
+
+    return report
 
 
 def lint_schedule_axioms(
@@ -87,7 +79,29 @@ def lint_schedule_axioms(
 ) -> None:
     """Drain every axiom violation of one schedule into the collector."""
     for violation in schedule.iter_axiom_violations():
-        axiom_diagnostic(collector, violation)
+        model_diagnostic(collector, violation)
+
+
+def lint_order_propagation(
+    collector: DiagnosticCollector, system: CompositeSystem
+) -> None:
+    """Def. 4.7 as diagnostics, via the engine's own generator."""
+    for violation in system.iter_order_propagation_violations():
+        model_diagnostic(collector, violation)
+
+
+def _lint_built(
+    collector: DiagnosticCollector, system: CompositeSystem, before: int
+) -> Optional[CompositeSystem]:
+    """The axiom and Def.-4.7 passes over a system whose collecting
+    construction reported no error beyond the first ``before``; ``None``
+    when it did (such a build is thrown away)."""
+    if len(collector.errors) > before:
+        return None
+    for schedule in system.schedules.values():
+        lint_schedule_axioms(collector, schedule)
+    lint_order_propagation(collector, system)
+    return system
 
 
 # ----------------------------------------------------------------------
@@ -98,137 +112,17 @@ def lint_schedules(
 ) -> Optional[CompositeSystem]:
     """Lint a set of constructed schedules as one composite system.
 
-    Collects every system-level (CTX2xx) and axiom (CTX10x) defect;
-    when the structural checks pass, the :class:`CompositeSystem` is
-    assembled (``validate=False``) and returned so further passes (the
-    static safety prover) can run on it.  Returns ``None`` when the
-    system could not be assembled.
+    Assembles the :class:`CompositeSystem` (``validate=False``) with
+    the collector, so every system-level (CTX2xx) defect is reported;
+    when there is none, the axiom (CTX10x) and Def.-4.7 passes run and
+    the system is returned so further passes (the static safety prover)
+    can run on it.  Returns ``None`` when the system is ill-formed.
     """
     before = len(collector.errors)
-    by_name: Dict[str, Schedule] = {}
-    for schedule in schedules:
-        if schedule.name in by_name:
-            collector.report(
-                "CTX201",
-                f"two schedules named {schedule.name!r}",
-                schedule=schedule.name,
-                fix_hint="rename one of the schedules",
-            )
-            continue
-        by_name[schedule.name] = schedule
-
-    txn_schedule: Dict[str, str] = {}
-    op_owner: Dict[str, Tuple[str, str]] = {}
-    for sname, schedule in by_name.items():
-        for tname, txn in schedule.transactions.items():
-            if tname in txn_schedule and txn_schedule[tname] != sname:
-                collector.report(
-                    "CTX202",
-                    f"transaction {tname!r} assigned to both "
-                    f"{txn_schedule[tname]!r} and {sname!r}",
-                    schedule=sname,
-                    nodes=(tname,),
-                    fix_hint="give each schedule its own transactions",
-                )
-            else:
-                txn_schedule[tname] = sname
-            for op in txn.operations:
-                owner = op_owner.get(op)
-                if owner is not None and owner != (sname, tname):
-                    collector.report(
-                        "CTX203",
-                        f"node {op!r} is an operation of both "
-                        f"{owner[1]!r} and {tname!r}",
-                        schedule=sname,
-                        nodes=(op,),
-                        fix_hint="operation names must be globally unique",
-                    )
-                else:
-                    op_owner[op] = (sname, tname)
-
-    if txn_schedule and not any(
-        tname not in op_owner for tname in txn_schedule
-    ):
-        collector.report(
-            "CTX204",
-            "every transaction is invoked by another one — the system "
-            "has no root",
-            fix_hint="at least one transaction must be nobody's operation",
-        )
-
-    _lint_invocation_graph(
-        collector,
-        {
-            sname: list(schedule.operations)
-            for sname, schedule in by_name.items()
-        },
-        txn_schedule,
+    system = CompositeSystem(
+        schedules, validate=False, report=collect(collector)
     )
-
-    for schedule in by_name.values():
-        lint_schedule_axioms(collector, schedule)
-
-    if len(collector.errors) > before:
-        return None
-    try:
-        system = CompositeSystem(list(by_name.values()), validate=False)
-    except CompositeTxError as err:
-        collector.report("CTX305", f"system construction failed: {err}")
-        return None
-    lint_order_propagation(collector, system)
-    return system
-
-
-def lint_order_propagation(
-    collector: DiagnosticCollector, system: CompositeSystem
-) -> None:
-    """Def. 4.7 as diagnostics, via the engine's own generator."""
-    for violation in system.iter_order_propagation_violations():
-        collector.report(
-            "CTX207" if violation.kind == "weak" else "CTX208",
-            str(violation),
-            schedule=violation.caller,
-            nodes=violation.pair,
-            fix_hint=(
-                f"add the pair to the {violation.kind} input order of "
-                f"{violation.callee!r} (SystemBuilder propagates it "
-                "automatically)"
-            ),
-        )
-
-
-def _lint_invocation_graph(
-    collector: DiagnosticCollector,
-    operations_of: Mapping[str, Sequence[str]],
-    txn_schedule: Mapping[str, str],
-) -> None:
-    """CTX205/CTX206: self-invocation and invocation-graph recursion."""
-    graph = Relation(elements=operations_of)
-    for sname, ops in operations_of.items():
-        for op in ops:
-            target = txn_schedule.get(op)
-            if target is None:
-                continue
-            if target == sname:
-                collector.report(
-                    "CTX205",
-                    f"schedule {sname!r} invokes itself through {op!r}",
-                    schedule=sname,
-                    nodes=(op,),
-                    fix_hint="a transaction cannot run on the schedule "
-                    "that invokes it",
-                )
-            else:
-                graph.add(sname, target)
-    cycle = graph.find_cycle()
-    if cycle is not None:
-        collector.report(
-            "CTX206",
-            "recursion in the invocation graph: "
-            + " -> ".join(str(n) for n in cycle),
-            nodes=tuple(str(n) for n in cycle),
-            fix_hint="invocations must form a DAG (Def. 4.6)",
-        )
+    return _lint_built(collector, system, before)
 
 
 # ----------------------------------------------------------------------
@@ -239,63 +133,26 @@ def lint_system_document(
 ) -> Optional[CompositeSystem]:
     """Lint one execution/system document (the text-format spec shape).
 
-    Runs the raw pass, then — when the raw pass is error-free — builds
-    the system (axioms deferred) and drains the engine's axiom and
-    order-propagation generators.  Returns the constructed system for
-    the safety pass, or ``None`` when construction was impossible.
+    Builds the system with the collector (axioms deferred, no Def.-4.7
+    propagation) and, when that reported no error, drains the engine's
+    axiom and order-propagation generators.  Returns the constructed
+    system for the safety pass, or ``None`` when it is ill-formed.
     """
     before = len(collector.errors)
-    version = document.get("version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        collector.report(
-            "CTX303",
-            f"unsupported format version {version!r} "
-            f"(this library writes version {FORMAT_VERSION})",
-            fix_hint="re-save the document with the current library",
-        )
-    schedules = document.get("schedules")
-    error = schedules_shape_error(schedules)
-    if error is not None:
-        collector.report(
-            "CTX305",
-            error,
-            fix_hint="a system document maps schedule names to bodies",
-        )
-        return None
-
-    ops_of_schedule: Dict[str, List[str]] = {}
-    txns_of_schedule: Dict[str, List[str]] = {}
-    for sname, body in schedules.items():
-        error = body_shape_error(sname, body)
-        if error is not None:
-            collector.report("CTX305", error, schedule=str(sname))
-            continue
-        ops, txns = _lint_raw_schedule(collector, str(sname), body)
-        ops_of_schedule[str(sname)] = ops
-        txns_of_schedule[str(sname)] = txns
-
-    txn_schedule = _lint_cross_schedule(
-        collector, ops_of_schedule, txns_of_schedule
-    )
-    _lint_invocation_graph(collector, ops_of_schedule, txn_schedule)
-    _lint_executions_section(collector, document, ops_of_schedule)
-
-    if len(collector.errors) > before:
-        return None  # construction would raise on the defects just found
+    version_error = format_version_error(document)
+    if version_error is not None:
+        model_diagnostic(collector, version_error)
+    builder = SystemBuilder.from_spec(document, report=collect(collector))
+    if not builder.schedule_names:
+        return None  # nothing to build; from_spec has reported why
     try:
-        system = (
-            SystemBuilder.from_spec(document)
-            .build(validate=False, propagate_orders=False)
-        )
+        system = builder.build(validate=False, propagate_orders=False)
     except CompositeTxError as err:
         collector.report(
             "CTX305", f"system construction failed unexpectedly: {err}"
         )
         return None
-    for schedule in system.schedules.values():
-        lint_schedule_axioms(collector, schedule)
-    lint_order_propagation(collector, system)
-    return system
+    return _lint_built(collector, system, before)
 
 
 def _pairs(value: object) -> List[Tuple[str, str]]:
@@ -307,373 +164,6 @@ def _pairs(value: object) -> List[Tuple[str, str]]:
             if isinstance(entry, (list, tuple)) and len(entry) == 2:
                 out.append((str(entry[0]), str(entry[1])))
     return out
-
-
-def _checked_pairs(
-    collector: DiagnosticCollector,
-    sname: str,
-    key: str,
-    value: object,
-) -> List[Tuple[str, str]]:
-    """The pairs listed under ``key`` of schedule ``sname``, in one
-    pass: an entry that fails the builder's pair rule, or a value that
-    is not a list, is reported as CTX305 in the builder's wording and
-    contributes no pair."""
-    pairs: List[Tuple[str, str]] = []
-    if isinstance(value, (list, tuple)):
-        for entry in value:
-            if _is_pair(entry):
-                pairs.append((entry[0], entry[1]))
-            else:
-                collector.report(
-                    "CTX305",
-                    malformed_pair_message(sname, key, entry),
-                    schedule=sname,
-                )
-    elif value is not None:  # not a list: one message
-        collector.report(
-            "CTX305", pair_shape_errors(sname, key, value)[0], schedule=sname
-        )
-    return pairs
-
-
-def _lint_raw_schedule(
-    collector: DiagnosticCollector, sname: str, body: Mapping
-) -> Tuple[List[str], List[str]]:
-    """The raw pass over one schedule body.
-
-    Mirrors every unconditional check of ``Transaction.__init__`` /
-    ``Schedule.__init__`` / the builder so that a raw-clean schedule is
-    guaranteed to construct.  Returns ``(operations, transactions)``
-    for the cross-schedule checks.
-    """
-    ops: List[str] = []
-    txn_names: List[str] = []
-    op_owner: Dict[str, str] = {}
-    intra_weak: List[Tuple[str, str]] = []
-    intra_strong: List[Tuple[str, str]] = []
-
-    transactions = body.get("transactions", {})
-    error = transactions_shape_error(sname, transactions)
-    if error is not None:
-        collector.report("CTX305", error, schedule=sname)
-        transactions = {}
-    for tname, tdef in transactions.items():
-        tname = str(tname)
-        txn_names.append(tname)
-        error = transaction_shape_error(sname, tname, tdef)
-        if error is not None:
-            collector.report("CTX305", error, schedule=sname, nodes=(tname,))
-            continue
-        if isinstance(tdef, Mapping):
-            t_ops = list(tdef.get("ops", []))
-            weak = _checked_pairs(
-                collector, sname, f"{tname}.weak", tdef.get("weak")
-            )
-            strong = _checked_pairs(
-                collector, sname, f"{tname}.strong", tdef.get("strong")
-            )
-            if tdef.get("sequential"):
-                strong = strong + list(zip(t_ops, t_ops[1:]))
-        else:
-            t_ops = list(tdef)
-            weak, strong = [], []
-        seen: Set[str] = set()
-        for op in t_ops:
-            if op in seen:
-                collector.report(
-                    "CTX203",
-                    f"transaction {tname!r} lists operation {op!r} twice",
-                    schedule=sname,
-                    nodes=(op, tname),
-                    fix_hint="list each operation once",
-                )
-                continue
-            seen.add(op)
-            if op == tname:
-                collector.report(
-                    "CTX203",
-                    f"transaction {tname!r} cannot contain itself",
-                    schedule=sname,
-                    nodes=(tname,),
-                )
-                continue
-            owner = op_owner.get(op)
-            if owner is not None:
-                collector.report(
-                    "CTX203",
-                    f"operation {op!r} belongs to both {owner!r} and "
-                    f"{tname!r} of schedule {sname!r}",
-                    schedule=sname,
-                    nodes=(op,),
-                    fix_hint="operation names must be globally unique",
-                )
-                continue
-            op_owner[op] = tname
-            ops.append(op)
-        member_ok = True
-        for a, b in weak + strong:
-            for op in (a, b):
-                if op not in seen:
-                    member_ok = False
-                    collector.report(
-                        "CTX113",
-                        f"intra-transaction order of {tname!r} mentions "
-                        f"{op!r}, which is not one of its operations",
-                        schedule=sname,
-                        nodes=(op, tname),
-                        fix_hint="order only declared operations",
-                    )
-        if member_ok and (strong or weak):
-            intra = Relation(strong + weak)
-            cycle = intra.find_cycle()
-            if cycle is not None:
-                collector.report(
-                    "CTX115",
-                    f"intra-transaction order of {tname!r} is cyclic: "
-                    + " -> ".join(str(n) for n in cycle),
-                    schedule=sname,
-                    nodes=tuple(str(n) for n in cycle),
-                    fix_hint="intra-transaction orders must be acyclic",
-                )
-            else:
-                intra_weak.extend(strong + weak)
-                intra_strong.extend(strong)
-
-    known_ops = set(ops)
-    known_txns = set(txn_names)
-
-    # conflicts: all self-conflicts and duplicates in one pass
-    raw_conflicts = _checked_pairs(
-        collector, sname, "conflicts", body.get("conflicts")
-    )
-
-    def _conflict_issue(kind: str, pair: Tuple[str, str]) -> None:
-        if kind == "self-conflict":
-            collector.report(
-                "CTX110",
-                f"operation {pair[0]!r} of schedule {sname!r} cannot "
-                "conflict with itself",
-                schedule=sname,
-                nodes=(pair[0],),
-                fix_hint="conflicts relate two distinct operations",
-            )
-        else:
-            collector.report(
-                "CTX111",
-                f"conflict pair ({pair[0]!r}, {pair[1]!r}) declared "
-                f"twice on schedule {sname!r}",
-                schedule=sname,
-                nodes=pair,
-                fix_hint="drop the duplicate declaration",
-            )
-
-    usable_conflicts = _normalize_conflicts(raw_conflicts, _conflict_issue)
-    for pair in sorted(usable_conflicts, key=sorted):
-        for op in sorted(pair):
-            if op not in known_ops:
-                collector.report(
-                    "CTX112",
-                    f"conflict on {op!r}, which is not an operation of "
-                    f"schedule {sname!r}",
-                    schedule=sname,
-                    nodes=(op,),
-                    fix_hint="conflicts may only name declared operations",
-                )
-
-    # input and output orders, each list read once
-    orders: Dict[str, List[Tuple[str, str]]] = {}
-
-    # input orders over transactions
-    input_ok = True
-    for key in ("weak_input", "strong_input"):
-        orders[key] = _checked_pairs(collector, sname, key, body.get(key))
-        for a, b in orders[key]:
-            for t in (a, b):
-                if t not in known_txns:
-                    input_ok = False
-                    collector.report(
-                        "CTX113",
-                        f"{key} of schedule {sname!r} mentions {t!r}, "
-                        "which is not one of its transactions",
-                        schedule=sname,
-                        nodes=(t,),
-                        fix_hint="input orders relate the schedule's own "
-                        "transactions",
-                    )
-    if input_ok:
-        weak_in = Relation(orders["strong_input"] + orders["weak_input"])
-        cycle = weak_in.find_cycle()
-        if cycle is not None:
-            collector.report(
-                "CTX114",
-                f"weak input order of schedule {sname!r} is cyclic: "
-                + " -> ".join(str(n) for n in cycle),
-                schedule=sname,
-                nodes=tuple(str(n) for n in cycle),
-                fix_hint="input orders must be strict partial orders",
-            )
-
-    # output orders over operations
-    output_ok = True
-    for key in ("weak_output", "strong_output"):
-        orders[key] = _checked_pairs(collector, sname, key, body.get(key))
-        for a, b in orders[key]:
-            for op in (a, b):
-                if op not in known_ops:
-                    output_ok = False
-                    collector.report(
-                        "CTX113",
-                        f"{key} of schedule {sname!r} mentions {op!r}, "
-                        "which is not one of its operations",
-                        schedule=sname,
-                        nodes=(op,),
-                        fix_hint="output orders relate the schedule's own "
-                        "operations",
-                    )
-
-    # recorded execution sequence
-    executed = body.get("executed")
-    execution_pairs: List[Tuple[str, str]] = []
-    error = executed_shape_error(sname, executed)
-    if error is not None:
-        collector.report("CTX305", error, schedule=sname)
-        output_ok = False
-    elif executed is not None:
-        mode = body.get("executed_mode", "conflicts")
-        if mode not in ("conflicts", "temporal"):
-            collector.report(
-                "CTX305",
-                f"unknown execution mode {mode!r} on schedule {sname!r}",
-                schedule=sname,
-                fix_hint="use 'conflicts' or 'temporal'",
-            )
-            mode = "conflicts"
-        sequence = list(executed)
-        mismatch = executed_sequence_error(sname, sequence, known_ops)
-        if mismatch is not None:
-            message, nodes = mismatch
-            collector.report(
-                "CTX302",
-                message,
-                schedule=sname,
-                nodes=nodes,
-                fix_hint="the sequence must list every declared operation "
-                "exactly once",
-            )
-            output_ok = False
-        else:
-            usable = [tuple(sorted(p)) for p in usable_conflicts]
-            execution_pairs = _execution_pairs(
-                sequence, mode, [(a, b) for a, b in usable]
-            )
-
-    if output_ok:
-        # Everything the builder folds into the weak output: explicit
-        # pairs, intra-transaction orders, execution-derived pairs, and
-        # the axiom-3 expansion of strong inputs.
-        weak_out = Relation(
-            orders["strong_output"]
-            + orders["weak_output"]
-            + intra_weak
-            + execution_pairs
-        )
-        if input_ok:
-            strong_in = Relation(orders["strong_input"]).transitive_closure()
-            txn_ops: Dict[str, List[str]] = {}
-            for op, owner in op_owner.items():
-                txn_ops.setdefault(owner, []).append(op)
-            for t1, t2 in strong_in.pairs():
-                for a in txn_ops.get(str(t1), []):
-                    for b in txn_ops.get(str(t2), []):
-                        weak_out.add(a, b)
-        cycle = weak_out.find_cycle()
-        if cycle is not None:
-            collector.report(
-                "CTX115",
-                f"weak output order of schedule {sname!r} is cyclic: "
-                + " -> ".join(str(n) for n in cycle),
-                schedule=sname,
-                nodes=tuple(str(n) for n in cycle),
-                fix_hint="output orders must be strict partial orders",
-            )
-    return ops, txn_names
-
-
-def _lint_cross_schedule(
-    collector: DiagnosticCollector,
-    ops_of_schedule: Mapping[str, Sequence[str]],
-    txns_of_schedule: Mapping[str, Sequence[str]],
-) -> Dict[str, str]:
-    """Def. 4.1 / Def. 5 / Def. 4.5 across schedules.  Returns the
-    ``transaction -> schedule`` map for the invocation-graph check."""
-    txn_schedule: Dict[str, str] = {}
-    for sname, txns in txns_of_schedule.items():
-        for tname in txns:
-            if tname in txn_schedule:
-                collector.report(
-                    "CTX202",
-                    f"transaction {tname!r} assigned to two schedules "
-                    f"({txn_schedule[tname]!r} and {sname!r})",
-                    schedule=sname,
-                    nodes=(tname,),
-                    fix_hint="a transaction belongs to exactly one "
-                    "schedule (Def. 4.1)",
-                )
-            else:
-                txn_schedule[tname] = sname
-    op_owner: Dict[str, str] = {}
-    for sname, ops in ops_of_schedule.items():
-        for op in ops:
-            if op in op_owner and op_owner[op] != sname:
-                collector.report(
-                    "CTX203",
-                    f"node {op!r} is an operation of transactions in "
-                    f"both {op_owner[op]!r} and {sname!r}",
-                    schedule=sname,
-                    nodes=(op,),
-                    fix_hint="operation names must be globally unique "
-                    "(Def. 5)",
-                )
-            else:
-                op_owner[op] = sname
-    all_ops = set(op_owner)
-    if txn_schedule and all(t in all_ops for t in txn_schedule):
-        collector.report(
-            "CTX204",
-            "every transaction is invoked by another one — the system "
-            "has no root transaction",
-            fix_hint="at least one transaction must be nobody's operation "
-            "(Def. 4.5)",
-        )
-    return txn_schedule
-
-
-def _lint_executions_section(
-    collector: DiagnosticCollector,
-    document: Mapping,
-    ops_of_schedule: Mapping[str, Sequence[str]],
-) -> None:
-    """The optional top-level ``executions`` section (temporal layouts)."""
-    executions = document.get("executions")
-    errors = executions_shape_errors(executions)
-    for error in errors:
-        collector.report("CTX305", error)
-    if executions is None or errors:
-        return
-    for sname, message, nodes in execution_lane_errors(
-        executions, ops_of_schedule
-    ):
-        if sname not in ops_of_schedule:
-            collector.report("CTX305", message, schedule=sname)
-            continue
-        collector.report(
-            "CTX302",
-            message,
-            schedule=sname,
-            nodes=nodes,
-            fix_hint="the lane must list every operation exactly once",
-        )
 
 
 # ----------------------------------------------------------------------

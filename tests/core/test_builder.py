@@ -6,7 +6,6 @@ from repro.core.builder import (
     SystemBuilder,
     build_system,
     executed_sequence_error,
-    pair_shape_errors,
 )
 from repro.exceptions import CycleError, ModelError
 from repro.lint.diagnostics import DiagnosticCollector
@@ -264,8 +263,11 @@ class TestFromSpec:
         collector = DiagnosticCollector()
         lint_system_document(collector, {"schedules": {"S": body}})
         reported = [d.message for d in collector.errors if d.code == "CTX305"]
-        assert reported == pair_shape_errors("S", "conflicts", body["conflicts"])
-        assert len(reported) == 2
+        assert reported == [
+            "'conflicts' of schedule 'S' contains the malformed entry "
+            f"{entry!r} (expected a pair)"
+            for entry in body["conflicts"]
+        ]
         with pytest.raises(ModelError) as info:
             SystemBuilder.from_spec({"schedules": {"S": body}})
         assert str(info.value) == reported[0]
@@ -290,8 +292,10 @@ class TestFromSpec:
             "execution sequence of 'S' does not match the declared "
             f"operations (missing={missing}, extra={extra})"
         )
-        assert executed_sequence_error("S", executed, ["a", "b"]) == (
+        error = executed_sequence_error("S", executed, ["a", "b"])
+        assert (str(error), error.code, error.nodes) == (
             message,
+            "CTX302",
             tuple(missing + extra),
         )
         with pytest.raises(ModelError) as info:

@@ -477,8 +477,8 @@ def test_diagnostic_to_dict_shape():
 
 
 def test_all_conflict_defects_reported_in_one_pass():
-    """The `_normalize_conflicts` satellite: every self-conflict and
-    every duplicate surfaces in a single lint run."""
+    """Every self-conflict and every duplicate surfaces in a single
+    lint run."""
     codes = lint_document(
         {
             "schedules": {

@@ -366,6 +366,9 @@ class TestInputErrors:
             ('{"schedules": {"S": {"transactions": {"T1": ["a"]}}}, '
              '"executions": {"S": 3}}',
              "'executions' of schedule 'S' is not a list of operations"),
+            ('{"schedules": {"S": {"transactions": {"T1": ["a"]}}}, '
+             '"executions": {"S": null}}',
+             "'executions' of schedule 'S' is not a list of operations"),
             ('{"schedules": {"S": {"transactions": {"T1": ["a", ["b"]]}}}}',
              "transaction 'T1' of schedule 'S' is neither an operation "
              "list nor a mapping"),
