@@ -79,6 +79,19 @@ class _ScheduleDraft:
     execution_mode: str = "conflicts"
 
 
+@dataclass
+class _Built:
+    """One schedule of the last build, kept for the next: the staged
+    input pairs it was constructed from, the Def.-4.7 pairs it passed
+    on to each callee, and whether its axioms were checked."""
+
+    schedule: Schedule
+    weak_input: List[Tuple[str, str]]
+    strong_input: List[Tuple[str, str]]
+    passed_on: Dict[str, Tuple[List[Tuple[str, str]], List[Tuple[str, str]]]]
+    validated: bool = False
+
+
 class SystemBuilder:
     """Incremental builder for :class:`repro.core.system.CompositeSystem`.
 
@@ -93,6 +106,12 @@ class SystemBuilder:
         self._drafts: Dict[str, _ScheduleDraft] = {}
         self._txn_schedule: Dict[str, str] = {}
         self._report = report
+        #: the schedules of the last build, and the drafts changed since
+        self._last: Dict[str, _Built] = {}
+        self._last_propagate = True
+        self._changed: Set[str] = set()
+        #: transactions declared since the last build
+        self._declared: Set[str] = set()
 
     def _refuse(self, error: ModelError) -> None:
         report_or_raise(self._report, error)
@@ -107,9 +126,19 @@ class SystemBuilder:
 
     def schedule(self, name: str) -> "SystemBuilder":
         """Declare a schedule (idempotent; usually implicit)."""
-        if name not in self._drafts:
-            self._drafts[name] = _ScheduleDraft(name)
+        self._draft(name, changed=False)
         return self
+
+    def _draft(self, name: str, *, changed: bool = True) -> _ScheduleDraft:
+        """The draft of schedule ``name``, declared on first use and,
+        when ``changed``, marked for reconstruction by the next build."""
+        draft = self._drafts.get(name)
+        if draft is None:
+            draft = self._drafts[name] = _ScheduleDraft(name)
+            changed = True
+        if changed:
+            self._changed.add(name)
+        return draft
 
     def transaction(
         self,
@@ -123,7 +152,7 @@ class SystemBuilder:
     ) -> "SystemBuilder":
         """Declare transaction ``name`` of ``schedule`` with the given
         operations and intra-transaction orders (Def. 2)."""
-        self.schedule(schedule)
+        draft = self._draft(schedule)
         first = self._txn_schedule.get(name, schedule)
         if first != schedule and self._report is None:
             # fail fast; a collecting build leaves it to CompositeSystem
@@ -137,13 +166,13 @@ class SystemBuilder:
             report=None if self._report is None else _placed(self._report, schedule),
         )
         self._txn_schedule.setdefault(name, schedule)
-        self._drafts[schedule].transactions.append(txn)
+        self._declared.add(name)
+        draft.transactions.append(txn)
         return self
 
     def conflict(self, schedule: str, a: str, b: str) -> "SystemBuilder":
         """Declare ``CON_schedule(a, b)`` (symmetric)."""
-        self.schedule(schedule)
-        self._drafts[schedule].conflicts.append((a, b))
+        self._draft(schedule).conflicts.append((a, b))
         return self
 
     def conflicts(
@@ -179,31 +208,27 @@ class SystemBuilder:
         if error is not None:
             self._refuse(error)
             return self
-        self.schedule(schedule)
-        self._drafts[schedule].execution = list(sequence)
-        self._drafts[schedule].execution_mode = mode
+        draft = self._draft(schedule)
+        draft.execution = list(sequence)
+        draft.execution_mode = mode
         return self
 
     def weak_output(self, schedule: str, a: str, b: str) -> "SystemBuilder":
-        self.schedule(schedule)
-        self._drafts[schedule].weak_output.append((a, b))
+        self._draft(schedule).weak_output.append((a, b))
         return self
 
     def strong_output(self, schedule: str, a: str, b: str) -> "SystemBuilder":
-        self.schedule(schedule)
-        self._drafts[schedule].strong_output.append((a, b))
+        self._draft(schedule).strong_output.append((a, b))
         return self
 
     def weak_input(self, schedule: str, t1: str, t2: str) -> "SystemBuilder":
         """Require ``t1 → t2`` at ``schedule`` (restricted parallelism)."""
-        self.schedule(schedule)
-        self._drafts[schedule].weak_input.append((t1, t2))
+        self._draft(schedule).weak_input.append((t1, t2))
         return self
 
     def strong_input(self, schedule: str, t1: str, t2: str) -> "SystemBuilder":
         """Require ``t1 ↠ t2`` at ``schedule`` (strict sequencing)."""
-        self.schedule(schedule)
-        self._drafts[schedule].strong_input.append((t1, t2))
+        self._draft(schedule).strong_input.append((t1, t2))
         return self
 
     # ------------------------------------------------------------------
@@ -222,80 +247,153 @@ class SystemBuilder:
         schedule's input orders are final when it is reached and its
         callee-bound pairs are read straight from its closed output
         orders; without, in declaration order.  The system lists them
-        in declaration order either way.  ``validate`` checks the Def.-3
-        axioms (in construction order) and Def. 4.7 once the whole
-        system is built.
+        in declaration order either way.  A recorded ``executed``
+        sequence must list each operation of its schedule once
+        (CTX302).  ``validate`` checks the Def.-3 axioms (in
+        construction order) and Def. 4.7 once the whole system is
+        built.
+
+        A builder that builds again (the streaming assembler's, which
+        declares more between builds) keeps the previous build's
+        :class:`Schedule` for every schedule whose declarations and
+        staged input pairs did not change since, with its checked
+        axioms; only the :class:`CompositeSystem` is assembled anew.
+        A collecting builder constructs everything every time, so each
+        build reports every violation.
         """
-        txn_schedule = self._txn_schedule
         weak_in = {n: list(d.weak_input) for n, d in self._drafts.items()}
         strong_in = {n: list(d.strong_input) for n, d in self._drafts.items()}
-        built: Dict[str, Schedule] = {}
+        reusable = (
+            self._last
+            if self._report is None and propagate_orders == self._last_propagate
+            else {}
+        )
+        built: Dict[str, _Built] = {}
         for name in self._callers_first() if propagate_orders else self._drafts:
-            draft = self._drafts[name]
-            weak_out = list(draft.weak_output)
-            strong_out = list(draft.strong_output)
-            if draft.execution is not None:
-                weak_out.extend(
-                    execution_pairs(
-                        draft.execution, draft.execution_mode, draft.conflicts
-                    )
-                )
-            # Axiom 2: intra-transaction orders must surface in outputs.
-            for txn in draft.transactions:
-                if txn.ordered:
-                    weak_out.extend(txn.weak_order.pairs())
-                    strong_out.extend(txn.strong_order.pairs())
-            # Axiom 3: closed strong inputs sequence whole transactions.
-            # An unknown name is left for Schedule to report.
-            strong = strong_in[name]
-            ops_of = {t.name: t.operations for t in draft.transactions} if strong else {}
-            if strong and all(t in ops_of for p in strong for t in p):
-                for t1, t2 in Relation(strong).transitive_closure().pairs():
-                    for a in ops_of[t1]:
-                        strong_out.extend((a, b) for b in ops_of[t2])
-            schedule = built[name] = Schedule(
-                name,
-                draft.transactions,
-                conflicts=draft.conflicts,
-                weak_input=weak_in[name],
-                strong_input=strong,
-                weak_output=weak_out,
-                strong_output=strong_out,
-                validate=False,
-                report=self._report,
-            )
-            if not propagate_orders:
-                continue
-            # Def. 4.7: one mask per callee over the output carrier
-            # (bit i is operations[i]) selects its transactions.
-            masks: Dict[str, int] = {}
-            for i, op in enumerate(schedule.operations):
-                callee = txn_schedule.get(op)
-                if callee is not None and callee != name:
-                    masks[callee] = masks.get(callee, 0) | (1 << i)
-            for closed, staged in (
-                (schedule.weak_output, weak_in),
-                (schedule.strong_output, strong_in),
+            entry = reusable.get(name)
+            if (
+                entry is None
+                or name in self._changed
+                or entry.weak_input != weak_in[name]
+                or entry.strong_input != strong_in[name]
             ):
-                for callee, mask in masks.items():
-                    for a in closed.unpack(mask):
-                        staged[callee].extend(
-                            (a, b)
-                            for b in closed.unpack(closed.row_bits(a) & mask)
-                        )
+                entry = self._construct(name, weak_in[name], strong_in[name])
+                if propagate_orders:
+                    entry.passed_on = self._passed_on(name, entry.schedule)
+            elif not self._declared.isdisjoint(entry.schedule.operations):
+                # an operation became a transaction: a new callee
+                entry.passed_on = self._passed_on(name, entry.schedule)
+            built[name] = entry
+            for callee, (weak, strong) in entry.passed_on.items():
+                weak_in[callee].extend(weak)
+                strong_in[callee].extend(strong)
+        self._last = built
+        self._last_propagate = propagate_orders
+        self._changed.clear()
+        self._declared.clear()
         system = CompositeSystem(
-            [built[name] for name in self._drafts],
+            [built[name].schedule for name in self._drafts],
             validate=False,
             report=self._report,
         )
         # Validation follows the whole structure, as lint's does, so a
         # structural defect anywhere is raised before any axiom.
+        # A kept schedule passed both checks in an earlier build, so
+        # only the ones constructed since, and their callers, are
+        # checked again.
         if validate:
-            for schedule in built.values():
-                schedule.validate_axioms()
-            for violation in system.iter_order_propagation_violations():
+            unchecked = [entry for entry in built.values() if not entry.validated]
+            for entry in unchecked:
+                entry.schedule.validate_axioms()
+            fresh = {entry.schedule.name for entry in unchecked}
+            callers = (
+                [
+                    name
+                    for name, entry in built.items()
+                    if name in fresh or not fresh.isdisjoint(entry.passed_on)
+                ]
+                if propagate_orders
+                else None
+            )
+            for violation in system.iter_order_propagation_violations(callers):
                 raise violation
+            for entry in unchecked:
+                entry.validated = True
         return system
+
+    def _construct(
+        self,
+        name: str,
+        weak_in: List[Tuple[str, str]],
+        strong_in: List[Tuple[str, str]],
+    ) -> _Built:
+        """Construct schedule ``name`` from its draft and its staged
+        input pairs."""
+        draft = self._drafts[name]
+        weak_out = list(draft.weak_output)
+        strong_out = list(draft.strong_output)
+        if draft.execution is not None:
+            error = executed_sequence_error(
+                name, draft.execution, self._operations(name)
+            )
+            if error is not None:
+                self._refuse(error)
+            else:
+                weak_out.extend(
+                    execution_pairs(
+                        draft.execution, draft.execution_mode, draft.conflicts
+                    )
+                )
+        # Axiom 2: intra-transaction orders must surface in outputs.
+        for txn in draft.transactions:
+            if txn.ordered:
+                weak_out.extend(txn.weak_order.pairs())
+                strong_out.extend(txn.strong_order.pairs())
+        # Axiom 3: closed strong inputs sequence whole transactions.
+        # An unknown name is left for Schedule to report.
+        ops_of = {t.name: t.operations for t in draft.transactions} if strong_in else {}
+        if strong_in and all(t in ops_of for p in strong_in for t in p):
+            for t1, t2 in Relation(strong_in).transitive_closure().pairs():
+                for a in ops_of[t1]:
+                    strong_out.extend((a, b) for b in ops_of[t2])
+        schedule = Schedule(
+            name,
+            draft.transactions,
+            conflicts=draft.conflicts,
+            weak_input=weak_in,
+            strong_input=strong_in,
+            weak_output=weak_out,
+            strong_output=strong_out,
+            validate=False,
+            report=self._report,
+        )
+        return _Built(schedule, weak_in, strong_in, {})
+
+    def _passed_on(
+        self, name: str, schedule: Schedule
+    ) -> Dict[str, Tuple[List[Tuple[str, str]], List[Tuple[str, str]]]]:
+        """Def. 4.7: the (weak, strong) output pairs of ``schedule``
+        between two transactions of one callee, per callee.  One mask
+        per callee over the output carrier (bit i is operations[i])
+        selects its transactions."""
+        txn_schedule = self._txn_schedule
+        masks: Dict[str, int] = {}
+        for i, op in enumerate(schedule.operations):
+            callee = txn_schedule.get(op)
+            if callee is not None and callee != name:
+                masks[callee] = masks.get(callee, 0) | (1 << i)
+        weak, strong = schedule.weak_output, schedule.strong_output
+        return {
+            callee: (
+                [(a, b) for a in weak.unpack(mask) for b in weak.unpack(weak.row_bits(a) & mask)],
+                [
+                    (a, b)
+                    for a in strong.unpack(mask)
+                    for b in strong.unpack(strong.row_bits(a) & mask)
+                ],
+            )
+            for callee, mask in masks.items()
+        }
 
     def _callers_first(self) -> List[str]:
         """Schedule names with every caller before its callees,
@@ -387,10 +485,9 @@ class SystemBuilder:
                     )
                 )
                 continue
-            builder.schedule(sname)
+            draft = builder._draft(sname)
             for tname, tdef in transactions.items():
                 builder._spec_transaction(sname, tname, tdef)
-            draft = builder._drafts[sname]
             draft.conflicts.extend(
                 builder._spec_pairs(sname, "conflicts", body.get("conflicts"))
             )

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.front import Front, ReductionFailure
-from repro.core.observed import group_by_schedule
+from repro.core.observed import commuting_successors
 from repro.core.orders import Relation
 from repro.core.system import CompositeSystem
 
@@ -65,12 +65,25 @@ class Grouping:
 
 
 def grouping_for_level(
-    system: CompositeSystem, nodes: Tuple[str, ...], level: int
+    system: CompositeSystem,
+    nodes: Tuple[str, ...],
+    level: int,
+    *,
+    base: Optional[Grouping] = None,
 ) -> Grouping:
-    """Group the front nodes whose parent is a level-``level`` transaction."""
+    """Group the front nodes whose parent is a level-``level`` transaction.
+
+    ``base`` is the grouping of an earlier front these nodes extend,
+    whose nodes keep their parents: only the nodes it lacks are placed.
+    """
     representative: Dict[str, str] = {}
     groups: Dict[str, List[str]] = {}
+    if base is not None:
+        representative.update(base.representative)
+        groups.update(base.groups)
     for node in nodes:
+        if node in representative:
+            continue
         if system.grouping_level(node) == level:
             parent = system.parent(node)
             representative[node] = parent
@@ -81,7 +94,11 @@ def grouping_for_level(
 
 
 def calculation_constraints(
-    system: CompositeSystem, front: Front, grouping: Grouping
+    system: CompositeSystem,
+    front: Front,
+    grouping: Grouping,
+    *,
+    base: "Optional[Tuple[Front, Relation]]" = None,
 ) -> Relation:
     """The constraint digraph described in the module docstring.
 
@@ -99,36 +116,56 @@ def calculation_constraints(
     the commuting same-schedule pairs are discarded — per-pair work is
     proportional to the (small) same-schedule blocks, not to the dense
     closed observed order.
+
+    ``base`` is ``(earlier, its constraints)`` for a front that extends
+    ``earlier`` on an append-only carrier with every old pair keeping
+    its fate (the streaming step of
+    :meth:`repro.core.reduction.ReductionEngine.next_front`): the
+    digraph is then the earlier one plus the constraints of the
+    observed pairs the front gained and of its new groups.
     """
-    constraints = front.observed.restricted_to(
-        front.nodes, carrier=front.nodes
-    )
+    groups = grouping.groups
+    inputs: Tuple[Relation, ...] = (front.input_weak, front.input_strong)
+    if base is None:
+        constraints = front.observed.restricted_to(
+            front.nodes, carrier=front.nodes
+        )
+    else:
+        earlier, built = base
+        constraints = front.observed.added_since(earlier.observed)
+        inputs = tuple(
+            now.added_since(then)
+            for now, then in (
+                (front.input_weak, earlier.input_weak),
+                (front.input_strong, earlier.input_strong),
+            )
+            if len(now) != len(then)
+        )
+        known = set(earlier.nodes)
+        groups = {
+            parent: members
+            for parent, members in groups.items()
+            if members[0] not in known
+        }
     constraints.remove_self_loops()
-    for sname, members in group_by_schedule(system, front.nodes).items():
-        if len(members) < 2:
-            continue
-        schedule = system.schedule(sname)
-        member_mask = constraints.mask_of(members)
-        for a in members:
-            present = constraints.row_bits(a) & member_mask
-            if not present:
-                continue
-            keep = constraints.mask_of(schedule.conflict_neighbours(a))
-            drop = present & ~keep
-            if drop:
-                constraints.discard_row_bits(a, drop)
-    constraints = constraints.union(front.input_weak, front.input_strong)
-    for parent, members in grouping.groups.items():
+    masks: Dict[str, int] = {}
+    for a, row in constraints.nonempty_rows():
+        drop = commuting_successors(system, constraints, a, row, masks)
+        if drop:
+            constraints.discard_row_bits(a, drop)
+    if base is None:
+        constraints = constraints.union(*inputs)
+    else:
+        constraints = built.union(constraints, *inputs)
+    for parent, members in groups.items():
         schedule = system.schedule(system.schedule_of_transaction(parent))
-        txn = schedule.transactions[parent]
+        txn = schedule.transaction(parent)
         if not txn.ordered:
             continue
         member_set = set(members)
         for a, b in txn.weak_order.pairs():
             if a in member_set and b in member_set:
                 constraints.add(a, b)
-    for node in front.nodes:
-        constraints.add_element(node)
     return constraints
 
 
@@ -139,13 +176,20 @@ def find_isolation_failure(
 ) -> Optional[ReductionFailure]:
     """Check Def. 16 step 1 feasibility; return a failure witness or None.
 
-    Each group is decided on the constraint rows under its member mask;
-    only a cyclic group is restricted out to build its witness cycle.
-    ``quotient`` is ``constraints.mapped(grouping.rep)`` when the caller
-    has already built it (built here otherwise).
+    The groups are decided together, on the constraint rows each masked
+    to its own group; only when that finds a cycle is each group decided
+    on its member mask, and the first cyclic one restricted out to build
+    its witness cycle.  ``quotient`` is ``constraints.mapped(grouping.rep)``
+    when the caller has already built it (built here otherwise).
     """
-    for parent, members in grouping.groups.items():
-        if constraints.is_acyclic(constraints.mask_of(members)):
+    masks = {
+        parent: constraints.mask_of(members)
+        for parent, members in grouping.groups.items()
+    }
+    for parent, members in (
+        () if constraints.blocks_acyclic(masks.values()) else grouping.groups.items()
+    ):
+        if constraints.is_acyclic(masks[parent]):
             continue
         cycle = constraints.restricted_to(members).find_cycle()
         assert cycle is not None

@@ -60,7 +60,7 @@ class Front:
             # Fast path: when every carrier element is a front node, no
             # pair can mention a non-member — O(carrier) instead of a
             # pair scan over the dense closed observed order.
-            if all(e in node_set for e in relation.elements):
+            if node_set.issuperset(relation.elements):
                 continue
             for a, b in relation.pairs():
                 if a not in node_set or b not in node_set:

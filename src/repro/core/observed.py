@@ -39,22 +39,10 @@ Operational notes (documented in DESIGN.md §2.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.core.orders import Relation
 from repro.core.system import CompositeSystem
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.schedule import Schedule
 
 
 @dataclass(frozen=True)
@@ -182,6 +170,7 @@ def pull_up_delta(
     options: ObservedOrderOptions = ObservedOrderOptions(),
     *,
     grouped: "frozenset[str] | None" = None,
+    carry: bool = False,
 ) -> List[Tuple[str, str]]:
     """The *rewritten* pairs of one pull-up step (Def. 10.2/10.3).
 
@@ -210,7 +199,10 @@ def pull_up_delta(
     reduction engine keeps that restriction as the closed base and
     feeds the pairs returned here (plus the level's seeds) to
     :meth:`repro.core.orders.Relation.add_closed`, instead of
-    re-closing the whole front.
+    re-closing the whole front.  With ``carry`` the untouched pairs are
+    returned too, unchanged: the streaming step pulls up only the pairs
+    a front gained since the previous commit, onto the previous
+    commit's closed front, which has no restriction to carry them.
 
     Only rows touching a grouped node are visited: a pair needs
     rewriting iff one endpoint is grouped, so ungrouped rows are masked
@@ -229,38 +221,23 @@ def pull_up_delta(
             n for n in observed.elements if representative(n) != n
         )
     delta: List[Tuple[str, str]] = []
-    if not grouped:
+    if not (grouped or carry):
         return delta
     forget = options.forget_nonconflicting
     grouped_mask = observed.mask_of(grouped)
-    schedule_mask: Dict[str, int] = {}
-    schedules: "Dict[str, Schedule]" = {}
-    if forget:
-        for sname, members in group_by_schedule(
-            system, observed.elements
-        ).items():
-            schedule_mask[sname] = observed.mask_of(members)
-            schedules[sname] = system.schedule(sname)
-    for a in observed.elements:
-        mask = observed.row_bits(a)
-        if not mask:
-            continue
+    masks: Dict[str, int] = {}
+    for a, mask in observed.nonempty_rows():
         if a not in grouped:
+            if carry:
+                delta.extend((a, b) for b in observed.unpack(mask & ~grouped_mask))
             mask &= grouped_mask
             if not mask:
                 continue
         if forget:
-            sa = system.schedule_of_operation(a)
-            if sa is not None:
-                same = mask & schedule_mask[sa]
-                if same:
-                    # Forget commuting same-schedule pairs wholesale.
-                    conf = observed.mask_of(
-                        schedules[sa].conflict_neighbours(a)
-                    )
-                    mask = (mask & ~same) | (same & conf)
-                    if not mask:
-                        continue
+            # Forget commuting same-schedule pairs wholesale.
+            mask &= ~commuting_successors(system, observed, a, mask, masks)
+            if not mask:
+                continue
         ra = representative(a)
         for b in observed.unpack(mask):
             rb = representative(b)
@@ -268,6 +245,31 @@ def pull_up_delta(
                 continue  # internal to one calculation — reduced away
             delta.append((ra, rb))
     return delta
+
+
+def commuting_successors(
+    system: CompositeSystem,
+    relation: Relation,
+    a: str,
+    row: int,
+    masks: Dict[str, int],
+) -> int:
+    """The bits of ``row`` (successors of ``a`` in ``relation``) that
+    are operations of ``a``'s own schedule and do not conflict with
+    ``a`` there: the pairs that schedule vouches commute (the Def.-10.2
+    gate, and Def. 11 for the calculation constraints).  ``masks``
+    caches each schedule's operations as a mask over the carrier."""
+    sname = system.schedule_of_operation(a)
+    if sname is None:
+        return 0
+    schedule = system.schedule(sname)
+    mask = masks.get(sname)
+    if mask is None:
+        mask = masks[sname] = relation.mask_of(schedule.operations)
+    same = row & mask
+    if not same:
+        return 0
+    return same & ~relation.mask_of(schedule.conflict_neighbours(a))
 
 
 def observed_between_trees(

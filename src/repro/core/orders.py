@@ -72,15 +72,14 @@ def reset_closure_counters() -> None:
     CLOSURE_COUNTERS["rows"] = 0
 
 
-if hasattr(int, "bit_count"):  # Python >= 3.10: native popcount
+def _bin_popcount(mask: int) -> int:
+    """The number of set bits of ``mask`` (Python 3.9 has no
+    ``int.bit_count``)."""
+    return bin(mask).count("1")
 
-    def _popcount(mask: int) -> int:
-        return mask.bit_count()
 
-else:  # pragma: no cover - Python 3.9 fallback
-
-    def _popcount(mask: int) -> int:
-        return bin(mask).count("1")
+#: native popcount where there is one: a C call, also under ``map``
+_popcount: Callable[[int], int] = getattr(int, "bit_count", _bin_popcount)
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -208,8 +207,10 @@ class Relation:
 
     def add(self, a: Element, b: Element) -> None:
         """Add the pair ``(a, b)`` — i.e. assert ``a R b`` (idempotent)."""
-        self.add_element(a)
-        self.add_element(b)
+        if a not in self._index:
+            self.add_element(a)
+        if b not in self._index:
+            self.add_element(b)
         ia = self._index[a]
         ib = self._index[b]
         bit = 1 << ib
@@ -429,6 +430,14 @@ class Relation:
                 mask |= 1 << i
         return mask
 
+    def nonempty_rows(self) -> Iterator[Tuple[Element, int]]:
+        """``(a, row_bits(a))`` for each element with a successor, in
+        carrier order."""
+        nodes = self._nodes
+        for i, row in enumerate(self._rows):
+            if row:
+                yield nodes[i], row
+
     def unpack(self, mask: int) -> List[Element]:
         """The elements whose bits are set in ``mask``, in index order."""
         nodes = self._nodes
@@ -466,6 +475,28 @@ class Relation:
                 for b in succ:
                     yield (a, b)
 
+    def added_since(self, earlier: "Relation") -> "Relation":
+        """The pairs of ``self`` that ``earlier`` lacks, on ``self``'s
+        carrier, for a relation that grew from ``earlier`` by appending
+        elements (``earlier``'s carrier is a prefix of ``self``'s): one
+        AND-NOT per old row — the row bits gained."""
+        nodes = self._nodes
+        old = earlier._rows
+        if nodes[: len(old)] != earlier._nodes:
+            raise ValueError(
+                "added_since: the earlier relation's carrier is not a "
+                "prefix of this one's"
+            )
+        rows = [row & ~old[i] for i, row in enumerate(self._rows[: len(old)])]
+        rows.extend(self._rows[len(old):])
+        gained = Relation.__new__(Relation)
+        gained._index = dict(self._index)
+        gained._nodes = list(nodes)
+        gained._rows = rows
+        gained._cols = None
+        gained._size = sum(map(_popcount, rows))
+        return gained
+
     # ------------------------------------------------------------------
     # algebra
     # ------------------------------------------------------------------
@@ -477,14 +508,16 @@ class Relation:
         result = self.copy()
         result._cols = None
         rows = result._rows
+        index = result._index
         for other in others:
-            for e in other._nodes:
-                result.add_element(e)
+            if other._nodes != result._nodes:
+                for e in other._nodes:
+                    if e not in index:
+                        result.add_element(e)
             if other._nodes == result._nodes:
                 for i, mask in enumerate(other._rows):
                     rows[i] |= mask
             else:
-                index = result._index
                 shift = [index[e] for e in other._nodes]
                 for oi, mask in enumerate(other._rows):
                     if not mask:
@@ -519,7 +552,6 @@ class Relation:
         itself closed.
         """
         keep_set = set(keep)
-        result = Relation()
         if carrier is None:
             # Result carrier = kept elements in self's index order; sort
             # the (few) kept indices rather than scanning the whole
@@ -532,11 +564,17 @@ class Relation:
                 if i is not None
             )
             nodes = self._nodes
-            for i in kept_indices:
-                result.add_element(nodes[i])
+            result = Relation(elements=[nodes[i] for i in kept_indices])
         else:
-            for e in carrier:
-                result.add_element(e)
+            result = Relation(elements=carrier)
+            if result._nodes == self._nodes and keep_set.issuperset(
+                self._nodes
+            ):
+                # Everything kept on the same carrier: a row copy.
+                result._rows = list(self._rows)
+                result._size = self._size
+                result._cols = None
+                return result
             missing = [
                 e
                 for e in self._nodes
@@ -592,12 +630,10 @@ class Relation:
         collapse are dropped by default (pairs internal to a group carry
         no inter-node constraint).
         """
-        result = Relation()
-        targets: List[int] = []
-        for e in self._nodes:
-            rep = representative(e)
-            result.add_element(rep)
-            targets.append(result._index[rep])
+        reps = [representative(e) for e in self._nodes]
+        result = Relation(elements=reps)
+        index = result._index
+        targets = [index[rep] for rep in reps]
         rows = result._rows
         for i, mask in enumerate(self._rows):
             if not mask:
@@ -780,12 +816,14 @@ class Relation:
         added to the module closure counters).
         """
         staged = list(pairs)
+        index = self._index
         for element in elements:
             self.add_element(element)
         for a, b in staged:
-            self.add_element(a)
-            self.add_element(b)
-        index = self._index
+            if a not in index:
+                self.add_element(a)
+            if b not in index:
+                self.add_element(b)
         rows = self._rows
         src_mask = 0
         for a, _b in staged:
@@ -963,6 +1001,24 @@ class Relation:
         if members is None:
             members = (1 << len(self._rows)) - 1
         return _rows_acyclic(self._rows, members, skip_self_loops)
+
+    def blocks_acyclic(self, blocks: Iterable[int]) -> bool:
+        """True if the subgraph induced on each of the disjoint
+        ``blocks`` (:meth:`mask_of` bitmaps) is acyclic: one DFS over
+        the rows, each masked to its own block, instead of one
+        :meth:`is_acyclic` call per block."""
+        rows = self._rows
+        masked = [0] * len(rows)
+        members = 0
+        for block in blocks:
+            members |= block
+            rest = block
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                masked[i] = rows[i] & block
+                rest ^= low
+        return _rows_acyclic(masked, members, False)
 
     def is_irreflexive(self) -> bool:
         """True if no element is related to itself (empty diagonal)."""
@@ -1248,18 +1304,22 @@ def closed_orders(
     weak_pairs: Iterable[Pair],
     unknown: Callable[[Element, str], ModelError],
     report: Optional[Report] = None,
-) -> Tuple[Relation, Relation]:
+) -> Tuple[Relation, Relation, Optional[List[Element]]]:
     """The transitively closed ``(weak, strong)`` orders over
     ``elements``: strong from ``strong_pairs``, weak from those plus
     ``weak_pairs`` — the shape of Def. 2's intra orders and Def. 3's
-    input and output orders.
+    input and output orders — and a cycle of the weak order, or
+    ``None`` when it is acyclic.
 
     Each pair is member-checked and interned in one loop, strong pairs
     first; an element outside ``elements`` raises
     ``unknown(element, "strong" | "weak")``, or, given ``report``, is
     reported (each unknown end of the pair) and the pair dropped.  Only
     a relation with pairs is closed, and when the weak pairs add none
-    the weak closure is a copy of the strong one.
+    the weak closure is a copy of the strong one.  The closed weak
+    order decides acyclicity (a row holding its own bit); the cycle is
+    then found on the declared pairs, so it names the path
+    (``T2 -> T3 -> T2``), not the self-loop closure put on ``T2``.
     """
     strong = Relation(elements=elements)
     index = strong._index
@@ -1285,12 +1345,15 @@ def closed_orders(
         return True
 
     intern(strong, strong_pairs, "strong")
-    weak = strong.copy()
-    grew = intern(weak, weak_pairs, "weak")
+    declared = strong.copy()
+    grew = intern(declared, weak_pairs, "weak")
     if not strong:
-        return (weak.transitive_closure() if grew else weak), strong
-    strong = strong.transitive_closure()
-    return (weak.transitive_closure() if grew else strong.copy()), strong
+        weak = declared.transitive_closure() if grew else declared
+    else:
+        strong = strong.transitive_closure()
+        weak = declared.transitive_closure() if grew else strong.copy()
+    cycle = None if weak.first_self_loop() is None else declared.find_cycle()
+    return weak, strong, cycle
 
 
 def total_order_from_sequence(sequence: Iterable[Element]) -> Relation:

@@ -23,9 +23,18 @@ succeed.  On failure the engine returns a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.core.calculation import (
+    Grouping,
     calculation_constraints,
     find_isolation_failure,
     grouping_for_level,
@@ -94,6 +103,11 @@ class ReductionResult:
     #: to its steps; ``None`` when the fronts came from elsewhere
     _witnesses: Optional[List[List[str]]] = field(
         default=None, init=False, repr=False, compare=False
+    )
+    #: a commit run's constraint digraph, its quotient and the grouping
+    #: per step, which the next commit's run extends
+    _steps: List[Tuple[Relation, Relation, "Grouping"]] = field(
+        default_factory=list, init=False, repr=False, compare=False
     )
 
     @property
@@ -263,6 +277,9 @@ class ReductionEngine:
         #: explicit sink; ``None`` resolves to the ambient
         #: :func:`repro.obs.telemetry.current` at each ``run()``
         self.telemetry = telemetry
+        #: the last :meth:`next_front` step's constraints, quotient and
+        #: grouping
+        self._step: Optional[Tuple[Relation, Relation, Grouping]] = None
         #: (schedule, members) -> seed pairs; see ``schedule_seed_pairs``
         self._seed_cache: Dict[
             Tuple[str, Tuple[str, ...]], Tuple[Tuple[str, str], ...]
@@ -300,6 +317,7 @@ class ReductionEngine:
         nodes: Tuple[str, ...],
         *,
         covered: "Optional[set]" = None,
+        seeded: "Optional[Tuple[AbstractSet[str], AbstractSet[str]]]" = None,
     ) -> List[Tuple[str, str]]:
         """Seed pairs for ``nodes``, memoized per (schedule, members).
 
@@ -310,12 +328,17 @@ class ReductionEngine:
         a schedule whose members are all covered re-contributes pairs
         that the previous level already seeded and closed in — pairs
         between two carried nodes survive the carried restriction — so
-        the whole schedule is skipped.
+        the whole schedule is skipped.  ``seeded`` is ``(nodes,
+        schedules)`` of a base front: a schedule the base was reduced
+        with, none of whose members is new, seeded the base already.
         """
         out: List[Tuple[str, str]] = []
         for sname, members in group_by_schedule(self.system, nodes).items():
             if covered is not None and all(m in covered for m in members):
                 continue  # already closed into the carried base
+            if seeded is not None and sname in seeded[1]:
+                if all(m in seeded[0] for m in members):
+                    continue  # already closed into the base front
             key = (sname, tuple(members))
             cached = self._seed_cache.get(key)
             if cached is None:
@@ -343,23 +366,58 @@ class ReductionEngine:
         self,
         front: Front,
         *,
+        base: "Optional[ReductionResult]" = None,
         _prepared: "Optional[tuple]" = None,
     ) -> Union[Front, ReductionFailure]:
         """One reduction step: construct the level-``i+1`` front, or
         explain why none exists.
 
-        ``_prepared`` lets :meth:`run` pass an already-computed
+        ``base`` is the result of the previous commit of a stream, on a
+        system this one grew from (see :meth:`run`).  When it holds
+        fronts at levels ``i`` and ``i+1``, the step extends its closed
+        level-``i+1`` front instead of building one:
+
+        * observed = closure(base observed ∪ pull(gained) ∪ seeds),
+          where *gained* are the pairs ``front`` has and the base's
+          level-``i`` front lacks, pulled up like any other (carried
+          ones unchanged), and the seeds are those of the schedules
+          that gained members or changed;
+        * input = closure(base input ∪ gained carried input pairs ∪
+          the input pairs of the level's changed schedules).
+
+        The constraint digraph of Def. 16 step 1 and its quotient grow
+        the same way, from the base's step; isolation and CC are decided
+        on the whole front either way.  ``_prepared`` lets :meth:`run` pass an already-computed
         ``(grouping, constraints, quotient)`` triple so the witness
         extraction and the step share the work.
         """
         level = front.level + 1
         system = self.system
         tele = self._tele()
+        # the base, when it holds this level's front to extend, and the
+        # nodes of that front
+        prior = base if base is not None and len(base.fronts) > level else None
+        known: AbstractSet[str] = (
+            frozenset() if prior is None else set(prior.fronts[level].nodes)
+        )
         if _prepared is None:
-            self._check_materialization(front, level)
-            grouping = grouping_for_level(system, front.nodes, level)
-            constraints = calculation_constraints(system, front, grouping)
-            quotient = None
+            self._check_materialization(front, level, known)
+            if prior is not None:
+                built, mapped, earlier = prior._steps[level - 1]
+                grouping = grouping_for_level(
+                    system, front.nodes, level, base=earlier
+                )
+                constraints = calculation_constraints(
+                    system, front, grouping, base=(prior.fronts[level - 1], built)
+                )
+                quotient = mapped.union(
+                    constraints.added_since(built).mapped(grouping.rep)
+                )
+            else:
+                grouping = grouping_for_level(system, front.nodes, level)
+                constraints = calculation_constraints(system, front, grouping)
+                quotient = constraints.mapped(grouping.rep)
+            self._step = (constraints, quotient, grouping)
         else:
             grouping, constraints, quotient = _prepared
         failure = find_isolation_failure(constraints, grouping, quotient)
@@ -380,38 +438,77 @@ class ReductionEngine:
         )
         new_nodes = new_nodes + empties
         rep = grouping.rep
-        # The carried part of the pull-up (pairs between two ungrouped
-        # nodes) is exactly front.observed restricted to those nodes —
-        # and a restriction of a closed relation is closed, so it serves
-        # as the delta-closure base.  Everything else (the rewritten,
-        # Def.-10-gated pairs, plus this level's seeds) is the delta.
         grouped = frozenset(
-            n for n in front.observed.elements if rep(n) != n
-        )
-        observed = carried_restriction(front.observed, rep, grouped)
-        for node in new_nodes:
-            observed.add_element(node)
-        delta = pull_up_delta(
-            system, front.observed, rep, self.options, grouped=grouped
+            n for n, parent in grouping.representative.items() if parent != n
         )
         carried = set(front.observed.elements) - grouped
-        delta.extend(self._seeds(new_nodes, covered=carried))
-        observed = self._close_with_delta(observed, delta)
-
-        input_weak = front.input_weak.restricted_to(new_nodes)
-        input_strong = front.input_strong.restricted_to(new_nodes)
-        for node in new_nodes:
-            input_weak.add_element(node)
-            input_strong.add_element(node)
+        schedules = system.schedules_at_level(level)
         weak_delta: List[Tuple[str, str]] = []
         strong_delta: List[Tuple[str, str]] = []
-        for sname in system.schedules_at_level(level):
+        if prior is None:
+            # The carried part of the pull-up (pairs between two
+            # ungrouped nodes) is exactly front.observed restricted to
+            # those nodes — and a restriction of a closed relation is
+            # closed, so it serves as the delta-closure base.
+            # Everything else (the rewritten, Def.-10-gated pairs, plus
+            # this level's seeds) is the delta.  Likewise the input
+            # orders: front.input_* are closed (engine invariant), and
+            # restriction preserves closedness.
+            observed = carried_restriction(front.observed, rep, grouped)
+            delta = pull_up_delta(
+                system, front.observed, rep, self.options, grouped=grouped
+            )
+            input_weak = front.input_weak.restricted_to(new_nodes)
+            input_strong = front.input_strong.restricted_to(new_nodes)
+            delta.extend(self._seeds(new_nodes, covered=carried))
+            added = new_nodes
+        else:
+            # Every front order is monotone in the activated
+            # declarations, so the base's closed fronts are the closure
+            # bases and only what the level below gained is new.
+            below, previous = prior.fronts[level - 1], prior.fronts[level]
+            added = tuple(n for n in new_nodes if n not in known)
+            observed = previous.observed.copy()
+            delta = pull_up_delta(
+                system,
+                front.observed.added_since(below.observed),
+                rep,
+                self.options,
+                grouped=grouped,
+                carry=True,
+            )
+            input_weak = previous.input_weak.copy()
+            input_strong = previous.input_strong.copy()
+            for now, then, gained in (
+                (front.input_weak, below.input_weak, weak_delta),
+                (front.input_strong, below.input_strong, strong_delta),
+            ):
+                if len(now) != len(then):  # grown, hence gained pairs
+                    gained.extend(
+                        now.added_since(then).restricted_to(new_nodes).pairs()
+                    )
+            kept = prior.system.schedules
+            same = {
+                sname
+                for sname, schedule in system.schedules.items()
+                if kept.get(sname) is schedule
+            }
+            schedules = tuple(s for s in schedules if s not in same)
+            delta.extend(
+                self._seeds(new_nodes, covered=carried, seeded=(known, same))
+            )
+            # The base's nodes first: the front lists its carrier.
+            new_nodes = previous.nodes + added
+        for node in added:
+            observed.add_element(node)
+            input_weak.add_element(node)
+            input_strong.add_element(node)
+        observed = self._close_with_delta(observed, delta)
+        for sname in schedules:
             schedule = system.schedule(sname)
             weak_delta.extend(schedule.weak_input.pairs())
             strong_delta.extend(schedule.strong_input.pairs())
-        # front.input_* are closed (engine invariant), and restriction
-        # preserves closedness — only the new schedules' input pairs need
-        # propagating.
+        # Only the new schedules' input pairs need propagating.
         input_weak = self._close_with_delta(input_weak, weak_delta)
         input_strong = self._close_with_delta(input_strong, strong_delta)
 
@@ -431,12 +528,17 @@ class ReductionEngine:
             )
         return candidate
 
-    def _check_materialization(self, front: Front, level: int) -> None:
+    def _check_materialization(
+        self, front: Front, level: int, known: AbstractSet[str] = frozenset()
+    ) -> None:
         """Engine invariant: every operation of every level-``level``
-        transaction must already be a front node."""
+        transaction must already be a front node (``known``
+        transactions, already front nodes of a base, were checked)."""
         members = set(front.nodes)
         for sname in self.system.schedules_at_level(level):
             for tname in self.system.schedule(sname).transaction_names:
+                if tname in known:
+                    continue
                 for op in self.system.children(tname):
                     if op not in members:
                         raise ReductionError(
@@ -496,6 +598,7 @@ class ReductionEngine:
         stop_level: Optional[int] = None,
         static_precheck: bool = False,
         level0: Optional[Front] = None,
+        base: Optional[ReductionResult] = None,
     ) -> ReductionResult:
         """Run the reduction up to ``stop_level`` (default: the system
         order ``N``, i.e. all the way to the roots).
@@ -510,6 +613,14 @@ class ReductionEngine:
         order; the usual conflict-consistency check still runs on it,
         so verdicts cannot depend on the caller's maintenance being
         trusted.
+
+        ``base`` (with ``level0`` only) is the previous commit's result:
+        each level extends its front (:meth:`next_front`).  The caller
+        vouches that this system grew from the base's by activating
+        declarations only — every schedule keeps its level, every root
+        stays a root, no conflict joins two operations the base already
+        had, and ``level0`` extends the base's level-0 front by
+        appending.  A system that did not passes no base.
 
         ``static_precheck`` consults the two-sided static analysis of
         :mod:`repro.lint.safety` first and skips the reduction in
@@ -560,6 +671,8 @@ class ReductionEngine:
                     )
                 )
                 return result
+        if base is not None and level0 is None:
+            raise ReductionError("a base needs an injected level-0 front")
         target = self.system.order if stop_level is None else stop_level
         if target > self.system.order:
             raise ReductionError(
@@ -599,7 +712,7 @@ class ReductionEngine:
             with tele.span("reduce.level", level=front.level + 1) as span:
                 before = closure_counters()
                 if witnesses is None:
-                    outcome = self.next_front(front)
+                    outcome = self.next_front(front, base=base)
                 else:
                     self._check_materialization(front, front.level + 1)
                     grouping = grouping_for_level(
@@ -623,7 +736,10 @@ class ReductionEngine:
                     self._note_level(span, shown, before)
             if isinstance(outcome, ReductionFailure):
                 return self._record_failure(result, outcome, span)
-            if witnesses is not None:
+            if witnesses is None:
+                assert self._step is not None
+                result._steps.append(self._step)
+            else:
                 witnesses.append(
                     witness_sequence(
                         constraints, grouping, front.nodes, quotient

@@ -202,33 +202,30 @@ class Schedule:
                     continue
             self._drop_conflict(a, b, report)
 
-        self._weak_input, self._strong_input = closed_orders(
+        self._weak_input, self._strong_input, input_cycle = closed_orders(
             self._transactions,
             strong_input,
             weak_input,
             self._not_transaction,
             report,
         )
-        self._weak_output, self._strong_output = closed_orders(
+        self._weak_output, self._strong_output, output_cycle = closed_orders(
             self._owner_of,
             strong_output,
             weak_output,
             self._not_operation,
             report,
         )
-
-        # Both relations are closed, so a self-loop probe (O(V)) decides
-        # acyclicity; find_cycle runs only to produce the witness.
-        for relation, label, code in (
-            (self._weak_input, "input", "CTX114"),
-            (self._weak_output, "output", "CTX115"),
+        for cycle, label, code in (
+            (input_cycle, "input", "CTX114"),
+            (output_cycle, "output", "CTX115"),
         ):
-            if relation.first_self_loop() is not None:
+            if cycle is not None:
                 report_or_raise(
                     report,
                     CycleError(
                         f"weak {label} order of {name!r} is cyclic",
-                        relation.find_cycle(),
+                        cycle,
                         code=code,
                         schedule=name,
                         hint=f"{label} orders must be strict partial orders",
@@ -377,6 +374,11 @@ class Schedule:
     def transactions(self) -> Mapping[str, Transaction]:
         """``T_S`` keyed by transaction name."""
         return dict(self._transactions)
+
+    def transaction(self, name: str) -> Transaction:
+        """The transaction ``name`` of ``T_S`` (a lookup: the
+        :attr:`transactions` mapping is a copy)."""
+        return self._transactions[name]
 
     @property
     def transaction_names(self) -> Tuple[str, ...]:

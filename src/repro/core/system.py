@@ -20,7 +20,17 @@ the structure the reduction needs:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Collection,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.orders import Relation
 from repro.core.schedule import Schedule
@@ -81,6 +91,7 @@ class CompositeSystem:
 
         self._index_structure(report)
         self._levels: Dict[str, int] = {}
+        self._at_level: Dict[int, Tuple[str, ...]] = {}
         self._order = 0
         if self._compute_invocation_graph(report):
             self._compute_levels()
@@ -222,7 +233,7 @@ class CompositeSystem:
             raise violation
 
     def iter_order_propagation_violations(
-        self,
+        self, callers: Optional[Collection[str]] = None
     ) -> Iterator[OrderPropagationError]:
         """Yield every Def. 4.7 violation as a structured (unraised)
         :class:`OrderPropagationError`: a caller's output orders between
@@ -237,9 +248,12 @@ class CompositeSystem:
         are built over ``schedule.operations`` (bit ``j`` is
         ``operations[j]``), so violations come out by ``(a, b)`` in
         operation order, weak before strong for the same pair.
+        ``callers`` limits the check to those schedules' outputs.
         """
         schedule_of_txn = self._schedule_of_txn
         for sname, schedule in self._schedules.items():
+            if callers is not None and sname not in callers:
+                continue
             ops = schedule.operations
             masks: Dict[str, int] = {}
             invoking: List[Tuple[int, str, str]] = []
@@ -316,7 +330,12 @@ class CompositeSystem:
         return self._order
 
     def schedules_at_level(self, level: int) -> Tuple[str, ...]:
-        return tuple(s for s, l in self._levels.items() if l == level)
+        at = self._at_level.get(level)
+        if at is None:
+            at = self._at_level[level] = tuple(
+                s for s, l in self._levels.items() if l == level
+            )
+        return at
 
     @property
     def roots(self) -> Tuple[str, ...]:
@@ -397,7 +416,7 @@ class CompositeSystem:
     def children(self, txn: str) -> Tuple[str, ...]:
         """The operations of transaction ``txn``."""
         schedule = self._schedules[self.schedule_of_transaction(txn)]
-        return schedule.transactions[txn].operations
+        return schedule.transaction(txn).operations
 
     def activity(self, txn: str) -> Set[str]:
         """``Act(T)``: every descendant node of ``txn`` (excluding it)."""

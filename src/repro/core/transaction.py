@@ -103,17 +103,15 @@ class Transaction:
         weak_pairs = list(weak_order)
         if not (strong_pairs or weak_pairs):
             return
-        weak, strong = closed_orders(
+        weak, strong, cycle = closed_orders(
             ops, strong_pairs, weak_pairs, self._not_member, report
         )
-        # A closed relation is cyclic iff some row holds its own bit:
-        # the O(V) probe decides, find_cycle only builds the witness.
-        if weak.first_self_loop() is not None:
+        if cycle is not None:
             report_or_raise(
                 report,
                 CycleError(
                     f"intra-transaction order of {name!r} is cyclic",
-                    weak.find_cycle(),
+                    cycle,
                     code="CTX115",
                     hint="intra-transaction orders must be acyclic",
                 ),

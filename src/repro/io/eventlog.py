@@ -158,52 +158,53 @@ def event_from_dict(
     line: Optional[int] = None,
 ) -> Event:
     """Validate one parsed JSON object into an :class:`Event`."""
-    ctx = _context(source, line)
+
+    def error(message: str) -> ParseError:
+        return ParseError(f"{_context(source, line)}{message}")
+
     if not isinstance(document, dict):
-        raise ParseError(f"{ctx}event is not a JSON object")
+        raise error("event is not a JSON object")
     kind = document.get("e")
     if not isinstance(kind, str) or kind not in EVENT_KINDS:
-        raise ParseError(f"{ctx}unknown event kind {kind!r}")
+        raise error(f"unknown event kind {kind!r}")
     kwargs: Dict[str, object] = {}
     for key, value in document.items():
         if key == "e":
             continue
         if key == "v":
             if kind != "log":
-                raise ParseError(f"{ctx}'v' is only valid on the header")
+                raise error("'v' is only valid on the header")
             if value != EVENTLOG_VERSION:
-                raise ParseError(
-                    f"{ctx}unsupported event log version {value!r} "
+                raise error(
+                    f"unsupported event log version {value!r} "
                     f"(expected {EVENTLOG_VERSION})"
                 )
             continue
         attr = _ATTR_OF_KEY.get(key)
         if attr is None:
-            raise ParseError(f"{ctx}unknown event field {key!r}")
+            raise error(f"unknown event field {key!r}")
         if attr in ("weak", "strong"):
             try:
                 value = tuple(
                     (str(pair[0]), str(pair[1])) for pair in value  # type: ignore[index]
                 )
             except (TypeError, IndexError, KeyError):
-                raise ParseError(
-                    f"{ctx}field {key!r} is not a list of pairs"
-                ) from None
+                raise error(f"field {key!r} is not a list of pairs") from None
         elif attr == "ops":
             if not isinstance(value, list) or not all(
                 isinstance(o, str) for o in value
             ):
-                raise ParseError(f"{ctx}field 'ops' is not a list of strings")
+                raise error("field 'ops' is not a list of strings")
             value = tuple(value)
         elif not isinstance(value, str):
-            raise ParseError(f"{ctx}field {key!r} is not a string")
+            raise error(f"field {key!r} is not a string")
         kwargs[attr] = value
     if kind == "log" and "v" not in document:
-        raise ParseError(f"{ctx}header is missing the schema version 'v'")
+        raise error("header is missing the schema version 'v'")
     try:
         return Event(kind=kind, **kwargs)  # type: ignore[arg-type]
     except ParseError as exc:
-        raise ParseError(f"{ctx}{exc}") from None
+        raise error(str(exc)) from None
 
 
 def dumps_event(event: Event) -> str:

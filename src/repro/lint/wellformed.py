@@ -30,7 +30,10 @@ construction here does *not* apply the builder's automatic Def.-4.7
 order propagation, so a document whose explicit relations violate
 Def. 4.7 gets a ``CTX207``/``CTX208`` diagnostic (with a fix hint
 pointing at the propagation) even though :func:`repro.io.load` would
-silently repair it.
+silently repair it.  The repair can close a cycle, though, which
+``check`` then reports: for such a document the build runs once more
+with propagation, as ``check``'s does, and reports the cyclic orders
+it finds (CTX114, or CTX115 through Def.-3 axiom 3).
 """
 
 from __future__ import annotations
@@ -152,7 +155,29 @@ def lint_system_document(
             "CTX305", f"system construction failed unexpectedly: {err}"
         )
         return None
-    return _lint_built(collector, system, before)
+    built = _lint_built(collector, system, before)
+    if built is not None and not _PROPAGATION.isdisjoint(collector.counts()):
+        _lint_propagated_cycles(collector, document)
+    return built
+
+
+#: Def. 4.7 violations: what ``check``'s propagation repairs
+_PROPAGATION = frozenset({"CTX207", "CTX208"})
+
+
+def _lint_propagated_cycles(
+    collector: DiagnosticCollector, document: Mapping
+) -> None:
+    """The cyclic orders that Def.-4.7 propagation closes in a document
+    whose as-written construction reported no error: propagation only
+    adds input pairs, and through Def.-3 axiom 3 strong output pairs,
+    so every cycle this build finds is one that ``check`` reports."""
+
+    def report(error: ModelError) -> None:
+        if error.code in ("CTX114", "CTX115"):
+            model_diagnostic(collector, error)
+
+    SystemBuilder.from_spec(document, report=report).build(validate=False)
 
 
 def _pairs(value: object) -> List[Tuple[str, str]]:

@@ -23,7 +23,11 @@ Two build paths share one activation rule:
     maintains one *persistent* builder across commits and only feeds
     it the declarations each commit newly activated, making
     per-commit assembly cost O(changes) instead of O(all
-    declarations).  The result is byte-identical to a full rebuild
+    declarations): staged ``conflict``/``order`` declarations wait
+    under a node whose root has not committed, so a commit visits only
+    those waiting on its own nodes, and the builder keeps every
+    :class:`~repro.core.schedule.Schedule` whose declarations did not
+    change.  The result is byte-identical to a full rebuild
     because a :class:`~repro.core.schedule.Schedule` interns its
     relation carriers up front from transaction order — pair *sets*
     are order-insensitive — so only the per-schedule transaction
@@ -37,7 +41,8 @@ Two build paths share one activation rule:
     activate in declaration order per schedule, so the guard never
     fires on them.  Temporal-derive logs always take the full
     rebuild: later commits splice arrivals *into* earlier sequences,
-    so nothing about them is append-only.
+    so nothing about them is append-only, and every operation of a
+    committed root needs an arrival to be placed.
 
 Activation rule: a ``txn`` declaration folds in when its root commits;
 a ``conflict``/``order`` declaration folds in once *every* node it
@@ -99,23 +104,40 @@ class StreamAssembler:
         self._decls: List[_Decl] = []
         self._next_decl = 0
         self._root_of: Dict[str, str] = {}
+        #: root -> its staged ``txn`` declarations, in declaration order
+        self._txns_of: Dict[str, List[_Decl]] = {}
+        #: operation -> the transaction that declares it
+        self._txn_of_op: Dict[str, str] = {}
+        #: node -> the ``conflict``/``order`` declarations waiting for
+        #: its root to commit (each waits on one node at a time)
+        self._waiting: Dict[str, List[_Decl]] = {}
+        #: declarations activated since the persistent builder last
+        #: took them
+        self._ready: List[_Decl] = []
         self._committed: Set[str] = set()
         self._begun: Set[str] = set()
         self._commit_order: List[str] = []
         self._arrivals: List[_Arrival] = []
+        #: root -> the operations that arrived for its current attempt
+        self._arrived: Dict[str, Set[str]] = {}
         self._ended = False
         # -- persistent-builder state (build_incremental) --------------
         #: the maintained builder; ``None`` means "start a fresh one on
         #: next use" (nothing applied yet, or invalidated by an
         #: out-of-order activation)
         self._builder: Optional[SystemBuilder] = None
-        #: decl ids already fed to the builder
-        self._applied: Set[int] = set()
+        #: declarations fed to the builder so far
+        self._applied = 0
         #: per schedule, the largest txn decl id applied — the
         #: byte-identity guard (see module docstring)
         self._txn_watermark: Dict[str, int] = {}
+        #: commits the persistent builder has taken in
+        self._built_commits = 0
         #: full rebuilds forced by out-of-order activation
         self.rebuilds = 0
+        #: whether the last :meth:`build_incremental` activated a
+        #: conflict between operations of roots committed before it
+        self.late_conflict = False
         self._cache: Optional[Tuple[Tuple[int, int], RecordedExecution]] = (
             None
         )
@@ -144,9 +166,11 @@ class StreamAssembler:
         result = handler(event)
         return result  # type: ignore[no-any-return]
 
-    def _stage(self, event: Event) -> None:
-        self._decls.append(_Decl(ident=self._next_decl, event=event))
+    def _stage(self, event: Event) -> _Decl:
+        decl = _Decl(ident=self._next_decl, event=event)
+        self._decls.append(decl)
         self._next_decl += 1
+        return decl
 
     def _apply_log(self, event: Event) -> None:
         if self.derive is not None:
@@ -168,10 +192,11 @@ class StreamAssembler:
         self._root_of[event.txn] = event.root
         for op in event.ops:
             self._root_of[op] = event.root
-        self._stage(event)
+            self._txn_of_op[op] = event.txn
+        self._txns_of.setdefault(event.root, []).append(self._stage(event))
 
     def _apply_conflict(self, event: Event) -> None:
-        self._stage(event)
+        self._wait(self._stage(event))
 
     _apply_order = _apply_conflict
 
@@ -208,28 +233,45 @@ class StreamAssembler:
                 mode=event.mode,
             )
         )
+        self._arrived.setdefault(event.root, set()).add(event.op)
 
     _apply_call = _apply_access
 
     def _apply_commit(self, event: Event) -> CommitDelta:
-        assert event.root is not None
-        if event.root in self._committed:
-            raise StreamError(f"duplicate commit of root {event.root!r}")
-        txns = tuple(
-            d.event.txn
-            for d in self._decls
-            if d.event.kind == "txn"
-            and d.event.root == event.root
-            and d.event.txn is not None
-        )
-        if not txns:
+        root = event.root
+        assert root is not None
+        if root in self._committed:
+            raise StreamError(f"duplicate commit of root {root!r}")
+        decls = self._txns_of.get(root)
+        if not decls:
             raise StreamError(
-                f"commit of root {event.root!r} with no staged transactions"
+                f"commit of root {root!r} with no staged transactions"
             )
-        self._committed.add(event.root)
-        self._commit_order.append(event.root)
+        if self.derive == "temporal":
+            # Temporal derivation reads each schedule's execution off
+            # the arrivals, so every committed operation needs one.
+            arrived = self._arrived.get(root, set())
+            for decl in decls:
+                for op in decl.event.ops:
+                    if op not in arrived:
+                        raise StreamError(
+                            f"commit of root {root!r}: operation {op!r} "
+                            "has no access or call event, which a "
+                            "temporal-derive log needs to place it"
+                        )
+        self._committed.add(root)
+        self._commit_order.append(root)
+        self._ready.extend(decls)
+        for decl in decls:
+            txn = decl.event.txn
+            assert txn is not None
+            for node in (txn, *decl.event.ops):
+                for waiting in self._waiting.pop(node, ()):
+                    self._wait(waiting)
         return CommitDelta(
-            root=event.root, ordinal=len(self._commit_order), txns=txns
+            root=root,
+            ordinal=len(self._commit_order),
+            txns=tuple(d.event.txn for d in decls if d.event.txn is not None),
         )
 
     def _apply_abort(self, event: Event) -> None:
@@ -251,28 +293,43 @@ class StreamAssembler:
         declaration was never applied to the persistent builder —
         discarding never invalidates it.
         """
-        kept: List[_Decl] = []
-        for decl in self._decls:
-            event = decl.event
-            if event.kind == "txn" and event.root == root:
+        discarded = self._txns_of.pop(root, None)
+        if discarded:
+            for decl in discarded:
+                event = decl.event
                 if event.txn is not None:
                     self._root_of.pop(event.txn, None)
                 for op in event.ops:
                     self._root_of.pop(op, None)
-            else:
-                kept.append(decl)
-        self._decls = kept
+                    self._txn_of_op.pop(op, None)
+            gone = {decl.ident for decl in discarded}
+            self._decls = [d for d in self._decls if d.ident not in gone]
         self._arrivals = [a for a in self._arrivals if a.root != root]
+        self._arrived.pop(root, None)
 
     def _active(self, decl: Event) -> bool:
         """A conflict/order pair activates when both mentioned nodes
         belong to committed roots."""
-        for node in (decl.a, decl.b):
+        assert decl.a is not None and decl.b is not None
+        committed = self._committed
+        return (
+            self._root_of.get(decl.a) in committed
+            and self._root_of.get(decl.b) in committed
+        )
+
+    def _wait(self, decl: _Decl) -> None:
+        """File a ``conflict``/``order`` declaration under the first of
+        its nodes whose root has not committed, or as ready when none
+        is left: a commit then visits only the declarations that wait
+        on its own nodes."""
+        root_of = self._root_of
+        committed = self._committed
+        for node in (decl.event.a, decl.event.b):
             assert node is not None
-            root = self._root_of.get(node)
-            if root is None or root not in self._committed:
-                return False
-        return True
+            if root_of.get(node) not in committed:
+                self._waiting.setdefault(node, []).append(decl)
+                return
+        self._ready.append(decl)
 
     # ------------------------------------------------------------------
     def executions(self) -> Dict[str, List[str]]:
@@ -328,6 +385,18 @@ class StreamAssembler:
             system = builder.build(validate=False)
         return RecordedExecution(system=system, executions=self.executions())
 
+    def _activated(self) -> List[_Decl]:
+        """Every activated declaration, in declaration order."""
+        return [
+            decl
+            for decl in self._decls
+            if (
+                decl.event.root in self._committed
+                if decl.event.kind == "txn"
+                else self._active(decl.event)
+            )
+        ]
+
     def build(self) -> Optional[RecordedExecution]:
         """The committed composite system via a *full* replay of every
         activated declaration in declaration order, or ``None`` before
@@ -335,72 +404,62 @@ class StreamAssembler:
         if not self._committed:
             return None
         builder = SystemBuilder()
-        for decl in self._decls:
-            event = decl.event
-            if event.kind == "txn":
-                if event.root not in self._committed:
-                    continue
-            elif not self._active(event):
-                continue
-            self._apply_decl(builder, event)
+        for decl in self._activated():
+            self._apply_decl(builder, decl.event)
         if self.derive == "temporal":
             self._derive_temporal(builder)
         return self._finish_build(builder)
 
     # ------------------------------------------------------------------
-    def _reset_builder(self) -> None:
-        self._builder = None
-        self._applied = set()
-        self._txn_watermark = {}
-        self._cache = None
-
     def build_incremental(self) -> Optional[RecordedExecution]:
         """The committed composite system via the persistent builder:
         per-commit cost proportional to the declarations the commit
         activated, byte-identical to :meth:`build` (see module
-        docstring for why, and for the out-of-order guard)."""
+        docstring for why, and for the out-of-order guard).  Sets
+        :attr:`late_conflict`."""
         if not self._committed:
             return None
         if self.derive == "temporal":
             return self.build()
-        for _attempt in range(2):
-            if self._builder is None:
-                self._builder = SystemBuilder()
-            builder = self._builder
-            fresh: List[_Decl] = []
-            out_of_order = False
-            for decl in self._decls:
-                if decl.ident in self._applied:
-                    continue
-                event = decl.event
-                if event.kind == "txn":
-                    if event.root not in self._committed:
-                        continue
-                    assert event.schedule is not None
-                    if decl.ident < self._txn_watermark.get(
-                        event.schedule, -1
-                    ):
-                        out_of_order = True
-                        break
-                elif not self._active(event):
-                    continue
-                fresh.append(decl)
-            if not out_of_order:
-                break
+        fresh = sorted(self._ready, key=lambda decl: decl.ident)
+        self._ready = []
+        new_roots = set(self._commit_order[self._built_commits:])
+        self._built_commits = len(self._commit_order)
+        watermark = self._txn_watermark
+        self.late_conflict = out_of_order = False
+        for decl in fresh:
+            event = decl.event
+            if event.kind == "txn":
+                assert event.schedule is not None
+                if decl.ident < watermark.get(event.schedule, -1):
+                    out_of_order = True
+            elif event.kind == "conflict" and not (
+                {self._root_of[node] for node in (event.a, event.b) if node}
+                & new_roots
+            ):
+                self.late_conflict = True
+        if out_of_order:
             # A later-staged transaction committed before an
             # earlier-staged one of the same schedule: appending would
             # intern it out of declaration order and break byte
             # identity with the full rebuild.  Pay one full replay.
-            self._reset_builder()
+            self._builder = None
+            self._applied = 0
+            watermark.clear()
+            self._cache = None
             self.rebuilds += 1
+            fresh = self._activated()
+        if self._builder is None:
+            self._builder = SystemBuilder()
+        builder = self._builder
         for decl in fresh:
             event = decl.event
             self._apply_decl(builder, event)
-            self._applied.add(decl.ident)
             if event.kind == "txn":
                 assert event.schedule is not None
-                self._txn_watermark[event.schedule] = decl.ident
-        key = (len(self._applied), len(self._commit_order))
+                watermark[event.schedule] = decl.ident
+        self._applied += len(fresh)
+        key = (self._applied, len(self._commit_order))
         if self._cache is not None and self._cache[0] == key:
             return self._cache[1]
         recorded = self._finish_build(builder)
@@ -416,6 +475,7 @@ class StreamAssembler:
         for arrival in self._arrivals:
             if arrival.root in self._committed:
                 by_schedule.setdefault(arrival.schedule, []).append(arrival)
+        parent = self._txn_of_op.get
         for sname, arrivals in by_schedule.items():
             for i, first in enumerate(arrivals):
                 if first.item is None:
@@ -424,15 +484,9 @@ class StreamAssembler:
                     if (
                         second.item == first.item
                         and second.op != first.op
-                        and self._parent(first.op) != self._parent(second.op)
+                        and parent(first.op) != parent(second.op)
                         and "w" in ((first.mode or "") + (second.mode or ""))
                     ):
                         builder.conflict(sname, first.op, second.op)
         for sname, sequence in sequences.items():
             builder.executed(sname, sequence, mode="conflicts")
-
-    def _parent(self, op: str) -> Optional[str]:
-        for decl in self._decls:
-            if decl.event.kind == "txn" and op in decl.event.ops:
-                return decl.event.txn
-        return None

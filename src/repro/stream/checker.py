@@ -6,24 +6,40 @@ REJECTED — with the same :class:`~repro.core.front.ReductionFailure`
 witness the batch engine produces — the moment a committed prefix
 closes a cycle.
 
-Incrementality lives at level 0, where the cost is.  Schedule seed
-pairs, conflicts, and committed output orders only ever *grow* as roots
-commit (declarations activate, nothing retracts — see
-:mod:`repro.stream.assembler`), so the checker maintains the closed
-level-0 observed order across commits with
-:meth:`~repro.core.orders.Relation.add_closed` over just the new seed
-pairs, probes it for cycles with the O(V)
-:meth:`~repro.core.orders.Relation.first_self_loop` gate, and injects
-it into :meth:`~repro.core.reduction.ReductionEngine.run` via
-``level0=`` instead of re-closing the leaf order from scratch on every
-commit.  Higher levels re-run per commit — they are small (node counts
-shrink as the reduction climbs) and their carried-closure path is
-already incremental within a run.  Per-commit *assembly* is
-incremental too: ``_recheck`` builds through the assembler's
-persistent :class:`~repro.core.builder.SystemBuilder`
-(:meth:`~repro.stream.assembler.StreamAssembler.build_incremental`),
-so a commit pays for the declarations it activated, not for the whole
-log so far.
+A commit costs the commit, not the log.  Declarations only ever
+activate (see :mod:`repro.stream.assembler`), and every front order is
+monotone in them: seeds (Def. 10.1), the Def.-10.2/10.3 pull-up and
+closure only add pairs, and Def. 16 step 6 only adds input pairs.  So
+the checker extends the previous commit's state instead of rebuilding
+it, layer by layer:
+
+* assembly goes through the assembler's persistent
+  :class:`~repro.core.builder.SystemBuilder`
+  (:meth:`~repro.stream.assembler.StreamAssembler.build_incremental`),
+  which feeds it only the declarations the commit activated and keeps
+  every :class:`~repro.core.schedule.Schedule` they did not touch;
+* level 0: the closed leaf observed order is maintained with
+  :meth:`~repro.core.orders.Relation.add_closed` over the seed pairs
+  of the schedules the builder constructed anew, probed for cycles
+  with the O(V) :meth:`~repro.core.orders.Relation.first_self_loop`
+  gate, and injected via ``run(level0=...)``;
+* levels ``i >= 1``: ``run(level0=..., base=previous)`` extends the
+  previous commit's closed fronts (Defs. 10, 13, 16)::
+
+      observed(k+1) = closure(observed(k) ∪ pull(gained) ∪ seeds)
+      input(k+1)    = closure(input(k) ∪ new input pairs)
+
+  where *gained* are the row bits the level below gained since commit
+  ``k``.  Isolation (Def. 16 step 1) and CC (Def. 13) are still decided
+  on the whole front.
+
+The extension holds only while every old pair keeps its Def.-10 fate,
+so a commit runs the plain step (no base) when it is the first; when a
+schedule changes level or a root stops being one (nodes would group
+elsewhere); when it activates a conflict between two operations
+committed before it (a Def.-10.2 gate opens on old pairs); when the
+assembler rebuilt its builder; and on temporal-derive logs (arrivals
+splice into earlier sequences).
 
 The checker's state after any prefix is a pure function of that
 prefix, so it carries no resume state of its own: a restarted watch
@@ -47,20 +63,17 @@ recorded on the checker's own ``"watch"`` stream, which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.front import Front, ReductionFailure
-from repro.core.observed import (
-    ObservedOrderOptions,
-    group_by_schedule,
-    schedule_seed_pairs,
-)
+from repro.core.observed import ObservedOrderOptions, schedule_seed_pairs
 from repro.core.orders import Relation
 from repro.core.reduction import (
     ReductionEngine,
     ReductionResult,
     reduce_to_roots,
 )
+from repro.core.system import CompositeSystem
 from repro.exceptions import StreamError
 from repro.io.eventlog import Event
 from repro.io.recorded import RecordedExecution
@@ -221,21 +234,35 @@ class IncrementalChecker:
 
     # ------------------------------------------------------------------
     def _recheck(self, span: Span) -> None:
-        # Per-commit assembly goes through the persistent builder —
-        # O(declarations the commit activated), byte-identical to a
-        # full rebuild (the assembler guards the one order that
-        # matters).  ``finalize`` still certifies over a full replay.
-        recorded = self.assembler.build_incremental()
+        assembler = self.assembler
+        rebuilds = assembler.rebuilds
+        recorded = assembler.build_incremental()
         assert recorded is not None  # a commit just landed
         system = recorded.system
+        previous = self.last_result
+        base = previous
+        if (
+            previous is None
+            or assembler.rebuilds != rebuilds
+            or assembler.late_conflict
+            or assembler.derive == "temporal"
+            or not _grew_from(previous.system, system)
+        ):
+            base = None
         new_leaves = [
             leaf for leaf in system.leaves if leaf not in self._known_leaves
         ]
         self._known_leaves.update(new_leaves)
+        # Only a schedule the builder constructed anew can contribute a
+        # seed pair the maintained order lacks.
+        kept: Mapping[str, object] = (
+            {} if previous is None else previous.system.schedules
+        )
         seed_delta: List[Tuple[str, str]] = []
-        for sname, members in group_by_schedule(
-            system, system.leaves
-        ).items():
+        for sname, schedule in system.schedules.items():
+            if kept.get(sname) is schedule:
+                continue
+            members = [op for op in schedule.operations if system.is_leaf(op)]
             for pair in schedule_seed_pairs(
                 system, sname, members, self.options
             ):
@@ -250,13 +277,14 @@ class IncrementalChecker:
         engine = ReductionEngine(
             system, self.options, telemetry=self.telemetry
         )
-        result = engine.run(level0=front0)
+        result = engine.run(level0=front0, base=base)
         self.last_result = result
         span.note(
             new_leaves=len(new_leaves),
             seed_delta=len(seed_delta),
             closure_rows=touched,
             gated=gate is not None,
+            extended=base is not None,
         )
         if gate is not None and result.failure is None:
             raise StreamError(
@@ -310,3 +338,14 @@ class IncrementalChecker:
         return StreamResult(
             verdict=live, reduction=reduction, recorded=recorded
         )
+
+
+def _grew_from(previous: CompositeSystem, system: CompositeSystem) -> bool:
+    """Whether every schedule of ``previous`` keeps its level in
+    ``system`` and every root stays a root: then no node of a front of
+    ``previous`` is grouped at another level or into another parent, so
+    each front of ``system`` extends the one of ``previous``."""
+    levels = system.levels
+    return all(
+        levels.get(sname) == level for sname, level in previous.levels.items()
+    ) and set(system.roots).issuperset(previous.roots)

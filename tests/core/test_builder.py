@@ -46,6 +46,63 @@ class TestDeclaration:
         with pytest.raises(ModelError):
             SystemBuilder().build()
 
+    @pytest.mark.parametrize(
+        "sequence, missing, extra",
+        [(["a"], ["b"], []), (["a", "b", "a"], [], []), (["a", "b", "z"], [], ["z"])],
+    )
+    def test_build_refuses_an_executed_sequence_that_does_not_fit(
+        self, sequence, missing, extra
+    ):
+        b = SystemBuilder().transaction("T", "S", ["a", "b"])
+        b.executed("S", sequence)
+        with pytest.raises(ModelError) as caught:
+            b.build()
+        assert caught.value.code == "CTX302"
+        assert str(caught.value) == (
+            "execution sequence of 'S' does not match the declared "
+            f"operations (missing={missing}, extra={extra})"
+        )
+
+    def test_a_rebuild_keeps_unchanged_schedules(self):
+        b = SystemBuilder()
+        b.transaction("T1", "Top", ["t1"]).transaction("t1", "Bottom", ["a"])
+        first = b.build()
+        b.transaction("T2", "Top", ["t2"]).transaction("t2", "Other", ["c"])
+        second = b.build()
+        assert second.schedule("Bottom") is first.schedule("Bottom")
+        assert second.schedule("Top") is not first.schedule("Top")
+        b.weak_output("Top", "t1", "t2")
+        third = b.build(validate=False)
+        assert third.schedule("Other") is second.schedule("Other")
+        assert third.schedule("Top") is not second.schedule("Top")
+        assert dict(third.levels) == dict(build_system({
+            "schedules": {
+                "Top": {
+                    "transactions": {"T1": ["t1"], "T2": ["t2"]},
+                    "weak_output": [["t1", "t2"]],
+                },
+                "Bottom": {"transactions": {"t1": ["a"]}},
+                "Other": {"transactions": {"t2": ["c"]}},
+            }
+        }).levels)
+
+    def test_a_rebuild_reconstructs_a_callee_whose_propagated_inputs_grew(self):
+        b = SystemBuilder()
+        b.transaction("T1", "Top", ["t1", "t2"])
+        b.transaction("t1", "Bottom", ["a"]).transaction("t2", "Bottom", ["b"])
+        first = b.build()
+        b.weak_output("Top", "t1", "t2")
+        second = b.build()
+        assert second.schedule("Bottom") is not first.schedule("Bottom")
+        assert ("t1", "t2") in second.schedule("Bottom").weak_input
+
+    def test_a_rebuild_passes_orders_to_a_callee_declared_later(self):
+        b = SystemBuilder().transaction("T1", "Top", ["v", "w"])
+        b.weak_output("Top", "v", "w")
+        b.build(validate=False)
+        b.transaction("v", "Bottom", ["a"]).transaction("w", "Bottom", ["b"])
+        assert ("v", "w") in b.build().schedule("Bottom").weak_input
+
     def test_unknown_execution_mode_rejected(self):
         b = SystemBuilder()
         with pytest.raises(ModelError):

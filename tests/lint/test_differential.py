@@ -58,6 +58,18 @@ PROBES: Dict[str, Mapping] = {
             }
         }
     },
+    "propagation-closes-an-input-cycle": {
+        "schedules": {
+            "S1": {
+                "transactions": {"A": ["f", "h"]},
+                "weak_output": [["f", "h"]],
+            },
+            "S0": {
+                "transactions": {"f": ["x"], "h": ["y"]},
+                "weak_input": [["h", "f"]],
+            },
+        }
+    },
     "executed-mode-number": {
         "schedules": {
             "S": {
@@ -223,3 +235,18 @@ def test_one_shape_check_per_stored_pair(monkeypatch):
     assert lint_system_document(collector, document) is not None
     assert not collector.errors
     assert len(calls) == stored
+
+
+def test_lint_reports_the_input_cycle_that_propagation_closes():
+    """``S1``'s output ``f < h`` propagates to ``S0``'s input, which
+    already orders ``h -> f``: lint reports the Def.-4.7 gap as written
+    and the cycle that ``check``'s propagation closes."""
+    report = lint_document(PROBES["propagation-closes-an-input-cycle"])
+    assert [(d.code, d.message) for d in report.collector.errors] == [
+        (
+            "CTX207",
+            "Def. 4.7 violated: f < h in the output of 'S1' but f -> h "
+            "missing from the input order of 'S0'",
+        ),
+        ("CTX114", "weak input order of 'S0' is cyclic: cycle f -> h -> f"),
+    ]

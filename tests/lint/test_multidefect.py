@@ -65,3 +65,30 @@ def test_cli_json_is_valid_and_complete(capsys):
         assert diagnostic["severity"] in ("error", "warning")
         assert diagnostic["message"]
         assert diagnostic["location"]["file"] == FIXTURE
+
+
+def test_cycle_witnesses_name_the_declared_path():
+    """The closed order decides the cycle; the witness is found on the
+    declared pairs, so it names the path, not a closure self-loop."""
+    messages = {d.code: d.message for d in lint_file(FIXTURE).diagnostics}
+    assert messages["CTX114"].endswith("cycle T2 -> T3 -> T2")
+    assert messages["CTX115"].endswith("cycle b -> d -> b")
+
+
+def test_check_error_line_names_the_cycle_path(tmp_path, capsys):
+    document = {
+        "schedules": {
+            "S": {
+                "transactions": {"T1": ["a"], "T2": ["b"], "T3": ["c"]},
+                "weak_input": [["T1", "T2"], ["T2", "T3"], ["T3", "T2"]],
+            }
+        }
+    }
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(document))
+    assert main(["check", str(path)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == (
+        "repro check: error: weak input order of 'S' is cyclic: "
+        "cycle T2 -> T3 -> T2"
+    )
