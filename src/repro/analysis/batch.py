@@ -487,14 +487,11 @@ def run_batch(
 #: how :func:`merge_metrics` folds each :class:`Metrics` dataclass field.
 #: Every field MUST appear either here or in :data:`MERGE_EXEMPT_FIELDS`
 #: — the regression test iterates ``dataclasses.fields(Metrics)`` so a
-#: newly added counter cannot be silently dropped again (the fate of
-#: ``static_precheck_skips`` before this table existed).
+#: newly added counter cannot be silently dropped.
 MERGE_RULES = {
     "commits": "sum",
     "gave_up": "sum",
     "operations": "sum",
-    "static_precheck_skips": "sum",
-    "static_refute_skips": "sum",
     "response_times": "extend",
     # Horizons ADD: each part observed its components for its own
     # end_time, so the merged capacity is components x sum(end_time).

@@ -12,7 +12,7 @@ correctness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.analysis.batch import run_batch
 from repro.core.correctness import is_composite_correct
@@ -240,7 +240,6 @@ def chaos_run(
     retry_policy: Union[str, RetryPolicy] = "exponential",
     max_attempts: int = 10,
     horizon: float = 120.0,
-    static_precheck: bool = False,
     **plan_kw,
 ) -> ChaosRun:
     """One seeded chaos run of ``protocol`` under a random fault plan,
@@ -293,18 +292,7 @@ def chaos_run(
         from repro.lint import lint_system
 
         system = result.assembled.recorded.system
-        if static_precheck:
-            # Two-sided static pre-screen: certified systems skip the
-            # reduction outright, refuted ones are rejected from the
-            # replay-validated witness — verdicts are identical either
-            # way (the sweep in tests/lint/test_safety.py).
-            from repro.core.reduction import reduce_to_roots
-
-            comp_c = reduce_to_roots(
-                system, static_precheck=True
-            ).succeeded
-        else:
-            comp_c = is_composite_correct(system)
+        comp_c = is_composite_correct(system)
         lint_report = lint_system(system)
         lint_codes = lint_report.collector.counts()
         if lint_report.safety is not None:
@@ -424,42 +412,3 @@ def evaluate_protocol_under_faults(
         workers=workers,
     )
     return merge_chaos_runs(topology.name, protocol, intensity, runs)
-
-
-def protocol_sweep(
-    topologies: Sequence[TopologySpec],
-    protocols: Sequence[str] = ("cc", "s2pl", "sgt", "to"),
-    *,
-    client_levels: Sequence[int] = (1, 2, 4, 8),
-    seeds: Sequence[int] = (0, 1, 2),
-    transactions_per_client: int = 8,
-    program: Optional[ProgramConfig] = None,
-    deadlock_timeout: float = 60.0,
-    workers: int = 1,
-) -> List[ProtocolPoint]:
-    """The full P1 grid, every (cell x seed) an independent task."""
-    program = program or ProgramConfig(items_per_component=4, item_skew=0.8)
-    kw = {
-        "transactions_per_client": transactions_per_client,
-        "program": program,
-        "deadlock_timeout": deadlock_timeout,
-    }
-    cells = [
-        (topology, protocol, clients)
-        for topology in topologies
-        for protocol in protocols
-        for clients in client_levels
-    ]
-    tasks = [
-        (topology, protocol, clients, seed, kw)
-        for topology, protocol, clients in cells
-        for seed in seeds
-    ]
-    runs = run_batch(tasks, protocol_run_task, workers=workers)
-    per = len(seeds)
-    return [
-        merge_protocol_runs(
-            topology.name, protocol, clients, runs[i * per:(i + 1) * per]
-        )
-        for i, (topology, protocol, clients) in enumerate(cells)
-    ]

@@ -155,18 +155,6 @@ def _interval(text: str) -> float:
     return value
 
 
-def _add_static_precheck_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--static-precheck",
-        action="store_true",
-        help="consult the two-sided static analyzer first and skip the "
-        "reduction when the system is provably Comp-C (certified) or "
-        "provably rejected (refuted, replay-validated witness) -- "
-        "identical verdicts either way; recorded as a skipped profile "
-        "level",
-    )
-
-
 def _add_fronts_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fronts",
@@ -192,9 +180,7 @@ def _add_topology_options(parser: argparse.ArgumentParser) -> None:
 # ----------------------------------------------------------------------
 def cmd_check(args: argparse.Namespace) -> int:
     recorded = load(args.file)
-    report = check_composite_correctness(
-        recorded.system, static_precheck=args.static_precheck
-    )
+    report = check_composite_correctness(recorded.system)
     print(report.narrative() if args.fronts else report.report())
     if args.profile:
         from repro.analysis.tables import banner, format_table
@@ -203,7 +189,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(banner("reduction profile"))
         rows = [
             [
-                f"{p.level} (skipped)" if p.skipped else p.level,
+                p.level,
                 f"{p.seconds * 1000:.2f}",
                 p.closure_calls,
                 p.closure_rows,
@@ -357,22 +343,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     report = None
     if result.assembled is not None:
-        report = check_composite_correctness(
-            result.assembled.recorded.system,
-            static_precheck=args.static_precheck,
-        )
-        if report.reduction.skipped_by_precheck:
-            result.metrics.static_precheck_skips += 1
-        if report.reduction.skipped_by_refutation:
-            result.metrics.static_refute_skips += 1
+        report = check_composite_correctness(result.assembled.recorded.system)
     rows = [[k, v] for k, v in result.metrics.summary().items()]
     print(format_table(["metric", "value"], rows))
     if report is not None:
         verdict = "Comp-C" if report.correct else "NOT Comp-C"
-        if report.reduction.skipped_by_precheck:
-            verdict += " (statically certified, reduction skipped)"
-        elif report.reduction.skipped_by_refutation:
-            verdict += " (statically refuted, reduction skipped)"
         print(f"committed execution: {verdict}")
         if args.output:
             save(result.assembled.recorded, args.output)
@@ -403,7 +378,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         clients=args.clients,
         transactions_per_client=args.transactions,
         retry_policy=args.retry_policy,
-        static_precheck=args.static_precheck,
     )
     points = grid.points
     print(
@@ -783,7 +757,6 @@ def _check_arguments(p: argparse.ArgumentParser) -> None:
         "closure calls, bitset rows touched)",
     )
     _add_fronts_option(p)
-    _add_static_precheck_option(p)
     _add_telemetry_option(p)
 
 
@@ -852,7 +825,6 @@ def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--items", type=_count, default=4)
     p.add_argument("--skew", type=float, default=0.8)
     p.add_argument("-o", "--output")
-    _add_static_precheck_option(p)
     _add_telemetry_option(p)
 
 
@@ -911,7 +883,6 @@ def _chaos_arguments(p: argparse.ArgumentParser) -> None:
         help="abort the whole grid on the first cell that exhausts its "
         "attempts, instead of quarantining it and finishing the rest",
     )
-    _add_static_precheck_option(p)
     _add_workers_option(p)
     _add_telemetry_option(p)
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     AbstractSet,
     Dict,
     List,
@@ -53,9 +52,6 @@ from repro.core.system import CompositeSystem
 from repro.exceptions import ReductionError
 from repro.obs.telemetry import Span, Telemetry, current
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core <- lint)
-    from repro.lint.safety import StaticSafetyReport
-
 
 @dataclass
 class LevelProfile:
@@ -74,9 +70,6 @@ class LevelProfile:
     closure_rows: int
     nodes: int
     observed_pairs: int
-    #: the level was never executed — the static precheck certified the
-    #: whole system Comp-C and the reduction was skipped
-    skipped: bool = False
 
 
 @dataclass
@@ -96,9 +89,6 @@ class ReductionResult:
     #: per-level cost accounting, filled in by :meth:`ReductionEngine.run`
     #: (empty when the fronts were built by direct ``next_front`` calls)
     profile: List[LevelProfile] = field(default_factory=list)
-    #: the static safety prover's report when ``run(static_precheck=True)``
-    #: consulted it — certified or not; ``None`` when no precheck ran
-    static_certificate: "Optional[StaticSafetyReport]" = None
     #: the witnesses a one-shot :meth:`ReductionEngine.run` built next
     #: to its steps; ``None`` when the fronts came from elsewhere
     _witnesses: Optional[List[List[str]]] = field(
@@ -140,27 +130,6 @@ class ReductionResult:
             out.append(witness_sequence(constraints, grouping, front.nodes))
         return out
 
-    @property
-    def skipped_by_precheck(self) -> bool:
-        """True when the verdict came from the static certificate alone
-        (no fronts were constructed)."""
-        return (
-            self.static_certificate is not None
-            and self.static_certificate.certified
-            and not self.fronts
-        )
-
-    @property
-    def skipped_by_refutation(self) -> bool:
-        """True when the rejection came from the static refuter's
-        replay-validated witness (no fronts were constructed here —
-        the refuter already replayed the failing prefix)."""
-        return (
-            self.static_certificate is not None
-            and self.static_certificate.refuted
-            and not self.fronts
-        )
-
     def profile_totals(self) -> Dict[str, float]:
         """Aggregate the per-level profile (zeroes when not profiled)."""
         return {
@@ -183,31 +152,7 @@ class ReductionResult:
                 "no serial order: the reduction failed "
                 f"({self.failure.describe()})"
             )
-        if self.skipped_by_precheck:
-            raise ReductionError(
-                "no serial order was computed: the static precheck "
-                "certified the system and the reduction was skipped "
-                "(re-run without static_precheck for a witness)"
-            )
         return self.final_front.serialization()
-
-    def _skip_account(self) -> Optional[str]:
-        """The whole account of a static-precheck skip, or ``None``
-        when the reduction ran."""
-        if self.skipped_by_precheck:
-            return (
-                "reduction skipped -- "
-                + self.static_certificate.summary()
-                + "\nACCEPTED -- statically certified Comp-C"
-            )
-        if self.skipped_by_refutation:
-            return (
-                "reduction skipped -- "
-                + self.static_certificate.summary()
-                + "\nREJECTED -- statically refuted "
-                "(replay-validated witness)"
-            )
-        return None
 
     def _verdict_line(self) -> str:
         """The last line of :meth:`narrative` and :meth:`report`: the
@@ -221,9 +166,6 @@ class ReductionResult:
     def narrative(self) -> str:
         """A human-readable account of the whole reduction, front by
         front — the format the examples and the F3/F4 benchmarks print."""
-        skipped = self._skip_account()
-        if skipped is not None:
-            return skipped
         lines: List[str] = []
         for front in self.fronts:
             lines.append(
@@ -242,9 +184,6 @@ class ReductionResult:
         line per :attr:`profile` row (front size and observed-pair
         count), then the verdict line — the serial witness or the
         failing cycle, which certify it (Theorem 1)."""
-        skipped = self._skip_account()
-        if skipped is not None:
-            return skipped
         lines = [
             f"level {row.level}: {row.nodes} nodes, "
             f"{row.observed_pairs} observed pairs"
@@ -596,7 +535,6 @@ class ReductionEngine:
         self,
         *,
         stop_level: Optional[int] = None,
-        static_precheck: bool = False,
         level0: Optional[Front] = None,
         base: Optional[ReductionResult] = None,
     ) -> ReductionResult:
@@ -621,56 +559,9 @@ class ReductionEngine:
         stays a root, no conflict joins two operations the base already
         had, and ``level0`` extends the base's level-0 front by
         appending.  A system that did not passes no base.
-
-        ``static_precheck`` consults the two-sided static analysis of
-        :mod:`repro.lint.safety` first and skips the reduction in
-        *either* certified direction: CERTIFIED_SAFE means no front is
-        constructed at all; CERTIFIED_UNSAFE means the refuter already
-        replayed the recorded execution to a rejection, and the result
-        carries that failure reconstructed from the witness.  Either
-        way the result holds the certificate, an empty front list, and
-        one ``skipped`` profile row accounting the analysis cost.  When
-        the analysis is UNKNOWN (or declined), the full reduction runs
-        as usual (with the report attached for observability); verdicts
-        are identical in all cases because both certificate directions
-        are sound.
         """
         result = ReductionResult(system=self.system, options=self.options)
         tele = self._tele()
-        if static_precheck and stop_level is None:
-            # Local import: lint builds on core, so core only reaches
-            # back lazily and only when the feature is requested.
-            from repro.lint.safety import prove_static_safety
-
-            with tele.span("reduce.precheck") as span:
-                certificate = prove_static_safety(self.system, self.options)
-                span.note(verdict=str(certificate.verdict))
-            result.static_certificate = certificate
-            if certificate.certified or certificate.refuted:
-                if certificate.certified:
-                    tele.count("reduce.precheck_skip")
-                else:
-                    tele.count("reduce.refute_skip")
-                    witness = certificate.refutation
-                    assert witness is not None  # refuted implies witness
-                    result.failure = ReductionFailure(
-                        level=int(witness.failure["level"]),  # type: ignore[arg-type]
-                        stage=str(witness.failure["stage"]),
-                        cycle=list(witness.failure["cycle"]),  # type: ignore[arg-type]
-                        blocked=tuple(witness.failure["blocked"]),  # type: ignore[arg-type]
-                    )
-                result.profile.append(
-                    LevelProfile(
-                        level=0,
-                        seconds=span.seconds,
-                        closure_calls=0,
-                        closure_rows=0,
-                        nodes=len(self.system.leaves),
-                        observed_pairs=0,
-                        skipped=True,
-                    )
-                )
-                return result
         if base is not None and level0 is None:
             raise ReductionError("a base needs an injected level-0 front")
         target = self.system.order if stop_level is None else stop_level
@@ -762,10 +653,7 @@ def reduce_to_roots(
     system: CompositeSystem,
     options: ObservedOrderOptions = ObservedOrderOptions(),
     *,
-    static_precheck: bool = False,
     telemetry: Optional[Telemetry] = None,
 ) -> ReductionResult:
     """Run the full reduction (Theorem 1 decision procedure)."""
-    return ReductionEngine(system, options, telemetry=telemetry).run(
-        static_precheck=static_precheck
-    )
+    return ReductionEngine(system, options, telemetry=telemetry).run()

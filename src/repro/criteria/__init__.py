@@ -32,7 +32,6 @@ from repro.criteria.llsr import (
     is_llsr,
 )
 from repro.criteria.opsr import (
-    flat_opsr,
     is_opsr,
     is_schedule_opsr,
     opsr_violations,
@@ -70,7 +69,6 @@ __all__ = [
     "conflict_faithfulness_gaps",
     "is_conflict_faithful",
     "is_llsr",
-    "flat_opsr",
     "is_opsr",
     "is_schedule_opsr",
     "opsr_violations",

@@ -18,10 +18,6 @@ from typing import List, Mapping, Sequence
 
 from repro.core.orders import Relation
 from repro.core.system import CompositeSystem
-from repro.criteria.classical import (
-    FlatHistory,
-    is_order_preserving_serializable,
-)
 
 
 def schedule_precedence(
@@ -77,11 +73,6 @@ def is_opsr(
         elif not is_schedule_opsr(system, name, execution):
             return False
     return True
-
-
-def flat_opsr(history: FlatHistory) -> bool:
-    """OPSR on a classical flat history (re-export for discoverability)."""
-    return is_order_preserving_serializable(history)
 
 
 def opsr_violations(

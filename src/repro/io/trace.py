@@ -24,6 +24,12 @@ Version history
     indistinguishable from a dropped witness — and lost the
     refutation-skip state entirely; they are still loadable, with the
     skip inferred from the certificate.
+
+The reduction is the only way a verdict is reached, so every trace this
+module writes records ``"skip": null`` and profile rows with
+``"skipped": false``; documents from runs that skipped the reduction
+on a static certificate still load with their ``skip`` and
+``static_certificate``.
 """
 
 from __future__ import annotations
@@ -70,27 +76,14 @@ def trace_to_dict(result: ReductionResult) -> Dict:
                 "closure_rows": p.closure_rows,
                 "nodes": p.nodes,
                 "observed_pairs": p.observed_pairs,
-                "skipped": p.skipped,
+                "skipped": False,
             }
             for p in result.profile
         ],
+        "skip": None,
     }
-    if result.static_certificate is not None:
-        document["static_certificate"] = result.static_certificate.to_dict()
-    if result.skipped_by_precheck:
-        document["skip"] = {"direction": "precheck"}
-    elif result.skipped_by_refutation:
-        document["skip"] = {"direction": "refutation"}
-    else:
-        document["skip"] = None
     if result.succeeded:
-        if result.skipped_by_precheck:
-            # No reduction ran, so there is no witness to record; the
-            # explicit ``skip`` above is what says so (in version 1
-            # this ``null`` was the only — ambiguous — marker).
-            document["serial_witness"] = None
-        else:
-            document["serial_witness"] = result.serial_order()
+        document["serial_witness"] = result.serial_order()
     else:
         failure = result.failure
         document["failure"] = {
@@ -133,7 +126,7 @@ class ReductionTrace:
     serial_witness: Optional[List[str]] = None
     failure: Optional[Dict] = None
     #: the static prover's report (plain dict) when the producing run
-    #: used ``static_precheck``; ``None`` otherwise
+    #: consulted it before reducing; ``None`` otherwise
     static_certificate: Optional[Dict] = None
     #: ``{"direction": "precheck" | "refutation"}`` when the verdict
     #: came from the static prover alone; ``None`` when the reduction
@@ -237,7 +230,6 @@ def trace_from_dict(document: Dict) -> ReductionTrace:
                 closure_rows=p["closure_rows"],
                 nodes=p["nodes"],
                 observed_pairs=p["observed_pairs"],
-                skipped=p.get("skipped", False),
             )
             for p in document.get("profile", [])
         ],

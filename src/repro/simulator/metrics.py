@@ -46,13 +46,6 @@ class Metrics:
     downtime: Dict[str, float] = field(default_factory=dict)
     #: number of components the availability denominator covers
     components: int = 0
-    #: correctness checks answered by the static safety certificate
-    #: alone (``--static-precheck``), with the reduction skipped
-    static_precheck_skips: int = 0
-    #: correctness checks answered by the static *refuter* — a
-    #: replay-validated CERTIFIED_UNSAFE witness — with the reduction
-    #: skipped in the rejecting direction
-    static_refute_skips: int = 0
 
     # ------------------------------------------------------------------
     # recording (engine-side API)
@@ -181,8 +174,6 @@ class Metrics:
             "mean_response_time": round(self.mean_response_time, 4),
             "p50_response_time": round(self.percentile_response_time(50), 4),
             "p95_response_time": round(self.percentile_response_time(95), 4),
-            "static_precheck_skips": self.static_precheck_skips,
-            "static_refute_skips": self.static_refute_skips,
         }
         return out
 

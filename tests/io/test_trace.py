@@ -149,30 +149,94 @@ class TestCliTrace:
 # ----------------------------------------------------------------------
 # version 2: explicit skip provenance (both static-skip directions)
 # ----------------------------------------------------------------------
-def _lost_update_system():
-    from repro.core.builder import SystemBuilder
+# Runs that skipped the reduction on a static certificate no longer
+# exist, but the documents they wrote must keep loading.  These are two
+# such version-2 documents, trimmed to what the loader reads: the
+# booking example certified safe, and the lost-update schedule refuted.
+_LOST_UPDATE_FAILURE = {
+    "blocked": ["T1", "T2"],
+    "cycle": ["T1", "T2", "T1"],
+    "description": "level 1: no calculation exists for T1, T2 "
+    "(constraint cycle T1 -> T2 -> T1)",
+    "level": 1,
+    "stage": "calculation",
+}
 
-    b = SystemBuilder()
-    b.schedule("S1")
-    b.transaction("T1", "S1", ["a", "b"])
-    b.transaction("T2", "S1", ["c"])
-    b.conflict("S1", "a", "c")
-    b.conflict("S1", "c", "b")
-    b.executed("S1", ["a", "c", "b"])
-    return b.build()
+
+def _skipped_profile(nodes):
+    return [
+        {
+            "closure_calls": 0,
+            "closure_rows": 0,
+            "level": 0,
+            "nodes": nodes,
+            "observed_pairs": 0,
+            "seconds": 0.0002,
+            "skipped": True,
+        }
+    ]
 
 
-def _certified_system():
-    from pathlib import Path
+def precheck_skip_document():
+    return {
+        "version": 2,
+        "order": 2,
+        "roots": ["Book", "Audit"],
+        "succeeded": True,
+        "fronts": [],
+        "witnesses": [],
+        "profile": _skipped_profile(4),
+        "serial_witness": None,
+        "skip": {"direction": "precheck"},
+        "static_certificate": {
+            "certified": True,
+            "declined": False,
+            "reason": None,
+            "refutation": None,
+            "tier": "forest",
+            "verdict": "certified_safe",
+            "witnesses": [
+                {
+                    "cycle_edges": [],
+                    "cycle_nodes": [],
+                    "edge_count": 1,
+                    "forest": True,
+                    "level": 0,
+                    "node_count": 4,
+                    "orientable": None,
+                }
+            ],
+        },
+    }
 
-    from repro.io import load
 
-    return load(
-        Path(__file__).resolve().parents[2]
-        / "examples"
-        / "lint"
-        / "booking_system.json"
-    ).system
+def refutation_skip_document():
+    return {
+        "version": 2,
+        "order": 1,
+        "roots": ["T1", "T2"],
+        "succeeded": False,
+        "fronts": [],
+        "witnesses": [],
+        "profile": _skipped_profile(3),
+        "failure": dict(_LOST_UPDATE_FAILURE),
+        "skip": {"direction": "refutation"},
+        "static_certificate": {
+            "certified": False,
+            "declined": False,
+            "reason": "level-1 directed cycle T1 -> T2 -> T1 realized by "
+            "the recorded execution",
+            "refutation": {
+                "cycle_nodes": ["T1", "T2"],
+                "executions": {"S1": ["a", "c", "b"]},
+                "failure": dict(_LOST_UPDATE_FAILURE),
+                "level": 1,
+            },
+            "tier": None,
+            "verdict": "certified_unsafe",
+            "witnesses": [],
+        },
+    }
 
 
 class TestSkipProvenance:
@@ -180,31 +244,32 @@ class TestSkipProvenance:
         doc = trace_to_dict(reduce_to_roots(figure1_system()))
         assert doc["version"] == 2
         assert doc["skip"] is None
+        assert "static_certificate" not in doc
+        assert all(row["skipped"] is False for row in doc["profile"])
         trace = trace_from_dict(doc)
         assert not trace.skipped_by_precheck
         assert not trace.skipped_by_refutation
 
     def test_precheck_skip_round_trips(self):
-        """A precheck-skipped accept is no longer ambiguous: v1 wrote
-        only ``"serial_witness": null`` (indistinguishable from a
-        dropped witness); v2 records the direction explicitly."""
-        result = reduce_to_roots(_certified_system(), static_precheck=True)
-        assert result.skipped_by_precheck
-        trace = loads_trace(dumps_trace(result))
+        """A precheck-skipped accept is not ambiguous in version 2:
+        version 1 wrote only ``"serial_witness": null``
+        (indistinguishable from a dropped witness); version 2 records
+        the direction explicitly."""
+        trace = loads_trace(json.dumps(precheck_skip_document()))
         assert trace.succeeded
+        assert trace.fronts == []
         assert trace.serial_witness is None
         assert trace.skip == {"direction": "precheck"}
         assert trace.skipped_by_precheck
         assert not trace.skipped_by_refutation
+        assert trace.static_certificate["verdict"] == "certified_safe"
 
     def test_refutation_skip_round_trips(self):
-        """The PR-8 refute-skip state survives the round trip: v1
-        dropped it entirely."""
-        result = reduce_to_roots(_lost_update_system(), static_precheck=True)
-        assert result.skipped_by_refutation
-        trace = loads_trace(dumps_trace(result))
+        """The refute-skip state survives loading: version 1 dropped
+        it entirely."""
+        trace = loads_trace(json.dumps(refutation_skip_document()))
         assert not trace.succeeded
-        assert trace.failure is not None
+        assert trace.failure == _LOST_UPDATE_FAILURE
         assert trace.skip == {"direction": "refutation"}
         assert trace.skipped_by_refutation
         assert not trace.skipped_by_precheck
@@ -213,16 +278,17 @@ class TestSkipProvenance:
 
     @pytest.mark.parametrize("certified", [True, False])
     def test_v1_trace_still_loads_with_inferred_skip(self, certified):
-        system = _certified_system() if certified else _lost_update_system()
-        result = reduce_to_roots(system, static_precheck=True)
-        doc = trace_to_dict(result)
+        doc = (
+            precheck_skip_document()
+            if certified
+            else refutation_skip_document()
+        )
         doc["version"] = 1
         del doc["skip"]  # v1 documents have no skip field
         trace = trace_from_dict(doc)
-        direction = (
-            "precheck" if result.skipped_by_precheck else "refutation"
-        )
+        direction = "precheck" if certified else "refutation"
         assert trace.skip == {"direction": direction}
+        assert trace.static_certificate == doc["static_certificate"]
 
     def test_v1_full_run_infers_no_skip(self):
         doc = trace_to_dict(reduce_to_roots(figure1_system()))
@@ -231,9 +297,7 @@ class TestSkipProvenance:
         assert trace_from_dict(doc).skip is None
 
     def test_diff_reports_skip_difference(self):
-        system = _certified_system()
-        full = loads_trace(dumps_trace(reduce_to_roots(system)))
-        skipped = loads_trace(
-            dumps_trace(reduce_to_roots(system, static_precheck=True))
-        )
+        doc = precheck_skip_document()
+        skipped = trace_from_dict(doc)
+        full = trace_from_dict(dict(doc, skip=None))
         assert any("skip" in line for line in diff_traces(full, skipped))

@@ -74,16 +74,3 @@ def test_sharded_grid_is_bit_identical_to_serial():
     # the verdict fold is part of the bit-identity contract too
     assert point.safety_verdicts == sharded[0].safety_verdicts
     assert sum(point.safety_verdicts.values()) == point.assembled_runs
-
-
-def test_static_precheck_grid_matches_plain_grid():
-    """``chaos --static-precheck`` must not change a single verdict:
-    the two-sided skip agrees with the full reduction on every cell."""
-    spec = stack_topology(2)
-    kwargs = dict(intensity=0.5, clients=2, transactions_per_client=4)
-    plain = chaos_grid(spec, ("cc", "to"), (0, 1), workers=1, **kwargs)
-    prechecked = chaos_grid(
-        spec, ("cc", "to"), (0, 1), workers=1,
-        static_precheck=True, **kwargs
-    )
-    assert plain == prechecked

@@ -1,25 +1,25 @@
-"""``--static-precheck``: skip semantics, trace round-trip, CLI wiring.
+"""The static prover runs in lint only: ``check`` always reduces.
 
-A certified system's reduction is skipped entirely — no fronts, one
-``skipped`` profile row, the certificate attached as evidence — while a
-declined system falls back to the full reduction with an identical
-verdict.
+``--static-precheck`` is an unknown argument.  A system the prover can
+neither certify nor refute is decided by the reduction like every
+other, and a trace ``check`` writes carries no certificate and no
+skip, while version-2 traces that carry them still load.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.core.builder import SystemBuilder
-from repro.core.correctness import (
-    check_composite_correctness,
-    is_composite_correct,
-)
 from repro.core.reduction import reduce_to_roots
-from repro.exceptions import ReductionError
-from repro.io import load, loads_trace, dumps_trace
-from repro.simulator.metrics import Metrics
+from repro.io import dumps_trace, load, loads_trace
+from repro.lint import prove_static_safety
+from tests.io.test_trace import (
+    precheck_skip_document,
+    refutation_skip_document,
+)
 
 EXAMPLE = (
     Path(__file__).resolve().parents[2]
@@ -29,62 +29,10 @@ EXAMPLE = (
 )
 
 
-@pytest.fixture()
-def certified_system():
-    return load(EXAMPLE).system
-
-
-def _lost_update_system():
-    b = SystemBuilder()
-    b.schedule("S1")
-    b.transaction("T1", "S1", ["a", "b"])
-    b.transaction("T2", "S1", ["c"])
-    b.conflict("S1", "a", "c")
-    b.conflict("S1", "c", "b")
-    b.executed("S1", ["a", "c", "b"])
-    return b.build()
-
-
-def test_certified_run_skips_the_reduction(certified_system):
-    result = reduce_to_roots(certified_system, static_precheck=True)
-    assert result.succeeded
-    assert result.skipped_by_precheck
-    assert result.fronts == []
-    assert result.static_certificate is not None
-    assert result.static_certificate.certified
-    [profile] = result.profile
-    assert profile.skipped
-    assert profile.closure_calls == 0
-    assert "reduction skipped" in result.narrative()
-    assert "ACCEPTED" in result.narrative()
-
-
-def test_skipped_run_has_no_serial_order(certified_system):
-    result = reduce_to_roots(certified_system, static_precheck=True)
-    with pytest.raises(ReductionError, match="static precheck"):
-        result.serial_order()
-
-
-def test_correctness_report_carries_no_witness_when_skipped(
-    certified_system,
-):
-    report = check_composite_correctness(
-        certified_system, static_precheck=True
-    )
-    assert report.correct
-    assert report.serial_witness is None
-    assert report.reduction.skipped_by_precheck
-    # without the precheck the same system yields a real witness
-    full = check_composite_correctness(certified_system)
-    assert full.correct
-    assert full.serial_witness
-
-
 def _unresolved_cycle_system():
     """The lost-update *shape* around an accepted execution: the
     multigraph has an orientable cycle but the recorded orientations
-    close no directed cycle — neither certified nor refuted, so the
-    precheck must fall back to the full reduction."""
+    close no directed cycle — neither certified nor refuted."""
     b = SystemBuilder()
     b.schedule("S1")
     b.transaction("T1", "S1", ["a", "b"])
@@ -97,92 +45,56 @@ def _unresolved_cycle_system():
 
 def test_unknown_system_falls_back_to_full_reduction():
     system = _unresolved_cycle_system()
-    result = reduce_to_roots(system, static_precheck=True)
-    assert not result.skipped_by_precheck
-    assert not result.skipped_by_refutation
-    assert result.static_certificate is not None
-    assert not result.static_certificate.certified
-    assert not result.static_certificate.refuted
-    assert result.succeeded == reduce_to_roots(system).succeeded
-    assert is_composite_correct(system, static_precheck=True) == (
-        is_composite_correct(system)
-    )
+    report = prove_static_safety(system)
+    assert not report.certified
+    assert not report.refuted
+    result = reduce_to_roots(system)
+    assert result.succeeded
+    assert result.serial_order()
 
 
-def test_refuted_system_skips_in_the_rejecting_direction():
-    system = _lost_update_system()
-    result = reduce_to_roots(system, static_precheck=True)
-    assert not result.succeeded
-    assert result.skipped_by_refutation
-    assert not result.skipped_by_precheck
-    assert result.static_certificate is not None
-    assert result.static_certificate.refuted
-    assert result.succeeded == reduce_to_roots(system).succeeded
-    assert is_composite_correct(system, static_precheck=True) == (
-        is_composite_correct(system)
-    )
-
-
-def test_trace_round_trip_preserves_skip(certified_system):
-    result = reduce_to_roots(certified_system, static_precheck=True)
-    trace = loads_trace(dumps_trace(result))
+def test_trace_round_trip_preserves_skip():
+    trace = loads_trace(json.dumps(precheck_skip_document()))
     assert trace.succeeded
     assert trace.fronts == []
     assert trace.serial_witness is None
     [profile] = trace.profile
-    assert profile.skipped
+    assert profile.closure_calls == 0
     assert trace.static_certificate is not None
     assert trace.static_certificate["certified"] is True
     assert trace.static_certificate["witnesses"]
 
 
 def test_refuted_trace_round_trip_preserves_skip():
-    result = reduce_to_roots(_lost_update_system(), static_precheck=True)
-    trace = loads_trace(dumps_trace(result))
+    trace = loads_trace(json.dumps(refutation_skip_document()))
     assert not trace.succeeded
     assert trace.fronts == []
     [profile] = trace.profile
-    assert profile.skipped
+    assert profile.closure_calls == 0
     assert trace.static_certificate is not None
     assert trace.static_certificate["verdict"] == "certified_unsafe"
     assert trace.static_certificate["refutation"]["level"] == 1
 
 
-def test_unskipped_trace_has_no_certificate(certified_system):
-    result = reduce_to_roots(certified_system)
+def test_unskipped_trace_has_no_certificate():
+    result = reduce_to_roots(load(EXAMPLE).system)
     trace = loads_trace(dumps_trace(result))
     assert trace.static_certificate is None
-    assert all(not p.skipped for p in trace.profile)
-
-
-def test_metrics_counts_precheck_skips():
-    metrics = Metrics()
-    assert metrics.summary()["static_precheck_skips"] == 0
-    metrics.static_precheck_skips += 3
-    assert metrics.summary()["static_precheck_skips"] == 3
-
-
-def test_metrics_counts_refute_skips():
-    metrics = Metrics()
-    assert metrics.summary()["static_refute_skips"] == 0
-    metrics.static_refute_skips += 2
-    assert metrics.summary()["static_refute_skips"] == 2
+    assert trace.skip is None
+    assert trace.serial_witness == result.serial_order()
 
 
 def test_cli_check_static_precheck(capsys):
-    assert main(["check", str(EXAMPLE), "--static-precheck", "--profile"]) == 0
-    out = capsys.readouterr().out
-    assert "ACCEPTED" in out
-    assert "skipped" in out
-
-
-def test_cli_check_verdict_unchanged_by_precheck(capsys, tmp_path):
-    from repro.figures import figure3_system
-    from repro.io import save
-
-    path = tmp_path / "fig3.json"
-    save(figure3_system(), path)
-    plain = main(["check", str(path)])
-    prechecked = main(["check", str(path), "--static-precheck"])
-    capsys.readouterr()
-    assert plain == prechecked
+    """The removed flag is an unknown argument (argparse exit 2) to
+    every command that took it."""
+    for argv in (
+        ["check", str(EXAMPLE), "--static-precheck"],
+        ["simulate", "--static-precheck"],
+        ["chaos", "--static-precheck"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: --static-precheck" in (
+            capsys.readouterr().err
+        )

@@ -3,10 +3,8 @@
 A CERTIFIED_UNSAFE verdict is only ever issued after the statically
 constructed witness has been *replayed* through the real Def.-16
 reduction engine and rejected — so a refutation can never disagree with
-the full reduction (the hypothesis property at the bottom), and a
-refuted ``--static-precheck`` run may skip the reduction in the
-rejecting direction just as a certificate skips it in the accepting
-one.
+the full reduction (the hypothesis property at the bottom), and the
+failure it records is the one the reduction reaches.
 """
 
 from hypothesis import given, settings
@@ -46,36 +44,22 @@ def _lost_update_system():
 
 
 # ----------------------------------------------------------------------
-# engine integration: the rejecting skip direction
+# the refutation against the reduction
 # ----------------------------------------------------------------------
 
 
-def test_refuted_precheck_skips_the_reduction():
-    result = reduce_to_roots(_lost_update_system(), static_precheck=True)
-    assert not result.succeeded
-    assert result.skipped_by_refutation
-    assert not result.skipped_by_precheck
-    assert result.fronts == []
-    assert result.static_certificate is not None
-    assert result.static_certificate.refuted
-    [profile] = result.profile
-    assert profile.skipped
-    assert profile.closure_calls == 0
-
-
 def test_refuted_skip_reconstructs_the_failure():
-    """The skipped result carries the witness's replay failure, so
-    downstream consumers (explain, trace, narratives) see the same
-    rejection a full run would produce."""
-    skipped = reduce_to_roots(_lost_update_system(), static_precheck=True)
+    """The refutation carries the witness's replay failure: the same
+    level, stage and cycle the full reduction rejects with."""
+    report = prove_static_safety(_lost_update_system())
     full = reduce_to_roots(_lost_update_system())
-    assert skipped.failure is not None and full.failure is not None
-    assert skipped.failure.level == full.failure.level
-    assert skipped.failure.stage == full.failure.stage
-    narrative = skipped.narrative()
-    assert "reduction skipped" in narrative
-    assert "REJECTED" in narrative
-    assert "statically refuted" in narrative
+    assert report.refuted and report.refutation is not None
+    assert full.failure is not None
+    failure = report.refutation.failure
+    assert failure["level"] == full.failure.level
+    assert failure["stage"] == full.failure.stage
+    assert failure["cycle"] == list(full.failure.cycle)
+    assert "REJECTED" in full.narrative()
 
 
 def test_replay_refutation_matches_full_run():

@@ -34,18 +34,6 @@ class TestTelemetryOut:
             for line in handle:
                 assert json.loads(line)["v"] == 1
 
-    def test_static_precheck_spans(self, correct_file, tmp_path):
-        out = str(tmp_path / "t.jsonl")
-        assert main(
-            ["check", correct_file, "--static-precheck",
-             "--telemetry-out", out]
-        ) == 0
-        records = read_records(out)
-        assert validate_records(records) == []
-        names = {r["name"] for r in records}
-        assert "reduce.precheck" in names
-        assert "lint.prove" in names
-
     def test_simulate_records_attempt_lifecycle(self, tmp_path):
         out = str(tmp_path / "t.jsonl")
         assert main(
