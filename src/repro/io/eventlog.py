@@ -40,53 +40,24 @@ See ``docs/STREAMING.md`` for the schema reference.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import (
+    Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Type, Union, cast,
+)
 
+from repro.core.builder import _is_name_list, _is_pair
 from repro.exceptions import ModelError, ParseError
 from repro.io.recorded import RecordedExecution
 
 EVENTLOG_VERSION = 1
 
-EVENT_KINDS = (
-    "log",
-    "txn",
-    "conflict",
-    "order",
-    "begin",
-    "access",
-    "call",
-    "commit",
-    "abort",
-    "end",
-)
-
 DERIVE_MODES = ("declared", "temporal")
 
 ORDER_KINDS = ("weak_output", "strong_output", "weak_input", "strong_input")
 
-# Required Event attributes per kind (beyond ``kind`` itself).
-_REQUIRED: Dict[str, Tuple[str, ...]] = {
-    "log": ("derive",),
-    "txn": ("root", "schedule", "txn", "ops"),
-    "conflict": ("schedule", "a", "b"),
-    "order": ("schedule", "order_kind", "a", "b"),
-    "begin": ("root",),
-    "access": ("root", "schedule", "txn", "op"),
-    "call": ("root", "schedule", "txn", "op"),
-    "commit": ("root",),
-    "abort": ("root",),
-    "end": (),
-}
 
-# Attribute name -> JSON key (identity unless listed).
-_JSON_KEY = {"order_kind": "kind"}
-
-
-@dataclass(frozen=True)
-class Event:
-    """One line of an event log.  Unused fields keep their defaults."""
+class _EventFields(NamedTuple):
+    """The typed slots of :class:`Event`, with their defaults."""
 
     kind: str
     derive: Optional[str] = None
@@ -103,24 +74,123 @@ class Event:
     item: Optional[str] = None
     mode: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ParseError(f"unknown event kind {self.kind!r}")
-        for attr in _REQUIRED[self.kind]:
-            value = getattr(self, attr)
-            if value is None or (attr == "ops" and value == ()):
-                raise ParseError(
-                    f"{self.kind!r} event is missing required field "
-                    f"{_JSON_KEY.get(attr, attr)!r}"
-                )
-        if self.kind == "log" and self.derive not in DERIVE_MODES:
-            raise ParseError(f"unknown derivation mode {self.derive!r}")
-        if self.kind == "order" and self.order_kind not in ORDER_KINDS:
-            raise ParseError(f"unknown order kind {self.order_kind!r}")
+
+#: Event slots in order; ``kind`` (JSON key ``e``) is the only one
+#: without a default.
+_FIELDS = _EventFields._fields
+_DEFAULTS: Tuple[object, ...] = tuple(
+    _EventFields._field_defaults.get(f) for f in _FIELDS
+)
+
+#: slot -> JSON key (identity but for ``kind`` and ``order_kind``)
+_KEYS = ("e",) + tuple(
+    "kind" if f == "order_kind" else f for f in _FIELDS[1:]
+)
+
+#: JSON key -> slot, for every slot but ``kind``
+_SLOT_OF_KEY: Dict[str, int] = {
+    key: index for index, key in enumerate(_KEYS) if index
+}
+
+_OPS, _WEAK, _STRONG = (_FIELDS.index(f) for f in ("ops", "weak", "strong"))
+
+#: JSON key -> slot, for the slots whose value is one name: a string
+#: there is stored as it is, without the call to :func:`_slot_value`
+_NAME_SLOT_OF_KEY: Dict[str, int] = {
+    key: index
+    for key, index in _SLOT_OF_KEY.items()
+    if index not in (_OPS, _WEAK, _STRONG)
+}
+_DERIVE, _ORDER_KIND = _FIELDS.index("derive"), _FIELDS.index("order_kind")
+
+#: Required name slots per kind (beyond ``kind`` itself); a ``txn``
+#: event also needs a non-empty ``ops``.
+_REQUIRED: Dict[str, Tuple[int, ...]] = {
+    kind: tuple(_FIELDS.index(attr) for attr in attrs)
+    for kind, attrs in (
+        ("log", ("derive",)),
+        ("txn", ("root", "schedule", "txn")),
+        ("conflict", ("schedule", "a", "b")),
+        ("order", ("schedule", "order_kind", "a", "b")),
+        ("begin", ("root",)),
+        ("access", ("root", "schedule", "txn", "op")),
+        ("call", ("root", "schedule", "txn", "op")),
+        ("commit", ("root",)),
+        ("abort", ("root",)),
+        ("end", ()),
+    )
+}
+
+EVENT_KINDS = tuple(_REQUIRED)
 
 
-_EVENT_ATTRS = tuple(f.name for f in fields(Event) if f.name != "kind")
-_ATTR_OF_KEY = {_JSON_KEY.get(a, a): a for a in _EVENT_ATTRS}
+def _slot_value(index: int, value: object) -> object:
+    """The stored value of slot ``index`` (``kind`` excepted): the one
+    rule both :class:`Event` and :func:`event_from_dict` apply.  Names
+    are strings, ``ops`` a list of names, ``weak``/``strong`` lists of
+    two-name pairs."""
+    if index == _OPS:
+        if _is_name_list(value):
+            return tuple(cast(Sequence[str], value))
+        raise ParseError(f"field {_KEYS[index]!r} is not a list of strings")
+    if index == _WEAK or index == _STRONG:
+        if isinstance(value, (list, tuple)) and all(map(_is_pair, value)):
+            return tuple(tuple(pair) for pair in value)
+        raise ParseError(f"field {_KEYS[index]!r} is not a list of pairs")
+    if isinstance(value, str):
+        return value
+    raise ParseError(f"field {_KEYS[index]!r} is not a string")
+
+
+def _record(cls: Type["Event"], values: List[object]) -> "Event":
+    """``values`` as an event of ``cls``, once its kind, required
+    fields, derivation mode and order kind check out."""
+    kind = values[0]
+    if not isinstance(kind, str) or kind not in _REQUIRED:
+        raise ParseError(f"unknown event kind {kind!r}")
+    for index in _REQUIRED[kind]:
+        if values[index] is None:
+            raise _missing(kind, index)
+    if kind == "txn" and not values[_OPS]:
+        raise _missing(kind, _OPS)
+    if kind == "log" and values[_DERIVE] not in DERIVE_MODES:
+        raise ParseError(f"unknown derivation mode {values[_DERIVE]!r}")
+    if kind == "order" and values[_ORDER_KIND] not in ORDER_KINDS:
+        raise ParseError(f"unknown order kind {values[_ORDER_KIND]!r}")
+    return tuple.__new__(cls, values)
+
+
+def _missing(kind: str, index: int) -> ParseError:
+    return ParseError(
+        f"{kind!r} event is missing required field {_KEYS[index]!r}"
+    )
+
+
+class Event(_EventFields):
+    """One line of an event log: an immutable tuple-backed record that
+    compares and hashes by value.  Unused fields keep their defaults
+    (``None`` for a name, ``()`` for ``ops``, ``weak`` and ``strong``).
+
+    Every way of making one — the constructor, :meth:`_make`,
+    :meth:`_replace`, :func:`event_from_dict` — applies the same slot
+    rule and raises :class:`~repro.exceptions.ParseError` on an
+    invalid event.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "Event":
+        return cls._make(_EventFields(*args, **kwargs))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "Event":
+        values: List[Any] = list(_EventFields._make(iterable))
+        for index in range(1, len(_FIELDS)):
+            value = values[index]
+            values[index] = (
+                _DEFAULTS[index] if value is None else _slot_value(index, value)
+            )
+        return _record(cls, values)
 
 
 def event_to_dict(event: Event) -> Dict[str, object]:
@@ -128,17 +198,16 @@ def event_to_dict(event: Event) -> Dict[str, object]:
     doc: Dict[str, object] = {"e": event.kind}
     if event.kind == "log":
         doc["v"] = EVENTLOG_VERSION
-    for attr in _EVENT_ATTRS:
-        value = getattr(event, attr)
+    for index in range(1, len(_FIELDS)):
+        value: Any = event[index]
         if value is None or value == ():
             continue
-        key = _JSON_KEY.get(attr, attr)
-        if attr in ("weak", "strong"):
-            doc[key] = [list(pair) for pair in value]
-        elif attr == "ops":
-            doc[key] = list(value)
+        if index == _WEAK or index == _STRONG:
+            doc[_KEYS[index]] = [list(pair) for pair in value]
+        elif index == _OPS:
+            doc[_KEYS[index]] = list(value)
         else:
-            doc[key] = value
+            doc[_KEYS[index]] = value
     return doc
 
 
@@ -151,60 +220,61 @@ def _context(source: Optional[str], line: Optional[int]) -> str:
     return f"{where}: "
 
 
+def _located(
+    error: ParseError, source: Optional[str], line: Optional[int]
+) -> ParseError:
+    """``error`` prefixed with ``FILE:LINE: `` and carrying ``line``."""
+    located = ParseError(f"{_context(source, line)}{error}")
+    located.line = line
+    return located
+
+
+def _event_of(document: object) -> Event:
+    if not isinstance(document, dict):
+        raise ParseError("event is not a JSON object")
+    kind = document.get("e")
+    if not isinstance(kind, str) or kind not in _REQUIRED:
+        raise ParseError(f"unknown event kind {kind!r}")
+    values = list(_DEFAULTS)
+    values[0] = kind
+    name_slot_of = _NAME_SLOT_OF_KEY.get
+    slot_of = _SLOT_OF_KEY.get
+    for key, value in document.items():
+        index = name_slot_of(key)
+        if index is not None and value.__class__ is str:
+            values[index] = value
+            continue
+        index = slot_of(key)
+        if index is not None:
+            values[index] = _slot_value(index, value)
+        elif key == "v":
+            if kind != "log":
+                raise ParseError("'v' is only valid on the header")
+            if value != EVENTLOG_VERSION:
+                raise ParseError(
+                    f"unsupported event log version {value!r} "
+                    f"(expected {EVENTLOG_VERSION})"
+                )
+        elif key != "e":
+            raise ParseError(f"unknown event field {key!r}")
+    if kind == "log" and "v" not in document:
+        raise ParseError("header is missing the schema version 'v'")
+    return _record(Event, values)
+
+
 def event_from_dict(
     document: object,
     *,
     source: Optional[str] = None,
     line: Optional[int] = None,
 ) -> Event:
-    """Validate one parsed JSON object into an :class:`Event`."""
-
-    def error(message: str) -> ParseError:
-        return ParseError(f"{_context(source, line)}{message}")
-
-    if not isinstance(document, dict):
-        raise error("event is not a JSON object")
-    kind = document.get("e")
-    if not isinstance(kind, str) or kind not in EVENT_KINDS:
-        raise error(f"unknown event kind {kind!r}")
-    kwargs: Dict[str, object] = {}
-    for key, value in document.items():
-        if key == "e":
-            continue
-        if key == "v":
-            if kind != "log":
-                raise error("'v' is only valid on the header")
-            if value != EVENTLOG_VERSION:
-                raise error(
-                    f"unsupported event log version {value!r} "
-                    f"(expected {EVENTLOG_VERSION})"
-                )
-            continue
-        attr = _ATTR_OF_KEY.get(key)
-        if attr is None:
-            raise error(f"unknown event field {key!r}")
-        if attr in ("weak", "strong"):
-            try:
-                value = tuple(
-                    (str(pair[0]), str(pair[1])) for pair in value  # type: ignore[index]
-                )
-            except (TypeError, IndexError, KeyError):
-                raise error(f"field {key!r} is not a list of pairs") from None
-        elif attr == "ops":
-            if not isinstance(value, list) or not all(
-                isinstance(o, str) for o in value
-            ):
-                raise error("field 'ops' is not a list of strings")
-            value = tuple(value)
-        elif not isinstance(value, str):
-            raise error(f"field {key!r} is not a string")
-        kwargs[attr] = value
-    if kind == "log" and "v" not in document:
-        raise error("header is missing the schema version 'v'")
+    """Validate one parsed JSON object into an :class:`Event`: one pass
+    over its keys fills the slots.  A :class:`ParseError` names
+    ``source:line`` and carries ``line``."""
     try:
-        return Event(kind=kind, **kwargs)  # type: ignore[arg-type]
-    except ParseError as exc:
-        raise error(str(exc)) from None
+        return _event_of(document)
+    except ParseError as error:
+        raise _located(error, source, line) from None
 
 
 def dumps_event(event: Event) -> str:
@@ -222,12 +292,26 @@ def parse_event_line(
 ) -> Event:
     """Parse one JSONL line into an :class:`Event`."""
     try:
-        document = json.loads(text)
+        return _event_of(json.loads(text))
     except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{_context(source, line)}invalid JSON in event log: {exc.msg}"
-        ) from None
-    return event_from_dict(document, source=source, line=line)
+        error = ParseError(f"invalid JSON in event log: {exc.msg}")
+    except RecursionError:
+        error = ParseError("invalid JSON in event log: nested too deeply")
+    except ParseError as exc:
+        error = exc
+    raise _located(error, source, line) from None
+
+
+def utf8_error(
+    error: UnicodeDecodeError,
+    *,
+    source: Optional[str] = None,
+    line: Optional[int] = None,
+) -> ParseError:
+    """The :class:`ParseError` for an event-log line that is not UTF-8."""
+    return _located(
+        ParseError(f"invalid UTF-8 in event log: {error.reason}"), source, line
+    )
 
 
 def dumps_event_log(events: List[Event]) -> str:
@@ -246,7 +330,7 @@ def loads_event_log(
     :class:`repro.stream.tail.EventLogTail`'s job.
     """
     events: List[Event] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
         if not stripped:
             continue
@@ -307,9 +391,14 @@ def interleave_by_commit(events: List[Event]) -> List[Event]:
 
 
 def load_event_log(path: Union[str, Path]) -> List[Event]:
-    return loads_event_log(
-        Path(path).read_text(encoding="utf-8"), source=str(path)
-    )
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise utf8_error(
+            err, source=str(path), line=data.count(b"\n", 0, err.start) + 1
+        ) from None
+    return loads_event_log(text, source=str(path))
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,8 @@ lint-style diagnostic with a stable code, the offending file, the
 1-based line, and the byte offset:
 
 * ``CTX401`` — the text is not valid JSON (a defect *inside* the
-  document: a stray character, a missing delimiter);
+  document: a stray character, a missing delimiter, bytes that are
+  not UTF-8);
 * ``CTX402`` — the JSON text ends unexpectedly, the signature of a
   **truncated** file (an interrupted write, a partial copy).  The
   distinction matters operationally: CTX402 means go find the
@@ -24,7 +25,8 @@ like lint findings; see docs/RESILIENCE.md.
 from __future__ import annotations
 
 import json
-from typing import Any, NoReturn, Optional
+from pathlib import Path
+from typing import Any, NoReturn, Optional, Union
 
 from repro.exceptions import ParseError
 
@@ -51,6 +53,25 @@ def _raise(
     # attribute without re-appending ParseError's "(line N)" suffix
     error.line = line
     raise error from None
+
+
+def read_json_text(path: Union[str, Path]) -> str:
+    """The text of the document file at ``path``.  JSON text is UTF-8
+    (RFC 8259), so bytes that are not raise CTX401 naming the line and
+    byte offset of the first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        _raise(
+            "CTX401",
+            f"not valid UTF-8: {err.reason} at line {line} "
+            f"(byte offset {err.start})",
+            source=str(path),
+            line=line,
+            offset=err.start,
+        )
 
 
 def parse_json_document(

@@ -17,7 +17,7 @@ from typing import Dict, Mapping, Optional, Union
 from repro.core.builder import SystemBuilder
 from repro.core.system import CompositeSystem
 from repro.exceptions import ModelError, ParseError
-from repro.io.jsondoc import parse_json_document
+from repro.io.jsondoc import parse_json_document, read_json_text
 from repro.io.recorded import RecordedExecution
 
 FORMAT_VERSION = 1
@@ -108,4 +108,4 @@ def save(
 
 
 def load(path: Union[str, Path]) -> RecordedExecution:
-    return loads(Path(path).read_text(), source=str(path))
+    return loads(read_json_text(path), source=str(path))

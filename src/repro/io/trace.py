@@ -43,7 +43,7 @@ from repro.core.front import Front
 from repro.core.orders import Relation
 from repro.core.reduction import LevelProfile, ReductionResult
 from repro.exceptions import ParseError
-from repro.io.jsondoc import parse_json_document
+from repro.io.jsondoc import parse_json_document, read_json_text
 
 TRACE_VERSION = 2
 
@@ -251,9 +251,7 @@ def loads_trace(text: str, *, source: Optional[str] = None) -> ReductionTrace:
 
 
 def load_trace(path: Union[str, Path]) -> ReductionTrace:
-    return loads_trace(
-        Path(path).read_text(encoding="utf-8"), source=str(path)
-    )
+    return loads_trace(read_json_text(path), source=str(path))
 
 
 def diff_traces(a: ReductionTrace, b: ReductionTrace) -> List[str]:

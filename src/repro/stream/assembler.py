@@ -60,7 +60,7 @@ persistent builder's applied set and per-schedule watermark key on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.builder import SystemBuilder
 from repro.exceptions import ModelError, ScheduleAxiomError, StreamError
@@ -79,21 +79,9 @@ class CommitDelta:
     txns: Tuple[str, ...]
 
 
-@dataclass
-class _Arrival:
-    schedule: str
-    root: str
-    op: str
-    item: Optional[str]
-    mode: Optional[str]
-
-
-@dataclass(frozen=True)
-class _Decl:
-    """One staged declaration with its stable id."""
-
-    ident: int
-    event: Event
+#: One staged declaration: its stable id and its ``txn``,
+#: ``conflict`` or ``order`` event.
+_Decl = Tuple[int, Event]
 
 
 class StreamAssembler:
@@ -117,7 +105,8 @@ class StreamAssembler:
         self._committed: Set[str] = set()
         self._begun: Set[str] = set()
         self._commit_order: List[str] = []
-        self._arrivals: List[_Arrival] = []
+        #: the ``access``/``call`` events, in arrival order
+        self._arrivals: List[Event] = []
         #: root -> the operations that arrived for its current attempt
         self._arrived: Dict[str, Set[str]] = {}
         self._ended = False
@@ -162,12 +151,10 @@ class StreamAssembler:
             raise StreamError(
                 f"event {event.kind!r} before the 'log' header"
             )
-        handler = getattr(self, f"_apply_{event.kind}")
-        result = handler(event)
-        return result  # type: ignore[no-any-return]
+        return _HANDLERS[event.kind](self, event)
 
     def _stage(self, event: Event) -> _Decl:
-        decl = _Decl(ident=self._next_decl, event=event)
+        decl = (self._next_decl, event)
         self._decls.append(decl)
         self._next_decl += 1
         return decl
@@ -195,10 +182,9 @@ class StreamAssembler:
             self._txn_of_op[op] = event.txn
         self._txns_of.setdefault(event.root, []).append(self._stage(event))
 
-    def _apply_conflict(self, event: Event) -> None:
+    def _apply_pair(self, event: Event) -> None:
+        """A ``conflict`` or ``order`` declaration."""
         self._wait(self._stage(event))
-
-    _apply_order = _apply_conflict
 
     def _apply_begin(self, event: Event) -> None:
         assert event.root is not None
@@ -213,7 +199,10 @@ class StreamAssembler:
             self._discard_root(event.root)
         self._begun.add(event.root)
 
-    def _apply_access(self, event: Event) -> None:
+    def _apply_arrival(self, event: Event) -> None:
+        """An ``access`` or ``call`` event, kept as its own arrival
+        record: it names the schedule, root, operation, item and
+        mode."""
         assert (
             event.root is not None
             and event.schedule is not None
@@ -224,18 +213,8 @@ class StreamAssembler:
                 f"operation {event.op!r} for already-committed root "
                 f"{event.root!r}"
             )
-        self._arrivals.append(
-            _Arrival(
-                schedule=event.schedule,
-                root=event.root,
-                op=event.op,
-                item=event.item,
-                mode=event.mode,
-            )
-        )
+        self._arrivals.append(event)
         self._arrived.setdefault(event.root, set()).add(event.op)
-
-    _apply_call = _apply_access
 
     def _apply_commit(self, event: Event) -> CommitDelta:
         root = event.root
@@ -251,8 +230,8 @@ class StreamAssembler:
             # Temporal derivation reads each schedule's execution off
             # the arrivals, so every committed operation needs one.
             arrived = self._arrived.get(root, set())
-            for decl in decls:
-                for op in decl.event.ops:
+            for _, txn_event in decls:
+                for op in txn_event.ops:
                     if op not in arrived:
                         raise StreamError(
                             f"commit of root {root!r}: operation {op!r} "
@@ -262,16 +241,16 @@ class StreamAssembler:
         self._committed.add(root)
         self._commit_order.append(root)
         self._ready.extend(decls)
-        for decl in decls:
-            txn = decl.event.txn
+        txns: List[str] = []
+        for _, txn_event in decls:
+            txn = txn_event.txn
             assert txn is not None
-            for node in (txn, *decl.event.ops):
+            txns.append(txn)
+            for node in (txn, *txn_event.ops):
                 for waiting in self._waiting.pop(node, ()):
                     self._wait(waiting)
         return CommitDelta(
-            root=root,
-            ordinal=len(self._commit_order),
-            txns=tuple(d.event.txn for d in decls if d.event.txn is not None),
+            root=root, ordinal=len(self._commit_order), txns=tuple(txns)
         )
 
     def _apply_abort(self, event: Event) -> None:
@@ -295,15 +274,14 @@ class StreamAssembler:
         """
         discarded = self._txns_of.pop(root, None)
         if discarded:
-            for decl in discarded:
-                event = decl.event
+            for _, event in discarded:
                 if event.txn is not None:
                     self._root_of.pop(event.txn, None)
                 for op in event.ops:
                     self._root_of.pop(op, None)
                     self._txn_of_op.pop(op, None)
-            gone = {decl.ident for decl in discarded}
-            self._decls = [d for d in self._decls if d.ident not in gone]
+            gone = {ident for ident, _ in discarded}
+            self._decls = [d for d in self._decls if d[0] not in gone]
         self._arrivals = [a for a in self._arrivals if a.root != root]
         self._arrived.pop(root, None)
 
@@ -324,7 +302,8 @@ class StreamAssembler:
         on its own nodes."""
         root_of = self._root_of
         committed = self._committed
-        for node in (decl.event.a, decl.event.b):
+        event = decl[1]
+        for node in (event.a, event.b):
             assert node is not None
             if root_of.get(node) not in committed:
                 self._waiting.setdefault(node, []).append(decl)
@@ -335,9 +314,12 @@ class StreamAssembler:
     def executions(self) -> Dict[str, List[str]]:
         """Per-schedule arrival sequences of committed operations."""
         result: Dict[str, List[str]] = {}
+        committed = self._committed
         for arrival in self._arrivals:
-            if arrival.root in self._committed:
-                result.setdefault(arrival.schedule, []).append(arrival.op)
+            if arrival.root in committed:
+                schedule, op = arrival.schedule, arrival.op
+                assert schedule is not None and op is not None
+                result.setdefault(schedule, []).append(op)
         return result
 
     # ------------------------------------------------------------------
@@ -391,9 +373,9 @@ class StreamAssembler:
             decl
             for decl in self._decls
             if (
-                decl.event.root in self._committed
-                if decl.event.kind == "txn"
-                else self._active(decl.event)
+                decl[1].root in self._committed
+                if decl[1].kind == "txn"
+                else self._active(decl[1])
             )
         ]
 
@@ -404,8 +386,8 @@ class StreamAssembler:
         if not self._committed:
             return None
         builder = SystemBuilder()
-        for decl in self._activated():
-            self._apply_decl(builder, decl.event)
+        for _, event in self._activated():
+            self._apply_decl(builder, event)
         if self.derive == "temporal":
             self._derive_temporal(builder)
         return self._finish_build(builder)
@@ -421,17 +403,16 @@ class StreamAssembler:
             return None
         if self.derive == "temporal":
             return self.build()
-        fresh = sorted(self._ready, key=lambda decl: decl.ident)
+        fresh = sorted(self._ready)  # by id: ids are unique
         self._ready = []
         new_roots = set(self._commit_order[self._built_commits:])
         self._built_commits = len(self._commit_order)
         watermark = self._txn_watermark
         self.late_conflict = out_of_order = False
-        for decl in fresh:
-            event = decl.event
+        for ident, event in fresh:
             if event.kind == "txn":
                 assert event.schedule is not None
-                if decl.ident < watermark.get(event.schedule, -1):
+                if ident < watermark.get(event.schedule, -1):
                     out_of_order = True
             elif event.kind == "conflict" and not (
                 {self._root_of[node] for node in (event.a, event.b) if node}
@@ -452,12 +433,11 @@ class StreamAssembler:
         if self._builder is None:
             self._builder = SystemBuilder()
         builder = self._builder
-        for decl in fresh:
-            event = decl.event
+        for ident, event in fresh:
             self._apply_decl(builder, event)
             if event.kind == "txn":
                 assert event.schedule is not None
-                watermark[event.schedule] = decl.ident
+                watermark[event.schedule] = ident
         self._applied += len(fresh)
         key = (self._applied, len(self._commit_order))
         if self._cache is not None and self._cache[0] == key:
@@ -471,22 +451,41 @@ class StreamAssembler:
         """Temporal mode: derive conflicts from item/mode overlap and
         weak output orders from arrival order (recorder semantics)."""
         sequences = self.executions()
-        by_schedule: Dict[str, List[_Arrival]] = {}
+        by_schedule: Dict[str, List[Tuple[str, Event]]] = {}
         for arrival in self._arrivals:
             if arrival.root in self._committed:
-                by_schedule.setdefault(arrival.schedule, []).append(arrival)
+                schedule, op = arrival.schedule, arrival.op
+                assert schedule is not None and op is not None
+                by_schedule.setdefault(schedule, []).append((op, arrival))
         parent = self._txn_of_op.get
         for sname, arrivals in by_schedule.items():
-            for i, first in enumerate(arrivals):
+            for i, (op, first) in enumerate(arrivals):
                 if first.item is None:
                     continue
-                for second in arrivals[i + 1 :]:
+                for other, second in arrivals[i + 1 :]:
                     if (
                         second.item == first.item
-                        and second.op != first.op
-                        and parent(first.op) != parent(second.op)
+                        and other != op
+                        and parent(op) != parent(other)
                         and "w" in ((first.mode or "") + (second.mode or ""))
                     ):
-                        builder.conflict(sname, first.op, second.op)
+                        builder.conflict(sname, op, other)
         for sname, sequence in sequences.items():
             builder.executed(sname, sequence, mode="conflicts")
+
+
+#: ``apply``'s dispatch: event kind -> handler
+_HANDLERS: Dict[
+    str, Callable[[StreamAssembler, Event], Optional[CommitDelta]]
+] = {
+    "log": StreamAssembler._apply_log,
+    "txn": StreamAssembler._apply_txn,
+    "conflict": StreamAssembler._apply_pair,
+    "order": StreamAssembler._apply_pair,
+    "begin": StreamAssembler._apply_begin,
+    "access": StreamAssembler._apply_arrival,
+    "call": StreamAssembler._apply_arrival,
+    "commit": StreamAssembler._apply_commit,
+    "abort": StreamAssembler._apply_abort,
+    "end": StreamAssembler._apply_end,
+}

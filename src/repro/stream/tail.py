@@ -29,12 +29,11 @@ already shorter than the offset it is asked to resume past
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Union
+from typing import List, NamedTuple, Union
 
 from repro.exceptions import EventLogTruncatedError, ParseError
-from repro.io.eventlog import Event, parse_event_line
+from repro.io.eventlog import Event, parse_event_line, utf8_error
 from repro.lint.diagnostics import Diagnostic, Location, Severity
 
 __all__ = ["EventLogTail", "TailedEvent", "log_truncated"]
@@ -62,9 +61,9 @@ def log_truncated(path: str, offset: int, size: int) -> EventLogTruncatedError:
     )
 
 
-@dataclass(frozen=True)
-class TailedEvent:
-    """One parsed event plus the byte offset just past its line."""
+class TailedEvent(NamedTuple):
+    """One parsed event plus the byte offset just past its line (a
+    tuple-backed record)."""
 
     event: Event
     offset: int
@@ -108,42 +107,36 @@ class EventLogTail:
                 data = handle.read()
         except FileNotFoundError:
             return []
-        if not data:
-            return []
+        # every element but the last is a complete line; the last is
+        # the torn tail (empty when the read ends with a newline)
+        lines = data.split(b"\n")
         out: List[TailedEvent] = []
-        consumed = 0
+        offset = self.offset
         line = self._line
-        for raw in data.splitlines(keepends=True):
-            if not raw.endswith(b"\n"):
-                break  # torn tail: wait for the writer to finish it
-            consumed += len(raw)
+        path = self.path
+        for raw in lines[:-1]:
             line += 1
             stripped = raw.strip()
-            if not stripped:
-                continue
-            try:
-                event = parse_event_line(
-                    stripped.decode("utf-8"),
-                    source=self.path,
-                    line=line,
-                )
-            except ParseError as err:
+            if stripped:
+                try:
+                    event = parse_event_line(
+                        stripped.decode(), source=path, line=line
+                    )
+                except UnicodeDecodeError as err:
+                    error = utf8_error(err, source=path, line=line)
+                except ParseError as err:
+                    error = err
+                else:
+                    offset += len(raw) + 1
+                    out.append(TailedEvent(event, offset, line))
+                    continue
                 if out:
                     # hand back what precedes the defect; the next
                     # poll re-reads the bad line and raises
-                    consumed -= len(raw)
                     line -= 1
                     break
-                if err.line is None:
-                    err.line = line
-                raise
-            out.append(
-                TailedEvent(
-                    event=event,
-                    offset=self.offset + consumed,
-                    line=line,
-                )
-            )
-        self.offset += consumed
+                raise error
+            offset += len(raw) + 1
+        self.offset = offset
         self._line = line
         return out

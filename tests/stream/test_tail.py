@@ -117,3 +117,50 @@ def test_offsets_allow_resume(tmp_path):
     assert [t.event for t in resumed.poll()] == [
         t.event for t in tailed[cut:]
     ]
+
+
+def test_tailed_events_match_the_file(tmp_path):
+    """A TailedEvent is a tuple-backed record whose ``event``,
+    ``offset`` and ``line`` can be read back off the file."""
+    path = tmp_path / "log.jsonl"
+    lines = _lines()
+    path.write_text(lines[0] + "\n" + "".join(lines[1:]))
+    data = path.read_bytes()
+    tailed = EventLogTail(path).poll()
+    assert [t.event for t in tailed] == events_from_recorded(load(FIXTURE))
+    for t in tailed:
+        assert tuple(t) == (t.event, t.offset, t.line)
+        assert data[: t.offset].count(b"\n") == t.line
+        text = data.split(b"\n")[t.line - 1].decode()
+        assert dumps_event(t.event) == text
+    assert [t.line for t in tailed][:3] == [1, 3, 4]
+    assert tailed[-1].offset == len(data)
+
+
+def test_non_utf8_line_raises_after_the_events_before_it(tmp_path):
+    """A line that is not UTF-8 is corruption like any other: the
+    events before it are delivered, then a ParseError names
+    ``FILE:LINE``."""
+    path = tmp_path / "log.jsonl"
+    first, second = _lines()[:2]
+    path.write_bytes(
+        first.encode() + b'{"e":"begin","root":"\xff"}\n' + second.encode()
+    )
+    tail = EventLogTail(path)
+    assert [t.line for t in tail.poll()] == [1]
+    with pytest.raises(ParseError) as err:
+        tail.poll()
+    assert err.value.line == 2
+    assert str(err.value).startswith(f"{path}:2: invalid UTF-8 in event log")
+    assert tail.offset == len(first.encode())
+
+
+def test_only_newline_ends_a_line(tmp_path):
+    """A carriage return inside a line is JSON whitespace, not a line
+    break the tailer waits on."""
+    path = tmp_path / "log.jsonl"
+    first, second = _lines()[:2]
+    path.write_text(first + second.replace(",", ",\r", 1), newline="")
+    tailed = EventLogTail(path).poll()
+    assert [t.line for t in tailed] == [1, 2]
+    assert tailed[1].event == events_from_recorded(load(FIXTURE))[1]

@@ -283,6 +283,44 @@ class TestInputErrors:
             "staged transactions\n"
         )
 
+    def test_non_utf8_document(self, tmp_path, capsys):
+        """A document that is not UTF-8 is one CTX401 `check` error
+        line naming the bad byte; lint reports it as CTX305."""
+        path = tmp_path / "latin1.json"
+        path.write_bytes(
+            b'{"schedules": {"S": {"transactions": {"T1": ["a\xe9"]}}}}'
+        )
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"repro check: error: CTX401 error: {path}: not valid UTF-8: "
+            "invalid continuation byte at line 1 (byte offset 47)\n"
+        )
+        assert main(["lint", str(path)]) == 2
+        assert "CTX305" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (
+                b'{"e":"txn","root":"R1","schedule":"S","txn":"R1",'
+                b'"ops":["a"],"weak":["ab"]}',
+                "field 'weak' is not a list of pairs",
+            ),
+            (b'{"e":"begin","root":"R\xff"}', "invalid UTF-8 in event log"),
+        ],
+        ids=["string-pair", "non-utf8"],
+    )
+    def test_malformed_event_line(self, tmp_path, capsys, line, message):
+        """A malformed event-log line ends `watch` with one error line
+        naming its ``FILE:LINE``, after the events before it."""
+        log = tmp_path / "log.jsonl"
+        log.write_bytes(b'{"e":"log","v":1,"derive":"declared"}\n' + line + b"\n")
+        assert main(["watch", str(log)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("[offset ")
+        assert captured.err.startswith(f"repro watch: error: {log}:2: {message}")
+        assert len(captured.err.splitlines()) == 1
+
     def test_invalid_generator_parameters(self, tmp_path):
         """A WorkloadError (here a zero-depth stack) is bad input too."""
         output = tmp_path / "g.json"
