@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.front import Front, ReductionFailure
+from repro.core.front import EMPTY_FRONT, Front, ReductionFailure
 from repro.core.observed import commuting_successors
 from repro.core.orders import Relation
 from repro.core.system import CompositeSystem
@@ -119,44 +119,38 @@ def calculation_constraints(
 
     ``base`` is ``(earlier, its constraints)`` for a front that extends
     ``earlier`` on an append-only carrier with every old pair keeping
-    its fate (the streaming step of
+    its fate (the step of
     :meth:`repro.core.reduction.ReductionEngine.next_front`): the
-    digraph is then the earlier one plus the constraints of the
-    observed pairs the front gained and of its new groups.
+    digraph is the earlier one plus the constraints of the observed and
+    input pairs the front gained and of its new groups.  No ``base`` is
+    the empty one: every pair is gained.  The front's observed order
+    must list the front's nodes as its carrier (an engine invariant).
     """
-    groups = grouping.groups
-    inputs: Tuple[Relation, ...] = (front.input_weak, front.input_strong)
     if base is None:
-        constraints = front.observed.restricted_to(
-            front.nodes, carrier=front.nodes
+        base = (EMPTY_FRONT, EMPTY_FRONT.observed)
+    earlier, built = base
+    constraints = front.observed.added_since(earlier.observed)
+    inputs = tuple(
+        now.added_since(then)
+        for now, then in (
+            (front.input_weak, earlier.input_weak),
+            (front.input_strong, earlier.input_strong),
         )
-    else:
-        earlier, built = base
-        constraints = front.observed.added_since(earlier.observed)
-        inputs = tuple(
-            now.added_since(then)
-            for now, then in (
-                (front.input_weak, earlier.input_weak),
-                (front.input_strong, earlier.input_strong),
-            )
-            if len(now) != len(then)
-        )
-        known = set(earlier.nodes)
-        groups = {
-            parent: members
-            for parent, members in groups.items()
-            if members[0] not in known
-        }
+        if len(now) != len(then)
+    )
+    known = set(earlier.nodes)
+    groups = {
+        parent: members
+        for parent, members in grouping.groups.items()
+        if members[0] not in known
+    }
     constraints.remove_self_loops()
     masks: Dict[str, int] = {}
     for a, row in constraints.nonempty_rows():
         drop = commuting_successors(system, constraints, a, row, masks)
         if drop:
             constraints.discard_row_bits(a, drop)
-    if base is None:
-        constraints = constraints.union(*inputs)
-    else:
-        constraints = built.union(constraints, *inputs)
+    constraints = built.union(constraints, *inputs)
     for parent, members in groups.items():
         schedule = system.schedule(system.schedule_of_transaction(parent))
         txn = schedule.transaction(parent)

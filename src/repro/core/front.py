@@ -144,6 +144,12 @@ class Front:
         )
 
 
+#: The front with no nodes, which a reduction step extends when it has
+#: no earlier front (``added_since`` of its orders is the whole
+#: relation).  Shared, so never mutated.
+EMPTY_FRONT = Front.level0((), Relation())
+
+
 @dataclass
 class ReductionFailure:
     """Why a level-``i`` front could not be constructed.

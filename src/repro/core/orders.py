@@ -504,7 +504,11 @@ class Relation:
         """Union of this relation with ``others`` (carriers merged).
 
         Row-wise OR when a carrier matches; otherwise the other rows are
-        scattered through an index permutation."""
+        scattered through an index permutation.  An empty ``self`` (the
+        base of a reduction step with nothing to extend) takes the first
+        other's carrier whole instead of adding its elements one by one."""
+        if not self._nodes and others:
+            return others[0].union(*others[1:])
         result = self.copy()
         result._cols = None
         rows = result._rows

@@ -39,7 +39,7 @@ from repro.core.calculation import (
     grouping_for_level,
     witness_sequence,
 )
-from repro.core.front import Front, ReductionFailure
+from repro.core.front import EMPTY_FRONT, Front, ReductionFailure
 from repro.core.observed import (
     ObservedOrderOptions,
     carried_restriction,
@@ -90,13 +90,13 @@ class ReductionResult:
     #: (empty when the fronts were built by direct ``next_front`` calls)
     profile: List[LevelProfile] = field(default_factory=list)
     #: the witnesses a one-shot :meth:`ReductionEngine.run` built next
-    #: to its steps; ``None`` when the fronts came from elsewhere
+    #: to its steps; ``None`` for a commit run (``run(level0=...)``)
     _witnesses: Optional[List[List[str]]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: a commit run's constraint digraph, its quotient and the grouping
-    #: per step, which the next commit's run extends
-    _steps: List[Tuple[Relation, Relation, "Grouping"]] = field(
+    #: each step's constraint digraph, its quotient and the grouping,
+    #: which a later commit's run extends
+    _steps: List[Tuple[Relation, Relation, Grouping]] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
 
@@ -110,25 +110,21 @@ class ReductionResult:
         linearization of ``fronts[i]`` in which every level-``i+1``
         transaction is a calculation (Def. 16 step 1).
 
-        A one-shot run builds them while each step's grouping and
-        constraints are at hand.  A streaming commit run
-        (``run(level0=...)``) builds none — the verdict needs only
+        A one-shot run builds them after each step.  A streaming commit
+        run (``run(level0=...)``) builds none — the verdict needs only
         :func:`find_isolation_failure`'s decision that the re-ordering
-        exists — so for it they are derived from the stored fronts on
+        exists — so for it they are derived from the stored steps on
         each read.
         """
         if self._witnesses is not None:
             return self._witnesses
-        out: List[List[str]] = []
-        for front in self.fronts[:-1]:
-            grouping = grouping_for_level(
-                self.system, front.nodes, front.level + 1
+        return [
+            # a copy: the witness puts the nodes on the quotient's carrier
+            witness_sequence(constraints, grouping, front.nodes, quotient.copy())
+            for front, (constraints, quotient, grouping) in zip(
+                self.fronts, self._steps
             )
-            constraints = calculation_constraints(
-                self.system, front, grouping
-            )
-            out.append(witness_sequence(constraints, grouping, front.nodes))
-        return out
+        ]
 
     def profile_totals(self) -> Dict[str, float]:
         """Aggregate the per-level profile (zeroes when not profiled)."""
@@ -196,12 +192,13 @@ class ReductionResult:
 class ReductionEngine:
     """Runs Def. 16 on one composite system.
 
-    Each step reuses the front's already-closed relations: the next
-    observed order is the closed restriction to the carried nodes plus
-    a delta closure over the rewritten pull-up pairs and the level's
-    seeds, and the input orders are closed restrictions (restriction
-    preserves closedness) plus the level's schedule input pairs as a
-    delta.  Per-schedule seed pairs are memoized across levels.
+    Every step (:meth:`next_front`) is one extension: an already-closed
+    base front plus a delta closure over the pairs it gained (pulled
+    up), the level's seeds and its schedule input pairs.  Only the base
+    differs: alone it is the closed restriction of the front below to
+    its carried nodes (restriction preserves closedness), and with a
+    previous commit's result it is that commit's front.  Per-schedule
+    seed pairs are memoized across levels.
     """
 
     def __init__(
@@ -302,63 +299,60 @@ class ReductionEngine:
         )
 
     def next_front(
-        self,
-        front: Front,
-        *,
-        base: "Optional[ReductionResult]" = None,
-        _prepared: "Optional[tuple]" = None,
+        self, front: Front, *, base: "Optional[ReductionResult]" = None
     ) -> Union[Front, ReductionFailure]:
         """One reduction step: construct the level-``i+1`` front, or
         explain why none exists.
 
-        ``base`` is the result of the previous commit of a stream, on a
-        system this one grew from (see :meth:`run`).  When it holds
-        fronts at levels ``i`` and ``i+1``, the step extends its closed
-        level-``i+1`` front instead of building one:
+        The step extends a closed *base* front by the pairs *gained*::
 
-        * observed = closure(base observed ∪ pull(gained) ∪ seeds),
-          where *gained* are the pairs ``front`` has and the base's
-          level-``i`` front lacks, pulled up like any other (carried
-          ones unchanged), and the seeds are those of the schedules
-          that gained members or changed;
-        * input = closure(base input ∪ gained carried input pairs ∪
-          the input pairs of the level's changed schedules).
+            observed = closure(base observed ∪ pull(gained) ∪ seeds)
+            input    = closure(base input ∪ gained input pairs ∪
+                               the input pairs of the level's schedules)
+
+        and the base comes one of two ways:
+
+        * alone, the base is the carried part of ``front``: its orders
+          restricted to the nodes no level-``i+1`` transaction absorbs
+          (closed, since restriction preserves closedness), and the
+          gained pairs are the rewritten, Def.-10-gated ones;
+        * ``base`` is the result of the previous commit of a stream, on
+          a system this one grew from (see :meth:`run`).  When it holds
+          fronts at levels ``i`` and ``i+1``, the base is its closed
+          level-``i+1`` front, the gained pairs are those ``front`` has
+          and the base's level-``i`` front lacks (pulled up, carried
+          ones unchanged), and the schedules it was reduced with that
+          the system kept are skipped.
 
         The constraint digraph of Def. 16 step 1 and its quotient grow
-        the same way, from the base's step; isolation and CC are decided
-        on the whole front either way.  ``_prepared`` lets :meth:`run` pass an already-computed
-        ``(grouping, constraints, quotient)`` triple so the witness
-        extraction and the step share the work.
+        the same way from the base's step (from nothing, alone), and
+        are left with the grouping in ``self._step``; isolation and CC
+        are decided on the whole front either way.
         """
         level = front.level + 1
         system = self.system
         tele = self._tele()
-        # the base, when it holds this level's front to extend, and the
-        # nodes of that front
+        # the base, when it holds this level's front to extend
         prior = base if base is not None and len(base.fronts) > level else None
-        known: AbstractSet[str] = (
-            frozenset() if prior is None else set(prior.fronts[level].nodes)
-        )
-        if _prepared is None:
-            self._check_materialization(front, level, known)
-            if prior is not None:
-                built, mapped, earlier = prior._steps[level - 1]
-                grouping = grouping_for_level(
-                    system, front.nodes, level, base=earlier
-                )
-                constraints = calculation_constraints(
-                    system, front, grouping, base=(prior.fronts[level - 1], built)
-                )
-                quotient = mapped.union(
-                    constraints.added_since(built).mapped(grouping.rep)
-                )
-            else:
-                grouping = grouping_for_level(system, front.nodes, level)
-                constraints = calculation_constraints(system, front, grouping)
-                quotient = constraints.mapped(grouping.rep)
-            self._step = (constraints, quotient, grouping)
+        if prior is None:  # alone: extend the empty front from no step
+            below = EMPTY_FRONT
+            known_nodes: Tuple[str, ...] = ()
+            built = mapped = EMPTY_FRONT.observed
+            earlier: Optional[Grouping] = None
         else:
-            grouping, constraints, quotient = _prepared
+            below = prior.fronts[level - 1]
+            known_nodes = prior.fronts[level].nodes
+            built, mapped, earlier = prior._steps[level - 1]
+        known = frozenset(known_nodes)
+        self._check_materialization(front, level, known)
+        grouping = grouping_for_level(system, front.nodes, level, base=earlier)
+        constraints = calculation_constraints(
+            system, front, grouping, base=(below, built)
+        )
+        quotient = mapped.union(
+            constraints.added_since(built).mapped(grouping.rep)
+        )
+        self._step = (constraints, quotient, grouping)
         failure = find_isolation_failure(constraints, grouping, quotient)
         if failure is not None:
             tele.count("reduce.isolation_reject")
@@ -381,41 +375,31 @@ class ReductionEngine:
             n for n, parent in grouping.representative.items() if parent != n
         )
         carried = set(front.observed.elements) - grouped
-        schedules = system.schedules_at_level(level)
+        delta = pull_up_delta(
+            system,
+            front.observed.added_since(below.observed),
+            rep,
+            self.options,
+            grouped=grouped,
+            carry=prior is not None,
+        )
         weak_delta: List[Tuple[str, str]] = []
         strong_delta: List[Tuple[str, str]] = []
+        same: AbstractSet[str] = frozenset()
         if prior is None:
             # The carried part of the pull-up (pairs between two
-            # ungrouped nodes) is exactly front.observed restricted to
-            # those nodes — and a restriction of a closed relation is
-            # closed, so it serves as the delta-closure base.
-            # Everything else (the rewritten, Def.-10-gated pairs, plus
-            # this level's seeds) is the delta.  Likewise the input
-            # orders: front.input_* are closed (engine invariant), and
-            # restriction preserves closedness.
+            # ungrouped nodes) is front.observed restricted to those
+            # nodes; front.input_* are closed (engine invariant) and so
+            # are their restrictions.
             observed = carried_restriction(front.observed, rep, grouped)
-            delta = pull_up_delta(
-                system, front.observed, rep, self.options, grouped=grouped
-            )
             input_weak = front.input_weak.restricted_to(new_nodes)
             input_strong = front.input_strong.restricted_to(new_nodes)
-            delta.extend(self._seeds(new_nodes, covered=carried))
-            added = new_nodes
         else:
             # Every front order is monotone in the activated
-            # declarations, so the base's closed fronts are the closure
-            # bases and only what the level below gained is new.
-            below, previous = prior.fronts[level - 1], prior.fronts[level]
-            added = tuple(n for n in new_nodes if n not in known)
+            # declarations, so the base's closed front is the closure
+            # base and only what the level below gained is new.
+            previous = prior.fronts[level]
             observed = previous.observed.copy()
-            delta = pull_up_delta(
-                system,
-                front.observed.added_since(below.observed),
-                rep,
-                self.options,
-                grouped=grouped,
-                carry=True,
-            )
             input_weak = previous.input_weak.copy()
             input_strong = previous.input_strong.copy()
             for now, then, gained in (
@@ -432,21 +416,22 @@ class ReductionEngine:
                 for sname, schedule in system.schedules.items()
                 if kept.get(sname) is schedule
             }
-            schedules = tuple(s for s in schedules if s not in same)
-            delta.extend(
-                self._seeds(new_nodes, covered=carried, seeded=(known, same))
-            )
-            # The base's nodes first: the front lists its carrier.
-            new_nodes = previous.nodes + added
+        delta.extend(
+            self._seeds(new_nodes, covered=carried, seeded=(known, same))
+        )
+        # The base's nodes first: the front lists its carrier.
+        added = tuple(n for n in new_nodes if n not in known)
+        new_nodes = known_nodes + added
         for node in added:
             observed.add_element(node)
             input_weak.add_element(node)
             input_strong.add_element(node)
         observed = self._close_with_delta(observed, delta)
-        for sname in schedules:
-            schedule = system.schedule(sname)
-            weak_delta.extend(schedule.weak_input.pairs())
-            strong_delta.extend(schedule.strong_input.pairs())
+        for sname in system.schedules_at_level(level):
+            if sname not in same:
+                schedule = system.schedule(sname)
+                weak_delta.extend(schedule.weak_input.pairs())
+                strong_delta.extend(schedule.strong_input.pairs())
         # Only the new schedules' input pairs need propagating.
         input_weak = self._close_with_delta(input_weak, weak_delta)
         input_strong = self._close_with_delta(input_strong, strong_delta)
@@ -602,22 +587,7 @@ class ReductionEngine:
         while front.level < target:
             with tele.span("reduce.level", level=front.level + 1) as span:
                 before = closure_counters()
-                if witnesses is None:
-                    outcome = self.next_front(front, base=base)
-                else:
-                    self._check_materialization(front, front.level + 1)
-                    grouping = grouping_for_level(
-                        self.system, front.nodes, front.level + 1
-                    )
-                    constraints = calculation_constraints(
-                        self.system, front, grouping
-                    )
-                    # one quotient serves the isolation test and the
-                    # witness
-                    quotient = constraints.mapped(grouping.rep)
-                    outcome = self.next_front(
-                        front, _prepared=(grouping, constraints, quotient)
-                    )
+                outcome = self.next_front(front, base=base)
                 shown = (
                     outcome.rejected_front
                     if isinstance(outcome, ReductionFailure)
@@ -627,10 +597,10 @@ class ReductionEngine:
                     self._note_level(span, shown, before)
             if isinstance(outcome, ReductionFailure):
                 return self._record_failure(result, outcome, span)
-            if witnesses is None:
-                assert self._step is not None
-                result._steps.append(self._step)
-            else:
+            assert self._step is not None
+            result._steps.append(self._step)
+            if witnesses is not None:
+                constraints, quotient, grouping = self._step
                 witnesses.append(
                     witness_sequence(
                         constraints, grouping, front.nodes, quotient

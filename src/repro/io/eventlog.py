@@ -250,7 +250,7 @@ def _event_of(document: object) -> Event:
         elif key == "v":
             if kind != "log":
                 raise ParseError("'v' is only valid on the header")
-            if value != EVENTLOG_VERSION:
+            if value.__class__ is not int or value != EVENTLOG_VERSION:
                 raise ParseError(
                     f"unsupported event log version {value!r} "
                     f"(expected {EVENTLOG_VERSION})"

@@ -9,7 +9,7 @@ lint-style diagnostic with a stable code, the offending file, the
 
 * ``CTX401`` — the text is not valid JSON (a defect *inside* the
   document: a stray character, a missing delimiter, bytes that are
-  not UTF-8);
+  not UTF-8, arrays or objects nested past the parser's depth);
 * ``CTX402`` — the JSON text ends unexpectedly, the signature of a
   **truncated** file (an interrupted write, a partial copy).  The
   distinction matters operationally: CTX402 means go find the
@@ -112,6 +112,8 @@ def parse_json_document(
                 else None
             ),
         )
+    except RecursionError:
+        _raise("CTX401", "not valid JSON: nested too deeply", source=source)
     if expect_object and not isinstance(document, dict):
         _raise(
             "CTX403",

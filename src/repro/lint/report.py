@@ -237,10 +237,11 @@ def lint_file(
     try:
         with open(file, "r", encoding="utf-8") as handle:
             document = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
+        reason = "nested too deeply" if isinstance(err, RecursionError) else err
         collector.report(
             "CTX305",
-            f"not valid JSON: {err}",
+            f"not valid JSON: {reason}",
             fix_hint="lint expects JSON system/trace/topology documents",
         )
         return FileReport(path=file, kind=KIND_UNKNOWN, collector=collector)

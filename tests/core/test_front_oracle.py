@@ -46,8 +46,10 @@ def test_oracle_catches_an_engine_without_the_forgetting_gate(monkeypatch):
     original = reduction.pull_up_delta
     gateless = ObservedOrderOptions(forget_nonconflicting=False)
 
-    def pull_up_without_gate(system, observed, rep, options, *, grouped):
-        return original(system, observed, rep, gateless, grouped=grouped)
+    def pull_up_without_gate(system, observed, rep, options, *, grouped, carry):
+        return original(
+            system, observed, rep, gateless, grouped=grouped, carry=carry
+        )
 
     monkeypatch.setattr(reduction, "pull_up_delta", pull_up_without_gate)
     system = figure4_system()

@@ -69,6 +69,13 @@ class TestSchema:
         with pytest.raises(ParseError, match="unsupported event log"):
             parse_event_line('{"e": "log", "v": 99, "derive": "declared"}')
 
+    @pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
+    def test_version_must_be_an_integer(self, version):
+        with pytest.raises(ParseError, match="unsupported event log version"):
+            parse_event_line(
+                f'{{"e": "log", "v": {version}, "derive": "declared"}}'
+            )
+
     def test_header_without_version_rejected(self):
         with pytest.raises(ParseError, match="missing the schema version"):
             parse_event_line('{"e": "log", "derive": "declared"}')

@@ -104,6 +104,15 @@ def test_invalid_json_is_a_finding_not_a_crash(tmp_path, capsys):
     assert "CTX305" in capsys.readouterr().out
 
 
+def test_too_deeply_nested_json_is_a_finding_not_a_crash(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text('{"schedules": ' + "[" * 100_000, encoding="utf-8")
+    assert main(["lint", "--format", "json", str(path)]) == 2
+    [finding] = json.loads(capsys.readouterr().out)["files"][0]["diagnostics"]
+    assert finding["code"] == "CTX305"
+    assert finding["message"] == "not valid JSON: nested too deeply"
+
+
 def test_directory_recursion_is_deterministic(
     tmp_path, clean_file, capsys
 ):

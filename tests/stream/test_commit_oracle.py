@@ -9,7 +9,10 @@ of generated 8-root logs this pins two things:
   prefix and the checker's live result is empty — every live front
   equals, as sets, the front the oracle computes from the definitions;
 * the live status is the verdict of a plain batch reduction of the
-  prefix.
+  prefix;
+* at a commit that extended the previous one, every ``F**`` witness of
+  the live result is valid by Def. 16 step 1 and equals the one
+  rebuilt from scratch on its front.
 
 Two hand-written logs cover the commits that must not extend: a later
 root that raises a schedule's level, and a late ``conflict`` between
@@ -20,7 +23,13 @@ from typing import List
 
 import pytest
 
-from repro.core.reduction import reduce_to_roots
+from repro.core.calculation import (
+    calculation_constraints,
+    grouping_for_level,
+    witness_sequence,
+)
+from repro.core.front import Front
+from repro.core.reduction import ReductionEngine, reduce_to_roots
 from repro.io.eventlog import Event, events_from_recorded, interleave_by_commit
 from repro.stream import IncrementalChecker
 from repro.workloads.generator import WorkloadConfig, generate
@@ -32,6 +41,8 @@ from repro.workloads.topologies import (
 )
 
 from tests.core.front_oracle import disagreements
+from tests.core.golden import GOLDEN_SPECS
+from tests.core.test_calculation import _assert_valid_witness
 
 _SPECS = [
     ("stack3", lambda: stack_topology(3)),
@@ -64,7 +75,19 @@ def _replay(events: List[Event]) -> IncrementalChecker:
         assert disagreements(prefix.system, checker.last_result) == []
         batch = reduce_to_roots(prefix.system)
         assert verdict.rejected == (batch.failure is not None)
+        if _extended(checker)[-1]:
+            _assert_witnesses(prefix.system, checker.last_result)
     return checker
+
+
+def _assert_witnesses(system, result) -> None:
+    """Each witness of a commit result is an F** of its front, and the
+    one a from-scratch step on that front would give."""
+    for front, witness in zip(result.fronts, result.witnesses):
+        _assert_valid_witness(system, front, witness)
+        grouping = grouping_for_level(system, front.nodes, front.level + 1)
+        constraints = calculation_constraints(system, front, grouping)
+        assert witness == witness_sequence(constraints, grouping, front.nodes)
 
 
 @pytest.mark.parametrize("layout", ["serial", "random"])
@@ -137,3 +160,24 @@ def test_a_late_conflict_between_committed_operations_is_checked_whole():
     checker = _replay(events)
     assert ("T1", "T2") in checker.last_result.fronts[2].observed
     assert _extended(checker) == [False, True, False]
+
+
+@pytest.mark.parametrize(
+    "name, topology, cfg", GOLDEN_SPECS, ids=[n for n, _, _ in GOLDEN_SPECS]
+)
+def test_an_empty_extension_gives_the_base_back(name, topology, cfg):
+    """Extending a result on the same system gains nothing: every front
+    comes back pair for pair, and the report is the same."""
+    system = generate(topology(), WorkloadConfig(**cfg)).system
+    base = ReductionEngine(system).run()
+    front0 = base.fronts[0]
+    level0 = Front.level0(front0.nodes, front0.observed.copy())
+    extended = ReductionEngine(system).run(level0=level0, base=base)
+    assert extended.report() == base.report()
+    assert len(extended.fronts) == len(base.fronts)
+    for mine, theirs in zip(extended.fronts, base.fronts):
+        assert mine.nodes == theirs.nodes
+        for relation in ("observed", "input_weak", "input_strong"):
+            assert list(getattr(mine, relation).pairs()) == list(
+                getattr(theirs, relation).pairs()
+            )

@@ -298,6 +298,21 @@ class TestInputErrors:
         assert main(["lint", str(path)]) == 2
         assert "CTX305" in capsys.readouterr().out
 
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        """Arrays nested past the JSON parser's depth are one CTX401
+        `check` error line, not a RecursionError traceback; lint
+        reports them as CTX305."""
+        path = tmp_path / "nested.json"
+        path.write_text('{"schedules": ' + "[" * 100_000)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"repro check: error: CTX401 error: {path}: not valid JSON: "
+            "nested too deeply\n"
+        )
+        assert main(["lint", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "CTX305" in out and "nested too deeply" in out
+
     @pytest.mark.parametrize(
         "line, message",
         [
