@@ -38,10 +38,10 @@ Example
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.orders import Relation
+from repro.core.orders import Relation, closed_union
 from repro.core.schedule import (
     Schedule,
     executed_sequence_error,
@@ -79,16 +79,20 @@ class _ScheduleDraft:
     execution_mode: str = "conflicts"
 
 
+#: a declared pair (of transactions or of operations)
+Pair = Tuple[str, str]
+
+
 @dataclass
 class _Built:
-    """One schedule of the last build, kept for the next: the staged
-    input pairs it was constructed from, the Def.-4.7 pairs it passed
-    on to each callee, and whether its axioms were checked."""
+    """One schedule of the last build, kept for the next: how many of
+    each of its draft's declarations (transactions, conflicts, weak and
+    strong inputs, weak and strong outputs) it holds, the Def.-4.7 pairs
+    it passes on to each callee, and whether its axioms were checked."""
 
     schedule: Schedule
-    weak_input: List[Tuple[str, str]]
-    strong_input: List[Tuple[str, str]]
-    passed_on: Dict[str, Tuple[List[Tuple[str, str]], List[Tuple[str, str]]]]
+    taken: Tuple[int, int, int, int, int, int]
+    passed_on: Dict[str, Tuple[List[Pair], List[Pair]]]
     validated: bool = False
 
 
@@ -106,12 +110,18 @@ class SystemBuilder:
         self._drafts: Dict[str, _ScheduleDraft] = {}
         self._txn_schedule: Dict[str, str] = {}
         self._report = report
-        #: the schedules of the last build, and the drafts changed since
+        #: the last build: its schedules and system, and the drafts
+        #: changed since
         self._last: Dict[str, _Built] = {}
         self._last_propagate = True
+        self._system: Optional[CompositeSystem] = None
         self._changed: Set[str] = set()
-        #: transactions declared since the last build
-        self._declared: Set[str] = set()
+        #: (schedule, transaction) declared since the last build
+        self._declared: List[Tuple[str, Transaction]] = []
+        #: invocation edges, caller schedule -> callee schedules, and
+        #: the callers-first order they give (``None``: to be redone)
+        self._callees: Dict[str, Set[str]] = {}
+        self._order: Optional[List[str]] = None
 
     def _refuse(self, error: ModelError) -> None:
         report_or_raise(self._report, error)
@@ -166,7 +176,7 @@ class SystemBuilder:
             report=None if self._report is None else _placed(self._report, schedule),
         )
         self._txn_schedule.setdefault(name, schedule)
-        self._declared.add(name)
+        self._declared.append((schedule, txn))
         draft.transactions.append(txn)
         return self
 
@@ -211,6 +221,9 @@ class SystemBuilder:
         draft = self._draft(schedule)
         draft.execution = list(sequence)
         draft.execution_mode = mode
+        # A sequence recorded again may order less than the last one,
+        # so the next build grows nothing from the last.
+        self._last = {}
         return self
 
     def weak_output(self, schedule: str, a: str, b: str) -> "SystemBuilder":
@@ -250,73 +263,75 @@ class SystemBuilder:
         in declaration order either way.  A recorded ``executed``
         sequence must list each operation of its schedule once
         (CTX302).  ``validate`` checks the Def.-3 axioms (in
-        construction order) and Def. 4.7 once the whole system is
-        built.
+        construction order) once the whole system is built, and, without
+        propagation, Def. 4.7.  With it, Def. 4.7 holds by construction:
+        every caller is built before its callees (an invocation cycle,
+        the one way a callee could come first, is refused by
+        :class:`CompositeSystem`), and each callee's inputs receive
+        every pair its callers' final outputs order between two of its
+        transactions.
 
         A builder that builds again (the streaming assembler's, which
-        declares more between builds) keeps the previous build's
-        :class:`Schedule` for every schedule whose declarations and
-        staged input pairs did not change since, with its checked
-        axioms; only the :class:`CompositeSystem` is assembled anew.
-        A collecting builder constructs everything every time, so each
-        build reports every violation.
+        declares more between builds) grows the last build instead of
+        reconstructing it.  A schedule whose declarations and received
+        input pairs did not change is kept; one that gained some is
+        grown from the last one (:meth:`Schedule.extended`) and passes on
+        only the Def.-4.7 pairs it gained; the :class:`CompositeSystem`
+        is grown from the last one (:meth:`CompositeSystem.extended`).
+        The axioms are checked again only on the schedules grown or
+        constructed since they last were.  A grown
+        schedule that breaks well-formedness (a cyclic order) and a
+        recorded ``executed`` sequence fall back to constructing the
+        schedule from its whole draft, so violations are raised as a
+        first build raises them.  A collecting builder constructs
+        everything every time, so each build reports every violation.
         """
-        weak_in = {n: list(d.weak_input) for n, d in self._drafts.items()}
-        strong_in = {n: list(d.strong_input) for n, d in self._drafts.items()}
-        reusable = (
+        invoking = self._track_invocations()
+        previous = (
             self._last
             if self._report is None and propagate_orders == self._last_propagate
             else {}
         )
         built: Dict[str, _Built] = {}
+        #: per callee, the Def.-4.7 pairs its callers gained in this build
+        gained: Dict[str, Tuple[List[Pair], List[Pair]]] = {}
         for name in self._callers_first() if propagate_orders else self._drafts:
-            entry = reusable.get(name)
-            if (
-                entry is None
-                or name in self._changed
-                or entry.weak_input != weak_in[name]
-                or entry.strong_input != strong_in[name]
-            ):
-                entry = self._construct(name, weak_in[name], strong_in[name])
-                if propagate_orders:
-                    entry.passed_on = self._passed_on(name, entry.schedule)
-            elif not self._declared.isdisjoint(entry.schedule.operations):
-                # an operation became a transaction: a new callee
-                entry.passed_on = self._passed_on(name, entry.schedule)
+            last = previous.get(name)
+            pushed = gained.pop(name, None)
+            if last is None or pushed is not None or name in self._changed:
+                entry = self._construct(name, last, pushed, built)
+            else:
+                entry = last
+            if propagate_orders and (entry is not last or name in invoking):
+                passed_on = self._passed_on(
+                    name, entry.schedule, last, name in invoking, gained
+                )
+                if entry is last:
+                    entry = replace(entry, passed_on=passed_on)
+                else:
+                    entry.passed_on = passed_on
             built[name] = entry
-            for callee, (weak, strong) in entry.passed_on.items():
-                weak_in[callee].extend(weak)
-                strong_in[callee].extend(strong)
+        schedules = [built[name].schedule for name in self._drafts]
+        system = (
+            CompositeSystem(schedules, validate=False, report=self._report)
+            if self._system is None or self._report is not None
+            else self._system.extended(schedules)
+        )
         self._last = built
         self._last_propagate = propagate_orders
+        self._system = system
         self._changed.clear()
         self._declared.clear()
-        system = CompositeSystem(
-            [built[name].schedule for name in self._drafts],
-            validate=False,
-            report=self._report,
-        )
         # Validation follows the whole structure, as lint's does, so a
         # structural defect anywhere is raised before any axiom.
-        # A kept schedule passed both checks in an earlier build, so
-        # only the ones constructed since, and their callers, are
-        # checked again.
+        # A kept schedule passed them in an earlier build.
         if validate:
             unchecked = [entry for entry in built.values() if not entry.validated]
             for entry in unchecked:
                 entry.schedule.validate_axioms()
-            fresh = {entry.schedule.name for entry in unchecked}
-            callers = (
-                [
-                    name
-                    for name, entry in built.items()
-                    if name in fresh or not fresh.isdisjoint(entry.passed_on)
-                ]
-                if propagate_orders
-                else None
-            )
-            for violation in system.iter_order_propagation_violations(callers):
-                raise violation
+            if not propagate_orders:
+                for violation in system.iter_order_propagation_violations():
+                    raise violation
             for entry in unchecked:
                 entry.validated = True
         return system
@@ -324,14 +339,33 @@ class SystemBuilder:
     def _construct(
         self,
         name: str,
-        weak_in: List[Tuple[str, str]],
-        strong_in: List[Tuple[str, str]],
+        last: Optional[_Built],
+        pushed: Optional[Tuple[List[Pair], List[Pair]]],
+        built: Mapping[str, _Built],
     ) -> _Built:
-        """Construct schedule ``name`` from its draft and its staged
-        input pairs."""
+        """Schedule ``name`` grown from ``last``, its schedule of the
+        last build, by what its draft declared and its callers passed
+        on since (``pushed``); or, without ``last``, with a recorded
+        sequence, or when growing breaks well-formedness, constructed
+        from its whole draft and every pair its callers pass on."""
         draft = self._drafts[name]
-        weak_out = list(draft.weak_output)
-        strong_out = list(draft.strong_output)
+        if draft.execution is not None:
+            last = None
+        txns, conflicts, wi, si, wo, so = (0,) * 6 if last is None else last.taken
+        weak_in = draft.weak_input[wi:]
+        strong_in = draft.strong_input[si:]
+        if last is not None:
+            if pushed is not None:
+                weak_in += pushed[0]
+                strong_in += pushed[1]
+        else:
+            for caller in built.values():
+                passed = caller.passed_on.get(name)
+                if passed is not None:
+                    weak_in.extend(passed[0])
+                    strong_in.extend(passed[1])
+        weak_out = draft.weak_output[wo:]
+        strong_out = draft.strong_output[so:]
         if draft.execution is not None:
             error = executed_sequence_error(
                 name, draft.execution, self._operations(name)
@@ -344,74 +378,152 @@ class SystemBuilder:
                         draft.execution, draft.execution_mode, draft.conflicts
                     )
                 )
+        transactions = draft.transactions[txns:]
         # Axiom 2: intra-transaction orders must surface in outputs.
-        for txn in draft.transactions:
+        for txn in transactions:
             if txn.ordered:
                 weak_out.extend(txn.weak_order.pairs())
                 strong_out.extend(txn.strong_order.pairs())
-        # Axiom 3: closed strong inputs sequence whole transactions.
-        # An unknown name is left for Schedule to report.
+        # Axiom 3: closed strong inputs sequence whole transactions; the
+        # pairs the closure gains are expanded.  An unknown name is left
+        # for Schedule to report.
         ops_of = {t.name: t.operations for t in draft.transactions} if strong_in else {}
         if strong_in and all(t in ops_of for p in strong_in for t in p):
-            for t1, t2 in Relation(strong_in).transitive_closure().pairs():
+            base = Relation() if last is None else last.schedule.strong_input
+            closed = closed_union(base.copy(), strong_in)
+            for t1, t2 in closed.added_since(base).pairs():
                 for a in ops_of[t1]:
                     strong_out.extend((a, b) for b in ops_of[t2])
-        schedule = Schedule(
-            name,
-            draft.transactions,
-            conflicts=draft.conflicts,
+        taken = (
+            len(draft.transactions),
+            len(draft.conflicts),
+            len(draft.weak_input),
+            len(draft.strong_input),
+            len(draft.weak_output),
+            len(draft.strong_output),
+        )
+        if last is None:
+            schedule = Schedule(
+                name,
+                transactions,
+                conflicts=draft.conflicts,
+                weak_input=weak_in,
+                strong_input=strong_in,
+                weak_output=weak_out,
+                strong_output=strong_out,
+                validate=False,
+                report=self._report,
+            )
+            return _Built(schedule, taken, {})
+        grown = last.schedule.extended(
+            transactions,
+            conflicts=draft.conflicts[conflicts:],
             weak_input=weak_in,
             strong_input=strong_in,
             weak_output=weak_out,
             strong_output=strong_out,
-            validate=False,
-            report=self._report,
         )
-        return _Built(schedule, weak_in, strong_in, {})
+        if grown is None:
+            return self._construct(name, None, None, built)
+        return _Built(grown, taken, {})
 
     def _passed_on(
-        self, name: str, schedule: Schedule
-    ) -> Dict[str, Tuple[List[Tuple[str, str]], List[Tuple[str, str]]]]:
+        self,
+        name: str,
+        schedule: Schedule,
+        last: Optional[_Built],
+        invoking: bool,
+        gained: Dict[str, Tuple[List[Pair], List[Pair]]],
+    ) -> Dict[str, Tuple[List[Pair], List[Pair]]]:
         """Def. 4.7: the (weak, strong) output pairs of ``schedule``
-        between two transactions of one callee, per callee.  One mask
-        per callee over the output carrier (bit i is operations[i])
-        selects its transactions."""
+        between two transactions of one callee, per callee; the ones
+        ``last`` did not pass on are added to the callee's ``gained``.
+        One mask per callee over the output carrier (bit i is
+        operations[i]) selects its transactions.  A schedule grown from
+        ``last`` reads only the row bits its outputs gained, unless one
+        of its operations became a transaction since (``invoking``),
+        which puts old pairs under a callee's mask."""
+        weak, strong = schedule.weak_output, schedule.strong_output
+        since = None if last is None or invoking else last.schedule
+        if (
+            last is not None
+            and since is not None
+            and len(weak) == len(since.weak_output)
+            and len(strong) == len(since.strong_output)
+        ):
+            return last.passed_on  # outputs only grow: nothing gained
         txn_schedule = self._txn_schedule
         masks: Dict[str, int] = {}
-        for i, op in enumerate(schedule.operations):
+        for i, op in enumerate(schedule._owner_of):
             callee = txn_schedule.get(op)
             if callee is not None and callee != name:
                 masks[callee] = masks.get(callee, 0) | (1 << i)
-        weak, strong = schedule.weak_output, schedule.strong_output
-        return {
-            callee: (
-                [(a, b) for a in weak.unpack(mask) for b in weak.unpack(weak.row_bits(a) & mask)],
-                [
-                    (a, b)
-                    for a in strong.unpack(mask)
-                    for b in strong.unpack(strong.row_bits(a) & mask)
-                ],
+        weak_since = None if since is None else since.weak_output
+        strong_since = None if since is None else since.strong_output
+        passed: Dict[str, Tuple[List[Pair], List[Pair]]] = {}
+        for callee, mask in masks.items():
+            new = (
+                weak.pairs_within(mask, weak_since),
+                strong.pairs_within(mask, strong_since),
             )
-            for callee, mask in masks.items()
-        }
+            before = last.passed_on.get(callee) if last is not None else None
+            if before is None:
+                passed[callee] = new
+            elif since is not None:
+                passed[callee] = (before[0] + new[0], before[1] + new[1])
+            else:
+                passed[callee] = new
+                weak_before, strong_before = set(before[0]), set(before[1])
+                new = (
+                    [p for p in new[0] if p not in weak_before],
+                    [p for p in new[1] if p not in strong_before],
+                )
+            if new[0] or new[1]:
+                into = gained.setdefault(callee, ([], []))
+                into[0].extend(new[0])
+                into[1].extend(new[1])
+        return passed
+
+    def _track_invocations(self) -> Set[str]:
+        """Add the invocation edges (caller schedule -> callee schedule)
+        the transactions declared since the last build bring, dropping
+        the callers-first order when one is new; returns the schedules
+        one of whose operations of the last build is one of them."""
+        callees = self._callees
+        txn_schedule = self._txn_schedule
+        operations: Mapping[str, Optional[str]] = (
+            {} if self._system is None else self._system._op_schedule
+        )
+        invoking: Set[str] = set()
+        for sname, txn in self._declared:
+            targets = callees.setdefault(sname, set())
+            for op in txn.operations:
+                callee = txn_schedule.get(op)
+                if callee is not None and callee not in targets and callee != sname:
+                    targets.add(callee)
+                    self._order = None
+            caller = operations.get(txn.name)
+            if caller is not None:
+                invoking.add(caller)
+                targets = callees.setdefault(caller, set())
+                if sname not in targets and sname != caller:
+                    targets.add(sname)
+                    self._order = None
+        return invoking
 
     def _callers_first(self) -> List[str]:
         """Schedule names with every caller before its callees,
-        declaration order breaking ties.  Schedules on or below an
+        declaration order breaking ties, redone only when a schedule or
+        an invocation edge appeared.  Schedules on or below an
         invocation cycle (which :class:`CompositeSystem` rejects,
         Def. 4.6) follow in declaration order."""
+        if self._order is not None and len(self._order) == len(self._drafts):
+            return self._order
         names = list(self._drafts)
         rank = {name: i for i, name in enumerate(names)}
-        callees: Dict[str, Set[str]] = {}
         callers = dict.fromkeys(names, 0)
-        for name, draft in self._drafts.items():
-            callees[name] = {
-                self._txn_schedule[op]
-                for txn in draft.transactions
-                for op in txn.operations
-                if op in self._txn_schedule
-            } - {name}
-            for callee in callees[name]:
+        for targets in self._callees.values():
+            for callee in targets:
                 callers[callee] += 1
         ready = [name for name in names if not callers[name]]
         order: List[str] = []
@@ -419,11 +531,12 @@ class SystemBuilder:
             name = min(ready, key=rank.__getitem__)
             ready.remove(name)
             order.append(name)
-            for callee in callees[name]:
+            for callee in self._callees.get(name, ()):
                 callers[callee] -= 1
                 if not callers[callee]:
                     ready.append(callee)
         order.extend(name for name in names if callers[name])
+        self._order = order
         return order
 
     # ------------------------------------------------------------------

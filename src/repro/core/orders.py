@@ -304,6 +304,20 @@ class Relation:
         clone._size = self._size
         return clone
 
+    def grown(self, elements: Iterable[Element]) -> "Relation":
+        """A copy whose carrier also lists ``elements``, which must be
+        new and distinct, appended in order (their rows empty)."""
+        clone = Relation.__new__(Relation)
+        old = len(self._nodes)
+        nodes = clone._nodes = self._nodes + list(elements)
+        index = clone._index = dict(self._index)
+        index.update(zip(nodes[old:], range(old, len(nodes))))
+        grew = len(nodes) - old
+        clone._rows = self._rows + [0] * grew
+        clone._cols = None
+        clone._size = self._size
+        return clone
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -442,6 +456,25 @@ class Relation:
         """The elements whose bits are set in ``mask``, in index order."""
         nodes = self._nodes
         return [nodes[j] for j in _iter_bits(mask)]
+
+    def pairs_within(
+        self, mask: int, earlier: Optional["Relation"] = None
+    ) -> List[Pair]:
+        """The pairs between two elements of ``mask``, in row order,
+        that ``earlier`` lacks: a relation this one grew from by
+        appending elements (:meth:`added_since` restricted to ``mask``,
+        with no relation built)."""
+        nodes, rows = self._nodes, self._rows
+        old: List[int] = [] if earlier is None else earlier._rows
+        pairs: List[Pair] = []
+        for i in _iter_bits(mask):
+            row = rows[i] & mask
+            if i < len(old):
+                row &= ~old[i]
+            if row:
+                a = nodes[i]
+                pairs.extend([(a, nodes[j]) for j in _iter_bits(row)])
+        return pairs
 
     def missing_pairs(self, other: "Relation") -> Iterator[Pair]:
         """Pairs of ``self`` absent from ``other``, in :meth:`pairs`
@@ -1302,62 +1335,156 @@ def find_cycle_in_union(
     return _witness_cycle(union._nodes, union._rows, skip_self_loops)
 
 
+def _few(gained: int, closed: int) -> bool:
+    """Whether ``gained`` new pairs are few enough, next to a closed
+    base of ``closed`` pairs, to close in edge by edge.
+
+    Per-edge :meth:`Relation.add_closed` wins while the new pairs are no
+    more than the closed base (carry-heavy reduction levels, a grown
+    schedule's gained declarations), but degenerates when they swamp
+    it, where the word-packed from-scratch closure is far cheaper.  The
+    crossover was measured on the P2 workloads (deep stacks, dags and
+    trees, serial layouts).  Both ways compute the same relation, so
+    verdicts and printed fronts do not depend on the choice.
+    """
+    return gained <= max(16, closed)
+
+
+def closed_union(base: Relation, pairs: List[Pair]) -> Relation:
+    """Close ``base ∪ pairs`` given an already-closed ``base`` (updated
+    in place, or replaced), edge by edge when the pairs are
+    :func:`_few`."""
+    if _few(len(pairs), len(base)):
+        base.add_closed(pairs)
+        return base
+    base.add_all(pairs)
+    return base.transitive_closure()
+
+
+def _known(
+    index: Dict[Element, int],
+    pairs: List[Pair],
+    unknown: Callable[[Element, str], ModelError],
+    kind: str,
+    report: Optional[Report],
+) -> List[Pair]:
+    """The ``pairs`` whose both ends ``index`` holds; an end it lacks
+    raises ``unknown(end, kind)``, or, given ``report``, is reported
+    and its pair dropped."""
+    for a, b in pairs:
+        if a not in index or b not in index:
+            break
+    else:
+        return pairs
+    known: List[Pair] = []
+    for a, b in pairs:
+        if a in index and b in index:
+            known.append((a, b))
+            continue
+        for end in (a, b):
+            if end not in index:
+                report_or_raise(report, unknown(end, kind))
+    return known
+
+
+def _intern(
+    relation: Relation,
+    pairs: List[Pair],
+    unknown: Callable[[Element, str], ModelError],
+    kind: str,
+    report: Optional[Report],
+) -> bool:
+    """Set the row bit of each of ``pairs`` whose both ends the carrier
+    holds (the others as :func:`_known` treats them); whether any row
+    changed."""
+    index = relation._index
+    rows = relation._rows
+    before = list(rows)
+    remaining = iter(pairs)
+    while True:
+        try:
+            for a, b in remaining:
+                # The row subscript is evaluated first: a before b.
+                rows[index[a]] |= 1 << index[b]
+            break
+        except KeyError:
+            for end in (a, b):
+                if end not in index:
+                    report_or_raise(report, unknown(end, kind))
+    relation._cols = None
+    if rows == before:
+        return False
+    relation._size = sum(map(_popcount, rows))
+    return True
+
+
 def closed_orders(
-    elements: Iterable[Element],
+    weak: Relation,
+    strong: Relation,
     strong_pairs: Iterable[Pair],
     weak_pairs: Iterable[Pair],
     unknown: Callable[[Element, str], ModelError],
     report: Optional[Report] = None,
 ) -> Tuple[Relation, Relation, Optional[List[Element]]]:
-    """The transitively closed ``(weak, strong)`` orders over
-    ``elements``: strong from ``strong_pairs``, weak from those plus
-    ``weak_pairs`` — the shape of Def. 2's intra orders and Def. 3's
-    input and output orders — and a cycle of the weak order, or
-    ``None`` when it is acyclic.
+    """The transitively closed ``(weak, strong)`` orders grown from the
+    closed, acyclic ``weak ⊇ strong``: strong gains ``strong_pairs``,
+    weak those plus ``weak_pairs`` — the shape of Def. 2's intra orders
+    and Def. 3's input and output orders, which start from two empty
+    orders — and a cycle of the weak order, or ``None`` when it is
+    acyclic.
 
-    Each pair is member-checked and interned in one loop, strong pairs
-    first; an element outside ``elements`` raises
+    ``weak`` and ``strong`` share one carrier, which already lists every
+    element a pair may name; they are the caller's to give up (closed
+    in place or replaced).  Each pair is member-checked, strong pairs
+    first; an element outside the carrier raises
     ``unknown(element, "strong" | "weak")``, or, given ``report``, is
-    reported (each unknown end of the pair) and the pair dropped.  Only
-    a relation with pairs is closed, and when the weak pairs add none
-    the weak closure is a copy of the strong one.  The closed weak
-    order decides acyclicity (a row holding its own bit); the cycle is
-    then found on the declared pairs, so it names the path
+    reported (each unknown end of the pair) and the pair dropped.  Pairs
+    that are :func:`_few` are closed in edge by edge; more are interned
+    into the rows in the member-checking loop and closed from scratch,
+    as :func:`closed_union` chooses.  A relation is closed only when it
+    gains pairs, and when the weak order stays equal to the strong one
+    its closure is a copy of the strong one.  The closed weak order
+    decides acyclicity (a row holding its own bit); the cycle is then
+    found on the declared pairs, so from empty orders it names the path
     (``T2 -> T3 -> T2``), not the self-loop closure put on ``T2``.
     """
-    strong = Relation(elements=elements)
-    index = strong._index
-
-    def intern(relation: Relation, pairs: Iterable[Pair], kind: str) -> bool:
-        rows = relation._rows
-        before = list(rows)
-        remaining = iter(pairs)
-        while True:
-            try:
-                for a, b in remaining:
-                    # The row subscript is evaluated first: a before b.
-                    rows[index[a]] |= 1 << index[b]
-                break
-            except KeyError:
-                for end in (a, b):
-                    if end not in index:
-                        report_or_raise(report, unknown(end, kind))
-        relation._cols = None
-        if rows == before:
-            return False
-        relation._size = sum(map(_popcount, rows))
-        return True
-
-    intern(strong, strong_pairs, "strong")
-    declared = strong.copy()
-    grew = intern(declared, weak_pairs, "weak")
-    if not strong:
-        weak = declared.transitive_closure() if grew else declared
+    strong_new = list(strong_pairs)
+    weak_new = list(weak_pairs)
+    equal = len(weak) == len(strong)  # strong ⊆ weak
+    declared: Optional[Relation] = None
+    if _few(len(strong_new) + len(weak_new), len(weak)):
+        index = weak._index
+        strong_new = _known(index, strong_new, unknown, "strong", report)
+        weak_new = _known(index, weak_new, unknown, "weak", report)
+        if not strong_new and not weak_new:
+            return weak, strong, None
+        if strong_new:
+            strong.add_closed(strong_new)
+        if equal and all(pair in strong for pair in weak_new):
+            weak = strong.copy()
+        else:
+            weak.add_closed(strong_new + weak_new)
     else:
-        strong = strong.transitive_closure()
-        weak = declared.transitive_closure() if grew else strong.copy()
-    cycle = None if weak.first_self_loop() is None else declared.find_cycle()
-    return weak, strong, cycle
+        strong_grew = _intern(strong, strong_new, unknown, "strong", report)
+        declared = strong.copy()
+        if not equal:
+            rows = declared._rows
+            for i, row in enumerate(weak._rows):
+                rows[i] |= row
+            declared._size = sum(map(_popcount, rows))
+        weak_grew = _intern(declared, weak_new, unknown, "weak", report)
+        if strong_grew:
+            strong = strong.transitive_closure()
+        if equal and not weak_grew:
+            weak = strong.copy()
+        elif len(declared) != len(weak):
+            weak = declared.transitive_closure()
+    if weak.first_self_loop() is None:
+        return weak, strong, None
+    if declared is None:
+        declared = Relation(strong_new, elements=weak._nodes)
+        declared.add_all(weak_new)
+    return weak, strong, declared.find_cycle() or weak.find_cycle()
 
 
 def total_order_from_sequence(sequence: Iterable[Element]) -> Relation:

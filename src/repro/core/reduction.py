@@ -47,7 +47,7 @@ from repro.core.observed import (
     pull_up_delta,
     schedule_seed_pairs,
 )
-from repro.core.orders import Relation, closure_counters
+from repro.core.orders import Relation, closed_union, closure_counters
 from repro.core.system import CompositeSystem
 from repro.exceptions import ReductionError
 from repro.obs.telemetry import Span, Telemetry, current
@@ -227,27 +227,6 @@ class ReductionEngine:
         return self.telemetry if self.telemetry is not None else current()
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _close_with_delta(
-        base: Relation, delta: List[Tuple[str, str]]
-    ) -> Relation:
-        """Close ``base ∪ delta`` given an already-closed ``base``.
-
-        Hybrid dispatch: per-edge in-place delta closure wins while the
-        delta is no bigger than the carried closed base (carry-heavy
-        levels — DAGs, mixed heights, persisting roots), but degenerates
-        when new pairs swamp the carried ones, where the word-packed
-        from-scratch closure is far cheaper.  The crossover was measured
-        on the P2 workloads (deep stacks, dags and trees, serial
-        layouts).  Both branches compute the same relation, so verdicts
-        and printed fronts do not depend on the dispatch.
-        """
-        if len(delta) <= max(16, len(base)):
-            base.add_closed(delta)
-            return base
-        base.add_all(delta)
-        return base.transitive_closure()
-
     def _seeds(
         self,
         nodes: Tuple[str, ...],
@@ -426,15 +405,15 @@ class ReductionEngine:
             observed.add_element(node)
             input_weak.add_element(node)
             input_strong.add_element(node)
-        observed = self._close_with_delta(observed, delta)
+        observed = closed_union(observed, delta)
         for sname in system.schedules_at_level(level):
             if sname not in same:
                 schedule = system.schedule(sname)
                 weak_delta.extend(schedule.weak_input.pairs())
                 strong_delta.extend(schedule.strong_input.pairs())
         # Only the new schedules' input pairs need propagating.
-        input_weak = self._close_with_delta(input_weak, weak_delta)
-        input_strong = self._close_with_delta(input_strong, strong_delta)
+        input_weak = closed_union(input_weak, weak_delta)
+        input_strong = closed_union(input_strong, strong_delta)
 
         candidate = Front(
             level=level,

@@ -28,6 +28,7 @@ behaviour; it is the static input to the Comp-C checker.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import (
     AbstractSet,
     Collection,
@@ -55,6 +56,9 @@ from repro.exceptions import (
 
 # Shared empty adjacency row for operations with no declared conflicts.
 _NO_NEIGHBOURS: FrozenSet[str] = frozenset()
+
+# The orders of a schedule with nothing declared yet (only ever grown).
+_NO_ORDER = Relation()
 
 ConflictPair = FrozenSet[str]
 
@@ -124,6 +128,16 @@ def executed_sequence_error(
     )
 
 
+def _grown(
+    weak: Relation, strong: Relation, elements: List[str]
+) -> Tuple[Relation, Relation]:
+    """Copies of a schedule's ``(weak, strong)`` orders with
+    ``elements`` appended to their carrier, for
+    :func:`~repro.core.orders.closed_orders` to grow."""
+    grown = weak.grown(elements)
+    return grown, grown.copy() if strong is weak else strong.grown(elements)
+
+
 class Schedule:
     """One component's recorded behaviour (Def. 3).
 
@@ -152,9 +166,97 @@ class Schedule:
                 report, ModelError("schedule name must be non-empty")
             )
         self.name = name
-
+        # A new schedule is the empty one grown by every declaration.
         self._transactions: Dict[str, Transaction] = {}
         self._owner_of: Dict[str, str] = {}
+        # The conflict set and its adjacency view: `conflicting` sits on
+        # the observed-order and constraint hot paths, and a per-call
+        # frozenset construction dominated it.
+        self._conflicts: Set[ConflictPair] = set()
+        self._conflict_adj: Dict[str, Set[str]] = {}
+        self._weak_input = self._strong_input = _NO_ORDER
+        self._weak_output = self._strong_output = _NO_ORDER
+        self._declare(
+            transactions,
+            conflicts,
+            weak_input,
+            strong_input,
+            weak_output,
+            strong_output,
+            report,
+        )
+        if validate:
+            self.validate_axioms()
+
+    def extended(
+        self,
+        transactions: Sequence[Transaction],
+        *,
+        conflicts: Iterable[Tuple[str, str]] = (),
+        weak_input: Iterable[Tuple[str, str]] = (),
+        strong_input: Iterable[Tuple[str, str]] = (),
+        weak_output: Iterable[Tuple[str, str]] = (),
+        strong_output: Iterable[Tuple[str, str]] = (),
+    ) -> Optional["Schedule"]:
+        """This schedule grown by more declarations, as
+        :class:`Schedule` would construct it from all of them, or
+        ``None`` when they break Def. 3's well-formedness (a cyclic
+        order, an unknown or repeated name): construct it from scratch
+        then to have the violation raised as such.
+
+        This schedule is left as it is.  Its closed orders are copied,
+        the new transactions and operations appended to their carriers
+        in declaration order (so every element order is the one a
+        construction from scratch gives) and the new pairs closed in.
+        The axioms are not checked (see :meth:`validate_axioms`).
+        """
+        grown = Schedule.__new__(Schedule)
+        grown.name = self.name
+        grown._transactions = dict(self._transactions)
+        grown._owner_of = dict(self._owner_of)
+        grown._conflicts = set(self._conflicts)
+        # The adjacency rows are shared until a new conflict touches one.
+        conflicts = list(conflicts)
+        adj = grown._conflict_adj = dict(self._conflict_adj)
+        for pair in conflicts:
+            for op in pair:
+                row = adj.get(op)
+                if row is not None and row is self._conflict_adj.get(op):
+                    adj[op] = set(row)
+        grown._weak_input = self._weak_input
+        grown._strong_input = self._strong_input
+        grown._weak_output = self._weak_output
+        grown._strong_output = self._strong_output
+        try:
+            grown._declare(
+                transactions,
+                conflicts,
+                weak_input,
+                strong_input,
+                weak_output,
+                strong_output,
+                None,
+            )
+        except ModelError:
+            return None
+        return grown
+
+    def _declare(
+        self,
+        transactions: Sequence[Transaction],
+        conflicts: Iterable[Tuple[str, str]],
+        weak_input: Iterable[Tuple[str, str]],
+        strong_input: Iterable[Tuple[str, str]],
+        weak_output: Iterable[Tuple[str, str]],
+        strong_output: Iterable[Tuple[str, str]],
+        report: Optional[Report],
+    ) -> None:
+        """The one construction body: add the declarations to this
+        schedule's.  The containers are this schedule's own (the
+        conflict rows it adds to included); the orders are replaced,
+        never changed in place."""
+        name = self.name
+        txns, ops = len(self._transactions), len(self._owner_of)
         for txn in transactions:
             if txn.name in self._transactions:
                 report_or_raise(
@@ -186,11 +288,6 @@ class Schedule:
                     continue
                 self._owner_of[op] = txn.name
 
-        # The conflict set and its adjacency view: `conflicting` sits on
-        # the observed-order and constraint hot paths, and a per-call
-        # frozenset construction dominated it.
-        self._conflicts: Set[ConflictPair] = set()
-        self._conflict_adj: Dict[str, Set[str]] = {}
         owner_of = self._owner_of
         for a, b in conflicts:
             if a != b and a in owner_of and b in owner_of:
@@ -202,15 +299,18 @@ class Schedule:
                     continue
             self._drop_conflict(a, b, report)
 
+        new_txns = list(islice(self._transactions, txns, None))
+        new_ops = list(islice(self._owner_of, ops, None))
+
         self._weak_input, self._strong_input, input_cycle = closed_orders(
-            self._transactions,
+            *_grown(self._weak_input, self._strong_input, new_txns),
             strong_input,
             weak_input,
             self._not_transaction,
             report,
         )
         self._weak_output, self._strong_output, output_cycle = closed_orders(
-            self._owner_of,
+            *_grown(self._weak_output, self._strong_output, new_ops),
             strong_output,
             weak_output,
             self._not_operation,
@@ -231,9 +331,6 @@ class Schedule:
                         hint=f"{label} orders must be strict partial orders",
                     ),
                 )
-
-        if validate:
-            self.validate_axioms()
 
     # ------------------------------------------------------------------
     # construction helpers

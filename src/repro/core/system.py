@@ -20,8 +20,8 @@ the structure the reduction needs:
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import (
-    Collection,
     Dict,
     Iterator,
     List,
@@ -41,6 +41,12 @@ from repro.exceptions import (
     Report,
     report_or_raise,
 )
+
+
+#: a schedule's (roots, leaves, internal nodes), each in declaration order
+_Parts = Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]
+#: the parts of a schedule with no nodes yet
+_NO_PARTS: _Parts = ((), (), ())
 
 
 def assigned_twice(txn: str, first: str, second: str) -> ModelError:
@@ -74,9 +80,73 @@ class CompositeSystem:
     ) -> None:
         if not schedules:
             raise ModelError("a composite system needs at least one schedule")
+        # A new system is the empty one grown by every schedule.
         self._schedules: Dict[str, Schedule] = {}
+        self._schedule_of_txn: Dict[str, str] = {}
+        self._parent_of: Dict[str, str] = {}
+        # node -> owning schedule (None for roots), precomputed: the
+        # Def. 10/11 gates ask this for every candidate observed pair.
+        self._op_schedule: Dict[str, Optional[str]] = {}
+        self._parts: Dict[str, _Parts] = {}
+        self._invocation_graph = Relation()
+        self._levels: Dict[str, int] = {}
+        self._at_level: Dict[int, Tuple[str, ...]] = {}
+        self._order = 0
+        self._grow(schedules, report)
+        if validate:
+            self._validate_order_propagation()
+
+    def extended(self, schedules: Sequence[Schedule]) -> "CompositeSystem":
+        """The system of ``schedules``, as the constructor builds it
+        with ``validate=False``, indexed from this system's indexes.
+
+        ``schedules`` lists this system's schedules in its order, each
+        the same object or grown from it by :meth:`Schedule.extended`,
+        then any new ones; only the transactions and operations they
+        gained are indexed, and the invocation graph and levels are
+        redone only when it gains a schedule or an edge.  This system
+        is left as it is.  When ``schedules`` do not fit that shape or
+        break Defs. 4.1-4.6, the constructor builds the system instead
+        (and raises the violation as such)."""
+        grown = CompositeSystem.__new__(CompositeSystem)
+        grown._schedules = dict(self._schedules)
+        grown._schedule_of_txn = dict(self._schedule_of_txn)
+        grown._parent_of = dict(self._parent_of)
+        grown._op_schedule = dict(self._op_schedule)
+        grown._parts = dict(self._parts)
+        grown._invocation_graph = self._invocation_graph
+        grown._levels = self._levels
+        grown._at_level = dict(self._at_level)
+        grown._order = self._order
+        try:
+            grown._grow(schedules, None)
+        except ModelError:
+            return CompositeSystem(schedules, validate=False)
+        if list(grown._schedules) != [schedule.name for schedule in schedules]:
+            return CompositeSystem(schedules, validate=False)
+        return grown
+
+    # ------------------------------------------------------------------
+    # structural indexing
+    # ------------------------------------------------------------------
+    def _grow(
+        self, schedules: Sequence[Schedule], report: Optional[Report]
+    ) -> None:
+        """The one construction body: index ``schedules``, each new to
+        this system or grown from its schedule of that name, and check
+        Defs. 4.1-4.6 on what they add.
+
+        Every pass goes over the gained schedules in order, and each
+        schedule keeps its own roots, leaves and internal nodes in its
+        declaration order, so the node tuples are those of a
+        construction from scratch; grown from the empty system, the
+        violations come out in the order of the earlier passes that
+        indexed every schedule at once."""
+        gained: List[Tuple[Schedule, int, int]] = []
+        new: List[str] = []
+        listed: Set[str] = set()
         for schedule in schedules:
-            if schedule.name in self._schedules:
+            if schedule.name in listed:
                 report_or_raise(
                     report,
                     ModelError(
@@ -87,78 +157,113 @@ class CompositeSystem:
                     ),
                 )
                 continue
+            listed.add(schedule.name)
+            before = self._schedules.get(schedule.name)
+            if before is schedule:
+                continue
             self._schedules[schedule.name] = schedule
+            if before is None:
+                new.append(schedule.name)
+                gained.append((schedule, 0, 0))
+            else:
+                gained.append(
+                    (schedule, len(before._transactions), len(before._owner_of))
+                )
 
-        self._index_structure(report)
-        self._levels: Dict[str, int] = {}
-        self._at_level: Dict[int, Tuple[str, ...]] = {}
-        self._order = 0
-        if self._compute_invocation_graph(report):
-            self._compute_levels()
-        if validate:
-            self._validate_order_propagation()
-
-    # ------------------------------------------------------------------
-    # structural indexing
-    # ------------------------------------------------------------------
-    def _index_structure(self, report: Optional[Report]) -> None:
         # Def. 4.1: a transaction belongs to exactly one schedule.
-        self._schedule_of_txn: Dict[str, str] = {}
-        for sname, schedule in self._schedules.items():
-            for tname in schedule.transaction_names:
-                if tname in self._schedule_of_txn:
+        schedule_of_txn = self._schedule_of_txn
+        txns_of: Dict[str, List[str]] = {}
+        for schedule, txns, _ in gained:
+            sname = schedule.name
+            added: List[str] = []
+            txns_of[sname] = added
+            for tname in islice(schedule._transactions, txns, None):
+                if tname in schedule_of_txn:
                     report_or_raise(
                         report,
-                        assigned_twice(
-                            tname, self._schedule_of_txn[tname], sname
-                        ),
+                        assigned_twice(tname, schedule_of_txn[tname], sname),
                     )
                     continue
-                self._schedule_of_txn[tname] = sname
+                schedule_of_txn[tname] = sname
+                added.append(tname)
+
+        # An operation of the last build declared a transaction now
+        # becomes internal (the indexes still hold the last build).
+        parent_of = self._parent_of
+        op_schedule = self._op_schedule
+        moved: Set[str] = set()  # schedules with a node that changed role
+        callers: List[Tuple[str, str]] = []
+        for sname, added in txns_of.items() if op_schedule else ():
+            for tname in added:
+                caller = op_schedule.get(tname)
+                if caller is not None:
+                    moved.add(caller)
+                    callers.append((caller, sname))
 
         # Def. 5: unique parents.  An operation name appearing in two
         # transactions (across any schedules) would make `parent`
         # ambiguous; a schedule has already refused one in two of its
-        # own transactions.
-        self._parent_of: Dict[str, str] = {}
-        for sname, schedule in self._schedules.items():
-            for op, tname in schedule._owner_of.items():
-                if op in self._parent_of:
-                    report_or_raise(
-                        report,
-                        ModelError(
-                            f"node {op!r} is an operation of both "
-                            f"{self._parent_of[op]!r} and {tname!r}",
-                            code="CTX203",
-                            schedule=sname,
-                            nodes=(op,),
-                            hint="operation names must be globally unique "
-                            "(Def. 5)",
-                        ),
-                    )
-                    continue
-                self._parent_of[op] = tname
+        # own transactions.  A root invoked now becomes an operation.
+        # Def. 4.3-4.4: an operation is a leaf or an internal node.
+        grouped: Dict[str, Tuple[List[str], List[str]]] = {}
+        for schedule, _, ops in gained:
+            sname = schedule.name
+            leaves: List[str] = []
+            internal: List[str] = []
+            grouped[sname] = (leaves, internal)
+            for op, tname in islice(schedule._owner_of.items(), ops, None):
+                known = parent_of.get(op)
+                if known is not None:
+                    if known != op:
+                        report_or_raise(
+                            report,
+                            ModelError(
+                                f"node {op!r} is an operation of both "
+                                f"{known!r} and {tname!r}",
+                                code="CTX203",
+                                schedule=sname,
+                                nodes=(op,),
+                                hint="operation names must be globally "
+                                "unique (Def. 5)",
+                            ),
+                        )
+                        continue
+                    moved.add(schedule_of_txn[op])
+                parent_of[op] = tname
+                op_schedule[op] = schedule_of_txn[tname]
+                (internal if op in schedule_of_txn else leaves).append(op)
 
-        all_ops = tuple(self._parent_of)  # insertion order: deterministic
-        all_txns = set(self._schedule_of_txn)
-        # Transactions that are operations of nobody are roots (their own
-        # parent, Def. 5).
-        self._roots: Tuple[str, ...] = tuple(
-            t for t in self._schedule_of_txn if t not in self._parent_of
-        )
-        for root in self._roots:
-            self._parent_of[root] = root
-        # node -> owning schedule (None for roots), precomputed: the
-        # Def. 10/11 gates ask this for every candidate observed pair.
-        self._op_schedule: Dict[str, Optional[str]] = {
-            node: (None if parent == node else self._schedule_of_txn[parent])
-            for node, parent in self._parent_of.items()
-        }
-        self._leaves: Tuple[str, ...] = tuple(
-            o for o in all_ops if o not in all_txns
-        )
+        # Def. 4.5: roots, transactions that are operations of nobody
+        # (their own parent).
+        roots: List[str] = []
+        parts = self._parts
+        for schedule, _, _ in gained:
+            sname = schedule.name
+            new_roots = [t for t in txns_of[sname] if t not in parent_of]
+            roots.extend(new_roots)
+            if sname not in moved:
+                old_roots, old_leaves, old_internal = parts.get(sname, _NO_PARTS)
+                new_leaves, new_internal = grouped[sname]
+                parts[sname] = (
+                    old_roots + tuple(new_roots),
+                    old_leaves + tuple(new_leaves),
+                    old_internal + tuple(new_internal),
+                )
+        for sname in moved:
+            schedule = self._schedules[sname]
+            parts[sname] = (
+                tuple(t for t in schedule._transactions if parent_of.get(t, t) == t),
+                tuple(o for o in schedule._owner_of if o not in schedule_of_txn),
+                tuple(o for o in schedule._owner_of if o in schedule_of_txn),
+            )
+        for root in roots:
+            parent_of[root] = root
+            op_schedule[root] = None
+        ordered = [parts[sname] for sname in self._schedules]
+        self._roots: Tuple[str, ...] = tuple(chain.from_iterable(p[0] for p in ordered))
+        self._leaves: Tuple[str, ...] = tuple(chain.from_iterable(p[1] for p in ordered))
         self._internal: Tuple[str, ...] = tuple(
-            o for o in all_ops if o in all_txns
+            chain.from_iterable(p[2] for p in ordered)
         )
         if not self._roots:
             report_or_raise(
@@ -173,14 +278,14 @@ class CompositeSystem:
                 ),
             )
 
-    def _compute_invocation_graph(self, report: Optional[Report]) -> bool:
-        """Def. 8's graph; ``False`` when it breaks Def. 4.6."""
-        graph = Relation(elements=self._schedules)
-        self._invocation_graph = graph
+        # Def. 8's graph, its acyclicity (Def. 4.6) and the levels
+        # (Def. 9), redone when it gains a schedule or an edge.
         acyclic = True
-        for sname, schedule in self._schedules.items():
-            for op in schedule.operations:
-                target = self._schedule_of_txn.get(op)
+        edges: List[Tuple[str, str]] = []
+        for schedule, _, ops in gained:
+            sname = schedule.name
+            for op in islice(schedule._owner_of, ops, None):
+                target = schedule_of_txn.get(op)
                 if target is None:
                     continue
                 if target == sname:
@@ -198,7 +303,15 @@ class CompositeSystem:
                         ),
                     )
                 else:
-                    graph.add(sname, target)
+                    edges.append((sname, target))
+        edges.extend(callers)
+        graph = self._invocation_graph
+        size = len(graph)
+        if new or edges:
+            graph = self._invocation_graph = graph.grown(new)
+            graph.add_all(edges)
+        if not new and len(graph) == size:
+            return
         cycle = graph.find_cycle()
         if cycle is not None:
             report_or_raise(
@@ -210,8 +323,8 @@ class CompositeSystem:
                     hint="invocations must form a DAG (Def. 4.6)",
                 ),
             )
-            return False
-        return acyclic
+        elif acyclic:
+            self._compute_levels()
 
     def _compute_levels(self) -> None:
         # level(S) = longest path starting at S in the IG, plus one.
@@ -221,6 +334,7 @@ class CompositeSystem:
             succ = self._invocation_graph.successors(sname)
             levels[sname] = 1 + max((levels[c] for c in succ), default=0)
         self._levels = levels
+        self._at_level = {}
         self._order = max(levels.values())
 
     def _validate_order_propagation(self) -> None:
@@ -232,9 +346,7 @@ class CompositeSystem:
         for violation in self.iter_order_propagation_violations():
             raise violation
 
-    def iter_order_propagation_violations(
-        self, callers: Optional[Collection[str]] = None
-    ) -> Iterator[OrderPropagationError]:
+    def iter_order_propagation_violations(self) -> Iterator[OrderPropagationError]:
         """Yield every Def. 4.7 violation as a structured (unraised)
         :class:`OrderPropagationError`: a caller's output orders between
         two operations that are transactions of the *same* callee must
@@ -248,12 +360,9 @@ class CompositeSystem:
         are built over ``schedule.operations`` (bit ``j`` is
         ``operations[j]``), so violations come out by ``(a, b)`` in
         operation order, weak before strong for the same pair.
-        ``callers`` limits the check to those schedules' outputs.
         """
         schedule_of_txn = self._schedule_of_txn
         for sname, schedule in self._schedules.items():
-            if callers is not None and sname not in callers:
-                continue
             ops = schedule.operations
             masks: Dict[str, int] = {}
             invoking: List[Tuple[int, str, str]] = []
@@ -491,10 +600,11 @@ class CompositeSystem:
         for leaf in self._leaves:
             seen.add(leaf)
             yield leaf
-        for txn in self._schedule_of_txn:
-            if txn not in seen:
-                seen.add(txn)
-                yield txn
+        for schedule in self._schedules.values():
+            for txn in schedule._transactions:
+                if txn not in seen:
+                    seen.add(txn)
+                    yield txn
 
     def __repr__(self) -> str:
         return (

@@ -104,7 +104,12 @@ class Transaction:
         if not (strong_pairs or weak_pairs):
             return
         weak, strong, cycle = closed_orders(
-            ops, strong_pairs, weak_pairs, self._not_member, report
+            Relation(elements=ops),
+            Relation(elements=ops),
+            strong_pairs,
+            weak_pairs,
+            self._not_member,
+            report,
         )
         if cycle is not None:
             report_or_raise(

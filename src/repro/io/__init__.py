@@ -18,7 +18,6 @@ from repro.io.recorded import RecordedExecution
 from repro.io.text_format import dumps, load, loads, save, system_to_spec
 from repro.io.trace import (
     ReductionTrace,
-    diff_traces,
     dumps_trace,
     load_trace,
     loads_trace,
@@ -46,7 +45,6 @@ __all__ = [
     "parse_event_line",
     "save_event_log",
     "ReductionTrace",
-    "diff_traces",
     "dumps_trace",
     "load_trace",
     "loads_trace",

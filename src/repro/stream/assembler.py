@@ -25,13 +25,13 @@ Two build paths share one activation rule:
     per-commit assembly cost O(changes) instead of O(all
     declarations): staged ``conflict``/``order`` declarations wait
     under a node whose root has not committed, so a commit visits only
-    those waiting on its own nodes, and the builder keeps every
-    :class:`~repro.core.schedule.Schedule` whose declarations did not
-    change.  The result is byte-identical to a full rebuild
-    because a :class:`~repro.core.schedule.Schedule` interns its
-    relation carriers up front from transaction order — pair *sets*
-    are order-insensitive — so only the per-schedule transaction
-    application order matters, and that is guarded: a transaction
+    those waiting on its own nodes, and the builder grows its last
+    build by them (see :meth:`~repro.core.builder.SystemBuilder.build`).
+    The result is byte-identical to a full rebuild because a
+    :class:`~repro.core.schedule.Schedule` lists its relation carriers
+    in transaction order — pair *sets* are order-insensitive — so only
+    the per-schedule transaction application order matters, and that
+    is guarded: a transaction
     activating *out of declaration order* within its schedule (a
     later-staged transaction committing first) triggers one full
     rebuild of the persistent builder, after which incremental
@@ -59,11 +59,12 @@ persistent builder's applied set and per-schedule watermark key on.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.builder import SystemBuilder
-from repro.exceptions import ModelError, ScheduleAxiomError, StreamError
+from repro.exceptions import StreamError
 from repro.io.eventlog import Event
 from repro.io.recorded import RecordedExecution
 
@@ -89,7 +90,8 @@ class StreamAssembler:
 
     def __init__(self) -> None:
         self.derive: Optional[str] = None
-        self._decls: List[_Decl] = []
+        #: staged declarations by id (ids grow, so in declaration order)
+        self._decls: Dict[int, Event] = {}
         self._next_decl = 0
         self._root_of: Dict[str, str] = {}
         #: root -> its staged ``txn`` declarations, in declaration order
@@ -105,10 +107,12 @@ class StreamAssembler:
         self._committed: Set[str] = set()
         self._begun: Set[str] = set()
         self._commit_order: List[str] = []
-        #: the ``access``/``call`` events, in arrival order
-        self._arrivals: List[Event] = []
-        #: root -> the operations that arrived for its current attempt
-        self._arrived: Dict[str, Set[str]] = {}
+        #: root -> the ``access``/``call`` events of its current attempt,
+        #: each with its arrival index
+        self._arrived: Dict[str, List[Tuple[int, Event]]] = {}
+        self._next_arrival = 0
+        #: schedule -> the arrivals of committed roots, in arrival order
+        self._lanes: Dict[str, _Lane] = {}
         self._ended = False
         # -- persistent-builder state (build_incremental) --------------
         #: the maintained builder; ``None`` means "start a fresh one on
@@ -155,7 +159,7 @@ class StreamAssembler:
 
     def _stage(self, event: Event) -> _Decl:
         decl = (self._next_decl, event)
-        self._decls.append(decl)
+        self._decls[self._next_decl] = event
         self._next_decl += 1
         return decl
 
@@ -184,7 +188,7 @@ class StreamAssembler:
 
     def _apply_pair(self, event: Event) -> None:
         """A ``conflict`` or ``order`` declaration."""
-        self._wait(self._stage(event))
+        self._wait((self._stage(event),))
 
     def _apply_begin(self, event: Event) -> None:
         assert event.root is not None
@@ -213,8 +217,10 @@ class StreamAssembler:
                 f"operation {event.op!r} for already-committed root "
                 f"{event.root!r}"
             )
-        self._arrivals.append(event)
-        self._arrived.setdefault(event.root, set()).add(event.op)
+        self._arrived.setdefault(event.root, []).append(
+            (self._next_arrival, event)
+        )
+        self._next_arrival += 1
 
     def _apply_commit(self, event: Event) -> CommitDelta:
         root = event.root
@@ -229,7 +235,7 @@ class StreamAssembler:
         if self.derive == "temporal":
             # Temporal derivation reads each schedule's execution off
             # the arrivals, so every committed operation needs one.
-            arrived = self._arrived.get(root, set())
+            arrived = {arrival.op for _, arrival in self._arrived.get(root, ())}
             for _, txn_event in decls:
                 for op in txn_event.ops:
                     if op not in arrived:
@@ -240,15 +246,23 @@ class StreamAssembler:
                         )
         self._committed.add(root)
         self._commit_order.append(root)
+        lanes = self._lanes
+        for index, arrival in self._arrived.pop(root, ()):
+            assert arrival.schedule is not None
+            lane = lanes.get(arrival.schedule)
+            if lane is None:
+                lane = lanes[arrival.schedule] = _Lane()
+            lane.add(index, arrival)
         self._ready.extend(decls)
         txns: List[str] = []
+        waiting = self._waiting
         for _, txn_event in decls:
             txn = txn_event.txn
             assert txn is not None
             txns.append(txn)
             for node in (txn, *txn_event.ops):
-                for waiting in self._waiting.pop(node, ()):
-                    self._wait(waiting)
+                if node in waiting:
+                    self._wait(waiting.pop(node))
         return CommitDelta(
             root=root, ordinal=len(self._commit_order), txns=tuple(txns)
         )
@@ -280,9 +294,8 @@ class StreamAssembler:
                 for op in event.ops:
                     self._root_of.pop(op, None)
                     self._txn_of_op.pop(op, None)
-            gone = {ident for ident, _ in discarded}
-            self._decls = [d for d in self._decls if d[0] not in gone]
-        self._arrivals = [a for a in self._arrivals if a.root != root]
+            for ident, _ in discarded:
+                del self._decls[ident]
         self._arrived.pop(root, None)
 
     def _active(self, decl: Event) -> bool:
@@ -295,32 +308,31 @@ class StreamAssembler:
             and self._root_of.get(decl.b) in committed
         )
 
-    def _wait(self, decl: _Decl) -> None:
-        """File a ``conflict``/``order`` declaration under the first of
-        its nodes whose root has not committed, or as ready when none
+    def _wait(self, decls: Iterable[_Decl]) -> None:
+        """File each ``conflict``/``order`` declaration under the first
+        of its nodes whose root has not committed, or as ready when none
         is left: a commit then visits only the declarations that wait
         on its own nodes."""
         root_of = self._root_of
         committed = self._committed
-        event = decl[1]
-        for node in (event.a, event.b):
-            assert node is not None
-            if root_of.get(node) not in committed:
-                self._waiting.setdefault(node, []).append(decl)
-                return
-        self._ready.append(decl)
+        waiting = self._waiting
+        for decl in decls:
+            event = decl[1]
+            a, b = event.a, event.b
+            assert a is not None and b is not None
+            if root_of.get(a) not in committed:
+                waiting.setdefault(a, []).append(decl)
+            elif root_of.get(b) not in committed:
+                waiting.setdefault(b, []).append(decl)
+            else:
+                self._ready.append(decl)
 
     # ------------------------------------------------------------------
     def executions(self) -> Dict[str, List[str]]:
-        """Per-schedule arrival sequences of committed operations."""
-        result: Dict[str, List[str]] = {}
-        committed = self._committed
-        for arrival in self._arrivals:
-            if arrival.root in committed:
-                schedule, op = arrival.schedule, arrival.op
-                assert schedule is not None and op is not None
-                result.setdefault(schedule, []).append(op)
-        return result
+        """Per-schedule arrival sequences of committed operations, the
+        schedules in the order of their first such arrival."""
+        lanes = sorted(self._lanes.items(), key=lambda item: item[1].index[0])
+        return {schedule: list(lane.ops) for schedule, lane in lanes}
 
     # ------------------------------------------------------------------
     def _apply_decl(self, builder: SystemBuilder, decl: Event) -> None:
@@ -351,31 +363,29 @@ class StreamAssembler:
             getattr(builder, decl.order_kind)(decl.schedule, decl.a, decl.b)
 
     def _finish_build(self, builder: SystemBuilder) -> RecordedExecution:
-        """Assemble, falling back to ``validate=False`` on prefixes.
+        """Assemble, without checking the Def.-3 axioms.
 
-        Mid-stream prefixes may violate validation-only axioms the
-        finished system satisfies (e.g. an unordered conflict whose
-        ordering pair has not activated yet); those fall back exactly
-        like the simulator's recorder does.  A cyclic weak order, by
-        contrast, can never appear in a prefix of a well-formed log
-        (closed suborders of an acyclic order are acyclic), so
+        Mid-stream prefixes may violate axioms the finished system
+        satisfies (e.g. an unordered conflict whose ordering pair has
+        not activated yet), and a violation would not change the system
+        built, so none is checked.  A cyclic weak order, by contrast,
+        can never appear in a prefix of a well-formed log (closed
+        suborders of an acyclic order are acyclic), so
         :class:`~repro.exceptions.CycleError` propagates.
         """
-        try:
-            system = builder.build()
-        except (ScheduleAxiomError, ModelError):
-            system = builder.build(validate=False)
-        return RecordedExecution(system=system, executions=self.executions())
+        return RecordedExecution(
+            system=builder.build(validate=False), executions=self.executions()
+        )
 
     def _activated(self) -> List[_Decl]:
         """Every activated declaration, in declaration order."""
         return [
-            decl
-            for decl in self._decls
+            (ident, event)
+            for ident, event in self._decls.items()
             if (
-                decl[1].root in self._committed
-                if decl[1].kind == "txn"
-                else self._active(decl[1])
+                event.root in self._committed
+                if event.kind == "txn"
+                else self._active(event)
             )
         ]
 
@@ -409,16 +419,18 @@ class StreamAssembler:
         self._built_commits = len(self._commit_order)
         watermark = self._txn_watermark
         self.late_conflict = out_of_order = False
+        root_of = self._root_of
         for ident, event in fresh:
             if event.kind == "txn":
                 assert event.schedule is not None
                 if ident < watermark.get(event.schedule, -1):
                     out_of_order = True
-            elif event.kind == "conflict" and not (
-                {self._root_of[node] for node in (event.a, event.b) if node}
-                & new_roots
-            ):
-                self.late_conflict = True
+            elif event.kind == "conflict":
+                assert event.a is not None and event.b is not None
+                if root_of[event.a] not in new_roots and (
+                    root_of[event.b] not in new_roots
+                ):
+                    self.late_conflict = True
         if out_of_order:
             # A later-staged transaction committed before an
             # earlier-staged one of the same schedule: appending would
@@ -451,14 +463,10 @@ class StreamAssembler:
         """Temporal mode: derive conflicts from item/mode overlap and
         weak output orders from arrival order (recorder semantics)."""
         sequences = self.executions()
-        by_schedule: Dict[str, List[Tuple[str, Event]]] = {}
-        for arrival in self._arrivals:
-            if arrival.root in self._committed:
-                schedule, op = arrival.schedule, arrival.op
-                assert schedule is not None and op is not None
-                by_schedule.setdefault(schedule, []).append((op, arrival))
         parent = self._txn_of_op.get
-        for sname, arrivals in by_schedule.items():
+        for sname in sequences:
+            lane = self._lanes[sname]
+            arrivals = list(zip(lane.ops, lane.events))
             for i, (op, first) in enumerate(arrivals):
                 if first.item is None:
                     continue
@@ -472,6 +480,27 @@ class StreamAssembler:
                         builder.conflict(sname, op, other)
         for sname, sequence in sequences.items():
             builder.executed(sname, sequence, mode="conflicts")
+
+
+class _Lane:
+    """The committed arrivals at one schedule, in arrival order: a root
+    that commits merges its own in by arrival index."""
+
+    __slots__ = ("index", "events", "ops")
+
+    def __init__(self) -> None:
+        self.index: List[int] = []
+        self.events: List[Event] = []
+        self.ops: List[str] = []
+
+    def add(self, index: int, event: Event) -> None:
+        assert event.op is not None
+        at = len(self.index)
+        if at and index < self.index[-1]:
+            at = bisect(self.index, index)
+        self.index.insert(at, index)
+        self.events.insert(at, event)
+        self.ops.insert(at, event.op)
 
 
 #: ``apply``'s dispatch: event kind -> handler

@@ -16,13 +16,15 @@ it, layer by layer:
 * assembly goes through the assembler's persistent
   :class:`~repro.core.builder.SystemBuilder`
   (:meth:`~repro.stream.assembler.StreamAssembler.build_incremental`),
-  which feeds it only the declarations the commit activated and keeps
-  every :class:`~repro.core.schedule.Schedule` they did not touch;
+  which feeds it only the declarations the commit activated; the
+  builder keeps every :class:`~repro.core.schedule.Schedule` they did
+  not touch and grows the others and the system from the last build;
 * level 0: the closed leaf observed order is maintained with
   :meth:`~repro.core.orders.Relation.add_closed` over the seed pairs
-  of the schedules the builder constructed anew, probed for cycles
-  with the O(V) :meth:`~repro.core.orders.Relation.first_self_loop`
-  gate, and injected via ``run(level0=...)``;
+  of the schedules the builder grew or constructed anew, probed for
+  cycles with the O(V)
+  :meth:`~repro.core.orders.Relation.first_self_loop` gate, and
+  injected via ``run(level0=...)``;
 * levels ``i >= 1``: ``run(level0=..., base=previous)`` extends the
   previous commit's closed fronts (Defs. 10, 13, 16)::
 
@@ -253,8 +255,8 @@ class IncrementalChecker:
             leaf for leaf in system.leaves if leaf not in self._known_leaves
         ]
         self._known_leaves.update(new_leaves)
-        # Only a schedule the builder constructed anew can contribute a
-        # seed pair the maintained order lacks.
+        # Only a schedule the builder grew or constructed anew can
+        # contribute a seed pair the maintained order lacks.
         kept: Mapping[str, object] = (
             {} if previous is None else previous.system.schedules
         )

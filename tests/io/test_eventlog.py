@@ -375,8 +375,16 @@ class TestAssemblerProtocol:
         for event in events:
             assembler.apply(event)
         arrivals = [e for e in events if e.kind in ("access", "call")]
-        assert arrivals and len(assembler._arrivals) == len(arrivals)
-        assert all(a is b for a, b in zip(assembler._arrivals, arrivals))
+        kept = sorted(
+            (
+                pair
+                for lane in assembler._lanes.values()
+                for pair in zip(lane.index, lane.events)
+            ),
+            key=lambda pair: pair[0],
+        )
+        assert arrivals and len(kept) == len(arrivals)
+        assert all(a is b for (_, a), b in zip(kept, arrivals))
 
     def test_events_before_header_rejected(self):
         assembler = StreamAssembler()

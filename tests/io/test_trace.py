@@ -11,7 +11,6 @@ from repro.figures import figure1_system, figure3_system
 from repro.io import save
 from repro.io.trace import (
     TRACE_VERSION,
-    diff_traces,
     dumps_trace,
     load_trace,
     loads_trace,
@@ -19,6 +18,8 @@ from repro.io.trace import (
     trace_from_dict,
     trace_to_dict,
 )
+
+from tests.io.trace_diff import diff_traces
 
 
 class TestTraceDict:
