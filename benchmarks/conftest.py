@@ -5,46 +5,27 @@ comparison claim).  Besides the pytest-benchmark timing, each test emits
 its artifact table through the ``emit`` fixture, which both prints it
 (visible with ``pytest -s`` or on failure) and persists it under
 ``benchmarks/out/`` so EXPERIMENTS.md can reference stable outputs.
-When a benchmark also has machine-readable results (series, timings),
-it passes them as ``data`` and they land next to the table as
-``BENCH_<name>.json`` — the artifact CI uploads and plots consume.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
 OUT_DIR = Path(__file__).parent / "out"
-# Repo root: the perf-trajectory artifacts (BENCH_*.json) are tracked
-# here so the numbers travel with the history, not only in the
-# (gitignored-by-convention) out/ scratch directory.
-ROOT_DIR = Path(__file__).parent.parent
 
 
 @pytest.fixture()
 def emit():
-    """``emit(name, text, data=None)``: print an artifact table and save
-    it; ``data`` (any JSON-serializable object) additionally lands in
-    ``BENCH_<name>.json`` — both under ``benchmarks/out/`` and at the
-    repo root, where the tracked perf trajectory lives."""
+    """``emit(name, text)``: print an artifact table and save it as
+    ``benchmarks/out/<name>.txt``."""
 
-    def _emit(name: str, text: str, data=None) -> None:
+    def _emit(name: str, text: str) -> None:
         OUT_DIR.mkdir(exist_ok=True)
         path = OUT_DIR / f"{name}.txt"
         path.write_text(text + "\n", encoding="utf-8")
-        if data is not None:
-            payload = json.dumps(data, indent=2, sort_keys=True) + "\n"
-            json_path = OUT_DIR / f"BENCH_{name}.json"
-            json_path.write_text(payload, encoding="utf-8")
-            (ROOT_DIR / f"BENCH_{name}.json").write_text(
-                payload, encoding="utf-8"
-            )
-            print(f"\n[{name}] (saved to {path}; data in {json_path})")
-        else:
-            print(f"\n[{name}] (saved to {path})")
+        print(f"\n[{name}] (saved to {path})")
         print(text)
 
     return _emit

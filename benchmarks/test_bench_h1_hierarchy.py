@@ -9,15 +9,121 @@ commutativity, OPSR rejects executions whose temporal layout reorders
 commuting transactions.  Random layouts expose the LLSR gap; perturbed
 serial layouts (commuting swaps only, always correct) expose the
 layout-sensitivity of OPSR/seriality.  The benchmark times one grid.
+
+H1 measures acceptance *rates*; the agreement matrix below measures
+*structure*: for every pair of criteria, how often they agree, and in
+which direction they disagree.  The interesting cells are the
+incomparable pairs — the paper orders LLSR and OPSR below SCC but not
+against each other, and indeed each accepts executions the other
+rejects (LLSR forgives layout, OPSR forgives cross-level conflict
+pull-ups).
 """
 
-from repro.analysis.agreement import agreement_matrix, format_agreement
+from dataclasses import dataclass, field
+from typing import Dict, Sequence, Tuple
+
 from repro.analysis.hierarchy import (
     HIERARCHY,
+    judge,
     run_hierarchy_experiment,
     total_violations,
 )
 from repro.analysis.tables import banner, format_table
+from repro.workloads.generator import WorkloadConfig, generate
+from repro.workloads.topologies import stack_topology
+
+
+@dataclass
+class AgreementMatrix:
+    """Counts per ordered criterion pair over one ensemble."""
+
+    trials: int
+    #: (a, b) -> number of executions with a=True, b=False
+    only_a: Dict[Tuple[str, str], int] = field(default_factory=dict)
+    agreements: Dict[Tuple[str, str], int] = field(default_factory=dict)
+
+    def accepts_only(self, a: str, b: str) -> int:
+        """Executions accepted by ``a`` but rejected by ``b``."""
+        return self.only_a.get((a, b), 0)
+
+    def agreement_rate(self, a: str, b: str) -> float:
+        if self.trials == 0:
+            return 1.0
+        return self.agreements.get(tuple(sorted((a, b))), 0) / self.trials
+
+    def incomparable(self, a: str, b: str) -> bool:
+        """True when each criterion accepts something the other rejects."""
+        return self.accepts_only(a, b) > 0 and self.accepts_only(b, a) > 0
+
+
+def agreement_matrix(
+    *,
+    depth: int = 2,
+    trials: int = 60,
+    conflict_rates: Sequence[float] = (0.1, 0.25, 0.45),
+    layouts: Sequence[str] = ("random", "perturbed"),
+    seed: int = 0,
+    criteria: Sequence[str] = HIERARCHY,
+) -> AgreementMatrix:
+    """Judge a mixed stack ensemble under every criterion pairwise."""
+    matrix = AgreementMatrix(trials=0)
+    spec = stack_topology(depth)
+    per_cell = max(1, trials // (len(conflict_rates) * len(layouts)))
+    for layout in layouts:
+        for rate in conflict_rates:
+            for i in range(per_cell):
+                recorded = generate(
+                    spec,
+                    WorkloadConfig(
+                        seed=seed + i,
+                        roots=3,
+                        conflict_probability=rate,
+                        layout=layout,
+                        perturbation_swaps=20,
+                        ops_per_transaction=(1, 2),
+                    ),
+                )
+                verdicts = judge(recorded)
+                matrix.trials += 1
+                names = list(criteria)
+                for x in range(len(names)):
+                    for y in range(x + 1, len(names)):
+                        a, b = names[x], names[y]
+                        va, vb = verdicts[a], verdicts[b]
+                        if va == vb:
+                            key = tuple(sorted((a, b)))
+                            matrix.agreements[key] = (
+                                matrix.agreements.get(key, 0) + 1
+                            )
+                        elif va and not vb:
+                            matrix.only_a[(a, b)] = (
+                                matrix.only_a.get((a, b), 0) + 1
+                            )
+                        else:
+                            matrix.only_a[(b, a)] = (
+                                matrix.only_a.get((b, a), 0) + 1
+                            )
+    return matrix
+
+
+def format_agreement(matrix: AgreementMatrix, criteria: Sequence[str] = HIERARCHY) -> str:
+    """A compact text rendering: ``a\\b`` cell = executions accepted by
+    the row criterion and rejected by the column criterion."""
+    names = list(criteria)
+    width = max(len(n) for n in names) + 1
+    lines = [
+        "rows accept / columns reject   (n=" + str(matrix.trials) + ")",
+        " " * width + " ".join(n.rjust(width) for n in names),
+    ]
+    for a in names:
+        cells = []
+        for b in names:
+            cells.append(
+                ("-" if a == b else str(matrix.accepts_only(a, b))).rjust(width)
+            )
+        lines.append(a.ljust(width) + " ".join(cells))
+    return "\n".join(lines)
+
 
 
 def run_random():

@@ -137,23 +137,4 @@ def test_bench_r1_faults(benchmark, emit):
                 for p in points
             ],
         ),
-        data={
-            "workers": WORKERS,
-            "points": [
-                {
-                    "topology": p.topology,
-                    "protocol": p.protocol,
-                    "intensity": p.intensity,
-                    "commits": p.commits,
-                    "gave_up": p.gave_up,
-                    "availability": p.availability,
-                    "abort_rate": p.abort_rate,
-                    "aborts_by_reason": p.aborts_by_reason,
-                    "faults_injected": p.faults_injected,
-                    "comp_c_runs": p.comp_c_runs,
-                    "assembled_runs": p.assembled_runs,
-                }
-                for p in points
-            ],
-        },
     )

@@ -15,7 +15,7 @@ insertion order) and the successor set of each element is a single
 arbitrary-precision Python ``int`` used as a bitmap.  Everything hot is
 word-parallel on those rows — ``copy`` is a list copy, ``union`` is a
 row-wise OR, ``inverse`` is a transpose swap, ``restricted_to`` is a
-row mask, ``transitive_closure``/``delta_closure``/``add_closed``
+row mask, ``transitive_closure``/``add_closed``
 propagate reachability as row ORs and build their results directly
 from the closed rows (no per-pair materialization), and ``is_acyclic``
 is a DFS over the rows' masks — the sorted witness DFS of
@@ -50,8 +50,8 @@ from repro.exceptions import CycleError, ModelError, Report, report_or_raise
 Element = Hashable
 Pair = Tuple[Element, Element]
 
-#: Closure instrumentation: mutated by :meth:`Relation.transitive_closure`,
-#: :meth:`Relation.delta_closure` and :meth:`Relation.add_closed`,
+#: Closure instrumentation: mutated by :meth:`Relation.transitive_closure`
+#: and :meth:`Relation.add_closed`,
 #: snapshotted by the reduction engine's profiler.  ``calls`` counts
 #: closure invocations; ``rows`` counts packed bitset rows (one
 #: word-packed bitmap each) actually (re)computed — the from-scratch
@@ -755,102 +755,40 @@ class Relation:
                 closure[node] = reach
         return Relation._from_state(list(self._nodes), closure, None)
 
-    def delta_closure(
-        self,
-        pairs: Iterable[Pair],
-        elements: Iterable[Element] = (),
-    ) -> "Relation":
-        """Closure of ``self ∪ pairs`` for an **already closed** ``self``.
-
-        The incremental counterpart of :meth:`transitive_closure`:
-        instead of re-saturating every row, each inserted edge ``(a,
-        b)`` unions ``b``'s (final) reachability row into the rows of
-        ``a`` and of everything that reaches ``a`` — touching only rows
-        whose reachability actually changes, found through the
-        transposed (predecessor) bitmaps without a scan.
-
-        Precondition: ``self`` is transitively closed (the result of
-        :meth:`transitive_closure` or a previous :meth:`delta_closure`,
-        or a restriction of one — restriction preserves closedness).
-        The reflexivity convention matches :meth:`transitive_closure`:
-        ``x R x`` appears exactly when ``x`` lies on a cycle.
-
-        ``elements`` extends the carrier set (isolated nodes the caller
-        wants present); endpoints of ``pairs`` are added automatically.
-
-        >>> base = Relation([("a", "b"), ("b", "c")]).transitive_closure()
-        >>> inc = base.delta_closure([("c", "d")])
-        >>> ("a", "d") in inc
-        True
-        >>> inc == Relation(
-        ...     [("a", "b"), ("b", "c"), ("c", "d")]
-        ... ).transitive_closure()
-        True
-        """
-        staged = list(pairs)
-        nodes = list(self._nodes)
-        index = dict(self._index)
-        for element in elements:
-            if element not in index:
-                index[element] = len(nodes)
-                nodes.append(element)
-        for a, b in staged:
-            for e in (a, b):
-                if e not in index:
-                    index[e] = len(nodes)
-                    nodes.append(e)
-        grown = len(nodes) - len(self._nodes)
-        rows = self._rows + [0] * grown  # list __add__ always copies
-        # Only the delta sources' predecessor columns are ever read —
-        # build exactly those, never the full transpose.
-        src_mask = 0
-        for a, _b in staged:
-            src_mask |= 1 << index[a]
-        cols = _source_columns(rows, src_mask)
-
-        touched = 0
-        for a, b in staged:
-            ia, ib = index[a], index[b]
-            if (rows[ia] >> ib) & 1:
-                continue  # already implied — closure is unchanged
-            succ_mask = rows[ib] | (1 << ib)
-            affected = cols.get(ia, 0) | (1 << ia)
-            while affected:
-                low = affected & -affected
-                ix = low.bit_length() - 1
-                affected &= affected - 1
-                new = succ_mask & ~rows[ix]
-                if not new:
-                    continue
-                touched += 1
-                rows[ix] |= new
-                hit = new & src_mask
-                if hit:
-                    bit_x = 1 << ix
-                    while hit:
-                        nl = hit & -hit
-                        j = nl.bit_length() - 1
-                        cols[j] = cols.get(j, 0) | bit_x
-                        hit &= hit - 1
-        CLOSURE_COUNTERS["calls"] += 1
-        CLOSURE_COUNTERS["rows"] += touched
-        return Relation._from_state(nodes, rows, None)
-
     def add_closed(
         self,
         pairs: Iterable[Pair],
         elements: Iterable[Element] = (),
     ) -> int:
-        """In-place :meth:`delta_closure`: insert ``pairs`` into an
-        **already closed** relation and restore closedness, touching only
-        rows whose reachability changes.
+        """Closure of ``self ∪ pairs``, in place, for an **already
+        closed** ``self``: the incremental counterpart of
+        :meth:`transitive_closure`.  Instead of re-saturating every row,
+        each inserted edge ``(a, b)`` unions ``b``'s (final)
+        reachability row into the rows of ``a`` and of everything that
+        reaches ``a``, touching only rows whose reachability changes.
 
-        This is the engine-facing variant — it never re-emits the
-        unchanged part of the relation (the dominant cost of re-closing a
-        dense observed order from scratch): in a closed relation the
-        predecessor bitmap of ``a`` is exactly the set of rows an edge
-        into ``a`` can affect.  Returns the number of rows touched (also
-        added to the module closure counters).
+        Precondition: ``self`` is transitively closed (the result of
+        :meth:`transitive_closure` or a previous :meth:`add_closed`, or
+        a restriction of one — restriction preserves closedness).  The
+        reflexivity convention matches :meth:`transitive_closure`:
+        ``x R x`` appears exactly when ``x`` lies on a cycle.
+        ``elements`` extends the carrier set (isolated nodes the caller
+        wants present); endpoints of ``pairs`` are added automatically.
+
+        It never re-emits the unchanged part of the relation (the
+        dominant cost of re-closing a dense observed order from
+        scratch): in a closed relation the predecessor bitmap of ``a``
+        is exactly the set of rows an edge into ``a`` can affect.
+        Returns the number of rows touched (also added to the module
+        closure counters).
+
+        >>> grown = Relation([("a", "b"), ("b", "c")]).transitive_closure()
+        >>> grown.add_closed([("c", "d")])
+        3
+        >>> grown == Relation(
+        ...     [("a", "b"), ("b", "c"), ("c", "d")]
+        ... ).transitive_closure()
+        True
         """
         staged = list(pairs)
         index = self._index

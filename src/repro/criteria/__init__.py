@@ -11,7 +11,6 @@
   applicable.
 """
 
-from repro.criteria.bridge import comp_c_of_flat, flat_to_composite
 from repro.criteria.classical import (
     FlatHistory,
     FlatOp,
@@ -46,8 +45,6 @@ from repro.criteria.registry import (
 from repro.criteria.stack import is_scc, is_stack, scc_violations, stack_chain
 
 __all__ = [
-    "comp_c_of_flat",
-    "flat_to_composite",
     "FlatHistory",
     "FlatOp",
     "csr_serial_order",

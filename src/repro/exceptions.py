@@ -331,3 +331,15 @@ class ParseError(CompositeTxError):
         self.line = line
         self.offset = offset
         self.diagnostic = diagnostic
+
+
+class TraceError(ModelError, ParseError):
+    """A reduction-trace document that the trace loader refuses.
+
+    :func:`repro.io.trace.trace_from_dict` is the one check site of a
+    trace document and states each violation as one of these through
+    :func:`report_or_raise`.  It is a :class:`ModelError`, so lint's
+    collector takes it like any model violation (:attr:`code`,
+    :attr:`nodes`, :attr:`hint`), and a :class:`ParseError`, which is
+    what the trace loaders raise.
+    """

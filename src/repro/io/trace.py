@@ -14,38 +14,31 @@ fresh run without the original execution file.  Every document carries
 ``TRACE_VERSION`` and loading rejects unknown versions instead of
 misreading them.
 
-Version history
----------------
-``2``
-    adds the explicit ``skip`` field: ``null`` for a fully-reduced run,
-    ``{"direction": "precheck"}`` / ``{"direction": "refutation"}``
-    when the verdict came from the static prover alone.  Version-1
-    traces encoded precheck skips as ``"serial_witness": null`` —
-    indistinguishable from a dropped witness — and lost the
-    refutation-skip state entirely; they are still loadable, with the
-    skip inferred from the certificate.
+:func:`trace_from_dict` is the one place a trace document is checked:
+the loaders raise its first violation, and lint collects them all.
 
-The reduction is the only way a verdict is reached, so every trace this
-module writes records ``"skip": null`` and profile rows with
-``"skipped": false``; documents from runs that skipped the reduction
-on a static certificate still load with their ``skip`` and
-``static_certificate``.
+Version 3 dropped version 2's ``skip`` field and the per-row
+``skipped`` flag: every verdict comes from the full reduction.  v1 and
+v2 documents of a full reduction still load; one that records a
+reduction skipped by the removed static precheck (a non-null ``skip``,
+or in v1 no fronts and a ``static_certificate``) is refused with
+CTX303.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from repro.core.front import Front
 from repro.core.orders import Relation
 from repro.core.reduction import LevelProfile, ReductionResult
-from repro.exceptions import ParseError
+from repro.exceptions import ParseError, Report, TraceError, report_or_raise
 from repro.io.jsondoc import parse_json_document, read_json_text
 
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
 
 def _front_to_dict(front: Front) -> Dict:
@@ -68,19 +61,7 @@ def trace_to_dict(result: ReductionResult) -> Dict:
         "succeeded": result.succeeded,
         "fronts": [_front_to_dict(front) for front in result.fronts],
         "witnesses": [list(w) for w in result.witnesses],
-        "profile": [
-            {
-                "level": p.level,
-                "seconds": p.seconds,
-                "closure_calls": p.closure_calls,
-                "closure_rows": p.closure_rows,
-                "nodes": p.nodes,
-                "observed_pairs": p.observed_pairs,
-                "skipped": False,
-            }
-            for p in result.profile
-        ],
-        "skip": None,
+        "profile": [asdict(p) for p in result.profile],
     }
     if result.succeeded:
         document["serial_witness"] = result.serial_order()
@@ -125,24 +106,6 @@ class ReductionTrace:
     profile: List[LevelProfile] = field(default_factory=list)
     serial_witness: Optional[List[str]] = None
     failure: Optional[Dict] = None
-    #: the static prover's report (plain dict) when the producing run
-    #: consulted it before reducing; ``None`` otherwise
-    static_certificate: Optional[Dict] = None
-    #: ``{"direction": "precheck" | "refutation"}`` when the verdict
-    #: came from the static prover alone; ``None`` when the reduction
-    #: actually ran (inferred for version-1 traces)
-    skip: Optional[Dict] = None
-
-    @property
-    def skipped_by_precheck(self) -> bool:
-        return self.skip is not None and self.skip.get("direction") == "precheck"
-
-    @property
-    def skipped_by_refutation(self) -> bool:
-        return (
-            self.skip is not None
-            and self.skip.get("direction") == "refutation"
-        )
 
     def level(self, level: int) -> Front:
         for front in self.fronts:
@@ -151,92 +114,194 @@ class ReductionTrace:
         raise ParseError(f"trace has no level-{level} front")
 
 
-def _front_from_dict(document: Dict) -> Front:
-    nodes = tuple(document["nodes"])
-    front = Front(
-        level=document["level"],
-        nodes=nodes,
-        observed=Relation(document["observed"], elements=nodes),
-        input_weak=Relation(document["input_weak"], elements=nodes),
-        input_strong=Relation(document["input_strong"], elements=nodes),
+#: how :func:`trace_from_dict` states a violation: the message, with
+#: the lint code, the nodes it concerns and a fix hint as keywords
+_Violation = Callable[..., None]
+
+
+def _count(value: Any) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _names(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _profile_row(value: Any) -> bool:
+    return isinstance(value, dict) and all(
+        type(value.get(f.name)) in (int, float)
+        if f.name == "seconds"
+        else _count(value.get(f.name))
+        for f in fields(LevelProfile)
     )
-    recorded = document.get("conflict_consistent")
-    if recorded is not None and recorded != front.is_conflict_consistent():
-        raise ParseError(
-            f"trace level-{front.level} front records "
-            f"conflict_consistent={recorded} but the reloaded relations "
-            "disagree"
+
+
+def _front_from_dict(
+    entry: Any, position: int, succeeded: bool, violation: _Violation
+) -> Optional[Front]:
+    """The front at ``position`` of the ``fronts`` list, rebuilt from
+    its well-formed relations; ``None`` without a level or nodes."""
+    if not (
+        isinstance(entry, dict)
+        and _count(entry.get("level"))
+        and _names(entry.get("nodes"))
+    ):
+        violation(
+            f"trace front {position} must be an object with a "
+            "non-negative integer 'level' and a list of names 'nodes'"
+        )
+        return None
+    nodes = tuple(entry["nodes"])
+    members = set(nodes)
+    label = f"level-{entry['level']}"
+    relations = {}
+    for key in ("observed", "input_weak", "input_strong"):
+        pairs = entry.get(key)
+        if not isinstance(pairs, list) or not all(
+            _names(pair) and len(pair) == 2 and members.issuperset(pair)
+            for pair in pairs
+        ):
+            violation(
+                f"{label} front {key!r} must be a list of pairs of its nodes",
+                nodes=(label,),
+            )
+            pairs = []
+        relations[key] = Relation(pairs, elements=nodes)
+    front = Front(level=entry["level"], nodes=nodes, **relations)
+    recorded = entry.get("conflict_consistent")
+    actual = front.is_conflict_consistent()
+    if recorded is not None and recorded is not actual:
+        violation(
+            f"{label} front records conflict_consistent={recorded} but "
+            f"its relations say {actual}",
+            code="CTX304",
+            nodes=(label,),
+            hint="the trace was edited or truncated; regenerate it",
+        )
+    if succeeded and not actual:
+        violation(
+            f"trace claims success but its {label} front is not "
+            "conflict consistent",
+            code="CTX304",
+            nodes=(label,),
         )
     return front
 
 
-def _infer_v1_skip(document: Dict) -> Optional[Dict]:
-    """Recover the skip state a version-1 trace only implied.
-
-    Version 1 had no ``skip`` field: a precheck-skipped accept was the
-    pattern (succeeded, no fronts, certified certificate, null
-    witness), and a refutation skip (succeeded=False, no fronts,
-    certificate verdict ``certified_unsafe``) was not distinguishable
-    from a trace whose fronts were simply stripped — we trust the
-    certificate here, which a reduction-produced rejection never
-    carries with that verdict.
-    """
-    if document.get("fronts"):
-        return None
-    certificate = document.get("static_certificate")
-    if not certificate:
-        return None
-    if (
-        document.get("succeeded")
-        and certificate.get("certified")
-        and document.get("serial_witness") is None
-    ):
-        return {"direction": "precheck"}
-    if (
-        not document.get("succeeded")
-        and certificate.get("verdict") == "certified_unsafe"
-    ):
-        return {"direction": "refutation"}
-    return None
-
-
-def trace_from_dict(document: Dict) -> ReductionTrace:
+def trace_from_dict(
+    document: Mapping[str, Any], report: Optional[Report] = None
+) -> Optional[ReductionTrace]:
     """Rebuild a :class:`ReductionTrace` from a trace dictionary.
 
-    Raises :class:`~repro.exceptions.ParseError` on a missing or
-    unsupported ``version`` and when a front's recorded consistency
-    verdict contradicts its reloaded relations.
+    The one check site of a trace document: each violation is stated
+    through :func:`~repro.exceptions.report_or_raise` as a
+    :class:`~repro.exceptions.TraceError` with its lint code (CTX303 a
+    version this library does not read or a skipped reduction, CTX304
+    a verdict the document's own fronts or failure section contradict,
+    CTX305 anything malformed).  Without ``report`` the first one
+    raises.  Lint passes its collector and gets every violation; the
+    trace is then rebuilt from the well-formed rest, or is ``None``
+    when the version, the skip or the verdict leaves nothing to
+    rebuild.
     """
-    version = document.get("version")
-    if version not in (1, TRACE_VERSION):
-        raise ParseError(
-            f"unsupported trace version {version!r} "
-            f"(this library reads versions 1..{TRACE_VERSION})"
+
+    def violation(
+        message: str,
+        *,
+        code: str = "CTX305",
+        nodes: "tuple[str, ...]" = (),
+        hint: Optional[str] = None,
+    ) -> None:
+        report_or_raise(
+            report, TraceError(message, code=code, nodes=nodes, hint=hint)
         )
-    skip = document.get("skip")
-    if version == 1:
-        skip = _infer_v1_skip(document)
+
+    def field_or(
+        key: str, valid: Callable[[Any], bool], what: str, default: Any
+    ) -> Any:
+        """``document[key]`` when valid, else ``default``; ``order``
+        and ``roots`` must be present."""
+        if key not in document and key not in ("order", "roots"):
+            return default
+        if valid(document.get(key)):
+            return document[key]
+        violation(f"trace field {key!r} must be {what}")
+        return default
+
+    version = document.get("version")
+    if type(version) is not int or not 1 <= version <= TRACE_VERSION:
+        violation(
+            f"unsupported trace version {version!r} "
+            f"(this library reads versions 1..{TRACE_VERSION})",
+            code="CTX303",
+            hint="regenerate the trace with the current library",
+        )
+        return None
+    if document.get("skip") is not None or (
+        version == 1
+        and not document.get("fronts")
+        and document.get("static_certificate")
+    ):
+        violation(
+            "trace records a reduction skipped by the static precheck, "
+            "which this library no longer has: every verdict comes from "
+            "the full reduction",
+            code="CTX303",
+            hint="run `check --trace` on the execution again",
+        )
+        return None
+    succeeded = document.get("succeeded")
+    if not isinstance(succeeded, bool):
+        violation("trace has no boolean 'succeeded' verdict")
+        return None
+    failure = document.get("failure")
+    if succeeded and failure is not None:
+        violation(
+            "trace claims success but records a failure certificate",
+            code="CTX304",
+            hint="a successful reduction has no failure section",
+        )
+    if not succeeded and failure is None:
+        violation(
+            "trace claims rejection but records no failure certificate",
+            code="CTX304",
+        )
+    if failure is not None and not isinstance(failure, dict):
+        violation("trace field 'failure' must be an object")
+        failure = None
+    entries = field_or("fronts", lambda v: isinstance(v, list), "a list", [])
+    fronts = [
+        _front_from_dict(entry, position, succeeded, violation)
+        for position, entry in enumerate(entries)
+    ]
+    rows = field_or(
+        "profile",
+        lambda v: isinstance(v, list) and all(map(_profile_row, v)),
+        "a list of level profiles",
+        [],
+    )
     return ReductionTrace(
-        order=document["order"],
-        roots=list(document["roots"]),
-        succeeded=document["succeeded"],
-        fronts=[_front_from_dict(f) for f in document.get("fronts", [])],
-        witnesses=[list(w) for w in document.get("witnesses", [])],
+        order=field_or("order", _count, "a non-negative integer", 0),
+        roots=field_or("roots", _names, "a list of names", []),
+        succeeded=succeeded,
+        fronts=[front for front in fronts if front is not None],
+        witnesses=field_or(
+            "witnesses",
+            lambda v: isinstance(v, list) and all(map(_names, v)),
+            "a list of name lists",
+            [],
+        ),
         profile=[
-            LevelProfile(
-                level=p["level"],
-                seconds=p["seconds"],
-                closure_calls=p["closure_calls"],
-                closure_rows=p["closure_rows"],
-                nodes=p["nodes"],
-                observed_pairs=p["observed_pairs"],
-            )
-            for p in document.get("profile", [])
+            LevelProfile(**{f.name: row[f.name] for f in fields(LevelProfile)})
+            for row in rows
         ],
-        serial_witness=document.get("serial_witness"),
-        failure=document.get("failure"),
-        static_certificate=document.get("static_certificate"),
-        skip=skip,
+        serial_witness=field_or(
+            "serial_witness",
+            lambda v: v is None or _names(v),
+            "a list of names",
+            None,
+        ),
+        failure=failure,
     )
 
 

@@ -38,16 +38,14 @@ it finds (CTX114, or CTX115 through Def.-3 axiom 3).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.builder import SystemBuilder
-from repro.core.front import Front
-from repro.core.orders import Relation
 from repro.core.schedule import Schedule
 from repro.core.system import CompositeSystem
 from repro.exceptions import CompositeTxError, ModelError, Report
 from repro.io.text_format import format_version_error
-from repro.io.trace import TRACE_VERSION
+from repro.io.trace import trace_from_dict
 from repro.lint.diagnostics import Diagnostic, DiagnosticCollector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -180,89 +178,16 @@ def _lint_propagated_cycles(
     SystemBuilder.from_spec(document, report=report).build(validate=False)
 
 
-def _pairs(value: object) -> List[Tuple[str, str]]:
-    """Coerce a trace front's JSON pair list, dropping malformed
-    entries."""
-    out: List[Tuple[str, str]] = []
-    if isinstance(value, (list, tuple)):
-        for entry in value:
-            if isinstance(entry, (list, tuple)) and len(entry) == 2:
-                out.append((str(entry[0]), str(entry[1])))
-    return out
-
-
 # ----------------------------------------------------------------------
 # trace documents
 # ----------------------------------------------------------------------
 def lint_trace_document(
-    collector: DiagnosticCollector, document: Mapping
+    collector: DiagnosticCollector, document: Mapping[str, Any]
 ) -> None:
-    """Lint a reduction-trace document (``check --trace`` output)."""
-    version = document.get("version")
-    # Version 1 stays lintable: the loader still reads it (the v2 skip
-    # field is inferred), so the linter accepts the same range.
-    if version not in (1, TRACE_VERSION):
-        collector.report(
-            "CTX303",
-            f"unsupported trace version {version!r} "
-            f"(this library reads versions 1..{TRACE_VERSION})",
-            fix_hint="regenerate the trace with the current library",
-        )
-        return
-    succeeded = document.get("succeeded")
-    if not isinstance(succeeded, bool):
-        collector.report(
-            "CTX305", "trace has no boolean 'succeeded' verdict"
-        )
-        return
-    if succeeded and document.get("failure") is not None:
-        collector.report(
-            "CTX304",
-            "trace claims success but records a failure certificate",
-            fix_hint="a successful reduction has no failure section",
-        )
-    if not succeeded and document.get("failure") is None:
-        collector.report(
-            "CTX304",
-            "trace claims rejection but records no failure certificate",
-        )
-    for entry in document.get("fronts", []):
-        try:
-            nodes = tuple(str(n) for n in entry["nodes"])
-            front = Front(
-                level=int(entry["level"]),
-                nodes=nodes,
-                observed=Relation(_pairs(entry["observed"]), elements=nodes),
-                input_weak=Relation(
-                    _pairs(entry["input_weak"]), elements=nodes
-                ),
-                input_strong=Relation(
-                    _pairs(entry["input_strong"]), elements=nodes
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as err:
-            collector.report(
-                "CTX305", f"malformed trace front: {err!r}"
-            )
-            continue
-        recorded = entry.get("conflict_consistent")
-        actual = front.is_conflict_consistent()
-        if recorded is not None and bool(recorded) != actual:
-            collector.report(
-                "CTX304",
-                f"level-{front.level} front records "
-                f"conflict_consistent={bool(recorded)} but its relations "
-                f"say {actual}",
-                nodes=(f"level-{front.level}",),
-                fix_hint="the trace was edited or truncated; regenerate it",
-            )
-        if succeeded and not actual:
-            collector.report(
-                "CTX304",
-                f"trace claims success but its level-{front.level} front "
-                "is not conflict consistent",
-                nodes=(f"level-{front.level}",),
-            )
+    """Lint a reduction-trace document (``check --trace`` output):
+    every violation of the loader's own check site,
+    :func:`~repro.io.trace.trace_from_dict`."""
+    trace_from_dict(document, report=collect(collector))
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,13 @@ Two build paths share one activation rule:
     under a node whose root has not committed, so a commit visits only
     those waiting on its own nodes, and the builder grows its last
     build by them (see :meth:`~repro.core.builder.SystemBuilder.build`).
-    The result is byte-identical to a full rebuild because a
+    The result saves to the same :func:`~repro.io.text_format.dumps`
+    document as a full rebuild and gets the same verdict, though not
+    always with the same element order: the persistent builder meets
+    a schedule when its first declaration activates, the full rebuild
+    in declaration order, so the two may list the schedules (and the
+    internal nodes grouped by schedule) differently — ``dumps`` sorts
+    both away.  Within a schedule the order is the same, because a
     :class:`~repro.core.schedule.Schedule` lists its relation carriers
     in transaction order — pair *sets* are order-insensitive — so only
     the per-schedule transaction application order matters, and that
@@ -406,9 +412,10 @@ class StreamAssembler:
     def build_incremental(self) -> Optional[RecordedExecution]:
         """The committed composite system via the persistent builder:
         per-commit cost proportional to the declarations the commit
-        activated, byte-identical to :meth:`build` (see module
-        docstring for why, and for the out-of-order guard).  Sets
-        :attr:`late_conflict`."""
+        activated, with the same ``dumps`` document and verdict as
+        :meth:`build`, though its schedules may come in another order
+        (see the module docstring for why, and for the out-of-order
+        guard).  Sets :attr:`late_conflict`."""
         if not self._committed:
             return None
         if self.derive == "temporal":

@@ -179,7 +179,7 @@ class IncrementalChecker:
         # Per-event bookkeeping is plain dict increments; the counters
         # flush to telemetry in one batch (identical totals — counters
         # aggregate by name and fields) so the amortized per-event cost
-        # stays O(1) dictionary work, which BENCH_ST1 measures.
+        # stays O(1) dictionary work.
         self._kind_counts: Dict[str, int] = {}
         self._skips = 0
         self._verdict_cache: Optional[StreamVerdict] = None

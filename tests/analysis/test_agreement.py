@@ -1,6 +1,6 @@
-"""Tests for the pairwise criterion agreement matrix."""
+"""Tests for the pairwise criterion agreement matrix of the H1 benchmark."""
 
-from repro.analysis.agreement import (
+from benchmarks.test_bench_h1_hierarchy import (
     AgreementMatrix,
     agreement_matrix,
     format_agreement,

@@ -1,20 +1,11 @@
-"""Unit tests for the analysis layer: stats, tables, experiments."""
-
-import pytest
+"""Unit tests for the analysis layer: tables and experiments."""
 
 from repro.analysis.hierarchy import (
     CONTAINMENTS,
     run_hierarchy_experiment,
     total_violations,
 )
-from repro.analysis.scaling import checker_scaling, depth_scaling
-from repro.analysis.stats import (
-    mean,
-    proportion_summary,
-    std_error,
-    variance,
-    wilson_interval,
-)
+from repro.analysis.scaling import checker_scaling
 from repro.analysis.tables import banner, format_table
 from repro.analysis.theorems import (
     theorem1_experiment,
@@ -22,36 +13,6 @@ from repro.analysis.theorems import (
     theorem3_rows,
     theorem4_rows,
 )
-
-
-class TestStats:
-    def test_mean(self):
-        assert mean([1, 2, 3]) == 2
-        assert mean([]) == 0.0
-
-    def test_variance(self):
-        assert variance([2, 4, 4, 4, 5, 5, 7, 9]) == pytest.approx(4.571, rel=1e-3)
-        assert variance([5]) == 0.0
-
-    def test_std_error(self):
-        assert std_error([1, 1, 1, 1]) == 0.0
-        assert std_error([7]) == 0.0
-
-    def test_wilson_bounds(self):
-        lo, hi = wilson_interval(0, 10)
-        assert lo == 0.0 and hi < 0.35
-        lo, hi = wilson_interval(10, 10)
-        assert lo > 0.65 and hi == 1.0
-        assert wilson_interval(0, 0) == (0.0, 1.0)
-
-    def test_wilson_is_an_interval(self):
-        for s, n in [(3, 10), (5, 7), (1, 100)]:
-            lo, hi = wilson_interval(s, n)
-            assert 0 <= lo <= s / n <= hi <= 1
-
-    def test_proportion_summary(self):
-        assert proportion_summary(0, 0) == "n/a"
-        assert proportion_summary(5, 10).startswith("0.50 [")
 
 
 class TestTables:
@@ -107,7 +68,3 @@ class TestScaling:
         assert points[0].operations < points[1].operations
         assert all(p.seconds >= 0 for p in points)
 
-    def test_depth_scaling_points(self):
-        points = depth_scaling(depths=(2, 3), repeats=1)
-        assert len(points) == 2
-        assert points[0].operations > 0

@@ -31,7 +31,7 @@ Element = Hashable
 Pair = Tuple[Element, Element]
 
 #: Closure instrumentation: mutated by :meth:`Relation.transitive_closure`
-#: and :meth:`Relation.delta_closure`, snapshotted by the reduction
+#: and :meth:`Relation.add_closed`, snapshotted by the reduction
 #: engine's profiler.  ``calls`` counts closure invocations; ``rows``
 #: counts bitset rows actually (re)computed — the quantity the
 #: incremental path saves.  Per-process (each pool worker has its own).
@@ -329,105 +329,16 @@ class DictRelation:
                 mask &= mask - 1
         return result
 
-    def delta_closure(
-        self,
-        pairs: Iterable[Pair],
-        elements: Iterable[Element] = (),
-    ) -> "DictRelation":
-        """Closure of ``self ∪ pairs`` for an **already closed** ``self``.
-
-        The incremental counterpart of :meth:`transitive_closure`: instead
-        of re-saturating every row, each inserted edge ``(a, b)`` unions
-        ``b``'s (final) reachability row into the rows of ``a`` and of
-        everything that reaches ``a`` — touching only rows whose
-        reachability actually changes.  Rows are the same integer bitsets
-        the from-scratch closure uses, with a transposed (predecessor)
-        index so the affected rows are found without a scan.
-
-        Precondition: ``self`` is transitively closed (the result of
-        :meth:`transitive_closure` or a previous :meth:`delta_closure`,
-        or a restriction of one — restriction preserves closedness).
-        The reflexivity convention matches :meth:`transitive_closure`:
-        ``x R x`` appears exactly when ``x`` lies on a cycle.
-
-        ``elements`` extends the carrier set (isolated nodes the caller
-        wants present); endpoints of ``pairs`` are added automatically.
-
-        >>> base = DictRelation([("a", "b"), ("b", "c")]).transitive_closure()
-        >>> inc = base.delta_closure([("c", "d")])
-        >>> ("a", "d") in inc
-        True
-        >>> inc == DictRelation(
-        ...     [("a", "b"), ("b", "c"), ("c", "d")]
-        ... ).transitive_closure()
-        True
-        """
-        order: Dict[Element, None] = dict(self._elements)
-        staged = list(pairs)
-        for element in elements:
-            order.setdefault(element, None)
-        for a, b in staged:
-            order.setdefault(a, None)
-            order.setdefault(b, None)
-        carrier = list(order)
-        index = {e: i for i, e in enumerate(carrier)}
-        n = len(carrier)
-        rows = [0] * n
-        cols = [0] * n
-        for a, bs in self._succ.items():
-            ia = index[a]
-            bit_a = 1 << ia
-            mask = 0
-            for b in bs:
-                ib = index[b]
-                mask |= 1 << ib
-                cols[ib] |= bit_a
-            rows[ia] = mask
-
-        touched = 0
-        for a, b in staged:
-            ia, ib = index[a], index[b]
-            if (rows[ia] >> ib) & 1:
-                continue  # already implied — closure is unchanged
-            succ_mask = rows[ib] | (1 << ib)
-            affected = cols[ia] | (1 << ia)
-            while affected:
-                low = affected & -affected
-                ix = low.bit_length() - 1
-                affected &= affected - 1
-                new = succ_mask & ~rows[ix]
-                if not new:
-                    continue
-                touched += 1
-                rows[ix] |= new
-                bit_x = 1 << ix
-                while new:
-                    nl = new & -new
-                    cols[nl.bit_length() - 1] |= bit_x
-                    new &= new - 1
-        CLOSURE_COUNTERS["calls"] += 1
-        CLOSURE_COUNTERS["rows"] += touched
-
-        result = DictRelation(elements=carrier)
-        for i, element in enumerate(carrier):
-            mask = rows[i]
-            while mask:
-                low = mask & -mask
-                result.add(element, carrier[low.bit_length() - 1])
-                mask &= mask - 1
-        return result
-
     def add_closed(
         self,
         pairs: Iterable[Pair],
         elements: Iterable[Element] = (),
     ) -> int:
-        """In-place :meth:`delta_closure`: insert ``pairs`` into an
-        **already closed** relation and restore closedness, touching only
-        rows whose reachability changes.
+        """Closure of ``self ∪ pairs``, in place, for an **already
+        closed** ``self``, touching only rows whose reachability
+        changes.
 
-        This is the engine-facing variant — it never re-emits the
-        unchanged part of the relation (the dominant cost of re-closing a
+        It never re-emits the unchanged part of the relation (the dominant cost of re-closing a
         dense observed order from scratch), because the predecessor index
         plays the role of the transposed bitset: in a closed relation
         ``predecessors(a)`` is exactly the set of rows an edge into ``a``

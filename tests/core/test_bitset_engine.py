@@ -27,7 +27,6 @@ from collections.abc import Hashable
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.scaling import closure_path_speedup
 from repro.core.orders import (
     Relation,
     closure_counters,
@@ -61,7 +60,7 @@ _op = st.one_of(
         st.lists(_pair, max_size=6),
     ),
     st.tuples(
-        st.just("delta"),
+        st.just("add_closed"),
         st.lists(_pair, max_size=5),
     ),
 )
@@ -118,9 +117,11 @@ def test_differential_operation_sequences(ops):
         elif name == "union":
             new = new.union(Relation(arg))
             old = old.union(dict_engine.DictRelation(arg))
-        elif name == "delta":
-            new = new.transitive_closure().delta_closure(arg)
-            old = old.transitive_closure().delta_closure(arg)
+        elif name == "add_closed":
+            new = new.transitive_closure()
+            old = old.transitive_closure()
+            new.add_closed(arg)
+            old.add_closed(arg)
         _observe(new, old)
 
 
@@ -189,12 +190,3 @@ def test_restricted_to_validates_carrier():
     assert list(restricted.pairs()) == [("a", "b")]
     assert "z" in restricted.elements
 
-
-def test_streaming_closure_paths_agree():
-    """The closure-path benchmark's two strategies must produce equal
-    relations at every depth (the speedup itself is benchmarked, not
-    asserted, here — wall clock is for BENCH_P2)."""
-    points = closure_path_speedup(depths=(2, 3), repeats=1)
-    assert [p.depth for p in points] == [2, 3]
-    for p in points:
-        assert p.pairs > 0

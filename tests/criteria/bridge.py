@@ -4,8 +4,8 @@ The composite theory must degenerate gracefully: a single-schedule
 system whose transactions are flat read/write programs is exactly a
 textbook history, and on those Comp-C coincides with classical conflict
 serializability.  :func:`flat_to_composite` performs the embedding and
-``tests/criteria/test_bridge.py`` property-tests the agreement — a
-useful sanity anchor for both sides.
+``test_bridge.py`` property-tests the agreement — a useful sanity
+anchor for both sides.  It is a test oracle: no command reads it.
 """
 
 from __future__ import annotations

@@ -3,13 +3,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.criteria.bridge import comp_c_of_flat, flat_to_composite
 from repro.criteria.classical import (
     FlatHistory,
     FlatOp,
     is_conflict_serializable,
 )
 from repro.workloads.flat import FlatWorkloadConfig, random_flat_history
+from tests.criteria.bridge import comp_c_of_flat, flat_to_composite
 
 
 class TestEmbedding:

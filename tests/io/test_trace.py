@@ -112,8 +112,9 @@ class TestTraceRoundTrip:
     def test_tampered_consistency_flag_rejected(self):
         doc = trace_to_dict(reduce_to_roots(figure1_system()))
         doc["fronts"][0]["conflict_consistent"] = False
-        with pytest.raises(ParseError, match="disagree"):
+        with pytest.raises(ParseError, match="relations say True") as err:
             trace_from_dict(doc)
+        assert err.value.code == "CTX304"
 
     def test_level_accessor(self):
         trace = loads_trace(dumps_trace(reduce_to_roots(figure1_system())))
@@ -148,12 +149,12 @@ class TestCliTrace:
 
 
 # ----------------------------------------------------------------------
-# version 2: explicit skip provenance (both static-skip directions)
+# version 3: no skip provenance; skipped v1/v2 documents are refused
 # ----------------------------------------------------------------------
 # Runs that skipped the reduction on a static certificate no longer
-# exist, but the documents they wrote must keep loading.  These are two
-# such version-2 documents, trimmed to what the loader reads: the
-# booking example certified safe, and the lost-update schedule refuted.
+# exist.  These are two version-2 documents such runs wrote, trimmed to
+# what the loader reads: the booking example certified safe, and the
+# lost-update schedule refuted.
 _LOST_UPDATE_FAILURE = {
     "blocked": ["T1", "T2"],
     "cycle": ["T1", "T2", "T1"],
@@ -240,65 +241,106 @@ def refutation_skip_document():
     }
 
 
+def _refused_code(document):
+    """The code of the error loading ``document`` raises."""
+    with pytest.raises(ParseError) as refused:
+        loads_trace(json.dumps(document))
+    return refused.value.code
+
+
+def _v2(document):
+    """``document`` as version 2 wrote it: ``"skip": null`` and a
+    ``"skipped": false`` flag on every profile row."""
+    old = dict(document, version=2, skip=None)
+    old["profile"] = [dict(row, skipped=False) for row in document["profile"]]
+    return old
+
+
 class TestSkipProvenance:
-    def test_plain_run_has_null_skip(self):
+    def test_plain_run_writes_v3_without_skip(self):
         doc = trace_to_dict(reduce_to_roots(figure1_system()))
-        assert doc["version"] == 2
-        assert doc["skip"] is None
+        assert doc["version"] == 3
+        assert "skip" not in doc
         assert "static_certificate" not in doc
-        assert all(row["skipped"] is False for row in doc["profile"])
-        trace = trace_from_dict(doc)
-        assert not trace.skipped_by_precheck
-        assert not trace.skipped_by_refutation
+        assert all("skipped" not in row for row in doc["profile"])
 
-    def test_precheck_skip_round_trips(self):
-        """A precheck-skipped accept is not ambiguous in version 2:
-        version 1 wrote only ``"serial_witness": null``
-        (indistinguishable from a dropped witness); version 2 records
-        the direction explicitly."""
-        trace = loads_trace(json.dumps(precheck_skip_document()))
-        assert trace.succeeded
-        assert trace.fronts == []
-        assert trace.serial_witness is None
-        assert trace.skip == {"direction": "precheck"}
-        assert trace.skipped_by_precheck
-        assert not trace.skipped_by_refutation
-        assert trace.static_certificate["verdict"] == "certified_safe"
-
-    def test_refutation_skip_round_trips(self):
-        """The refute-skip state survives loading: version 1 dropped
-        it entirely."""
-        trace = loads_trace(json.dumps(refutation_skip_document()))
-        assert not trace.succeeded
-        assert trace.failure == _LOST_UPDATE_FAILURE
-        assert trace.skip == {"direction": "refutation"}
-        assert trace.skipped_by_refutation
-        assert not trace.skipped_by_precheck
-        # the witness provenance rides on the certificate
-        assert trace.static_certificate["verdict"] == "certified_unsafe"
+    @pytest.mark.parametrize(
+        "document", [precheck_skip_document, refutation_skip_document]
+    )
+    def test_skipped_v2_trace_is_refused(self, document):
+        with pytest.raises(ParseError, match="static precheck") as refused:
+            loads_trace(json.dumps(document()))
+        assert refused.value.code == "CTX303"
 
     @pytest.mark.parametrize("certified", [True, False])
-    def test_v1_trace_still_loads_with_inferred_skip(self, certified):
+    def test_skipped_v1_trace_is_refused(self, certified):
+        """Version 1 had no skip field: no fronts and a static
+        certificate mark the skipped run."""
         doc = (
             precheck_skip_document()
             if certified
             else refutation_skip_document()
         )
         doc["version"] = 1
-        del doc["skip"]  # v1 documents have no skip field
-        trace = trace_from_dict(doc)
-        direction = "precheck" if certified else "refutation"
-        assert trace.skip == {"direction": direction}
-        assert trace.static_certificate == doc["static_certificate"]
-
-    def test_v1_full_run_infers_no_skip(self):
-        doc = trace_to_dict(reduce_to_roots(figure1_system()))
-        doc["version"] = 1
         del doc["skip"]
-        assert trace_from_dict(doc).skip is None
+        assert _refused_code(doc) == "CTX303"
 
-    def test_diff_reports_skip_difference(self):
-        doc = precheck_skip_document()
-        skipped = trace_from_dict(doc)
-        full = trace_from_dict(dict(doc, skip=None))
-        assert any("skip" in line for line in diff_traces(full, skipped))
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_full_run_of_older_versions_still_loads(self, version):
+        """A v1 or v2 document of a full reduction loads with the same
+        fronts, profile and verdict as the v3 document of that run."""
+        for system in (figure1_system(), figure3_system()):
+            doc = trace_to_dict(reduce_to_roots(system))
+            old = _v2(doc)
+            if version == 1:
+                del old["skip"]
+            old["version"] = version
+            assert trace_from_dict(old) == trace_from_dict(doc)
+
+
+# ----------------------------------------------------------------------
+# every malformed trace ends in a trace or a CTX-coded ParseError
+# ----------------------------------------------------------------------
+def _accepted_document():
+    return trace_to_dict(reduce_to_roots(figure1_system()))
+
+
+def _edited(edit):
+    document = _accepted_document()
+    edit(document)
+    return document
+
+
+MALFORMED = {
+    "version-only": ({"version": 2}, "CTX305"),
+    "boolean-version": (_edited(lambda d: d.update(version=True)), "CTX303"),
+    "float-version": (_edited(lambda d: d.update(version=3.0)), "CTX303"),
+    "no-order": (_edited(lambda d: d.pop("order")), "CTX305"),
+    "integer-roots": (_edited(lambda d: d.update(roots=5)), "CTX305"),
+    "front-without-nodes": (
+        _edited(lambda d: d.update(fronts=[{"level": 0}])),
+        "CTX305",
+    ),
+    "front-pair-outside-nodes": (
+        _edited(lambda d: d["fronts"][0]["observed"].append(["zz", "x1"])),
+        "CTX305",
+    ),
+    "profile-row-without-seconds": (
+        _edited(lambda d: d["profile"][0].pop("seconds")),
+        "CTX305",
+    ),
+    "string-witness": (
+        _edited(lambda d: d.update(serial_witness="R1")),
+        "CTX305",
+    ),
+    "success-with-failure": (
+        _edited(lambda d: d.update(failure={"level": 0})),
+        "CTX304",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_trace_is_a_coded_parse_error(name):
+    document, code = MALFORMED[name]
+    assert _refused_code(document) == code

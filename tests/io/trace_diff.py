@@ -15,8 +15,6 @@ def diff_traces(a: ReductionTrace, b: ReductionTrace) -> List[str]:
     out: List[str] = []
     if a.succeeded != b.succeeded:
         out.append(f"verdict: {a.succeeded} vs {b.succeeded}")
-    if a.skip != b.skip:
-        out.append(f"skip: {a.skip} vs {b.skip}")
     if a.serial_witness != b.serial_witness:
         out.append(
             f"serial witness: {a.serial_witness} vs {b.serial_witness}"

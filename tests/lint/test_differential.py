@@ -10,8 +10,16 @@ line) exactly when lint reports an error-severity *load* finding, and
 its message is one of lint's.  A load finding is one that
 :func:`lint_system_document` reports, except Def. 4.7 (CTX207/CTX208):
 lint reads a document as written, while ``check``'s builder propagates
-the caller's output orders into the callee's inputs.  Trace, topology
-and shapeless documents are no system documents and stay out.
+the caller's output orders into the callee's inputs.  Topology and
+shapeless documents stay out.
+
+Trace documents have one check site too,
+:func:`repro.io.trace.trace_from_dict`: the loader raises its first
+violation and lint collects them all.  So on every malformed trace of
+``tests/io/test_trace.py`` and on byte mutations of saved traces, the
+loader ends in a trace or a CTX-coded error, never another exception,
+and it fails exactly when lint reports an error, with lint's first
+code.
 """
 
 import contextlib
@@ -22,13 +30,19 @@ from pathlib import Path
 from typing import Dict, List, Mapping
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.builder as builder_module
 from repro.cli import main
-from repro.io import dumps
+from repro.core.reduction import reduce_to_roots
+from repro.exceptions import ParseError
+from repro.figures import figure1_system, figure3_system
+from repro.io import dumps, dumps_trace, loads_trace
 from repro.lint import DiagnosticCollector, lint_document, lint_system_document
-from repro.lint.report import KIND_SYSTEM, document_kind
+from repro.lint.report import KIND_SYSTEM, KIND_TRACE, document_kind
 from repro.workloads import WorkloadConfig, generate, stack_topology
+from tests.io.test_trace import MALFORMED
 
 from .test_codes import _DOCUMENTS
 
@@ -250,3 +264,83 @@ def test_lint_reports_the_input_cycle_that_propagation_closes():
         ),
         ("CTX114", "weak input order of 'S0' is cyclic: cycle f -> h -> f"),
     ]
+
+
+# ----------------------------------------------------------------------
+# trace documents
+# ----------------------------------------------------------------------
+def _loader_outcome(text: str) -> "tuple[str, str] | None":
+    """``(code, message)`` of the error loading ``text`` raises, or
+    ``None`` when it loads."""
+    try:
+        loads_trace(text)
+    except ParseError as error:
+        if error.diagnostic is not None:  # not JSON, or not an object
+            return error.diagnostic.code, error.diagnostic.message
+        return error.code, str(error)
+    return None
+
+
+def _assert_lint_agrees(text: str) -> None:
+    outcome = _loader_outcome(text)
+    try:
+        document = json.loads(text)
+    except ValueError:
+        assert outcome is not None and outcome[0] in {"CTX401", "CTX402"}
+        return
+    if not isinstance(document, dict):
+        assert outcome is not None and outcome[0] == "CTX403"
+        return
+    errors = lint_document(document).collector.errors
+    first = (errors[0].code, errors[0].message) if errors else None
+    if document_kind(document) == KIND_TRACE:
+        assert first == outcome
+    else:  # lint cannot tell it is a trace: a shapeless document
+        assert outcome is not None and first is not None
+        assert outcome[0] == first[0] == "CTX305"
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_lint_and_loader_agree_on_malformed_traces(name):
+    document, code = MALFORMED[name]
+    _assert_lint_agrees(json.dumps(document))
+    assert _loader_outcome(json.dumps(document))[0] == code
+
+
+SAVED_TRACES = [
+    dumps_trace(reduce_to_roots(system), indent=None)
+    for system in (figure1_system(), figure3_system())
+]
+
+#: JSON's structural bytes, digits and literal letters, then any
+#: printable byte
+_BYTE = st.one_of(
+    st.sampled_from(b'[]{}",:0123456789-.eEtrufalsn'),
+    st.integers(min_value=0x20, max_value=0x7E),
+)
+_MUTATION = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.integers(min_value=0),
+    _BYTE,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.sampled_from(SAVED_TRACES),
+    mutations=st.lists(_MUTATION, min_size=1, max_size=3),
+)
+def test_every_byte_mutant_of_a_trace_loads_or_is_a_coded_error(
+    text, mutations
+):
+    data = bytearray(text.encode("ascii"))
+    for kind, position, byte in mutations:
+        at = position % (len(data) + 1)
+        if kind == "insert":
+            data.insert(at, byte)
+        elif at < len(data):
+            if kind == "replace":
+                data[at] = byte
+            else:
+                del data[at]
+    _assert_lint_agrees(data.decode("ascii"))
