@@ -17,16 +17,15 @@ protocols lose correctness for their usual reasons (ghost cycles on
 joins), not because of faults.
 
 The benchmark times one faulty CC cell; the sweep below is the
-artifact table.  The grid runs through :func:`chaos_grid`, so setting
-``REPRO_BENCH_WORKERS`` shards the (protocol x seed) cells across
-processes — with output identical to the serial run by the batch
-runner's determinism contract.
+artifact table.  Both run through :func:`chaos_grid_report`, so
+setting ``REPRO_BENCH_WORKERS`` shards the sweep's (protocol x seed)
+cells across processes — with output identical to the serial run by
+the batch runner's determinism contract.
 """
 
 import os
 
-from repro.analysis.batch import chaos_grid
-from repro.analysis.protocols import evaluate_protocol_under_faults
+from repro.analysis.batch import chaos_grid_report
 from repro.analysis.tables import format_table
 from repro.simulator.programs import ProgramConfig
 from repro.workloads.topologies import join_topology, stack_topology
@@ -39,15 +38,16 @@ WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 
 
 def one_cell():
-    return evaluate_protocol_under_faults(
+    [point] = chaos_grid_report(
         join_topology(3),
-        "cc",
+        ("cc",),
+        SEEDS,
         intensity=1.0,
-        seeds=SEEDS,
         clients=3,
         transactions_per_client=5,
         program=PROGRAM,
-    )
+    ).points
+    return point
 
 
 def test_r1_smoke():
@@ -72,7 +72,7 @@ def test_bench_r1_faults(benchmark, emit):
     for topology in topologies:
         for intensity in INTENSITIES:
             points.extend(
-                chaos_grid(
+                chaos_grid_report(
                     topology,
                     PROTOCOLS,
                     SEEDS,
@@ -81,7 +81,7 @@ def test_bench_r1_faults(benchmark, emit):
                     clients=3,
                     transactions_per_client=5,
                     program=PROGRAM,
-                )
+                ).points
             )
 
     # --- assertions: faults attack liveness, never safety --------------

@@ -578,11 +578,12 @@ def chaos_grid_report(
     **kw,
 ) -> ChaosGridReport:
     """The (protocol x seed) chaos grid with supervision, one
-    :class:`ChaosPoint` per protocol.  Equivalent to calling
-    :func:`repro.analysis.protocols.evaluate_protocol_under_faults`
-    per protocol, but with every (protocol, seed) cell an independent
-    task — so ``workers`` parallelizes across protocols *and* seeds,
-    and the supervisor's quarantine isolates poisoned cells."""
+    :class:`~repro.analysis.protocols.ChaosPoint` per protocol in
+    ``points``.  Every (protocol, seed) cell is an independent
+    :func:`~repro.analysis.protocols.chaos_run_task`, so ``workers``
+    parallelizes across protocols *and* seeds, and the supervisor's
+    quarantine isolates poisoned cells.  ``kw`` is forwarded to
+    :func:`~repro.analysis.protocols.chaos_run`."""
     from repro.analysis.protocols import chaos_run_task, merge_chaos_runs
 
     tasks = [
@@ -610,27 +611,6 @@ def chaos_grid_report(
             )
         )
     return ChaosGridReport(points=points, quarantine=batch.quarantine)
-
-
-def chaos_grid(
-    topology,
-    protocols: Sequence[str],
-    seeds: Sequence[int],
-    *,
-    workers: int = 1,
-    supervisor: Optional[BatchSupervisor] = None,
-    **kw,
-):
-    """The (protocol x seed) chaos grid — points only; see
-    :func:`chaos_grid_report` for the quarantine report."""
-    return chaos_grid_report(
-        topology,
-        protocols,
-        seeds,
-        workers=workers,
-        supervisor=supervisor,
-        **kw,
-    ).points
 
 
 def ablation_task(task: Tuple) -> bool:

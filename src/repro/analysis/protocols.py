@@ -315,7 +315,7 @@ def chaos_run(
 
 def chaos_run_task(task: Tuple) -> ChaosRun:
     """Batch worker: unpack one ``(topology, protocol, seed, kw)``
-    grid cell (see :func:`repro.analysis.batch.chaos_grid`)."""
+    grid cell (see :func:`repro.analysis.batch.chaos_grid_report`)."""
     topology, protocol, seed, kw = task
     return chaos_run(topology, protocol, seed, **kw)
 
@@ -374,41 +374,3 @@ def merge_chaos_runs(
         point.abort_rate /= point.runs
         point.availability /= point.runs
     return point
-
-
-def evaluate_protocol_under_faults(
-    topology: TopologySpec,
-    protocol: str,
-    *,
-    intensity: float = 1.0,
-    seeds: Sequence[int] = (0, 1, 2),
-    clients: int = 3,
-    transactions_per_client: int = 5,
-    program: Optional[ProgramConfig] = None,
-    retry_policy: Union[str, RetryPolicy] = "exponential",
-    max_attempts: int = 10,
-    horizon: float = 120.0,
-    workers: int = 1,
-    **plan_kw,
-) -> ChaosPoint:
-    """One chaos cell: run ``protocol`` under a seeded random fault
-    plan (crashes + drops + degradation + transient failures scaled by
-    ``intensity``) and re-check every committed execution with the
-    Comp-C reduction.  ``plan_kw`` is forwarded to
-    :func:`repro.simulator.faults.random_fault_plan`."""
-    kw = dict(
-        intensity=intensity,
-        clients=clients,
-        transactions_per_client=transactions_per_client,
-        program=program,
-        retry_policy=retry_policy,
-        max_attempts=max_attempts,
-        horizon=horizon,
-        **plan_kw,
-    )
-    runs = run_batch(
-        [(topology, protocol, seed, kw) for seed in seeds],
-        chaos_run_task,
-        workers=workers,
-    )
-    return merge_chaos_runs(topology.name, protocol, intensity, runs)

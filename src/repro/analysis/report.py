@@ -1,10 +1,12 @@
 """One-shot consolidated experiment report.
 
-``build_report()`` runs every paper artifact (figures F1–F4, theorem
-validations T1–T4, the H1 hierarchy, the P2 scaling sweep, the A1
-ablation, and optionally the P1 protocol study, which dominates the
+``build_report()`` runs every paper artifact (figures F1–F4, every
+experiment of :data:`repro.analysis.experiments.EXPERIMENTS` — the
+T1–T4 theorem validations, the H1 hierarchy, the P2 cost sweep and the
+A1 ablation — and optionally the P1 protocol study, which dominates the
 runtime) and renders a single Markdown document — the programmatic
-source for the numbers in EXPERIMENTS.md.  Available on the command
+source for the numbers in EXPERIMENTS.md.  Its experiment tables are
+the ones ``repro experiment NAME`` prints.  Available on the command
 line as ``python -m repro report``.
 """
 
@@ -14,29 +16,14 @@ import time
 from typing import List
 
 from repro import __version__
-from repro.analysis.hierarchy import (
-    HIERARCHY,
-    run_hierarchy_experiment,
-    total_violations,
-)
-from repro.analysis.scaling import checker_scaling
-from repro.analysis.theorems import (
-    theorem1_experiment,
-    theorem2_rows,
-    theorem3_rows,
-    theorem4_rows,
-)
+from repro.analysis.experiments import EXPERIMENTS
 from repro.core.correctness import check_composite_correctness
-from repro.core.observed import ObservedOrderOptions
-from repro.core.reduction import reduce_to_roots
 from repro.figures import (
     figure1_system,
     figure2_system,
     figure3_system,
     figure4_system,
 )
-from repro.workloads.generator import WorkloadConfig, generate
-from repro.workloads.topologies import stack_topology
 
 
 def _md_table(headers: List[str], rows: List[List[object]]) -> str:
@@ -86,104 +73,17 @@ def build_report(
         _md_table(["artifact", "verdict", "witness / counterexample"], fig_rows),
     ]
 
-    # ----- theorem 1 ----------------------------------------------------
-    t1 = theorem1_experiment(trials=trials, seed=seed)
-    sections += [
-        "",
-        "## Theorem 1 (T1): Comp-C ⇔ level-N front, constructive",
-        "",
-        _md_table(
-            ["configuration", "instances", "accepted", "witnesses", "certificates", "valid"],
-            [
-                [
-                    r.label,
-                    r.trials,
-                    r.accepted,
-                    f"{r.witnesses_valid}/{r.accepted}",
-                    f"{r.certificates_valid}/{r.trials - r.accepted}",
-                    "yes" if r.all_valid else "NO",
-                ]
-                for r in t1
-            ],
-        ),
-    ]
-
-    # ----- theorems 2-4 -------------------------------------------------
-    for title, rows in (
-        ("Theorem 2 (T2): SCC ⇔ Comp-C on stacks", theorem2_rows(trials=trials, seed=seed)),
-        ("Theorem 3 (T3): FCC ⇔ Comp-C on forks", theorem3_rows(trials=trials, seed=seed)),
-        ("Theorem 4 (T4): JCC ⇔ Comp-C on joins", theorem4_rows(trials=trials, seed=seed)),
-    ):
+    # ----- the registered experiments ----------------------------------
+    for experiment in EXPERIMENTS.values():
+        table = experiment.run(trials, 1, seed)
         sections += [
             "",
-            f"## {title}",
+            f"## {experiment.title}",
             "",
-            _md_table(
-                ["configuration", "instances", "agreements", "accepted"],
-                [[r.label, r.trials, r.agreements, r.accepted] for r in rows],
-            ),
+            _md_table(table.headers, table.rows),
         ]
-
-    # ----- hierarchy ----------------------------------------------------
-    h1 = run_hierarchy_experiment(trials=trials, seed=seed)
-    sections += [
-        "",
-        "## Hierarchy (H1): LLSR, OPSR ⊊ SCC = Comp-C",
-        "",
-        _md_table(
-            ["conflict rate"] + list(HIERARCHY),
-            [
-                [row.conflict_probability]
-                + [f"{row.accepted[c]}/{row.trials}" for c in HIERARCHY]
-                for row in h1
-            ],
-        ),
-        "",
-        f"containment violations: **{total_violations(h1)}**",
-    ]
-
-    # ----- scaling ------------------------------------------------------
-    scaling = checker_scaling(root_counts=(2, 8, 32), repeats=2)
-    sections += [
-        "",
-        "## Checker cost (P2)",
-        "",
-        _md_table(
-            ["point", "nodes", "time (ms)"],
-            [
-                [p.label, p.operations, f"{p.seconds * 1000:.2f}"]
-                for p in scaling
-            ],
-        ),
-    ]
-
-    # ----- ablation -----------------------------------------------------
-    ensemble = [
-        generate(
-            stack_topology(2),
-            WorkloadConfig(seed=seed + i, conflict_probability=0.2),
-        )
-        for i in range(trials)
-    ]
-    base = sum(reduce_to_roots(r.system).succeeded for r in ensemble)
-    no_forget = sum(
-        reduce_to_roots(
-            r.system, ObservedOrderOptions(forget_nonconflicting=False)
-        ).succeeded
-        for r in ensemble
-    )
-    sections += [
-        "",
-        "## Ablation (A1): the forgetting rule",
-        "",
-        _md_table(
-            ["variant", "accepted", "of"],
-            [
-                ["paper semantics", base, len(ensemble)],
-                ["no forgetting (LLSR-like)", no_forget, len(ensemble)],
-            ],
-        ),
-    ]
+        if table.note:
+            sections += ["", table.note]
 
     # ----- protocols (optional: slow) ------------------------------------
     if include_protocols:

@@ -1,8 +1,8 @@
 """Decision-procedure cost measurements (``experiment p2``).
 
 Times the Comp-C reduction against growing histories (more composite
-transactions, hence more operations per schedule), and one multi-seed
-sweep serially against a process pool.  The checker is polynomial — the
+transactions, hence more operations per schedule).  The checker is
+polynomial — the
 dominating costs are the transitive closures and the per-level quotient
 tests — and the measured curve should look near-quadratic in the
 operation count.
@@ -70,51 +70,3 @@ def checker_scaling(
             )
         )
     return points
-
-
-@dataclass
-class SweepSpeedup:
-    """Wall time of one multi-seed sweep, serial vs ``workers`` procs."""
-
-    label: str
-    tasks: int
-    workers: int
-    serial_seconds: float
-    parallel_seconds: float
-    identical: bool  # merged results equal across both paths
-
-    @property
-    def speedup(self) -> float:
-        if self.parallel_seconds <= 0:
-            return float("inf")
-        return self.serial_seconds / self.parallel_seconds
-
-
-def sweep_speedup(
-    *,
-    workers: int = 2,
-    protocols: Sequence[str] = ("cc", "s2pl"),
-    seeds: Sequence[int] = (0, 1, 2, 3),
-    depth: int = 2,
-    **kw,
-) -> SweepSpeedup:
-    """Run the same chaos grid serially and with ``workers`` processes,
-    timing both and checking the merged points are equal — the
-    determinism contract of :mod:`repro.analysis.batch`, measured."""
-    from repro.analysis.batch import chaos_grid
-
-    spec = stack_topology(depth)
-    start = time.perf_counter()
-    serial = chaos_grid(spec, protocols, seeds, workers=1, **kw)
-    serial_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel = chaos_grid(spec, protocols, seeds, workers=workers, **kw)
-    parallel_seconds = time.perf_counter() - start
-    return SweepSpeedup(
-        label=f"chaos {len(protocols)}x{len(seeds)} @ stack {depth}",
-        tasks=len(protocols) * len(seeds),
-        workers=workers,
-        serial_seconds=serial_seconds,
-        parallel_seconds=parallel_seconds,
-        identical=serial == parallel,
-    )

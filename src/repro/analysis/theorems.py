@@ -20,7 +20,6 @@ from repro.core.serial import verify_theorem1_if_direction
 from repro.criteria.fork import is_fcc
 from repro.criteria.join import is_jcc
 from repro.criteria.stack import is_scc
-from repro.io.recorded import RecordedExecution
 from repro.workloads.generator import WorkloadConfig, generate
 from repro.workloads.topologies import (
     TopologySpec,
@@ -52,9 +51,8 @@ def _ensemble_configs(
     roots: int,
     seed: int,
 ) -> List[WorkloadConfig]:
-    """The workload grid behind an ensemble — the picklable half of
-    :func:`_ensemble`, shipped to batch workers instead of the
-    generated executions themselves."""
+    """The workload grid behind an ensemble, shipped to batch workers
+    instead of the generated executions themselves."""
     out = []
     per_rate = max(1, trials // len(conflict_rates))
     for rate in conflict_rates:
@@ -69,23 +67,6 @@ def _ensemble_configs(
                 )
             )
     return out
-
-
-def _ensemble(
-    spec: TopologySpec,
-    *,
-    trials: int,
-    conflict_rates: Sequence[float],
-    roots: int,
-    seed: int,
-) -> List[RecordedExecution]:
-    return [
-        generate(spec, config)
-        for config in _ensemble_configs(
-            trials=trials, conflict_rates=conflict_rates, roots=roots,
-            seed=seed,
-        )
-    ]
 
 
 def agreement_task(task: Tuple) -> Tuple[bool, bool]:

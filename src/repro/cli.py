@@ -450,118 +450,14 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import EXPERIMENTS
     from repro.analysis.tables import format_table
 
-    name = args.name
-    if name == "t1":
-        from repro.analysis.theorems import theorem1_experiment
-
-        rows = theorem1_experiment(trials=args.trials, workers=args.workers)
-        print(
-            format_table(
-                ["configuration", "trials", "accepted", "witnesses", "certificates"],
-                [
-                    [r.label, r.trials, r.accepted, r.witnesses_valid, r.certificates_valid]
-                    for r in rows
-                ],
-            )
-        )
-        return 0 if all(r.all_valid for r in rows) else 2
-    if name in ("t2", "t3", "t4"):
-        from repro.analysis.theorems import (
-            theorem2_rows,
-            theorem3_rows,
-            theorem4_rows,
-        )
-
-        rows = {
-            "t2": theorem2_rows,
-            "t3": theorem3_rows,
-            "t4": theorem4_rows,
-        }[name](trials=args.trials, workers=args.workers)
-        print(
-            format_table(
-                ["configuration", "trials", "agreements", "accepted"],
-                [[r.label, r.trials, r.agreements, r.accepted] for r in rows],
-            )
-        )
-        return 0 if all(r.disagreements == 0 for r in rows) else 2
-    if name == "h1":
-        from repro.analysis.hierarchy import (
-            HIERARCHY,
-            run_hierarchy_experiment,
-            total_violations,
-        )
-
-        rows = run_hierarchy_experiment(
-            trials=args.trials, workers=args.workers
-        )
-        print(
-            format_table(
-                ["conflict rate"] + list(HIERARCHY),
-                [
-                    [row.conflict_probability]
-                    + [f"{row.accepted[c]}/{row.trials}" for c in HIERARCHY]
-                    for row in rows
-                ],
-            )
-        )
-        print(f"containment violations: {total_violations(rows)}")
-        return 0 if total_violations(rows) == 0 else 2
-    if name == "p2":
-        from repro.analysis.scaling import checker_scaling, sweep_speedup
-
-        points = checker_scaling(repeats=2)
-        print(
-            format_table(
-                ["point", "nodes", "ms"],
-                [
-                    [p.label, p.operations, f"{p.seconds * 1000:.2f}"]
-                    for p in points
-                ],
-            )
-        )
-        if args.workers > 1:
-            sweep = sweep_speedup(workers=args.workers)
-            print(
-                f"\n{sweep.label}: {sweep.tasks} tasks, serial "
-                f"{sweep.serial_seconds:.2f}s vs {sweep.workers} workers "
-                f"{sweep.parallel_seconds:.2f}s ({sweep.speedup:.2f}x), "
-                f"results {'identical' if sweep.identical else 'DIFFER'}"
-            )
-        return 0
-    if name == "a1":
-        from repro.analysis.batch import ablation_task, run_batch
-        from repro.workloads.generator import WorkloadConfig
-        from repro.workloads.topologies import stack_topology
-
-        spec = stack_topology(2)
-        configs = [
-            WorkloadConfig(seed=s, conflict_probability=0.2)
-            for s in range(args.trials)
-        ]
-        verdicts = run_batch(
-            [
-                (spec, config, forget)
-                for forget in (True, False)
-                for config in configs
-            ],
-            ablation_task,
-            workers=args.workers,
-        )
-        base = sum(verdicts[:len(configs)])
-        ablated = sum(verdicts[len(configs):])
-        print(
-            format_table(
-                ["variant", "accepted", "of"],
-                [
-                    ["default", base, len(configs)],
-                    ["no forgetting", ablated, len(configs)],
-                ],
-            )
-        )
-        return 0
-    raise SystemExit(f"unknown experiment {name!r}")
+    table = EXPERIMENTS[args.name].run(args.trials, args.workers, 0)
+    print(format_table(table.headers, table.rows))
+    if table.note:
+        print(table.note)
+    return 0 if table.ok else 2
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -892,9 +788,9 @@ def _figures_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _experiment_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "name", choices=("t1", "t2", "t3", "t4", "h1", "p2", "a1")
-    )
+    from repro.analysis.experiments import EXPERIMENTS
+
+    p.add_argument("name", choices=tuple(EXPERIMENTS))
     p.add_argument("--trials", type=_count, default=30)
     _add_workers_option(p)
     _add_telemetry_option(p)

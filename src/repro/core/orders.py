@@ -929,13 +929,10 @@ class Relation:
         :meth:`transitive_closure` / :meth:`add_closed` maintain:
         ``x R x`` exactly when ``x`` lies on a cycle) this is an O(V)
         acyclicity probe — one bit test per row instead of a full
-        traversal.  The streaming checker uses it as its per-commit
-        rejection gate on the maintained level-0 observed order: once a
-        delta closes a cycle, some row gains its own bit and every later
-        extension keeps it (closed relations only grow), so a ``None``
-        here certifies the front's observed order acyclic without a
-        :meth:`find_cycle` pass.  On a relation that is *not* closed the
-        result only reports literal self-loops.
+        traversal.  :func:`closed_orders` uses it to skip the
+        :meth:`find_cycle` pass when the closed orders are acyclic.  On
+        a relation that is *not* closed the result only reports literal
+        self-loops.
         """
         if not self._size:
             return None

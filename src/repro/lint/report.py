@@ -14,16 +14,16 @@ sharded lint run is byte-identical to a serial one.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.observed import ObservedOrderOptions
 from repro.core.system import CompositeSystem
+from repro.exceptions import ParseError
+from repro.io.jsondoc import parse_json_document, read_json_text
 from repro.lint.diagnostics import Diagnostic, DiagnosticCollector
 from repro.lint.safety import (
-    SafetyVerdict,
     StaticSafetyReport,
     analyze_system_safety,
     analyze_topology_safety,
@@ -232,23 +232,18 @@ def lint_paths(
 def lint_file(
     file: str, *, options: Optional[ObservedOrderOptions] = None
 ) -> FileReport:
-    """Lint one file; unparseable JSON is a CTX305 finding, not a crash."""
-    collector = DiagnosticCollector(file=file)
+    """Lint one file.  A document that does not read as a JSON object
+    is a finding, not a crash: the CTX401/CTX402/CTX403 diagnostic the
+    :mod:`repro.io` loaders raise for it, so ``lint`` and ``check`` give
+    one code for one defect."""
     try:
-        with open(file, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
-        reason = "nested too deeply" if isinstance(err, RecursionError) else err
-        collector.report(
-            "CTX305",
-            f"not valid JSON: {reason}",
-            fix_hint="lint expects JSON system/trace/topology documents",
+        document = parse_json_document(
+            read_json_text(file), source=file, expect_object=True
         )
-        return FileReport(path=file, kind=KIND_UNKNOWN, collector=collector)
-    if not isinstance(document, Mapping):
-        collector.report(
-            "CTX305", "top-level JSON value is not an object"
-        )
+    except ParseError as err:
+        assert isinstance(err.diagnostic, Diagnostic)  # both readers attach one
+        collector = DiagnosticCollector(file=file)
+        collector.add(err.diagnostic)
         return FileReport(path=file, kind=KIND_UNKNOWN, collector=collector)
     return lint_document(document, file=file, options=options)
 

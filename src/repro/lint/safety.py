@@ -589,8 +589,6 @@ def _build_refutation(
 def prove_static_safety(
     system: CompositeSystem,
     options: Optional[ObservedOrderOptions] = None,
-    *,
-    refute: bool = True,
 ) -> StaticSafetyReport:
     """Run the tiered analysis (see module doc).
 
@@ -598,9 +596,7 @@ def prove_static_safety(
     executions of the system's schedules, so a certificate also covers
     re-runs with different execution sequences.  A ``CERTIFIED_UNSAFE``
     verdict is about *this* recorded execution — the refuter replayed
-    it and the engine rejected.  ``refute=False`` stops after the
-    certifier tiers (used where a replay would be redundant, e.g. when
-    the caller is about to run the reduction anyway).
+    it and the engine rejected.
     """
     if options is not None and options.seed_leaf_order:
         return StaticSafetyReport(
@@ -656,12 +652,6 @@ def prove_static_safety(
         f"level-{first.level} potential conflict cycle through "
         + " -> ".join(first.cycle_nodes)
     )
-    if not refute:
-        return StaticSafetyReport(
-            verdict=SafetyVerdict.UNKNOWN,
-            reason=reason,
-            witnesses=tuple(witnesses),
-        )
     # refuter: directed cycle under the recorded orientations, validated
     # by replaying the recorded execution through the real engine
     with tele.span("lint.refute") as span:

@@ -21,10 +21,9 @@ it, layer by layer:
   not touch and grows the others and the system from the last build;
 * level 0: the closed leaf observed order is maintained with
   :meth:`~repro.core.orders.Relation.add_closed` over the seed pairs
-  of the schedules the builder grew or constructed anew, probed for
-  cycles with the O(V)
-  :meth:`~repro.core.orders.Relation.first_self_loop` gate, and
-  injected via ``run(level0=...)``;
+  of the schedules the builder grew or constructed anew and injected
+  via ``run(level0=...)``, whose level-0 consistency check finds any
+  cycle it closes;
 * levels ``i >= 1``: ``run(level0=..., base=previous)`` extends the
   previous commit's closed fronts (Defs. 10, 13, 16)::
 
@@ -272,7 +271,6 @@ class IncrementalChecker:
                     self._seeded.add(pair)
                     seed_delta.append(pair)
         touched = self._observed0.add_closed(seed_delta, elements=new_leaves)
-        gate = self._observed0.first_self_loop()
         front0 = Front.level0(
             tuple(self._observed0.elements), self._observed0.copy()
         )
@@ -285,15 +283,8 @@ class IncrementalChecker:
             new_leaves=len(new_leaves),
             seed_delta=len(seed_delta),
             closure_rows=touched,
-            gated=gate is not None,
             extended=base is not None,
         )
-        if gate is not None and result.failure is None:
-            raise StreamError(
-                "maintained observed order has a cycle (self-loop at "
-                f"{gate!r}) but the reduction accepted — streaming "
-                "state is corrupt"
-            )
         if result.failure is not None:
             self._failure = result.failure
             self._rejected_at_event = self._events

@@ -3,15 +3,9 @@
 Topologies describe the static shape of a composite system (stack /
 fork / join / tree / layered DAG — the paper's taxonomy plus the general
 Figure-1 case); the generator populates a topology with a random,
-always-well-formed composite execution; the flat module generates
-classical read/write histories for the baseline criteria.
+always-well-formed composite execution.
 """
 
-from repro.workloads.flat import (
-    FlatWorkloadConfig,
-    flat_history_batch,
-    random_flat_history,
-)
 from repro.workloads.generator import WorkloadConfig, generate, generate_batch
 from repro.workloads.topologies import (
     TopologySpec,
@@ -23,9 +17,6 @@ from repro.workloads.topologies import (
 )
 
 __all__ = [
-    "FlatWorkloadConfig",
-    "flat_history_batch",
-    "random_flat_history",
     "WorkloadConfig",
     "generate",
     "generate_batch",

@@ -8,15 +8,12 @@ import pytest
 from repro.analysis.batch import (
     MERGE_EXEMPT_FIELDS,
     MERGE_RULES,
-    chaos_grid,
+    chaos_grid_report,
     merge_metrics,
     run_batch,
     run_batch_report,
 )
-from repro.analysis.protocols import (
-    evaluate_protocol,
-    evaluate_protocol_under_faults,
-)
+from repro.analysis.protocols import evaluate_protocol
 from repro.analysis.supervise import BatchSupervisor
 from repro.exceptions import BatchTaskError
 from repro.obs import Telemetry
@@ -189,24 +186,24 @@ class TestParallelDeterminism:
         assert serial == parallel
 
     def test_chaos_grid(self):
+        """The grid merges to the same points serially and in a pool,
+        for several protocols and for one protocol's seeds spread over
+        as many workers."""
         spec = stack_topology(2)
-        serial = chaos_grid(
-            spec, ("cc", "s2pl"), (0, 1), workers=1, intensity=0.5
-        )
-        parallel = chaos_grid(
-            spec, ("cc", "s2pl"), (0, 1), workers=2, intensity=0.5
-        )
-        assert serial == parallel
-
-    def test_evaluate_protocol_under_faults(self):
-        spec = stack_topology(2)
-        serial = evaluate_protocol_under_faults(
-            spec, "cc", seeds=(0, 1, 2), intensity=0.5, workers=1
-        )
-        parallel = evaluate_protocol_under_faults(
-            spec, "cc", seeds=(0, 1, 2), intensity=0.5, workers=3
-        )
-        assert serial == parallel
+        for protocols, seeds, workers in (
+            (("cc", "s2pl"), (0, 1), 2),
+            (("cc",), (0, 1, 2), 3),
+        ):
+            serial = chaos_grid_report(
+                spec, protocols, seeds, workers=1, intensity=0.5
+            )
+            parallel = chaos_grid_report(
+                spec, protocols, seeds, workers=workers, intensity=0.5
+            )
+            assert serial.points == parallel.points
+            assert [p.runs for p in serial.points] == [len(seeds)] * len(
+                protocols
+            )
 
     def test_keep_going_quarantine_is_in_index_order(self):
         """Two failing tasks, the later one failing first under a pool:

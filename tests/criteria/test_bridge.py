@@ -8,8 +8,8 @@ from repro.criteria.classical import (
     FlatOp,
     is_conflict_serializable,
 )
-from repro.workloads.flat import FlatWorkloadConfig, random_flat_history
 from tests.criteria.bridge import comp_c_of_flat, flat_to_composite
+from tests.workloads.flat import FlatWorkloadConfig, random_flat_history
 
 
 class TestEmbedding:

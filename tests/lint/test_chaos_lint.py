@@ -6,7 +6,7 @@ them in seed order, so ``--workers N`` must produce byte-identical
 tables — including the lint column.
 """
 
-from repro.analysis.batch import chaos_grid
+from repro.analysis.batch import chaos_grid_report
 from repro.analysis.protocols import ChaosPoint, chaos_run, merge_chaos_runs
 from repro.workloads.topologies import fork_topology, stack_topology
 
@@ -65,8 +65,12 @@ def test_sharded_grid_is_bit_identical_to_serial():
     kwargs = dict(
         intensity=0.5, clients=2, transactions_per_client=4
     )
-    serial = chaos_grid(spec, ("cc",), (0, 1, 2, 3), workers=1, **kwargs)
-    sharded = chaos_grid(spec, ("cc",), (0, 1, 2, 3), workers=2, **kwargs)
+    serial = chaos_grid_report(
+        spec, ("cc",), (0, 1, 2, 3), workers=1, **kwargs
+    ).points
+    sharded = chaos_grid_report(
+        spec, ("cc",), (0, 1, 2, 3), workers=2, **kwargs
+    ).points
     assert serial == sharded  # dataclass equality covers lint_codes
     [point] = serial
     assert point.assembled_runs > 0  # the lint path actually ran

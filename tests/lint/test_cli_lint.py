@@ -101,7 +101,7 @@ def test_invalid_json_is_a_finding_not_a_crash(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     assert main(["lint", str(path)]) == 2
-    assert "CTX305" in capsys.readouterr().out
+    assert "CTX401" in capsys.readouterr().out
 
 
 def test_too_deeply_nested_json_is_a_finding_not_a_crash(tmp_path, capsys):
@@ -109,7 +109,7 @@ def test_too_deeply_nested_json_is_a_finding_not_a_crash(tmp_path, capsys):
     path.write_text('{"schedules": ' + "[" * 100_000, encoding="utf-8")
     assert main(["lint", "--format", "json", str(path)]) == 2
     [finding] = json.loads(capsys.readouterr().out)["files"][0]["diagnostics"]
-    assert finding["code"] == "CTX305"
+    assert finding["code"] == "CTX401"
     assert finding["message"] == "not valid JSON: nested too deeply"
 
 

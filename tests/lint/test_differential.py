@@ -19,13 +19,15 @@ violation and lint collects them all.  So on every malformed trace of
 ``tests/io/test_trace.py`` and on byte mutations of saved traces, the
 loader ends in a trace or a CTX-coded error, never another exception,
 and it fails exactly when lint reports an error, with lint's first
-code.
+code and message -- a mutant that is not JSON, or not an object,
+included (CTX401/CTX402/CTX403 from both).
 """
 
 import contextlib
 import io
 import json
 import re
+import tempfile
 from pathlib import Path
 from typing import Dict, List, Mapping
 
@@ -40,7 +42,7 @@ from repro.exceptions import ParseError
 from repro.figures import figure1_system, figure3_system
 from repro.io import dumps, dumps_trace, loads_trace
 from repro.lint import DiagnosticCollector, lint_document, lint_system_document
-from repro.lint.report import KIND_SYSTEM, KIND_TRACE, document_kind
+from repro.lint.report import KIND_SYSTEM, KIND_TRACE, document_kind, lint_file
 from repro.workloads import WorkloadConfig, generate, stack_topology
 from tests.io.test_trace import MALFORMED
 
@@ -281,19 +283,21 @@ def _loader_outcome(text: str) -> "tuple[str, str] | None":
     return None
 
 
+#: the loader codes of a document that does not read as a JSON object
+_UNREADABLE = {"CTX401", "CTX402", "CTX403"}
+
+
 def _assert_lint_agrees(text: str) -> None:
     outcome = _loader_outcome(text)
-    try:
-        document = json.loads(text)
-    except ValueError:
-        assert outcome is not None and outcome[0] in {"CTX401", "CTX402"}
-        return
-    if not isinstance(document, dict):
-        assert outcome is not None and outcome[0] == "CTX403"
-        return
-    errors = lint_document(document).collector.errors
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "trace.json"
+        path.write_text(text, encoding="utf-8")
+        report = lint_file(str(path))
+    errors = report.collector.errors
     first = (errors[0].code, errors[0].message) if errors else None
-    if document_kind(document) == KIND_TRACE:
+    if report.kind == KIND_TRACE or (
+        outcome is not None and outcome[0] in _UNREADABLE
+    ):
         assert first == outcome
     else:  # lint cannot tell it is a trace: a shapeless document
         assert outcome is not None and first is not None

@@ -318,7 +318,7 @@ def test_level_multigraphs_match_the_definition_oracle(monkeypatch):
     levels = cycles = 0
     for label, system in _oracle_systems():
         calls.clear()
-        report = prove_static_safety(system, refute=False)
+        report = prove_static_safety(system)
         assert [w.level for w in report.witnesses] == list(range(system.order + 1))
         assert [level for level, _ in calls] == list(range(system.order + 1))
         for witness, (_, projected) in zip(report.witnesses, calls):

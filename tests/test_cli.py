@@ -285,7 +285,7 @@ class TestInputErrors:
 
     def test_non_utf8_document(self, tmp_path, capsys):
         """A document that is not UTF-8 is one CTX401 `check` error
-        line naming the bad byte; lint reports it as CTX305."""
+        line naming the bad byte; lint reports the same CTX401."""
         path = tmp_path / "latin1.json"
         path.write_bytes(
             b'{"schedules": {"S": {"transactions": {"T1": ["a\xe9"]}}}}'
@@ -296,12 +296,15 @@ class TestInputErrors:
             "invalid continuation byte at line 1 (byte offset 47)\n"
         )
         assert main(["lint", str(path)]) == 2
-        assert "CTX305" in capsys.readouterr().out
+        assert (
+            f"CTX401 error: {path}: not valid UTF-8: invalid continuation "
+            "byte at line 1 (byte offset 47)"
+        ) in capsys.readouterr().out
 
     def test_deeply_nested_document(self, tmp_path, capsys):
         """Arrays nested past the JSON parser's depth are one CTX401
         `check` error line, not a RecursionError traceback; lint
-        reports them as CTX305."""
+        reports the same CTX401."""
         path = tmp_path / "nested.json"
         path.write_text('{"schedules": ' + "[" * 100_000)
         assert main(["check", str(path)]) == 1
@@ -311,7 +314,7 @@ class TestInputErrors:
         )
         assert main(["lint", str(path)]) == 2
         out = capsys.readouterr().out
-        assert "CTX305" in out and "nested too deeply" in out
+        assert f"CTX401 error: {path}: not valid JSON: nested too deeply" in out
 
     @pytest.mark.parametrize(
         "line, message",

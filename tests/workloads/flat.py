@@ -1,8 +1,8 @@
 """Flat read/write workload generation (for the classical baselines).
 
 Random single-schedule histories over data items with tunable write
-ratio and zipf hot-spot skew, used by the CSR/OPSR comparison tests and
-the H1 benchmark's flat sanity row.
+ratio and zipf hot-spot skew, used by the flat-history bridge test
+(Comp-C equals CSR on one schedule) and its own unit tests.
 """
 
 from __future__ import annotations

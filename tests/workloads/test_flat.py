@@ -4,7 +4,7 @@ import pytest
 
 from repro.criteria.classical import is_conflict_serializable
 from repro.exceptions import WorkloadError
-from repro.workloads.flat import (
+from tests.workloads.flat import (
     FlatWorkloadConfig,
     flat_history_batch,
     random_flat_history,
